@@ -6,8 +6,10 @@ Module map:
 - ``intensity`` closed-form arithmetic intensity at the core and array level.
 - ``pipeline``  analytic latency bounds for the VLIW microkernel phases.
 - ``schedule``  list-scheduling simulator that stress-tests those bounds.
-- ``movement``  data-movement oracle that byte-counts the tiled loop nest.
-- ``gemm``      functional tiled GEMM executor and the BFP16 block codec.
+- ``movement``  the one tiled loop-nest walker; with no payload it is the
+                data-movement oracle that byte-counts the nest.
+- ``gemm``      numeric payload of that walker (tiled GEMM) and the BFP16
+                block codec.
 - ``perf``      two-sided (memory/compute) performance estimates.
 - ``search``    feasible-space enumeration, ranking, and report emitters.
 - ``cli``       ``asymtile`` command-line entry point.

@@ -204,19 +204,26 @@ class TileConfig:
         return (self.t_ma, self.t_mc, self.t_k, self.t_n)
 
 
-def buffer_footprint(tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH) -> int:
-    """Exact L1 bytes needed by the tile buffers, rounded up to whole bytes.
+def buffer_terms(
+    tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact L1 bytes staged for each of A, B and C.
 
     Counts multiplier_a copies of the a-cost t_ma x t_k A slice, multiplier_b
     copies of the t_k x t_n B slice, and multiplier_c copies of the c-cost
     t_mc x t_n C tile.
     """
-    total = (
-        arch.buffer_multiplier_a * prec.byte_cost_a * (tile.t_ma * tile.t_k)
-        + arch.buffer_multiplier_b * prec.byte_cost_b * (tile.t_k * tile.t_n)
-        + arch.buffer_multiplier_c * prec.byte_cost_c * (tile.t_mc * tile.t_n)
+    return (
+        arch.buffer_multiplier_a * prec.byte_cost_a * (tile.t_ma * tile.t_k),
+        arch.buffer_multiplier_b * prec.byte_cost_b * (tile.t_k * tile.t_n),
+        arch.buffer_multiplier_c * prec.byte_cost_c * (tile.t_mc * tile.t_n),
     )
-    return math.ceil(total)
+
+
+def buffer_footprint(tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH) -> int:
+    """Exact L1 bytes needed by the tile buffers (the sum of
+    :func:`buffer_terms`), rounded up to whole bytes."""
+    return math.ceil(sum(buffer_terms(tile, prec, arch)))
 
 
 def check_feasible(tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH) -> bool:

@@ -64,6 +64,8 @@ from asymtile.schedule import (
 from asymtile.search import (
     RANK_CSV_COLUMNS,
     SearchSpace,
+    _kb1,
+    _sig3,
     enumerate_feasible,
     estimate_csv_row,
     rank,
@@ -190,14 +192,6 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _tflops(value: float) -> str:
-    return f"{value / 1e12:.3g}"
-
-
-def _kb(value) -> str:
-    return f"{float(value) / 1024:.1f}"
-
-
 def _require(value, what: str):
     if value is None:
         raise ConfigError(f"{what} is required for this command")
@@ -224,7 +218,7 @@ def cmd_eval(cfg: RunConfig, fmt: str, out) -> int:
             f"precision: {cfg.prec.accum_label} accumulate, byte costs "
             f"a={float(cfg.prec.byte_cost_a)} b={float(cfg.prec.byte_cost_b)} "
             f"c={float(cfg.prec.byte_cost_c)}\n"
-            f"buffer: {_kb(est.buffer_bytes)} KB of {_kb(cfg.arch.l1_capacity)} KB\n"
+            f"buffer: {_kb1(est.buffer_bytes)} KB of {_kb1(cfg.arch.l1_capacity)} KB\n"
             f"feasible: {'yes' if est.feasible else 'no'}\n"
         )
         if est.feasible:
@@ -232,15 +226,15 @@ def cmd_eval(cfg: RunConfig, fmt: str, out) -> int:
                 f"ai_array: {float(est.ai_array):.1f} op/B\n"
                 f"eff_micro: {float(est.eff_micro):.3f}\n"
                 f"eff_core: {float(est.eff_core):.3f}\n"
-                f"memory_bound: {_tflops(est.memory_bound)} TFLOPS\n"
-                f"compute_bound: {_tflops(est.compute_bound)} TFLOPS\n"
-                f"perf_array: {_tflops(est.perf_array)} TFLOPS\n"
+                f"memory_bound: {_sig3(est.memory_bound / 1e12)} TFLOPS\n"
+                f"compute_bound: {_sig3(est.compute_bound / 1e12)} TFLOPS\n"
+                f"perf_array: {_sig3(est.perf_array / 1e12)} TFLOPS\n"
                 f"bound_kind: {est.bound_kind}\n"
             )
     if not est.feasible:
         out.write(
-            f"infeasible: buffer {_kb(est.buffer_bytes)} KB exceeds capacity "
-            f"{_kb(cfg.arch.l1_capacity)} KB\n"
+            f"infeasible: buffer {_kb1(est.buffer_bytes)} KB exceeds capacity "
+            f"{_kb1(cfg.arch.l1_capacity)} KB\n"
         )
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -266,19 +260,19 @@ def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
         for tile, est in result.entries[:limit]:
             out.write(
                 f"  {tile.t_mc}x{tile.t_k}x{tile.t_n} rho={tile.rho}: "
-                f"{_tflops(est.perf_array)} TFLOPS ({est.bound_kind}-bound, "
-                f"buffer {_kb(est.buffer_bytes)} KB)\n"
+                f"{_sig3(est.perf_array / 1e12)} TFLOPS ({est.bound_kind}-bound, "
+                f"buffer {_kb1(est.buffer_bytes)} KB)\n"
             )
         best_tile, best_est = result.best_overall
         out.write(
             f"best_overall: {best_tile.t_mc}x{best_tile.t_k}x{best_tile.t_n} "
-            f"rho={best_tile.rho} at {_tflops(best_est.perf_array)} TFLOPS\n"
+            f"rho={best_tile.rho} at {_sig3(best_est.perf_array / 1e12)} TFLOPS\n"
         )
         if result.best_symmetric is not None:
             sym_tile, sym_est = result.best_symmetric
             out.write(
                 f"best_symmetric: {sym_tile.t_mc}x{sym_tile.t_k}x{sym_tile.t_n} "
-                f"at {_tflops(sym_est.perf_array)} TFLOPS\n"
+                f"at {_sig3(sym_est.perf_array / 1e12)} TFLOPS\n"
             )
             out.write(f"atb_gain: {result.atb_gain:.2f}\n")
         else:
@@ -288,7 +282,7 @@ def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
 
 def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
     if args.verify:
-        failures = verify_movement_equivalence(args.verify, seed=args.seed)
+        failures = verify_movement_equivalence(args.verify, seed=args.seed, arch=cfg.arch)
         if failures:
             first = failures[0]
             out.write(

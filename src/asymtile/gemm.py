@@ -1,25 +1,27 @@
-"""Functional tiled-GEMM executor with explicitly bounded staging buffers.
+"""Functional tiled GEMM: the numeric payload of the loop-nest walker.
 
-Computes real matrix products through the same asymmetric staging discipline
-the movement oracle counts — row-subtile slices of the first operand, full
-contraction panels of the second, an output tile accumulated in place — so a
-numeric run both proves the schedule computes the right answer and reproduces
-the byte trace. A block-floating-point codec (8 values sharing one exponent
-byte) grounds the fractional byte costs used by the intensity model.
+:func:`tiled_gemm` computes real matrix products by riding
+``asymtile.movement.walk_nest``, the same nest the movement oracle counts:
+row-subtile slices of the first operand, full contraction panels of the
+second, an output tile accumulated in place. The walker owns the nest, the
+capacity check and the byte trace, so a numeric run proves the schedule
+computes the right answer and yields the very trace the oracle does. A
+block-floating-point codec (8 values sharing one exponent byte) grounds the
+fractional byte costs used by the intensity model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from asymtile.arch import (
     ConfigError,
     PrecisionSpec,
+    ProblemSpec,
     TileConfig,
 )
-from asymtile.movement import BufferOverflowError, MovementTrace, _LeaseChecker
+from asymtile.movement import MovementTrace, walk_nest
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,41 @@ def naive_gemm(a: Matrix, b: Matrix) -> Matrix:
     return matrix_from_rows(out)
 
 
+class _Executor:
+    """Numeric payload for :func:`walk_nest`: real operand data staged and
+    multiplied at each event, into a resident output accumulator."""
+
+    def __init__(self, a: Matrix, b: Matrix, tile: TileConfig) -> None:
+        self.a, self.b = a, b
+        self.t_ma, self.t_mc, self.t_k, self.t_n = tile.as_tuple()
+        self.out = [[0.0] * b.cols for _ in range(a.rows)]
+        self.acc = [[0.0] * self.t_n for _ in range(self.t_mc)]
+        self.b_panel: list[tuple[float, ...]] = []
+
+    def stage_b(self, i: int, j: int, kk: int) -> None:
+        n, k0, j0 = self.b.cols, kk * self.t_k, j * self.t_n
+        self.b_panel = [
+            self.b.data[row * n + j0 : row * n + j0 + self.t_n]
+            for row in range(k0, k0 + self.t_k)
+        ]
+
+    def stage_a(self, i: int, j: int, kk: int, r: int) -> None:
+        t_ma, t_k, t_n, k = self.t_ma, self.t_k, self.t_n, self.a.cols
+        row0, k0 = i * self.t_mc + r * t_ma, kk * t_k
+        for li in range(t_ma):
+            arow = self.a.data[(row0 + li) * k + k0 : (row0 + li) * k + k0 + t_k]
+            crow = self.acc[r * t_ma + li]
+            for av, brow in zip(arow, self.b_panel):
+                for jj in range(t_n):
+                    crow[jj] += av * brow[jj]
+
+    def write_c(self, i: int, j: int) -> None:
+        t_mc, t_n = self.t_mc, self.t_n
+        for li in range(t_mc):
+            self.out[i * t_mc + li][j * t_n : (j + 1) * t_n] = self.acc[li]
+            self.acc[li] = [0.0] * t_n
+
+
 def tiled_gemm(
     a: Matrix,
     b: Matrix,
@@ -100,95 +137,19 @@ def tiled_gemm(
     """Compute ``a @ b`` through bounded staging buffers, returning the
     product and the byte trace of every transfer into them.
 
-    Per output tile: the output accumulator stays resident for the whole
-    contraction; each contraction step stages one panel of ``b`` and then
-    walks ``a`` in row-subtile slices, releasing each slice as soon as its
-    output rows finish the step. Occupancy (both halves of the
-    double-buffered input stages plus the single output tile) is charged
-    operand by operand and checked against ``capacity`` at every step; terms
-    are accumulated in ascending contraction order, so the result equals
-    :func:`naive_gemm` exactly.
+    The nest, the capacity check and the trace are :func:`walk_nest`'s, with
+    the default architecture's buffers; this function only supplies the
+    numbers. Per output tile the accumulator stays resident for the whole
+    contraction; each step stages one panel of ``b`` and then walks ``a`` in
+    row-subtile slices. Terms are accumulated in ascending contraction order,
+    so the result equals :func:`naive_gemm` exactly.
     """
     if a.cols != b.rows:
         raise ConfigError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    m, k, n = a.rows, a.cols, b.cols
-    t_ma, t_mc, t_k, t_n = tile.as_tuple()
-    for dim, size, name in ((m, t_mc, "m"), (k, t_k, "k"), (n, t_n, "n")):
-        if dim % size != 0:
-            raise ConfigError(
-                f"problem dim {name}={dim} is not divisible by its tile {size}"
-            )
-    rho = tile.rho
-    ca, cb, cc = prec.byte_cost_a, prec.byte_cost_b, prec.byte_cost_c
-    stage_cost = (
-        ("A", 2 * ca * t_ma * t_k),
-        ("B", 2 * cb * t_k * t_n),
-        ("C", cc * t_mc * t_n),
-    )
-
-    bytes_a = bytes_b = bytes_c = Fraction(0)
-    flops = 0
-    evictions_a = 0
-    peak = 0
-    checker = _LeaseChecker()
-    out = [[0.0] * n for _ in range(m)]
-
-    for i0 in range(0, m, t_mc):
-        for j0 in range(0, n, t_n):
-            occupancy = Fraction(0)
-            for operand, cost in stage_cost:
-                occupancy += cost
-                used = math.ceil(occupancy)
-                if used > capacity:
-                    raise BufferOverflowError(
-                        f"step (i={i0 // t_mc}, j={j0 // t_n}): staging {operand} "
-                        f"raises occupancy to {used} B over capacity {capacity} B"
-                    )
-                peak = max(peak, used)
-            acc = [[0.0] * t_n for _ in range(t_mc)]
-            for k0 in range(0, k, t_k):
-                b_panel = [
-                    b.data[(k0 + kk) * n + j0 : (k0 + kk) * n + j0 + t_n]
-                    for kk in range(t_k)
-                ]
-                bytes_b += cb * t_k * t_n
-                for r in range(rho):
-                    token = checker.load()
-                    a_slice = [
-                        a.data[(i0 + r * t_ma + li) * k + k0 : (i0 + r * t_ma + li) * k + k0 + t_k]
-                        for li in range(t_ma)
-                    ]
-                    bytes_a += ca * t_ma * t_k
-                    checker.read(token)
-                    for li in range(t_ma):
-                        arow = a_slice[li]
-                        crow = acc[r * t_ma + li]
-                        for kk in range(t_k):
-                            av = arow[kk]
-                            brow = b_panel[kk]
-                            for jj in range(t_n):
-                                crow[jj] += av * brow[jj]
-                    flops += 2 * t_ma * t_k * t_n
-                    checker.evict(token)
-                    evictions_a += 1
-            for li in range(t_mc):
-                out[i0 + li][j0 : j0 + t_n] = acc[li]
-            bytes_c += cc * t_mc * t_n
-
-    trace = MovementTrace(
-        bytes_a=bytes_a,
-        bytes_b=bytes_b,
-        bytes_c=bytes_c,
-        flops=flops,
-        peak_l1_occupancy=peak,
-        peak_occupancy_per_operand=(
-            stage_cost[0][1],
-            stage_cost[1][1],
-            stage_cost[2][1],
-        ),
-        evictions_a=evictions_a,
-    )
-    return matrix_from_rows(out), trace
+    executor = _Executor(a, b, tile)
+    problem = ProblemSpec(a.rows, a.cols, b.cols)
+    trace = walk_nest(problem, tile, prec, capacity=capacity, payload=executor)
+    return matrix_from_rows(executor.out), trace
 
 
 # -- block floating point ------------------------------------------------------

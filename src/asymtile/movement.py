@@ -1,18 +1,21 @@
-"""Symbolic data-movement oracle for the output-stationary tiled loop nest.
+"""The output-stationary tiled loop nest, walked once for every oracle.
 
-Walks the full tiling loop structure (output tiles, contraction steps,
-row-subtile passes) without numeric payloads, counting every byte that
-crosses the chosen memory boundary and tracking buffer residency. The
-resulting trace is the measured counterpart to the closed-form intensity
-model in ``asymtile.intensity``: on any exactly-divisible problem the two
-must agree as exact rationals.
+:func:`walk_nest` is the only copy of the nest (output tiles, contraction
+steps, row-subtile passes). It checks divisibility and buffer capacity,
+counts every staging event with lease-checked A residency, and builds the
+:class:`MovementTrace`. A payload can do work at each event:
+``asymtile.gemm.tiled_gemm`` is the numeric one. Without a payload the walk
+is the symbolic data-movement oracle: :func:`simulate_movement` counts the
+bytes that cross the chosen memory boundary, the measured counterpart to the
+closed-form intensity model in ``asymtile.intensity``. On any
+exactly-divisible problem the two must agree as exact rationals.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from asymtile.arch import (
@@ -22,6 +25,7 @@ from asymtile.arch import (
     PrecisionSpec,
     ProblemSpec,
     TileConfig,
+    buffer_terms,
     derive_l2_tiles,
 )
 from asymtile.intensity import ai_array, ai_tile
@@ -80,16 +84,82 @@ class MovementTrace:
         return self.bytes_a + self.bytes_b + self.bytes_c
 
 
-def _boundary_tiles(
-    tile: TileConfig, arch: ArchSpec, boundary: str
-) -> tuple[int, int, int, int]:
-    """Effective (T_MA, T_MC, T_K, T_N) for the modeled boundary."""
-    if boundary == BOUNDARY_CORE:
-        return tile.t_ma, tile.t_mc, tile.t_k, tile.t_n
-    if boundary == BOUNDARY_ARRAY:
-        t_mc, t_k, t_n = derive_l2_tiles(tile, arch)
-        return t_mc // tile.rho, t_mc, t_k, t_n
-    raise ConfigError(f"unknown boundary {boundary!r}; expected one of {BOUNDARIES}")
+def walk_nest(
+    problem: ProblemSpec,
+    tile: TileConfig,
+    prec: PrecisionSpec,
+    arch: ArchSpec = DEFAULT_ARCH,
+    *,
+    capacity: int | None = None,
+    payload=None,
+) -> MovementTrace:
+    """Walk the output-stationary nest once and count every transfer.
+
+    Per output tile the contraction dimension is walked in T_K-wide steps;
+    each step stages the B panel once and the A block in ``rho`` row-subtile
+    passes, releasing every A subtile as soon as its output rows finish the
+    step (the access checker enforces this lifetime). The output tile stays
+    resident and is written back exactly once.
+
+    ``payload``, when given, does the work of each event as it happens,
+    by block index: ``stage_b(i, j, kk)`` for the B panel of output tile
+    ``(i, j)`` at contraction step ``kk``, ``stage_a(i, j, kk, r)`` for A
+    row subtile ``r``, and ``write_c(i, j)`` once the tile's contraction is
+    done.
+
+    Residency is :func:`buffer_terms` of ``arch``, the same at every step.
+    With ``capacity`` given, it is charged operand by operand before the
+    first step, and the first operand that takes it over capacity raises
+    :class:`BufferOverflowError`. The loop counts steps as integers; each
+    count meets its exact byte cost once, when the trace is built.
+    """
+    m, k, n = problem.m, problem.k, problem.n
+    t_ma, t_mc, t_k, t_n = tile.as_tuple()
+    for dim, size, name in ((m, t_mc, "m"), (k, t_k, "k"), (n, t_n, "n")):
+        if dim % size != 0:
+            raise ConfigError(
+                f"problem dim {name}={dim} is not divisible by its tile {size}"
+            )
+    terms = buffer_terms(tile, prec, arch)
+    occupancy = Fraction(0)
+    for operand, term in zip("ABC", terms):
+        occupancy += term
+        used = math.ceil(occupancy)
+        if capacity is not None and used > capacity:
+            raise BufferOverflowError(
+                f"step (i=0, j=0, kk=0): staging {operand} raises occupancy "
+                f"to {used} B over capacity {capacity} B"
+            )
+
+    rho = tile.rho
+    steps_a = steps_b = steps_c = 0
+    checker = _LeaseChecker()
+    for i in range(m // t_mc):
+        for j in range(n // t_n):
+            for kk in range(k // t_k):
+                if payload is not None:
+                    payload.stage_b(i, j, kk)
+                steps_b += 1
+                for r in range(rho):
+                    token = checker.load()
+                    checker.read(token)
+                    if payload is not None:
+                        payload.stage_a(i, j, kk, r)
+                    checker.evict(token)
+                    steps_a += 1
+            if payload is not None:
+                payload.write_c(i, j)
+            steps_c += 1
+
+    return MovementTrace(
+        bytes_a=steps_a * prec.byte_cost_a * (t_ma * t_k),
+        bytes_b=steps_b * prec.byte_cost_b * (t_k * t_n),
+        bytes_c=steps_c * prec.byte_cost_c * (t_mc * t_n),
+        flops=steps_a * 2 * t_ma * t_k * t_n,
+        peak_l1_occupancy=math.ceil(occupancy),
+        peak_occupancy_per_operand=terms,
+        evictions_a=steps_a,
+    )
 
 
 def simulate_movement(
@@ -101,65 +171,16 @@ def simulate_movement(
     boundary: str = BOUNDARY_CORE,
     capacity: int | None = None,
 ) -> MovementTrace:
-    """Run the output-stationary nest symbolically and count all transfers.
-
-    Per output tile the contraction dimension is walked in T_K-wide steps;
-    each step re-stages the B panel once and the A block in ``rho``
-    row-subtile passes, releasing every A subtile as soon as its output rows
-    finish the step (the access checker enforces this lifetime). The output
-    tile itself stays resident and is written back exactly once. Residency
-    charges both halves of the double-buffered A and B stages plus the
-    single-buffered output tile.
-
-    With ``capacity`` given, the first step whose residency exceeds it
-    raises :class:`BufferOverflowError` naming that step.
-    """
-    t_ma, t_mc, t_k, t_n = _boundary_tiles(tile, arch, boundary)
-    m, k, n = problem.m, problem.k, problem.n
-    for dim, size, name in ((m, t_mc, "m"), (k, t_k, "k"), (n, t_n, "n")):
-        if dim % size != 0:
-            raise ConfigError(
-                f"problem dim {name}={dim} is not divisible by its tile {size}"
-            )
-    rho = t_mc // t_ma
-    a, b, c = prec.byte_cost_a, prec.byte_cost_b, prec.byte_cost_c
-
-    occ_a = 2 * a * t_ma * t_k
-    occ_b = 2 * b * t_k * t_n
-    occ_c = c * t_mc * t_n
-    peak = math.ceil(occ_a + occ_b + occ_c)
-
-    bytes_a = bytes_b = bytes_c = Fraction(0)
-    flops = 0
-    evictions_a = 0
-    checker = _LeaseChecker()
-    for i in range(m // t_mc):
-        for j in range(n // t_n):
-            if capacity is not None and peak > capacity:
-                raise BufferOverflowError(
-                    f"step (i={i}, j={j}, kk=0): occupancy {peak} B "
-                    f"exceeds capacity {capacity} B"
-                )
-            for kk in range(k // t_k):
-                bytes_b += b * t_k * t_n
-                for r in range(rho):
-                    token = checker.load()
-                    bytes_a += a * t_ma * t_k
-                    checker.read(token)
-                    flops += 2 * t_ma * t_k * t_n
-                    checker.evict(token)
-                    evictions_a += 1
-            bytes_c += c * t_mc * t_n
-
-    return MovementTrace(
-        bytes_a=bytes_a,
-        bytes_b=bytes_b,
-        bytes_c=bytes_c,
-        flops=flops,
-        peak_l1_occupancy=peak,
-        peak_occupancy_per_operand=(occ_a, occ_b, occ_c),
-        evictions_a=evictions_a,
-    )
+    """Byte-count the nest at ``boundary``: one core's scratchpad walks
+    ``tile``; the array boundary walks the L2 tile the whole grid consumes
+    per pass (:func:`derive_l2_tiles`), split into the same ``rho`` row
+    subtiles. ``capacity`` is passed to :func:`walk_nest`."""
+    if boundary == BOUNDARY_ARRAY:
+        t_mc, t_k, t_n = derive_l2_tiles(tile, arch)
+        tile = replace(tile, t_ma=t_mc // tile.rho, t_mc=t_mc, t_k=t_k, t_n=t_n)
+    elif boundary != BOUNDARY_CORE:
+        raise ConfigError(f"unknown boundary {boundary!r}; expected one of {BOUNDARIES}")
+    return walk_nest(problem, tile, prec, arch, capacity=capacity)
 
 
 def measured_ai(trace: MovementTrace) -> Fraction:

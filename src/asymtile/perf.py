@@ -171,7 +171,7 @@ def perf_array(
             raise ConfigError(
                 f"problem dim {name}={dim} is not divisible by its array-level tile {size}"
             )
-    buffer_bytes = buffer_footprint(tile, prec)
+    buffer_bytes = buffer_footprint(tile, prec, arch)
     feasible = buffer_bytes <= arch.l1_capacity
     ai = ai_array(tile, problem.k, prec, arch).ai
     ec = eff_core(tile, eff, arch)

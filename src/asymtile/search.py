@@ -29,7 +29,6 @@ from asymtile.perf import (
     EFF_SOURCE_CALIBRATION,
     EFF_SOURCES,
     PerfEstimate,
-    calibrated_eff_micro,
     eff_core,
     perf_array,
     resolve_eff_micro,
@@ -206,11 +205,7 @@ def sweep_grid(
                     f"rho={rho} does not divide t_mc={fixed_t_mc} into microtiles"
                 )
             tile = TileConfig(fixed_t_mc // rho, fixed_t_mc, t_k, fixed_t_n)
-            eff = (
-                calibrated_eff_micro(t_k)
-                if eff_source == EFF_SOURCE_CALIBRATION
-                else resolve_eff_micro(tile, eff_source)
-            )
+            eff = resolve_eff_micro(tile, eff_source)
             rows.append(SweepRow(t_k, rho, eff, eff_core(tile, eff, arch)))
     return rows
 
@@ -274,7 +269,7 @@ def ranked_to_markdown(
             f"| {tile.t_mc}x{tile.t_k}x{tile.t_n} "
             f"| {tile.rho} "
             f"| {_kb1(est.buffer_bytes)} "
-            f"| {_kb1(buffer_footprint(flat, prec))} "
+            f"| {_kb1(buffer_footprint(flat, prec, arch))} "
             f"| {_sig3(est.compute_bound / 1e12)} "
             f"| {float(est.ai_array):.0f} "
             f"| {_sig3(est.memory_bound / 1e12)} "

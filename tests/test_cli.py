@@ -12,6 +12,8 @@ import json
 
 import pytest
 
+from asymtile import cli
+from asymtile.arch import DEFAULT_ARCH, ArchSpec
 from asymtile.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INFEASIBLE,
@@ -148,6 +150,21 @@ def test_simulate_movement_verify_passes():
     code, text = run_cli("simulate", "movement", "--verify", "10", "--seed", "3")
     assert code == EXIT_OK
     assert text.startswith("PASS: 10 random configs")
+
+
+def test_simulate_movement_verify_uses_config_arch(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(n, seed=0, arch=DEFAULT_ARCH):
+        seen.append(arch)
+        return []
+
+    monkeypatch.setattr(cli, "verify_movement_equivalence", spy)
+    cfg = tmp_path / "arch.json"
+    cfg.write_text(json.dumps({"arch": {"l1_capacity": 32768, "buffer_multiplier_a": 1}}))
+    code, _ = run_cli("simulate", "movement", "--config", str(cfg), "--verify", "3")
+    assert code == EXIT_OK
+    assert seen == [ArchSpec(l1_capacity=32768, buffer_multiplier_a=1)]
 
 
 def test_simulate_schedule_verify_passes():

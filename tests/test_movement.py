@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from asymtile.arch import (
     DEFAULT_ARCH,
     PRECISION_PRESETS,
+    ArchSpec,
     ConfigError,
     PrecisionSpec,
     ProblemSpec,
     TileConfig,
     buffer_footprint,
+    check_feasible,
 )
 from asymtile.intensity import ai_array, ai_tile
 from asymtile.movement import (
@@ -26,6 +29,7 @@ from asymtile.movement import (
     simulate_movement,
     verify_movement_equivalence,
 )
+from asymtile.perf import perf_array
 
 UNIT = PrecisionSpec(1, 1, 1, "unit")
 
@@ -86,6 +90,31 @@ def test_occupancy_matches_footprint_randomized(seed):
     problem, tile, prec = random_divisible_case(random.Random(seed))
     trace = simulate_movement(problem, tile, prec)
     assert trace.peak_l1_occupancy == buffer_footprint(tile, prec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**9),
+    multipliers=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    slack=st.integers(-16, 16),
+)
+def test_one_footprint_decides_feasibility(seed, multipliers, slack):
+    problem, tile, prec = random_divisible_case(random.Random(seed))
+    mult_a, mult_b, mult_c = multipliers
+    arch = ArchSpec(
+        buffer_multiplier_a=mult_a,
+        buffer_multiplier_b=mult_b,
+        buffer_multiplier_c=mult_c,
+    )
+    arch = replace(arch, l1_capacity=max(1, buffer_footprint(tile, prec, arch) + slack))
+    est = perf_array(tile, problem, prec, arch)
+    try:
+        trace = simulate_movement(problem, tile, prec, arch, capacity=arch.l1_capacity)
+    except BufferOverflowError:
+        trace = None
+    assert check_feasible(tile, prec, arch) == est.feasible == (trace is not None)
+    if trace is not None:
+        assert est.buffer_bytes == trace.peak_l1_occupancy
 
 
 def test_capacity_overflow_names_first_step():
