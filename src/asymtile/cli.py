@@ -31,6 +31,8 @@ from asymtile.arch import (
     ProblemSpec,
     TileConfig,
     arch_from_dict,
+    buffer_footprint,
+    check_feasible,
     precision_from_value,
     problem_from_value,
     tile_from_value,
@@ -127,6 +129,13 @@ def _load_json_config(path: str) -> dict:
     return raw
 
 
+def _parse_eff_micro(value) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad eff_micro {value!r}: not a finite number") from exc
+
+
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     raw = _load_json_config(args.config) if args.config else {}
 
@@ -178,7 +187,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     eff_micro_value = getattr(args, "eff_micro", None)
     if eff_micro_value is None:
         eff_micro_value = raw.get("eff_micro")
-    eff_micro = Fraction(str(eff_micro_value)) if eff_micro_value is not None else None
+    eff_micro = _parse_eff_micro(eff_micro_value) if eff_micro_value is not None else None
 
     return RunConfig(
         arch=arch,
@@ -232,12 +241,16 @@ def cmd_eval(cfg: RunConfig, fmt: str, out) -> int:
                 f"bound_kind: {est.bound_kind}\n"
             )
     if not est.feasible:
-        out.write(
-            f"infeasible: buffer {_kb1(est.buffer_bytes)} KB exceeds capacity "
-            f"{_kb1(cfg.arch.l1_capacity)} KB\n"
-        )
-        return EXIT_INFEASIBLE
+        return _report_infeasible(est.buffer_bytes, cfg.arch, out)
     return EXIT_OK
+
+
+def _report_infeasible(buffer_bytes: int, arch: ArchSpec, out) -> int:
+    out.write(
+        f"infeasible: buffer {_kb1(buffer_bytes)} KB exceeds capacity "
+        f"{_kb1(arch.l1_capacity)} KB\n"
+    )
+    return EXIT_INFEASIBLE
 
 
 def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
@@ -295,6 +308,11 @@ def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
         return EXIT_OK
     tile = _require(cfg.tile, "a tile (--tile or config)")
     problem = _require(cfg.problem, "a problem size (--problem or config)")
+    # The per-core tile must fit L1 at either boundary; the array boundary
+    # walks the grid's L2 tile built from it.
+    if not check_feasible(tile, cfg.prec, cfg.arch):
+        footprint = buffer_footprint(tile, cfg.prec, cfg.arch)
+        return _report_infeasible(footprint, cfg.arch, out)
     trace = simulate_movement(
         problem, tile, cfg.prec, cfg.arch, boundary=args.boundary
     )

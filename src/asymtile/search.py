@@ -2,10 +2,16 @@
 
 Enumerates the feasible tile grid under the buffer-capacity constraint,
 evaluates each candidate with the two-sided performance model, and ranks the
-results — surfacing the best overall configuration, the best symmetric
+results, surfacing the best overall configuration, the best symmetric
 (row-subtile factor 1) configuration, and their ratio. Emitters render the
 ranking as CSV and as a markdown table in the reference-report column
 layout (problem, tile, rho, buffers, both bounds, the predicted bound).
+
+Enumeration prunes before it builds. Divisibility of the problem is tested
+one axis at a time, so no tile is built for a grid point that fails it. The
+buffer footprint strictly increases in ``t_ma``, ``t_k`` and ``t_n``, so the
+walk along each stops at the first tile that does not fit, and the capacity
+check runs only up to that point.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ from asymtile.perf import (
 MICROTILE = 8
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """Tile enumeration ranges (inclusive, stepped) and candidate row-subtile
@@ -55,6 +65,10 @@ class SearchSpace:
     eff_source: str = EFF_SOURCE_CALIBRATION
 
     def __post_init__(self) -> None:
+        for name in ("t_mc_min", "t_mc_max", "t_k_min", "t_k_max", "t_n_min", "t_n_max", "step"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.step < MICROTILE or self.step % MICROTILE != 0:
             raise ConfigError(f"step must be a positive multiple of {MICROTILE}")
         for lo, hi, name in (
@@ -67,21 +81,19 @@ class SearchSpace:
                     f"{name} range [{lo}, {hi}] must start at a positive "
                     f"multiple of step={self.step} and be nonempty"
                 )
-        if not self.rho_candidates or any(r < 1 for r in self.rho_candidates):
-            raise ConfigError("rho_candidates must be a nonempty set of positive ints")
+        if (
+            not isinstance(self.rho_candidates, tuple)
+            or not self.rho_candidates
+            or not all(_is_int(r) and r >= 1 for r in self.rho_candidates)
+        ):
+            raise ConfigError(
+                f"rho_candidates must be a nonempty set of positive ints, "
+                f"got {self.rho_candidates!r}"
+            )
         if self.eff_source not in EFF_SOURCES:
             raise ConfigError(
                 f"unknown eff_source {self.eff_source!r}; expected one of {EFF_SOURCES}"
             )
-
-
-def _divisible(problem: ProblemSpec, tile: TileConfig, arch: ArchSpec) -> bool:
-    t_mc_l2, t_k_l2, t_n_l2 = derive_l2_tiles(tile, arch)
-    return (
-        problem.m % t_mc_l2 == 0
-        and problem.k % t_k_l2 == 0
-        and problem.n % t_n_l2 == 0
-    )
 
 
 def enumerate_feasible(
@@ -90,25 +102,61 @@ def enumerate_feasible(
     arch: ArchSpec = DEFAULT_ARCH,
 ) -> list[TileConfig]:
     """All tile configs in ``space`` that fit the buffer (and divide the
-    space's problem, when one is set), in deterministic grid order."""
+    space's problem, when one is set), in grid order: ``t_mc``, ``t_k``,
+    ``t_n``, then ascending ``rho``.
+
+    The grid is pruned before any tile is built. Divisibility separates by
+    axis, so the ``t_mc``, ``t_k`` and ``t_n`` ranges are filtered on their
+    own, and the valid ``t_ma = t_mc / rho`` values (whole microtiles) are
+    worked out once per ``t_mc``. :func:`check_feasible` then runs on the
+    survivors only. The footprint strictly increases in ``t_ma``, ``t_k``
+    and ``t_n`` (byte costs are positive and multipliers at least 1), so
+    the rhos that fit at one ``(t_mc, t_k, t_n)`` are the largest ones, the
+    walk over ``t_n`` stops at the first ``t_n`` where the smallest
+    ``t_ma`` does not fit, and the walk over ``t_k`` stops at the first
+    ``t_k`` where nothing fits at the first ``t_n``.
+    """
+    problem = space.divisibility_problem
+
+    def axis_values(axis: int, lo: int, hi: int) -> list[int]:
+        values = range(lo, hi + 1, space.step)
+        if problem is None:
+            return list(values)
+        # Each L2 extent of derive_l2_tiles depends on its own L1 dimension
+        # only, so the diagonal tile (v, v, v, v) gives it for value v.
+        dim = (problem.m, problem.k, problem.n)[axis]
+        return [
+            v for v in values
+            if dim % derive_l2_tiles(TileConfig(v, v, v, v), arch)[axis] == 0
+        ]
+
+    t_mcs = axis_values(0, space.t_mc_min, space.t_mc_max)
+    t_ks = axis_values(1, space.t_k_min, space.t_k_max)
+    t_ns = axis_values(2, space.t_n_min, space.t_n_max)
+    rhos = sorted(set(space.rho_candidates))
     out: list[TileConfig] = []
-    for t_mc in range(space.t_mc_min, space.t_mc_max + 1, space.step):
-        for t_k in range(space.t_k_min, space.t_k_max + 1, space.step):
-            for t_n in range(space.t_n_min, space.t_n_max + 1, space.step):
-                for rho in sorted(set(space.rho_candidates)):
-                    if t_mc % rho != 0:
-                        continue
-                    t_ma = t_mc // rho
-                    if t_ma % MICROTILE != 0:
-                        continue
-                    tile = TileConfig(t_ma=t_ma, t_mc=t_mc, t_k=t_k, t_n=t_n)
-                    if space.divisibility_problem is not None and not _divisible(
-                        space.divisibility_problem, tile, arch
-                    ):
-                        continue
+    for t_mc in t_mcs:
+        # Ascending t_ma, i.e. descending rho; reversed again on output.
+        t_mas = [
+            t_mc // rho
+            for rho in reversed(rhos)
+            if t_mc % rho == 0 and (t_mc // rho) % MICROTILE == 0
+        ]
+        for t_k in t_ks:
+            kept_any = False
+            for t_n in t_ns:
+                fits = []
+                for t_ma in t_mas:
+                    tile = TileConfig(t_ma, t_mc, t_k, t_n)
                     if not check_feasible(tile, prec, arch):
-                        continue
-                    out.append(tile)
+                        break
+                    fits.append(tile)
+                if not fits:
+                    break
+                kept_any = True
+                out.extend(reversed(fits))
+            if not kept_any:
+                break
     return out
 
 
@@ -311,5 +359,5 @@ def search_space_from_dict(raw: dict) -> SearchSpace:
         rhos = kwargs["rho_candidates"]
         if not isinstance(rhos, (list, tuple)):
             raise ConfigError("rho_candidates must be a list")
-        kwargs["rho_candidates"] = tuple(int(r) for r in rhos)
+        kwargs["rho_candidates"] = tuple(rhos)
     return SearchSpace(**kwargs)

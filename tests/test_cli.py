@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,3 +254,50 @@ def test_bad_json_config_exits_3(tmp_path, capsys):
     code, _ = run_cli("eval", "--config", str(cfg), "--tile", "8,8,64,8")
     assert code == EXIT_CONFIG_ERROR
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("boundary", ["core", "array"])
+def test_simulate_movement_rejects_tile_over_capacity(boundary):
+    tile_argv = ("--tile", "128,128,64,128", "--problem", "4096x4096x2048")
+    code, text = run_cli("simulate", "movement", *tile_argv, "--boundary", boundary)
+    _, eval_text = run_cli("eval", *tile_argv)
+    assert code == EXIT_INFEASIBLE
+    assert text == "infeasible: buffer 84.0 KB exceeds capacity 63.0 KB\n"
+    assert text == eval_text.splitlines(keepends=True)[-1]
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"search": {"step": "8"}}, ("search",)),
+        ({"search": {"t_mc_max": None}}, ("search",)),
+        ({"search": {"rho_candidates": ["x"]}}, ("search",)),
+        ({"search": {"rho_candidates": [1.5]}}, ("search",)),
+        ({"search": {"rho_candidates": [True]}}, ("search",)),
+        ({"eff_micro": "1/0"}, ("eval", "--tile", "32,128,64,128")),
+        ({}, ("eval", "--tile", "32,128,64,128", "--eff-micro", "abc")),
+    ],
+)
+def test_bad_search_and_efficiency_input_exits_3(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, text = run_cli(*argv, "--config", str(cfg), "--problem", "4096x4096x2048")
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG_ERROR
+    assert text == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, asymtile.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,15 +2,20 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymtile.arch import (
     DEFAULT_ARCH,
     PRECISION_PRESETS,
+    ArchSpec,
     ConfigError,
+    PrecisionSpec,
     ProblemSpec,
     TileConfig,
     buffer_footprint,
     check_feasible,
+    derive_l2_tiles,
 )
 from asymtile.perf import calibrated_eff_micro, eff_core
 from asymtile.search import (
@@ -46,6 +51,27 @@ def small_space(**overrides) -> SearchSpace:
     return SearchSpace(**base)
 
 
+def reference_enumerate(space, prec, arch):
+    """The full-grid loop: build every tile, then test divisibility and
+    capacity on it."""
+    out = []
+    for t_mc in range(space.t_mc_min, space.t_mc_max + 1, space.step):
+        for t_k in range(space.t_k_min, space.t_k_max + 1, space.step):
+            for t_n in range(space.t_n_min, space.t_n_max + 1, space.step):
+                for rho in sorted(set(space.rho_candidates)):
+                    if t_mc % rho != 0 or (t_mc // rho) % 8 != 0:
+                        continue
+                    tile = TileConfig(t_mc // rho, t_mc, t_k, t_n)
+                    problem = space.divisibility_problem
+                    if problem is not None:
+                        t_m_l2, t_k_l2, t_n_l2 = derive_l2_tiles(tile, arch)
+                        if problem.m % t_m_l2 or problem.k % t_k_l2 or problem.n % t_n_l2:
+                            continue
+                    if check_feasible(tile, prec, arch):
+                        out.append(tile)
+    return out
+
+
 def test_space_validation():
     with pytest.raises(ConfigError):
         SearchSpace(step=4)
@@ -57,6 +83,24 @@ def test_space_validation():
         SearchSpace(eff_source="vibes")
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"step": "8"},
+        {"step": 8.0},
+        {"t_mc_max": None},
+        {"t_k_min": True},
+        {"rho_candidates": ("x",)},
+        {"rho_candidates": (1.5,)},
+        {"rho_candidates": (True,)},
+        {"rho_candidates": 4},
+    ],
+)
+def test_space_rejects_non_integers(overrides):
+    with pytest.raises(ConfigError):
+        SearchSpace(**overrides)
+
+
 def test_enumerate_contains_reference_and_excludes_infeasible():
     tiles = enumerate_feasible(small_space(), CONFIG1)
     assert TileConfig(32, 128, 64, 128) in tiles
@@ -66,20 +110,51 @@ def test_enumerate_contains_reference_and_excludes_infeasible():
 
 def test_enumerate_matches_brute_force():
     space = small_space()
-    got = enumerate_feasible(space, CONFIG1)
-    expect = []
-    for t_mc in range(space.t_mc_min, space.t_mc_max + 1, space.step):
-        for t_k in range(space.t_k_min, space.t_k_max + 1, space.step):
-            for t_n in range(space.t_n_min, space.t_n_max + 1, space.step):
-                for rho in sorted(set(space.rho_candidates)):
-                    if t_mc % rho or (t_mc // rho) % 8:
-                        continue
-                    tile = TileConfig(t_mc // rho, t_mc, t_k, t_n)
-                    if PROBLEM.m % (4 * t_mc) or PROBLEM.k % t_k or PROBLEM.n % (8 * t_n):
-                        continue
-                    if buffer_footprint(tile, CONFIG1) <= DEFAULT_ARCH.l1_capacity:
-                        expect.append(tile)
-    assert got == expect
+    assert enumerate_feasible(space, CONFIG1) == reference_enumerate(space, CONFIG1, DEFAULT_ARCH)
+
+
+byte_costs = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)
+
+
+@st.composite
+def search_cases(draw):
+    n_rows, n_cols = draw(st.sampled_from([1, 2, 3, 4])), draw(st.sampled_from([1, 2, 4, 6, 8]))
+    arch = ArchSpec(
+        n_rows=n_rows,
+        n_cols=n_cols,
+        n_cores=n_rows * n_cols,
+        buffer_multiplier_a=draw(st.integers(1, 3)),
+        buffer_multiplier_b=draw(st.integers(1, 3)),
+        buffer_multiplier_c=draw(st.integers(1, 3)),
+    )
+    prec = PrecisionSpec(draw(byte_costs), draw(byte_costs), draw(byte_costs))
+    step = draw(st.sampled_from([8, 16, 24]))
+    bounds, pivot = {}, {}
+    for axis in ("t_mc", "t_k", "t_n"):
+        lo = step * draw(st.integers(1, 4))
+        hi = lo + step * draw(st.integers(0, 8))
+        bounds.update({f"{axis}_min": lo, f"{axis}_max": hi})
+        pivot[axis] = draw(st.sampled_from(range(lo, hi + 1, step)))
+    # Put the capacity near the footprint of a tile inside the space, so
+    # that the capacity boundary cuts through the grid.
+    pivot = TileConfig(pivot["t_mc"], pivot["t_mc"], pivot["t_k"], pivot["t_n"])
+    capacity = buffer_footprint(pivot, prec, arch) // draw(st.integers(1, 4))
+    arch = replace(arch, l1_capacity=max(1, capacity + draw(st.integers(-16, 16))))
+    rhos = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
+    # Dims with many small factors, so that some tiles divide them.
+    dims = st.sampled_from([2**11 * 3**3, 2**12 * 3**3, 2**12 * 3**2 * 5])
+    problem = ProblemSpec(draw(dims), draw(dims), draw(dims)) if draw(st.booleans()) else None
+    space = SearchSpace(
+        step=step, rho_candidates=rhos, divisibility_problem=problem, **bounds
+    )
+    return space, prec, arch
+
+
+@settings(max_examples=150)
+@given(case=search_cases())
+def test_pruned_enumeration_equals_full_grid(case):
+    space, prec, arch = case
+    assert enumerate_feasible(space, prec, arch) == reference_enumerate(space, prec, arch)
 
 
 def test_enumerate_tiny_capacity_is_empty():
@@ -224,3 +299,6 @@ def test_space_from_dict():
     assert space.rho_candidates == (1, 4)
     with pytest.raises(ConfigError):
         search_space_from_dict({"t_q_min": 8})
+    for rhos in (["x"], [1.5], ["2"]):
+        with pytest.raises(ConfigError):
+            search_space_from_dict({"rho_candidates": rhos})
