@@ -24,6 +24,19 @@ class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool (JSON ``true`` loads as a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_ints(obj, names) -> None:
+    """Raise ConfigError unless each named field of ``obj`` is an int."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def as_byte_cost(value: Any) -> Fraction:
     """Coerce a per-element byte cost to an exact Fraction.
 
@@ -93,6 +106,9 @@ class ArchSpec:
     The buffer multipliers encode the staging discipline: A and B slices are
     double buffered (count 2) while the C accumulator tile is single buffered
     (count 1).
+
+    Every field except ``clock_hz`` and ``offchip_bw`` is a count and must
+    be an int.
     """
 
     l1_capacity: int = 63 * KIB
@@ -108,6 +124,11 @@ class ArchSpec:
     buffer_multiplier_c: int = 1
 
     def __post_init__(self):
+        require_ints(self, (
+            "l1_capacity", "n_rows", "n_cols", "n_cores", "peak_macs_per_cycle",
+            "switch_overhead_delta", "buffer_multiplier_a", "buffer_multiplier_b",
+            "buffer_multiplier_c",
+        ))
         if self.l1_capacity <= 0:
             raise ConfigError("l1_capacity must be positive")
         for name in ("n_rows", "n_cols", "n_cores", "peak_macs_per_cycle"):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from asymtile.arch import ConfigError, TileConfig
+from asymtile.arch import ConfigError, TileConfig, require_ints
 
 # One accumulator update consumes this many reduction elements (the vector
 # unit computes an 8x8x8 block per VMAC).
@@ -43,6 +43,7 @@ class LoadClass:
     unaligned: bool = False
 
     def __post_init__(self):
+        require_ints(self, ("latency", "count"))
         if self.latency < 1:
             raise ConfigError(f"load latency must be >= 1, got {self.latency}")
         if self.count < 1:
@@ -57,6 +58,7 @@ class MicrokernelSpec:
     pipeline, two load slots, one store slot, one VMAC slot, four interleaved
     accumulation chains sharing operands in a 2x2 cluster (two loads per VMAC
     before sharing), 8-cycle operand loads, and a two-instruction store path.
+    Every field except ``load_classes`` and ``clamp_ii`` must be an int.
     """
 
     pipeline_depth: int = 3
@@ -78,8 +80,10 @@ class MicrokernelSpec:
         object.__setattr__(self, "load_classes", tuple(self.load_classes))
         if not self.load_classes:
             raise ConfigError("load_classes must be nonempty")
-        for name in ("pipeline_depth", "u_ld", "u_st", "u_vmac", "r_load",
-                     "chains", "n_accum", "l_store", "n_store", "accum_regs"):
+        positive = ("pipeline_depth", "u_ld", "u_st", "u_vmac", "r_load",
+                    "chains", "n_accum", "l_store", "n_store", "accum_regs")
+        require_ints(self, positive + ("n_clusters", "l_vmac_to_store"))
+        for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_clusters < 0:

@@ -6,6 +6,14 @@ deterministic greedy list scheduler against per-class slot limits. The
 resulting cycle counts are the measured counterpart to the closed-form lower
 bounds in ``asymtile.pipeline``: for matched parameters the schedule can only
 be slower, never faster.
+
+Both halves work on dense lists, because they run once per kernel and a
+kernel has thousands of instructions. ``Instruction`` is a NamedTuple whose
+id is its position in the builder's list, and the builder keeps per-round
+VMAC ids in lists. The scheduler maps ids to list indices once, holds
+successors, in-degrees and priorities in lists, and keys its heaps with one
+packed integer that orders (ready cycle, -priority, id) exactly as the tuple
+would, so ties still break by ascending id.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from asymtile.arch import ConfigError
 from asymtile.pipeline import (
@@ -31,13 +40,14 @@ SLOT_STORE = "st"
 SLOT_VMAC = "vmac"
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """One VLIW operation: issued on ``slot``, result ready after ``latency``.
 
     ``preds`` holds (predecessor id, required issue delay) pairs: this
     instruction may not issue before pred_issue + delay. ``group`` tags the
-    owning chain cluster for phase measurements.
+    owning chain cluster for phase measurements. A NamedTuple rather than a
+    dataclass: it is as immutable and several times cheaper to build,
+    which matters because a kernel DAG holds thousands of them.
     """
 
     id: int
@@ -68,26 +78,6 @@ def derive_cluster_shape(chains: int) -> tuple[int, int]:
     """Default (rows, cols) arrangement of chains for operand sharing."""
     rows = max(r for r in range(1, math.isqrt(chains) + 1) if chains % r == 0)
     return rows, chains // rows
-
-
-class _DagBuilder:
-    def __init__(self):
-        self.instrs: list[Instruction] = []
-
-    def add(self, kind: str, slot: str, latency: int, preds, group: int, tag: str) -> int:
-        vid = len(self.instrs)
-        self.instrs.append(
-            Instruction(
-                id=vid,
-                kind=kind,
-                slot=slot,
-                latency=latency,
-                preds=tuple(preds),
-                group=group,
-                tag=tag,
-            )
-        )
-        return vid
 
 
 def _steady_round_load_count(spec: MicrokernelSpec, share_inputs: bool, shape: tuple[int, int]) -> int:
@@ -123,6 +113,11 @@ def build_microkernel_dag(
     issued and its last VMAC cleared the pipeline), letting loads and early
     VMACs overlap the neighbor's epilog; without it the next cluster's prolog
     waits for the previous cluster's final stores to complete.
+
+    Instruction ids are list positions, and every pred precedes its
+    instruction in the list. Round t holds the chains j with
+    t * chains + j < n_accum, a prefix of the chains, so chain j's last
+    VMAC is in round (n_accum - 1 - j) // chains.
     """
     if spec.n_accum < 1:
         raise ConfigError("n_accum must be >= 1 to build a kernel")
@@ -134,7 +129,9 @@ def build_microkernel_dag(
         )
     if share_inputs and spec.r_load < 2:
         raise ConfigError("share_inputs needs r_load >= 2 (one row and one column operand)")
-    n_rounds = math.ceil(spec.n_accum / spec.chains)
+    chains = spec.chains
+    n_accum = spec.n_accum
+    n_rounds = math.ceil(n_accum / chains)
     per_round = _steady_round_load_count(spec, share_inputs, shape)
     if n_rounds > 1 and spec.prolog_load_count < per_round:
         raise ConfigError(
@@ -142,110 +139,113 @@ def build_microkernel_dag(
             f"consumes {per_round}"
         )
     steady_latency = max(c.latency for c in spec.load_classes)
+    depth = spec.pipeline_depth
+    extra = spec.r_load - 2 if share_inputs else spec.r_load
+    rounds = [range(min(chains, n_accum - t * chains)) for t in range(n_rounds)]
+    live_chains = rounds[0]
+    last_round = [(n_accum - 1 - j) // chains for j in live_chains]
 
-    b = _DagBuilder()
-    prev_cluster_gate: list[tuple[int, int]] = []  # (final store, delay) per chain
-    prev_cluster_last_vmac: dict[int, int] = {}
-    prev_cluster_last_store: dict[int, int] = {}
+    instrs: list[Instruction] = []
+    emit = instrs.append
+    gate: tuple[tuple[int, int], ...] = ()  # (final store, delay) per chain
+    prev_last_vmac: list[int] = []
+    prev_last_store: list[int] = []
 
     for cl in range(spec.n_clusters):
-        prolog_ids: list[int] = []
-        prolog_all: list[int] = []  # loads and pops, for cluster serialization
+        prolog_preds: list[tuple[int, int]] = []
         for ci, cls in enumerate(spec.load_classes):
+            latency = cls.latency
             for li in range(cls.count):
                 tag = f"c{cl}.prolog{ci}.{li}"
-                preds: list[tuple[int, int]] = []
                 if cls.unaligned:
-                    pop = b.add("vload_pop", SLOT_LOAD, 1, prev_cluster_gate, cl, tag + ".pop")
-                    prolog_all.append(pop)
-                    preds.append((pop, 1))
+                    pop = len(instrs)
+                    emit(Instruction(pop, "vload_pop", SLOT_LOAD, 1, gate, cl, tag + ".pop"))
+                    preds = ((pop, 1),)
                 else:
-                    preds.extend(prev_cluster_gate)
-                vid = b.add("vload", SLOT_LOAD, cls.latency, preds, cl, tag)
-                prolog_ids.append(vid)
-                prolog_all.append(vid)
+                    preds = gate
+                vid = len(instrs)
+                emit(Instruction(vid, "vload", SLOT_LOAD, latency, preds, cl, tag))
+                prolog_preds.append((vid, latency))
+        round0_preds = tuple(prolog_preds)
 
-        vmac_of: dict[tuple[int, int], int] = {}  # (round, chain) -> id
-        round_vmacs: dict[int, list[int]] = defaultdict(list)
-        round_loads: dict[int, list[int]] = defaultdict(list)
+        round_vmacs: list[list[int]] = []  # round -> VMAC id of each chain
+        vmacs: list[int] = []
+        for j in live_chains:
+            preds = round0_preds
+            if overlap_clusters and cl > 0:
+                preds += ((prev_last_store[j], 1), (prev_last_vmac[j], depth))
+            vid = len(instrs)
+            emit(Instruction(vid, "vmac", SLOT_VMAC, depth, preds, cl, f"c{cl}.r0.vmac{j}"))
+            vmacs.append(vid)
+        round_vmacs.append(vmacs)
 
-        for t in range(n_rounds):
-            in_round = [
-                j for j in range(spec.chains) if t * spec.chains + j < spec.n_accum
-            ]
-            loads_of_chain: dict[int, list[int]] = {j: [] for j in in_round}
-            if t > 0:
-                # Round 1 has no two-back round to reuse registers from, but in
-                # sequential mode it must still sit behind the cluster gate.
-                war: list[tuple[int, int]] = (
-                    [(v, 1) for v in round_vmacs[t - 2]] if t >= 2 else list(prev_cluster_gate)
-                )
-                if not double_buffer:
-                    war += [(v, 1) for v in round_vmacs.get(t - 1, [])]
-                if share_inputs:
-                    for r in sorted({j // cols for j in in_round}):
-                        vid = b.add("vload", SLOT_LOAD, steady_latency, war, cl, f"c{cl}.r{t}.row{r}")
-                        round_loads[t].append(vid)
-                        for j in in_round:
-                            if j // cols == r:
-                                loads_of_chain[j].append(vid)
-                    for c in sorted({j % cols for j in in_round}):
-                        vid = b.add("vload", SLOT_LOAD, steady_latency, war, cl, f"c{cl}.r{t}.col{c}")
-                        round_loads[t].append(vid)
-                        for j in in_round:
-                            if j % cols == c:
-                                loads_of_chain[j].append(vid)
-                    extra = spec.r_load - 2
-                else:
-                    extra = spec.r_load
-                for j in in_round:
-                    for e in range(extra):
-                        vid = b.add(
-                            "vload", SLOT_LOAD, steady_latency, war, cl, f"c{cl}.r{t}.ch{j}.x{e}"
-                        )
-                        round_loads[t].append(vid)
-                        loads_of_chain[j].append(vid)
-
+        for t in range(1, n_rounds):
+            in_round = rounds[t]
+            # Round 1 has no two-back round to reuse registers from, but in
+            # sequential mode it must still sit behind the cluster gate.
+            war = tuple((v, 1) for v in round_vmacs[t - 2]) if t >= 2 else gate
+            if not double_buffer:
+                war += tuple((v, 1) for v in round_vmacs[t - 1])
+            prefix = f"c{cl}.r{t}."
+            if share_inputs:
+                shared: list[tuple[int, int]] = []
+                for r in range((len(in_round) - 1) // cols + 1):
+                    vid = len(instrs)
+                    emit(Instruction(
+                        vid, "vload", SLOT_LOAD, steady_latency, war, cl, f"{prefix}row{r}"
+                    ))
+                    shared.append((vid, steady_latency))
+                n_row_loads = len(shared)
+                for c in range(min(len(in_round), cols)):
+                    vid = len(instrs)
+                    emit(Instruction(
+                        vid, "vload", SLOT_LOAD, steady_latency, war, cl, f"{prefix}col{c}"
+                    ))
+                    shared.append((vid, steady_latency))
+                load_preds = [
+                    [shared[j // cols], shared[n_row_loads + j % cols]] for j in in_round
+                ]
+            else:
+                load_preds = [[] for _ in in_round]
             for j in in_round:
-                preds = []
-                if t == 0:
-                    preds.extend((lid, b.instrs[lid].latency) for lid in prolog_ids)
-                    if overlap_clusters and cl > 0:
-                        if j in prev_cluster_last_store:
-                            preds.append((prev_cluster_last_store[j], 1))
-                        if j in prev_cluster_last_vmac:
-                            preds.append((prev_cluster_last_vmac[j], spec.pipeline_depth))
-                else:
-                    preds.extend((lid, steady_latency) for lid in loads_of_chain[j])
-                    preds.append((vmac_of[(t - 1, j)], spec.pipeline_depth))
-                vid = b.add("vmac", SLOT_VMAC, spec.pipeline_depth, preds, cl, f"c{cl}.r{t}.vmac{j}")
-                vmac_of[(t, j)] = vid
-                round_vmacs[t].append(vid)
+                own = load_preds[j]
+                for e in range(extra):
+                    vid = len(instrs)
+                    emit(Instruction(
+                        vid, "vload", SLOT_LOAD, steady_latency, war, cl, f"{prefix}ch{j}.x{e}"
+                    ))
+                    own.append((vid, steady_latency))
+            prev = round_vmacs[t - 1]
+            vmacs = []
+            for j in in_round:
+                own = load_preds[j]
+                own.append((prev[j], depth))
+                vid = len(instrs)
+                emit(Instruction(vid, "vmac", SLOT_VMAC, depth, tuple(own), cl, f"{prefix}vmac{j}"))
+                vmacs.append(vid)
+            round_vmacs.append(vmacs)
 
-        gate: list[tuple[int, int]] = []
-        last_vmac_of: dict[int, int] = {}
-        last_store_of: dict[int, int] = {}
-        for j in range(spec.chains):
-            rounds_j = [t for t in range(n_rounds) if (t, j) in vmac_of]
-            if not rounds_j:
-                continue
-            last_vmac = vmac_of[(rounds_j[-1], j)]
-            last_vmac_of[j] = last_vmac
-            prev = (last_vmac, spec.l_vmac_to_store)
-            sid = -1
+        gate_of: list[tuple[int, int]] = []
+        last_vmac_of: list[int] = []
+        last_store_of: list[int] = []
+        for j in live_chains:
+            last_vmac = round_vmacs[last_round[j]][j]
+            last_vmac_of.append(last_vmac)
+            link = (last_vmac, spec.l_vmac_to_store)
             for s in range(spec.n_store):
-                sid = b.add(
-                    "vstore", SLOT_STORE, spec.l_store, [prev], cl, f"c{cl}.ch{j}.st{s}"
-                )
-                prev = (sid, 1)
-            last_store_of[j] = sid
-            gate.append((sid, spec.l_store))
+                sid = len(instrs)
+                emit(Instruction(
+                    sid, "vstore", SLOT_STORE, spec.l_store, (link,), cl, f"c{cl}.ch{j}.st{s}"
+                ))
+                link = (sid, 1)
+            last_store_of.append(sid)
+            gate_of.append((sid, spec.l_store))
 
-        prev_cluster_last_vmac = last_vmac_of
-        prev_cluster_last_store = last_store_of
-        prev_cluster_gate = [] if overlap_clusters else gate
+        prev_last_vmac = last_vmac_of
+        prev_last_store = last_store_of
+        gate = () if overlap_clusters else tuple(gate_of)
 
-    return b.instrs
+    return instrs
 
 
 def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
@@ -253,82 +253,115 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
 
     Each cycle, ready instructions issue in priority order (longest
     delay-weighted path to any sink, ties by ascending id) up to the slot
-    count of their class. Deterministic for identical inputs.
+    count of their class, the classes taken in sorted order. Deterministic
+    for identical inputs. Latencies and delays are whole cycles (ints).
+
+    The work runs on dense list indices (list positions) instead of ids.
+    Priorities come from one reverse sweep of the list when every pred
+    precedes its instruction, as the builder emits them; otherwise a Kahn
+    pass orders the DAG first and rejects cycles. Each heap entry is one
+    integer packing (ready cycle, max priority - priority, rank of the id
+    among all ids), so integer order is the (ready, -priority, id) order.
     """
     if not dag:
         return ScheduleResult({}, 0, Fraction(0), (0, 0, 0), ())
-    instrs = {ins.id: ins for ins in dag}
-    if len(instrs) != len(dag):
+    n = len(dag)
+    ids = [ins.id for ins in dag]
+    index_of = {vid: i for i, vid in enumerate(ids)}
+    if len(index_of) != n:
         raise ConfigError("duplicate instruction ids")
-    succs: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    indeg: dict[int, int] = {ins.id: 0 for ins in dag}
-    for ins in dag:
-        if ins.slot not in slots or slots[ins.slot] < 1:
+    classes = sorted(slots)
+    class_of = {name: c for c, name in enumerate(classes)}
+    caps = [slots[name] for name in classes]
+    succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    slot_of = [0] * n
+    in_order = True
+    for i, ins in enumerate(dag):
+        c = class_of.get(ins.slot)
+        if c is None or caps[c] < 1:
             raise ConfigError(f"no slots for class {ins.slot!r}")
+        slot_of[i] = c
         for pid, delay in ins.preds:
-            if pid not in instrs:
+            p = index_of.get(pid)
+            if p is None:
                 raise ConfigError(f"instruction {ins.id} depends on unknown id {pid}")
-            succs[pid].append((ins.id, delay))
-            indeg[ins.id] += 1
+            succs[p].append((i, delay))
+            if p >= i:
+                in_order = False
+        indeg[i] = len(ins.preds)
 
-    order: list[int] = [vid for vid, d in indeg.items() if d == 0]
-    remaining = dict(indeg)
-    head = 0
-    while head < len(order):
-        vid = order[head]
-        head += 1
-        for sid, _ in succs[vid]:
-            remaining[sid] -= 1
-            if remaining[sid] == 0:
-                order.append(sid)
-    if len(order) != len(dag):
-        raise ConfigError("dependency cycle in instruction DAG")
+    if in_order:
+        order: range | list[int] = range(n)
+    else:
+        order = [i for i in range(n) if not indeg[i]]
+        remaining = indeg[:]
+        for i in order:  # grows while it is walked: Kahn's queue
+            for s, _ in succs[i]:
+                remaining[s] -= 1
+                if not remaining[s]:
+                    order.append(s)
+        if len(order) != n:
+            raise ConfigError("dependency cycle in instruction DAG")
 
-    prio: dict[int, int] = {}
-    for vid in reversed(order):
-        best = instrs[vid].latency
-        for sid, delay in succs[vid]:
-            best = max(best, delay + prio[sid])
-        prio[vid] = best
+    prio = [0] * n
+    for i in reversed(order):
+        best = dag[i].latency
+        for s, delay in succs[i]:
+            if delay + prio[s] > best:
+                best = delay + prio[s]
+        prio[i] = best
 
-    ready_bound: dict[int, int] = {ins.id: 0 for ins in dag}
-    remaining = dict(indeg)
-    future: list[tuple[int, int, int]] = []  # (ready cycle, -prio, id)
-    pool: dict[str, list[tuple[int, int]]] = {s: [] for s in slots}
-    for ins in dag:
-        if indeg[ins.id] == 0:
-            heapq.heappush(future, (0, -prio[ins.id], ins.id))
+    by_rank = sorted(range(n), key=ids.__getitem__)
+    rank_bits = n.bit_length()
+    rank_mask = (1 << rank_bits) - 1
+    top = max(prio)
+    key = [0] * n  # (top - priority, rank): the pool order
+    for r, i in enumerate(by_rank):
+        key[i] = ((top - prio[i]) << rank_bits) | r
+    cycle_shift = max(key).bit_length()
+    key_mask = (1 << cycle_shift) - 1
+    slot_by_rank = [slot_of[i] for i in by_rank]
+
+    ready_bound = [0] * n
+    remaining = indeg[:]
+    future = [key[i] for i in range(n) if not indeg[i]]  # ready cycle 0
+    heapq.heapify(future)
+    pools: list[list[int]] = [[] for _ in classes]
+    issue_classes = list(zip(pools, caps))
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    n_pooled = 0
 
     cycle_of: dict[int, int] = {}
     cycle = 0
     n_done = 0
-    while n_done < len(dag):
-        while future and future[0][0] <= cycle:
-            _, negp, vid = heapq.heappop(future)
-            heapq.heappush(pool[instrs[vid].slot], (negp, vid))
-        issued_any = False
-        for slot_class in sorted(slots):
-            cap = slots[slot_class]
-            bucket = pool[slot_class]
-            n = 0
-            while n < cap and bucket:
-                _, vid = heapq.heappop(bucket)
-                cycle_of[vid] = cycle
-                n += 1
-                n_done += 1
-                issued_any = True
-                for sid, delay in succs[vid]:
-                    ready_bound[sid] = max(ready_bound[sid], cycle + delay)
-                    remaining[sid] -= 1
-                    if remaining[sid] == 0:
-                        heapq.heappush(
-                            future, (max(ready_bound[sid], cycle + 1), -prio[sid], sid)
-                        )
-        if any(pool[s] for s in pool):
+    while n_done < n:
+        limit = (cycle + 1) << cycle_shift
+        while future and future[0] < limit:
+            k = heappop(future) & key_mask
+            heappush(pools[slot_by_rank[k & rank_mask]], k)
+            n_pooled += 1
+        for bucket, cap in issue_classes:
+            n_issued = 0
+            while n_issued < cap and bucket:
+                i = by_rank[heappop(bucket) & rank_mask]
+                cycle_of[ids[i]] = cycle
+                n_issued += 1
+                for s, delay in succs[i]:
+                    if cycle + delay > ready_bound[s]:
+                        ready_bound[s] = cycle + delay
+                    remaining[s] -= 1
+                    if not remaining[s]:
+                        ready = ready_bound[s] if ready_bound[s] > cycle else cycle + 1
+                        heappush(future, (ready << cycle_shift) | key[s])
+            n_done += n_issued
+            n_pooled -= n_issued
+        if n_pooled:
             cycle += 1
         elif future:
-            cycle = max(cycle + 1, future[0][0])
-        elif n_done < len(dag):
+            cycle = max(cycle + 1, future[0] >> cycle_shift)
+        elif n_done < n:
             raise ConfigError("scheduler stalled with unissued instructions")
 
     total = 0

@@ -30,6 +30,8 @@ from asymtile.arch import (
     buffer_footprint,
     check_feasible,
     derive_l2_tiles,
+    is_int,
+    require_ints,
 )
 from asymtile.perf import (
     EFF_SOURCE_CALIBRATION,
@@ -41,10 +43,6 @@ from asymtile.perf import (
 )
 
 MICROTILE = 8
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,9 @@ class SearchSpace:
     eff_source: str = EFF_SOURCE_CALIBRATION
 
     def __post_init__(self) -> None:
-        for name in ("t_mc_min", "t_mc_max", "t_k_min", "t_k_max", "t_n_min", "t_n_max", "step"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        require_ints(
+            self, ("t_mc_min", "t_mc_max", "t_k_min", "t_k_max", "t_n_min", "t_n_max", "step")
+        )
         if self.step < MICROTILE or self.step % MICROTILE != 0:
             raise ConfigError(f"step must be a positive multiple of {MICROTILE}")
         for lo, hi, name in (
@@ -84,7 +81,7 @@ class SearchSpace:
         if (
             not isinstance(self.rho_candidates, tuple)
             or not self.rho_candidates
-            or not all(_is_int(r) and r >= 1 for r in self.rho_candidates)
+            or not all(is_int(r) and r >= 1 for r in self.rho_candidates)
         ):
             raise ConfigError(
                 f"rho_candidates must be a nonempty set of positive ints, "

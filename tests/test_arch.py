@@ -123,6 +123,30 @@ def test_arch_grid_consistency():
         ArchSpec(n_rows=4, n_cols=8, n_cores=31)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"l1_capacity": 64512.0},
+        {"n_rows": 4.0},
+        {"n_cols": True},
+        {"n_cores": "32"},
+        {"peak_macs_per_cycle": 512.5},
+        {"switch_overhead_delta": 50.5},
+        {"buffer_multiplier_a": 1.5},
+        {"buffer_multiplier_b": 2.0},
+        {"buffer_multiplier_c": True},
+    ],
+)
+def test_arch_rejects_non_integer_counts(overrides):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        arch_from_dict(overrides)
+
+
+def test_arch_real_fields_accept_floats():
+    arch = arch_from_dict({"clock_hz": 2e9, "offchip_bw": 70.5e9, "l1_capacity": 65536})
+    assert (arch.clock_hz, arch.offchip_bw, arch.l1_capacity) == (2e9, 70.5e9, 65536)
+
+
 def test_problem_parsing():
     assert problem_from_value("1024x4096x1024") == ProblemSpec(1024, 4096, 1024)
     assert problem_from_value({"m": 8, "k": 16, "n": 8}) == ProblemSpec(8, 16, 8)

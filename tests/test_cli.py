@@ -289,6 +289,37 @@ def test_bad_search_and_efficiency_input_exits_3(tmp_path, capsys, config, argv)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"microkernel": {"chains": 2.5}}, ("simulate", "schedule")),
+        ({"microkernel": {"n_clusters": 1.5}}, ("simulate", "schedule")),
+        ({"microkernel": {"l_store": 1.5}}, ("simulate", "schedule")),
+        ({"microkernel": {"pipeline_depth": True}}, ("simulate", "schedule")),
+        ({"microkernel": {"load_classes": [[8.5, 4]]}}, ("simulate", "schedule")),
+        (
+            {"microkernel": {"load_classes": [{"latency": 8, "count": "4"}]}},
+            ("simulate", "schedule"),
+        ),
+        (
+            {"arch": {"buffer_multiplier_a": 1.5}},
+            ("simulate", "movement", "--tile", "32,128,64,128"),
+        ),
+        ({"arch": {"n_rows": 4.0, "n_cols": 8, "n_cores": 32}}, ("search",)),
+        ({"arch": {"switch_overhead_delta": 50.5}}, ("eval", "--tile", "32,128,64,128")),
+    ],
+)
+def test_non_integer_kernel_and_arch_counts_exit_3(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, text = run_cli(*argv, "--config", str(cfg), "--problem", "4096x4096x2048")
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG_ERROR
+    assert text == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be an integer" in err
+
+
 def test_cli_import_does_not_load_numpy():
     src = Path(__file__).resolve().parent.parent / "src"
     probe = "import sys, asymtile.cli; print('numpy' in sys.modules)"

@@ -318,3 +318,11 @@ def test_spec_validation():
         mk(load_classes=())
     with pytest.raises(ConfigError):
         LoadClass(0, 1)
+    for bad in ({"chains": 2.5}, {"n_clusters": 1.5}, {"l_vmac_to_store": 6.0},
+                {"pipeline_depth": True}):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            mk(**bad)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        LoadClass(8.5, 4)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        LoadClass(8, False)

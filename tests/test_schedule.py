@@ -1,4 +1,7 @@
+import heapq
+import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -14,11 +17,262 @@ from asymtile.schedule import (
     derive_cluster_shape,
     dump_schedule_csv,
     measure,
+    ScheduleResult,
     random_microkernel_spec,
     schedule,
     slots_for,
     verify_random_specs,
 )
+
+
+# -- reference implementations -------------------------------------------------
+# The dict-based builder and scheduler the dense-array versions replaced, kept
+# as the oracle the property below compares against.
+
+
+def reference_build(
+    spec, *, share_inputs=True, cluster_shape=None, double_buffer=True, overlap_clusters=False
+):
+    if spec.n_accum < 1:
+        raise ConfigError("n_accum must be >= 1 to build a kernel")
+    shape = cluster_shape if cluster_shape is not None else derive_cluster_shape(spec.chains)
+    rows, cols = shape
+    if rows * cols != spec.chains:
+        raise ConfigError(f"cluster_shape {shape} does not cover chains={spec.chains}")
+    if share_inputs and spec.r_load < 2:
+        raise ConfigError("share_inputs needs r_load >= 2")
+    n_rounds = math.ceil(spec.n_accum / spec.chains)
+    if share_inputs:
+        per_round = rows + cols + (spec.r_load - 2) * spec.chains
+    else:
+        per_round = spec.r_load * spec.chains
+    if n_rounds > 1 and spec.prolog_load_count < per_round:
+        raise ConfigError("prolog does not cover a steady round")
+    steady_latency = max(c.latency for c in spec.load_classes)
+
+    instrs = []
+
+    def add(kind, slot, latency, preds, group, tag):
+        vid = len(instrs)
+        instrs.append(
+            Instruction(
+                id=vid, kind=kind, slot=slot, latency=latency,
+                preds=tuple(preds), group=group, tag=tag,
+            )
+        )
+        return vid
+
+    prev_cluster_gate = []
+    prev_cluster_last_vmac = {}
+    prev_cluster_last_store = {}
+    for cl in range(spec.n_clusters):
+        prolog_ids = []
+        for ci, cls in enumerate(spec.load_classes):
+            for li in range(cls.count):
+                tag = f"c{cl}.prolog{ci}.{li}"
+                preds = []
+                if cls.unaligned:
+                    pop = add("vload_pop", "ld", 1, prev_cluster_gate, cl, tag + ".pop")
+                    preds.append((pop, 1))
+                else:
+                    preds.extend(prev_cluster_gate)
+                prolog_ids.append(add("vload", "ld", cls.latency, preds, cl, tag))
+
+        vmac_of = {}
+        round_vmacs = defaultdict(list)
+        for t in range(n_rounds):
+            in_round = [j for j in range(spec.chains) if t * spec.chains + j < spec.n_accum]
+            loads_of_chain = {j: [] for j in in_round}
+            if t > 0:
+                war = (
+                    [(v, 1) for v in round_vmacs[t - 2]] if t >= 2 else list(prev_cluster_gate)
+                )
+                if not double_buffer:
+                    war += [(v, 1) for v in round_vmacs.get(t - 1, [])]
+                if share_inputs:
+                    for r in sorted({j // cols for j in in_round}):
+                        vid = add("vload", "ld", steady_latency, war, cl, f"c{cl}.r{t}.row{r}")
+                        for j in in_round:
+                            if j // cols == r:
+                                loads_of_chain[j].append(vid)
+                    for c in sorted({j % cols for j in in_round}):
+                        vid = add("vload", "ld", steady_latency, war, cl, f"c{cl}.r{t}.col{c}")
+                        for j in in_round:
+                            if j % cols == c:
+                                loads_of_chain[j].append(vid)
+                    extra = spec.r_load - 2
+                else:
+                    extra = spec.r_load
+                for j in in_round:
+                    for e in range(extra):
+                        vid = add("vload", "ld", steady_latency, war, cl, f"c{cl}.r{t}.ch{j}.x{e}")
+                        loads_of_chain[j].append(vid)
+
+            for j in in_round:
+                preds = []
+                if t == 0:
+                    preds.extend((lid, instrs[lid].latency) for lid in prolog_ids)
+                    if overlap_clusters and cl > 0:
+                        if j in prev_cluster_last_store:
+                            preds.append((prev_cluster_last_store[j], 1))
+                        if j in prev_cluster_last_vmac:
+                            preds.append((prev_cluster_last_vmac[j], spec.pipeline_depth))
+                else:
+                    preds.extend((lid, steady_latency) for lid in loads_of_chain[j])
+                    preds.append((vmac_of[(t - 1, j)], spec.pipeline_depth))
+                vid = add("vmac", "vmac", spec.pipeline_depth, preds, cl, f"c{cl}.r{t}.vmac{j}")
+                vmac_of[(t, j)] = vid
+                round_vmacs[t].append(vid)
+
+        gate = []
+        last_vmac_of = {}
+        last_store_of = {}
+        for j in range(spec.chains):
+            rounds_j = [t for t in range(n_rounds) if (t, j) in vmac_of]
+            if not rounds_j:
+                continue
+            last_vmac = vmac_of[(rounds_j[-1], j)]
+            last_vmac_of[j] = last_vmac
+            prev = (last_vmac, spec.l_vmac_to_store)
+            for s in range(spec.n_store):
+                sid = add("vstore", "st", spec.l_store, [prev], cl, f"c{cl}.ch{j}.st{s}")
+                prev = (sid, 1)
+            last_store_of[j] = sid
+            gate.append((sid, spec.l_store))
+        prev_cluster_last_vmac = last_vmac_of
+        prev_cluster_last_store = last_store_of
+        prev_cluster_gate = [] if overlap_clusters else gate
+    return instrs
+
+
+def reference_schedule(dag, slots):
+    if not dag:
+        return ScheduleResult({}, 0, Fraction(0), (0, 0, 0), ())
+    instrs = {ins.id: ins for ins in dag}
+    if len(instrs) != len(dag):
+        raise ConfigError("duplicate instruction ids")
+    succs = defaultdict(list)
+    indeg = {ins.id: 0 for ins in dag}
+    for ins in dag:
+        if ins.slot not in slots or slots[ins.slot] < 1:
+            raise ConfigError(f"no slots for class {ins.slot!r}")
+        for pid, delay in ins.preds:
+            if pid not in instrs:
+                raise ConfigError(f"instruction {ins.id} depends on unknown id {pid}")
+            succs[pid].append((ins.id, delay))
+            indeg[ins.id] += 1
+
+    order = [vid for vid, d in indeg.items() if d == 0]
+    remaining = dict(indeg)
+    head = 0
+    while head < len(order):
+        vid = order[head]
+        head += 1
+        for sid, _ in succs[vid]:
+            remaining[sid] -= 1
+            if remaining[sid] == 0:
+                order.append(sid)
+    if len(order) != len(dag):
+        raise ConfigError("dependency cycle in instruction DAG")
+
+    prio = {}
+    for vid in reversed(order):
+        best = instrs[vid].latency
+        for sid, delay in succs[vid]:
+            best = max(best, delay + prio[sid])
+        prio[vid] = best
+
+    ready_bound = {ins.id: 0 for ins in dag}
+    remaining = dict(indeg)
+    future = []
+    pool = {s: [] for s in slots}
+    for ins in dag:
+        if indeg[ins.id] == 0:
+            heapq.heappush(future, (0, -prio[ins.id], ins.id))
+
+    cycle_of = {}
+    cycle = 0
+    n_done = 0
+    while n_done < len(dag):
+        while future and future[0][0] <= cycle:
+            _, negp, vid = heapq.heappop(future)
+            heapq.heappush(pool[instrs[vid].slot], (negp, vid))
+        for slot_class in sorted(slots):
+            cap = slots[slot_class]
+            bucket = pool[slot_class]
+            n = 0
+            while n < cap and bucket:
+                _, vid = heapq.heappop(bucket)
+                cycle_of[vid] = cycle
+                n += 1
+                n_done += 1
+                for sid, delay in succs[vid]:
+                    ready_bound[sid] = max(ready_bound[sid], cycle + delay)
+                    remaining[sid] -= 1
+                    if remaining[sid] == 0:
+                        heapq.heappush(
+                            future, (max(ready_bound[sid], cycle + 1), -prio[sid], sid)
+                        )
+        if any(pool[s] for s in pool):
+            cycle += 1
+        elif future:
+            cycle = max(cycle + 1, future[0][0])
+        elif n_done < len(dag):
+            raise ConfigError("scheduler stalled with unissued instructions")
+
+    total = 0
+    for ins in dag:
+        total = max(total, cycle_of[ins.id] + (ins.latency if ins.kind == "vstore" else 1))
+    vmacs = sorted((cycle_of[ins.id], ins.group) for ins in dag if ins.kind == "vmac")
+    if vmacs:
+        first_v = vmacs[0][0]
+        last_v = vmacs[-1][0]
+        phases = (first_v, last_v - first_v, total - last_v)
+        rate = Fraction(len(vmacs), total)
+        by_group = defaultdict(list)
+        for c, g in vmacs:
+            by_group[g].append(c)
+        groups = tuple(tuple(by_group[g]) for g in sorted(by_group))
+    else:
+        phases = (total, 0, 0)
+        rate = Fraction(0)
+        groups = ()
+    return ScheduleResult(cycle_of, total, rate, phases, groups)
+
+
+def relabel_and_shuffle(dag, rng):
+    """The same DAG under fresh non-contiguous ids, in shuffled list order."""
+    new_ids = rng.sample(range(3 * len(dag) + 5), len(dag))
+    relabel = {ins.id: new for ins, new in zip(dag, new_ids)}
+    out = [
+        ins._replace(
+            id=relabel[ins.id], preds=tuple((relabel[p], d) for p, d in ins.preds)
+        )
+        for ins in dag
+    ]
+    rng.shuffle(out)
+    return out
+
+
+def assert_same_schedule(dag, slots):
+    got, want = schedule(dag, slots), reference_schedule(dag, slots)
+    assert got == want
+    assert list(got.cycle_of.items()) == list(want.cycle_of.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_dense_build_and_schedule_equal_reference(seed):
+    rng = random.Random(seed)
+    spec, options = random_microkernel_spec(rng)
+    slots = slots_for(spec)
+    for overlap in (False, True):
+        dag = build_microkernel_dag(spec, overlap_clusters=overlap, **options)
+        ref = reference_build(spec, overlap_clusters=overlap, **options)
+        assert [tuple(ins) for ins in dag] == [tuple(ins) for ins in ref]
+        assert all(type(ins) is Instruction for ins in dag)
+        assert_same_schedule(dag, slots)
+        assert_same_schedule(relabel_and_shuffle(dag, rng), slots)
 
 
 def fig3_spec() -> MicrokernelSpec:
@@ -85,10 +339,29 @@ def test_cycle_rejected():
         schedule(dag, {"ld": 1})
 
 
+@pytest.mark.parametrize(
+    "dag",
+    [
+        # duplicate ids
+        [Instruction(0, "vload", "ld", 1), Instruction(0, "vload", "ld", 1)],
+        # a pred id that is not in the DAG
+        [Instruction(0, "vload", "ld", 1), Instruction(1, "vload", "ld", 1, ((7, 1),))],
+        # a self-loop, with every other pred in list order
+        [Instruction(0, "vload", "ld", 1, ((0, 1),)), Instruction(1, "vload", "ld", 1, ((0, 1),))],
+    ],
+    ids=["duplicate-id", "unknown-pred", "self-loop"],
+)
+def test_malformed_dag_rejected(dag):
+    with pytest.raises(ConfigError):
+        schedule(dag, {"ld": 1})
+
+
 def test_missing_slot_rejected():
     dag = [Instruction(id=0, kind="vstore", slot="st", latency=1)]
     with pytest.raises(ConfigError):
         schedule(dag, {"ld": 1})
+    with pytest.raises(ConfigError):
+        schedule(dag, {"ld": 1, "st": 0})
 
 
 def test_determinism():
