@@ -10,10 +10,9 @@ be slower, never faster.
 Both halves work on dense lists, because they run once per kernel and a
 kernel has thousands of instructions. ``Instruction`` is a NamedTuple whose
 id is its position in the builder's list, and the builder keeps per-round
-VMAC ids in lists. The scheduler maps ids to list indices once, holds
-successors, in-degrees and priorities in lists, and keys its heaps with one
-packed integer that orders (ready cycle, -priority, id) exactly as the tuple
-would, so ties still break by ascending id.
+VMAC ids in lists. The scheduler maps ids to list indices once and holds
+successors, in-degrees and priorities in lists; its heaps order entries by
+(ready cycle, -priority, id), so ties still break by ascending id.
 """
 
 from __future__ import annotations
@@ -254,14 +253,12 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     Each cycle, ready instructions issue in priority order (longest
     delay-weighted path to any sink, ties by ascending id) up to the slot
     count of their class, the classes taken in sorted order. Deterministic
-    for identical inputs. Latencies and delays are whole cycles (ints).
+    for identical inputs.
 
-    The work runs on dense list indices (list positions) instead of ids.
-    Priorities come from one reverse sweep of the list when every pred
-    precedes its instruction, as the builder emits them; otherwise a Kahn
-    pass orders the DAG first and rejects cycles. Each heap entry is one
-    integer packing (ready cycle, max priority - priority, rank of the id
-    among all ids), so integer order is the (ready, -priority, id) order.
+    The work runs on dense list indices (list positions) instead of ids: a
+    Kahn pass over the index lists orders the DAG for the priority sweep and
+    rejects cycles, and each heap entry carries a precomputed
+    (-priority, id, index) key.
     """
     if not dag:
         return ScheduleResult({}, 0, Fraction(0), (0, 0, 0), ())
@@ -276,7 +273,6 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     indeg = [0] * n
     slot_of = [0] * n
-    in_order = True
     for i, ins in enumerate(dag):
         c = class_of.get(ins.slot)
         if c is None or caps[c] < 1:
@@ -287,22 +283,17 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
             if p is None:
                 raise ConfigError(f"instruction {ins.id} depends on unknown id {pid}")
             succs[p].append((i, delay))
-            if p >= i:
-                in_order = False
         indeg[i] = len(ins.preds)
 
-    if in_order:
-        order: range | list[int] = range(n)
-    else:
-        order = [i for i in range(n) if not indeg[i]]
-        remaining = indeg[:]
-        for i in order:  # grows while it is walked: Kahn's queue
-            for s, _ in succs[i]:
-                remaining[s] -= 1
-                if not remaining[s]:
-                    order.append(s)
-        if len(order) != n:
-            raise ConfigError("dependency cycle in instruction DAG")
+    order = [i for i in range(n) if not indeg[i]]
+    remaining = indeg[:]
+    for i in order:  # grows while it is walked: Kahn's queue
+        for s, _ in succs[i]:
+            remaining[s] -= 1
+            if not remaining[s]:
+                order.append(s)
+    if len(order) != n:
+        raise ConfigError("dependency cycle in instruction DAG")
 
     prio = [0] * n
     for i in reversed(order):
@@ -312,22 +303,13 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
                 best = delay + prio[s]
         prio[i] = best
 
-    by_rank = sorted(range(n), key=ids.__getitem__)
-    rank_bits = n.bit_length()
-    rank_mask = (1 << rank_bits) - 1
-    top = max(prio)
-    key = [0] * n  # (top - priority, rank): the pool order
-    for r, i in enumerate(by_rank):
-        key[i] = ((top - prio[i]) << rank_bits) | r
-    cycle_shift = max(key).bit_length()
-    key_mask = (1 << cycle_shift) - 1
-    slot_by_rank = [slot_of[i] for i in by_rank]
-
+    # Pool order (-priority, id); ids are unique, so the index never decides.
+    key = [(-prio[i], ids[i], i) for i in range(n)]
     ready_bound = [0] * n
     remaining = indeg[:]
-    future = [key[i] for i in range(n) if not indeg[i]]  # ready cycle 0
+    future = [(0, key[i]) for i in range(n) if not indeg[i]]  # (ready cycle, key)
     heapq.heapify(future)
-    pools: list[list[int]] = [[] for _ in classes]
+    pools: list[list[tuple]] = [[] for _ in classes]
     issue_classes = list(zip(pools, caps))
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -337,15 +319,14 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     cycle = 0
     n_done = 0
     while n_done < n:
-        limit = (cycle + 1) << cycle_shift
-        while future and future[0] < limit:
-            k = heappop(future) & key_mask
-            heappush(pools[slot_by_rank[k & rank_mask]], k)
+        while future and future[0][0] <= cycle:
+            k = heappop(future)[1]
+            heappush(pools[slot_of[k[2]]], k)
             n_pooled += 1
         for bucket, cap in issue_classes:
             n_issued = 0
             while n_issued < cap and bucket:
-                i = by_rank[heappop(bucket) & rank_mask]
+                i = heappop(bucket)[2]
                 cycle_of[ids[i]] = cycle
                 n_issued += 1
                 for s, delay in succs[i]:
@@ -354,13 +335,13 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
                     remaining[s] -= 1
                     if not remaining[s]:
                         ready = ready_bound[s] if ready_bound[s] > cycle else cycle + 1
-                        heappush(future, (ready << cycle_shift) | key[s])
+                        heappush(future, (ready, key[s]))
             n_done += n_issued
             n_pooled -= n_issued
         if n_pooled:
             cycle += 1
         elif future:
-            cycle = max(cycle + 1, future[0] >> cycle_shift)
+            cycle = max(cycle + 1, future[0][0])
         elif n_done < n:
             raise ConfigError("scheduler stalled with unissued instructions")
 

@@ -331,29 +331,30 @@ def test_empty_dag():
 
 
 def test_cycle_rejected():
-    dag = [
-        Instruction(id=0, kind="vload", slot="ld", latency=1, preds=((1, 1),)),
-        Instruction(id=1, kind="vload", slot="ld", latency=1, preds=((0, 1),)),
-    ]
-    with pytest.raises(ConfigError):
-        schedule(dag, {"ld": 1})
-
-
-@pytest.mark.parametrize(
-    "dag",
-    [
-        # duplicate ids
+    # Also the other malformed DAGs: a duplicate id, an unknown pred id, and
+    # a self-loop whose other preds all come earlier in the list.
+    dags = [
+        [Instruction(0, "vload", "ld", 1, ((1, 1),)), Instruction(1, "vload", "ld", 1, ((0, 1),))],
         [Instruction(0, "vload", "ld", 1), Instruction(0, "vload", "ld", 1)],
-        # a pred id that is not in the DAG
         [Instruction(0, "vload", "ld", 1), Instruction(1, "vload", "ld", 1, ((7, 1),))],
-        # a self-loop, with every other pred in list order
         [Instruction(0, "vload", "ld", 1, ((0, 1),)), Instruction(1, "vload", "ld", 1, ((0, 1),))],
-    ],
-    ids=["duplicate-id", "unknown-pred", "self-loop"],
-)
-def test_malformed_dag_rejected(dag):
-    with pytest.raises(ConfigError):
-        schedule(dag, {"ld": 1})
+    ]
+    for dag in dags:
+        with pytest.raises(ConfigError):
+            schedule(dag, {"ld": 1})
+
+
+def test_fractional_latencies_match_reference():
+    # Latencies and delays need only be ordered numbers: halve all of them.
+    spec = MicrokernelSpec(n_accum=8, n_clusters=2)
+    dag = [
+        ins._replace(
+            latency=Fraction(ins.latency, 2),
+            preds=tuple((p, Fraction(d, 2)) for p, d in ins.preds),
+        )
+        for ins in build_microkernel_dag(spec)
+    ]
+    assert_same_schedule(dag, slots_for(spec))
 
 
 def test_missing_slot_rejected():
