@@ -52,7 +52,6 @@ from asymtile.perf import (
     eff_core,
     perf_array,
     resolve_eff_micro,
-    t_asym,
 )
 from asymtile.pipeline import (
     DEFAULT_MICROKERNEL,
@@ -130,7 +129,6 @@ __all__ = [
     "simulate_movement",
     "slots_for",
     "sweep_grid",
-    "t_asym",
     "tiled_gemm",
     "total_latency",
     "verify_movement_equivalence",

@@ -37,6 +37,14 @@ def require_ints(obj, names) -> None:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def require_bools(obj, names) -> None:
+    """Raise ConfigError unless each named field of ``obj`` is a bool."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
 def as_byte_cost(value: Any) -> Fraction:
     """Coerce a per-element byte cost to an exact Fraction.
 

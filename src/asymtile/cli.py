@@ -109,7 +109,6 @@ class RunConfig:
     tile: TileConfig | None
     space: SearchSpace
     microkernel: MicrokernelSpec | None
-    eff_source: str
     eff_micro: Fraction | None
 
 
@@ -157,16 +156,10 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 
     space = search_space_from_dict(raw.get("search", {}))
     overrides = {}
-    for flag, field_name in (
-        ("t_mc_max", "t_mc_max"),
-        ("t_k_min", "t_k_min"),
-        ("t_k_max", "t_k_max"),
-        ("t_n_max", "t_n_max"),
-        ("step", "step"),
-    ):
-        value = getattr(args, flag, None)
+    for name in ("t_mc_max", "t_k_min", "t_k_max", "t_n_max", "step"):
+        value = getattr(args, name, None)
         if value is not None:
-            overrides[field_name] = value
+            overrides[name] = value
     rho = getattr(args, "rho", None)
     if rho:
         try:
@@ -196,7 +189,6 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         tile=tile,
         space=space,
         microkernel=microkernel,
-        eff_source=space.eff_source,
         eff_micro=eff_micro,
     )
 
@@ -216,7 +208,7 @@ def cmd_eval(cfg: RunConfig, fmt: str, out) -> int:
         cfg.prec,
         cfg.arch,
         eff_micro=cfg.eff_micro,
-        eff_source=cfg.eff_source,
+        eff_source=cfg.space.eff_source,
     )
     if fmt == "csv":
         out.write(RANK_CSV_COLUMNS + "\n")

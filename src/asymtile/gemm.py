@@ -47,10 +47,6 @@ class Matrix:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return Matrix(rows, cols, (0.0,) * (rows * cols))
-
-
 def matrix_from_rows(rows: list[list[float]]) -> Matrix:
     if not rows:
         raise ConfigError("matrix needs at least one row")
@@ -58,21 +54,6 @@ def matrix_from_rows(rows: list[list[float]]) -> Matrix:
     if any(len(r) != width for r in rows):
         raise ConfigError("ragged rows")
     return Matrix(len(rows), width, tuple(float(v) for row in rows for v in row))
-
-
-def matrix_to_csv(mat: Matrix) -> str:
-    return "\n".join(
-        ",".join(repr(v) for v in mat.row(i)) for i in range(mat.rows)
-    ) + "\n"
-
-
-def matrix_from_csv(text: str) -> Matrix:
-    rows = [
-        [float(cell) for cell in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    return matrix_from_rows(rows)
 
 
 def naive_gemm(a: Matrix, b: Matrix) -> Matrix:

@@ -90,33 +90,19 @@ def resolve_eff_micro(
     raise ConfigError(f"unknown eff_micro source {source!r}; expected one of {EFF_SOURCES}")
 
 
-def t_asym(
-    tile: TileConfig,
-    k: int,
-    eff_micro,
-    arch: ArchSpec = DEFAULT_ARCH,
-) -> Fraction:
-    """Cycles for one core to finish its t_mc x k x t_n slab: compute time at
-    the derated MAC rate plus one switch penalty per row-subtile kernel
-    launch (``rho`` launches per contraction step)."""
-    eff = _coerce_eff(eff_micro)
-    if k < 1 or k % tile.t_k != 0:
-        raise ConfigError(f"k={k} must be a positive multiple of t_k={tile.t_k}")
-    compute = Fraction(2 * tile.t_mc * k * tile.t_n) / (
-        arch.peak_flops_per_cycle * eff
-    )
-    switch = arch.switch_overhead_delta * tile.rho * (k // tile.t_k)
-    return compute + switch
-
-
 def eff_core(
     tile: TileConfig,
     eff_micro,
     arch: ArchSpec = DEFAULT_ARCH,
 ) -> Fraction:
-    """Core efficiency after kernel-switch overhead: the harmonic combination
-    of microkernel efficiency with the per-launch penalty amortized over the
-    tile's useful work."""
+    """Core efficiency after kernel-switch overhead.
+
+    One core's t_mc x k x t_n slab takes 2*t_mc*k*t_n / (peak * eff_micro)
+    compute cycles plus one switch penalty ``delta`` per row-subtile kernel
+    launch, ``rho`` launches per contraction step of depth t_k. The result is
+    the compute cycles at peak over that total; k cancels, leaving the
+    harmonic combination of ``eff_micro`` with the per-launch penalty
+    amortized over one step's work."""
     eff = _coerce_eff(eff_micro)
     overhead = Fraction(
         arch.switch_overhead_delta * tile.rho * arch.peak_flops_per_cycle,

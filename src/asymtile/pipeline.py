@@ -1,11 +1,14 @@
-"""Analytical lower bounds for VLIW microkernel latency.
+"""Analytical lower bounds for VLIW microkernel latency, and the
+efficiency they imply.
 
 The microkernel accumulates an output register tile through chains of
 multiply-accumulate (VMAC) instructions. Its latency decomposes into a prolog
 (first operand loads), a steady state paced by an initiation interval, and an
-epilog (drain accumulators to stores). Every function here returns a lower
-bound on the cycles a real schedule needs; the constructive scheduler in
-``asymtile.schedule`` supplies the matching upper side.
+epilog (drain accumulators to stores). :func:`total_latency` works these
+phases out once per spec and derives both the whole-kernel bounds and the
+modeled efficiency from them; :func:`eff_micro` reads that efficiency. Every
+bound is a lower bound on the cycles a real schedule needs; the constructive
+scheduler in ``asymtile.schedule`` supplies the matching upper side.
 
 Cycle quantities stay exact: integers where integral, Fraction for the
 initiation interval, with rounding up applied once at the end of a bound,
@@ -19,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from asymtile.arch import ConfigError, TileConfig, require_ints
+from asymtile.arch import ConfigError, TileConfig, require_bools, require_ints
 
 # One accumulator update consumes this many reduction elements (the vector
 # unit computes an 8x8x8 block per VMAC).
@@ -44,6 +47,7 @@ class LoadClass:
 
     def __post_init__(self):
         require_ints(self, ("latency", "count"))
+        require_bools(self, ("unaligned",))
         if self.latency < 1:
             raise ConfigError(f"load latency must be >= 1, got {self.latency}")
         if self.count < 1:
@@ -58,7 +62,8 @@ class MicrokernelSpec:
     pipeline, two load slots, one store slot, one VMAC slot, four interleaved
     accumulation chains sharing operands in a 2x2 cluster (two loads per VMAC
     before sharing), 8-cycle operand loads, and a two-instruction store path.
-    Every field except ``load_classes`` and ``clamp_ii`` must be an int.
+    Every field except ``load_classes`` and ``clamp_ii`` must be an int;
+    ``clamp_ii`` must be a bool.
     """
 
     pipeline_depth: int = 3
@@ -83,6 +88,7 @@ class MicrokernelSpec:
         positive = ("pipeline_depth", "u_ld", "u_st", "u_vmac", "r_load",
                     "chains", "n_accum", "l_store", "n_store", "accum_regs")
         require_ints(self, positive + ("n_clusters", "l_vmac_to_store"))
+        require_bools(self, ("clamp_ii",))
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -110,7 +116,8 @@ class InitiationIntervals(NamedTuple):
 
 @dataclass(frozen=True)
 class LatencyBounds:
-    """All phase and total bounds for one microkernel spec."""
+    """All phase and total bounds for one microkernel spec, and the
+    efficiency they imply."""
 
     t_prolog: int
     ii_single: int
@@ -120,13 +127,6 @@ class LatencyBounds:
     l_total_sequential: int
     l_total_overlapped: int
     eff_micro: Fraction
-
-    def total_for(self, mode: str) -> int:
-        if mode == "sequential":
-            return self.l_total_sequential
-        if mode == "overlapped":
-            return self.l_total_overlapped
-        raise ConfigError(f"mode must be 'sequential' or 'overlapped', got {mode!r}")
 
 
 def prolog_bound(classes: Iterable[LoadClass], u_ld: int) -> int:
@@ -179,11 +179,6 @@ def initiation_intervals(spec: MicrokernelSpec) -> InitiationIntervals:
     return InitiationIntervals(single, parallel)
 
 
-def steady_bound(spec: MicrokernelSpec, ii_parallel: Fraction) -> int:
-    """Cycles from the first VMAC until all chains' last update can issue."""
-    return math.ceil(ii_parallel * max(0, spec.n_accum - spec.chains))
-
-
 def epilog_bound(spec: MicrokernelSpec) -> int:
     """Cycles to drain one cluster after its last accumulator update.
 
@@ -194,107 +189,46 @@ def epilog_bound(spec: MicrokernelSpec) -> int:
     return one_chain + (spec.chains - 1)
 
 
-def total_latency(spec: MicrokernelSpec, mode: str | None = None) -> LatencyBounds:
-    """Aggregate phase bounds into whole-kernel latency bounds.
+def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
+    """Work out the phase bounds of ``spec`` once and aggregate them.
 
-    Sequential clusters pay all three phases each. Overlapped clusters hide
-    each inner cluster's prolog and epilog behind its neighbors' steady
-    states, paying II * C per cluster boundary instead; the overlapped figure
-    is capped at the sequential one, which any execution can fall back to.
-    ``mode`` is validated if given; both totals are always populated.
+    One cluster issues n_accum updates in prolog + II * (n_accum - chains) +
+    epilog cycles, the steady term clamped at zero. Sequential clusters pay
+    all three phases each. Overlapped clusters hide each inner cluster's
+    prolog and epilog behind its neighbors' steady states, paying II * C per
+    cluster boundary instead; the overlapped figure is capped at the
+    sequential one, which any execution can fall back to. ``eff_micro`` is
+    n_accum over one cluster's exact phase total: clusters repeat the
+    pattern, so the cluster count cancels.
     """
-    if mode is not None and mode not in ("sequential", "overlapped"):
-        raise ConfigError(f"mode must be 'sequential' or 'overlapped', got {mode!r}")
     t_prolog = prolog_bound(spec.load_classes, spec.u_ld)
     ii_single, ii_par = initiation_intervals(spec)
     steady_exact = ii_par * max(0, spec.n_accum - spec.chains)
-    t_steady = math.ceil(steady_exact)
     t_epilog = epilog_bound(spec)
+    cluster = t_prolog + steady_exact + t_epilog
     n_c = spec.n_clusters
     if n_c == 0:
         seq = ovl = 0
     else:
-        seq = math.ceil((t_prolog + steady_exact + t_epilog) * n_c)
+        seq = math.ceil(cluster * n_c)
         ovl_exact = t_prolog + (steady_exact + ii_par * spec.chains) * n_c + t_epilog
         ovl = min(math.ceil(ovl_exact), seq)
     return LatencyBounds(
         t_prolog=t_prolog,
         ii_single=ii_single,
         ii_parallel=ii_par,
-        t_steady=t_steady,
+        t_steady=math.ceil(steady_exact),
         t_epilog=t_epilog,
         l_total_sequential=seq,
         l_total_overlapped=ovl,
-        eff_micro=eff_micro(spec, ii_par),
+        eff_micro=Fraction(spec.n_accum) / cluster,
     )
 
 
-def eff_micro_phases(
-    n_accum: int,
-    chains: int,
-    ii_parallel: Fraction | float,
-    prolog: Fraction | float,
-    epilog: Fraction | float,
-) -> Fraction:
-    """Modeled VMAC issue efficiency from explicit phase costs.
-
-    One cluster issues n_accum updates per chain in
-    prolog + II * (n_accum - chains) + epilog cycles; clusters repeat the
-    pattern, so the cluster count cancels.
-    """
-    ii = Fraction(ii_parallel)
-    denom = Fraction(prolog) + ii * max(0, n_accum - chains) + Fraction(epilog)
-    if denom <= 0:
-        raise ConfigError("phase cost total must be positive")
-    return Fraction(n_accum) / denom
-
-
-def eff_micro(spec: MicrokernelSpec, ii_parallel: Fraction | None = None) -> Fraction:
-    """Modeled VMAC issue efficiency of the microkernel in (0, 1]."""
-    if ii_parallel is None:
-        ii_parallel = initiation_intervals(spec).ii_parallel
-    return eff_micro_phases(
-        spec.n_accum,
-        spec.chains,
-        ii_parallel,
-        prolog_bound(spec.load_classes, spec.u_ld),
-        epilog_bound(spec),
-    )
-
-
-class FittedEff(NamedTuple):
-    """Reduced-form efficiency parameters: eff(t_k) = eta*t_k / (eps + eta*ii*t_k)."""
-
-    eta: Fraction
-    eps: Fraction
-    ii: Fraction
-
-
-def fitted_params(spec: MicrokernelSpec, ii_parallel: Fraction | None = None) -> FittedEff:
-    """Collapse the phase model into its two-parameter reduced form.
-
-    With n_accum = t_k / K_BASE, the phase formula rearranges to
-    eta * t_k / (eps + eta * ii * t_k) where eta = 1/K_BASE and
-    eps = prolog + epilog - ii * chains captures the non-amortizing boundary
-    cost (diminishing returns as t_k grows). Exact match with eff_micro
-    requires n_accum >= chains; shallower kernels clamp the steady term.
-    """
-    if ii_parallel is None:
-        ii_parallel = initiation_intervals(spec).ii_parallel
-    eta = Fraction(1, K_BASE)
-    eps = (
-        prolog_bound(spec.load_classes, spec.u_ld)
-        + epilog_bound(spec)
-        - ii_parallel * spec.chains
-    )
-    return FittedEff(eta=eta, eps=Fraction(eps), ii=Fraction(ii_parallel))
-
-
-def fitted_eff(params: FittedEff, t_k: int) -> Fraction:
-    """Evaluate the reduced-form efficiency at reduction tile depth t_k."""
-    if t_k < K_BASE:
-        raise ConfigError(f"t_k must be >= {K_BASE}")
-    return params.eta * t_k / (params.eps + params.eta * params.ii * t_k)
+def eff_micro(spec: MicrokernelSpec) -> Fraction:
+    """Modeled VMAC issue efficiency of the microkernel in (0, 1], from the
+    phases of :func:`total_latency`."""
+    return total_latency(spec).eff_micro
 
 
 def microkernel_for_tile(tile: TileConfig, base: MicrokernelSpec = DEFAULT_MICROKERNEL) -> MicrokernelSpec:

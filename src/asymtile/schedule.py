@@ -74,7 +74,8 @@ def slots_for(spec: MicrokernelSpec) -> dict[str, int]:
 
 
 def derive_cluster_shape(chains: int) -> tuple[int, int]:
-    """Default (rows, cols) arrangement of chains for operand sharing."""
+    """(rows, cols) arrangement of chains for operand sharing: the most
+    nearly square factorisation of ``chains``."""
     rows = max(r for r in range(1, math.isqrt(chains) + 1) if chains % r == 0)
     return rows, chains // rows
 
@@ -90,7 +91,6 @@ def build_microkernel_dag(
     spec: MicrokernelSpec,
     *,
     share_inputs: bool = True,
-    cluster_shape: tuple[int, int] | None = None,
     double_buffer: bool = True,
     overlap_clusters: bool = False,
 ) -> list[Instruction]:
@@ -120,12 +120,8 @@ def build_microkernel_dag(
     """
     if spec.n_accum < 1:
         raise ConfigError("n_accum must be >= 1 to build a kernel")
-    shape = cluster_shape if cluster_shape is not None else derive_cluster_shape(spec.chains)
-    rows, cols = shape
-    if rows * cols != spec.chains:
-        raise ConfigError(
-            f"cluster_shape {shape} does not cover chains={spec.chains}"
-        )
+    shape = derive_cluster_shape(spec.chains)
+    cols = shape[1]
     if share_inputs and spec.r_load < 2:
         raise ConfigError("share_inputs needs r_load >= 2 (one row and one column operand)")
     chains = spec.chains

@@ -3,7 +3,8 @@
 Each run goes through ``benchmarks/run.py --smoke`` in a fresh interpreter:
 one small pass with every correctness check the harness makes (exact
 rational intensities and byte counts for ``oracles``, the recorded CSV
-SHA-256 digests for ``dse``). No timing is asserted.
+SHA-256 digests for ``dse``, schedules against the closed-form bounds and
+efficiencies for ``kernels``). No timing is asserted.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["oracles", "dse"])
+@pytest.mark.parametrize("workload", ["oracles", "dse", "kernels"])
 def test_benchmark_smoke_run_passes_its_checks(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", workload, "--smoke"],

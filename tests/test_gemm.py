@@ -21,17 +21,15 @@ from asymtile.gemm import (
     bfp16_decode,
     bfp16_encode,
     bfp16_error_bound,
-    matrix_from_csv,
     matrix_from_rows,
-    matrix_to_csv,
     naive_gemm,
     quantize_bfp16,
     tiled_gemm,
-    zeros,
 )
 from asymtile.movement import BufferOverflowError, simulate_movement
 
 UNIT = PrecisionSpec(1, 1, 1, "unit")
+ZERO16 = Matrix(16, 16, (0.0,) * 256)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
@@ -64,7 +62,7 @@ def test_naive_one_by_one():
 
 def test_naive_shape_mismatch():
     with pytest.raises(ConfigError):
-        naive_gemm(zeros(2, 3), zeros(4, 2))
+        naive_gemm(Matrix(2, 3, (0.0,) * 6), Matrix(4, 2, (0.0,) * 8))
 
 
 def test_matrix_validation():
@@ -109,13 +107,13 @@ def test_capacity_one_under_footprint_names_c():
 def test_tiny_capacity_names_a():
     tile = TileConfig(8, 16, 8, 8)
     with pytest.raises(BufferOverflowError, match="staging A"):
-        tiled_gemm(zeros(16, 16), zeros(16, 16), tile, 1, UNIT)
+        tiled_gemm(ZERO16, ZERO16, tile, 1, UNIT)
 
 
 def test_zero_matrices_still_write_output():
     tile = TileConfig(8, 16, 8, 8)
     out, trace = tiled_gemm(
-        zeros(16, 16), zeros(16, 16), tile, buffer_footprint(tile, UNIT), UNIT
+        ZERO16, ZERO16, tile, buffer_footprint(tile, UNIT), UNIT
     )
     assert all(v == 0.0 for v in out.data)
     assert trace.bytes_c == 16 * 16
@@ -123,7 +121,7 @@ def test_zero_matrices_still_write_output():
 
 def test_tiled_divisibility_rejected():
     with pytest.raises(ConfigError):
-        tiled_gemm(zeros(20, 16), zeros(16, 16), TileConfig(8, 16, 8, 8), 10**6, UNIT)
+        tiled_gemm(Matrix(20, 16, (0.0,) * 320), ZERO16, TileConfig(8, 16, 8, 8), 10**6, UNIT)
 
 
 def test_tiled_equivalence_randomized():
@@ -141,12 +139,6 @@ def test_tiled_equivalence_randomized():
         assert max_rel_err(got, naive_gemm(a, b)) <= 1e-9
         assert trace.peak_l1_occupancy == buffer_footprint(tile, UNIT)
         assert trace == simulate_movement(ProblemSpec(m, k, n), tile, UNIT)
-
-
-def test_matrix_csv_roundtrip():
-    rng = random.Random(5)
-    mat = random_matrix(rng, 3, 5)
-    assert matrix_from_csv(matrix_to_csv(mat)).data == mat.data
 
 
 # -- block floating point ------------------------------------------------------

@@ -6,21 +6,15 @@ from hypothesis import strategies as st
 
 from asymtile.arch import ConfigError, TileConfig
 from asymtile.pipeline import (
-    DEFAULT_MICROKERNEL,
-    FittedEff,
     LoadClass,
     MicrokernelSpec,
     eff_micro,
-    eff_micro_phases,
     epilog_bound,
-    fitted_eff,
-    fitted_params,
     ii_parallel_raw,
     initiation_intervals,
     microkernel_for_tile,
     microkernel_from_dict,
     prolog_bound,
-    steady_bound,
     total_latency,
 )
 
@@ -112,9 +106,12 @@ def test_ii_raw_monotonicity(p, r, u, c):
 # -- steady and epilog -------------------------------------------------------
 
 def test_steady_examples():
-    assert steady_bound(mk(n_accum=8, chains=4), Fraction(1)) == 4
-    assert steady_bound(mk(n_accum=4, chains=4), Fraction(1)) == 0
-    assert steady_bound(mk(n_accum=16, chains=4), Fraction(3, 2)) == 18
+    assert total_latency(mk(n_accum=8, chains=4)).t_steady == 4
+    assert total_latency(mk(n_accum=4, chains=4)).t_steady == 0
+    # raw II max(9 + 1 - 4, ceil(2/2)) / 4 = 3/2, above the 1/u_vmac clamp
+    b = total_latency(mk(pipeline_depth=9, n_accum=16, chains=4))
+    assert b.ii_parallel == Fraction(3, 2)
+    assert b.t_steady == 18
 
 
 def test_epilog_examples():
@@ -149,8 +146,6 @@ def test_total_latency_reference():
     assert b.l_total_sequential == 208
     assert b.l_total_overlapped == 10 + (4 + 4) * 8 + 12
     assert b.l_total_overlapped == 86
-    assert b.total_for("sequential") == 208
-    assert b.total_for("overlapped") == 86
 
 
 def test_total_latency_zero_clusters():
@@ -162,11 +157,6 @@ def test_total_latency_zero_clusters():
 def test_total_latency_single_cluster_modes_agree_on_order():
     b = total_latency(mk(n_clusters=1))
     assert b.l_total_overlapped <= b.l_total_sequential
-
-
-def test_total_latency_mode_validated():
-    with pytest.raises(ConfigError):
-        total_latency(DEFAULT_MICROKERNEL, mode="pipelined")
 
 
 @given(
@@ -195,10 +185,14 @@ def test_overlapped_never_exceeds_sequential(p, lat, n_loads, r, chains, n_accum
 # -- efficiency --------------------------------------------------------------
 
 def test_eff_micro_reference_phases():
-    # 8 updates over 8.7 boundary cycles plus 4 steady cycles.
-    eff = eff_micro_phases(8, 4, Fraction(1), Fraction(87, 10), Fraction(0))
-    assert eff == Fraction(80, 127)
-    assert float(eff) == pytest.approx(0.63, abs=0.005)
+    # 8 updates per cluster over prolog 10 + steady 4 + epilog 12 cycles.
+    spec = eight_cluster_spec()
+    assert eff_micro(spec) == total_latency(spec).eff_micro == Fraction(8, 26)
+    # The steady term is exact, not rounded up: 8 updates over 10 + 3/2 + 12.
+    half = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=4, n_accum=7,
+              clamp_ii=False, load_classes=(LoadClass(8, 6),))
+    assert total_latency(half).t_steady == 2
+    assert eff_micro(half) == Fraction(7) / (10 + Fraction(3, 2) + 12)
 
 
 def test_eff_micro_saturates():
@@ -211,11 +205,6 @@ def test_eff_micro_cluster_count_cancels():
     a = eff_micro(mk(n_clusters=1))
     b = eff_micro(mk(n_clusters=64))
     assert a == b
-
-
-def test_eff_micro_zero_denominator_rejected():
-    with pytest.raises(ConfigError):
-        eff_micro_phases(4, 4, Fraction(1), Fraction(0), Fraction(0))
 
 
 def realistic_specs():
@@ -249,7 +238,7 @@ def test_eff_micro_bounded_by_ii(params):
         accum_regs=5,
     )
     ii = initiation_intervals(spec).ii_parallel
-    assert 0 < eff_micro(spec, ii) * ii <= 1
+    assert 0 < eff_micro(spec) * ii <= 1
 
 
 @given(n_accum=st.integers(1, 64))
@@ -257,32 +246,6 @@ def test_eff_micro_nondecreasing_in_n_accum(n_accum):
     a = eff_micro(mk(n_accum=n_accum))
     b = eff_micro(mk(n_accum=n_accum + 1))
     assert b >= a
-
-
-def test_fitted_form_matches_phase_model():
-    spec = eight_cluster_spec()
-    params = fitted_params(spec)
-    assert params.eta == Fraction(1, 8)
-    assert params.eps == 10 + 12 - 1 * 4
-    # Equivalence needs n_accum >= chains (t_k >= 32 here); below that the
-    # phase model clamps the steady term at zero and the fitted form does not.
-    for t_k in (32, 64, 256, 512):
-        direct = eff_micro(mk(**{**vars_of(spec), "n_accum": t_k // 8}))
-        assert fitted_eff(params, t_k) == direct
-
-
-def vars_of(spec: MicrokernelSpec) -> dict:
-    return {
-        "pipeline_depth": spec.pipeline_depth,
-        "u_ld": spec.u_ld,
-        "load_classes": spec.load_classes,
-        "r_load": spec.r_load,
-        "chains": spec.chains,
-        "n_clusters": spec.n_clusters,
-        "l_vmac_to_store": spec.l_vmac_to_store,
-        "l_store": spec.l_store,
-        "n_store": spec.n_store,
-    }
 
 
 # -- tile derivation and loading ---------------------------------------------
@@ -326,3 +289,8 @@ def test_spec_validation():
         LoadClass(8.5, 4)
     with pytest.raises(ConfigError, match="must be an integer"):
         LoadClass(8, False)
+    for bad in ("no", 0, None):
+        with pytest.raises(ConfigError, match="must be true or false"):
+            mk(clamp_ii=bad)
+        with pytest.raises(ConfigError, match="must be true or false"):
+            LoadClass(8, 4, bad)

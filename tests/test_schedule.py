@@ -473,8 +473,6 @@ def test_builder_validation():
     with pytest.raises(ConfigError):
         build_microkernel_dag(MicrokernelSpec(r_load=1), share_inputs=True)
     with pytest.raises(ConfigError):
-        build_microkernel_dag(MicrokernelSpec(), cluster_shape=(3, 2))
-    with pytest.raises(ConfigError):
         # prolog holds 2 loads but a steady round consumes 8
         build_microkernel_dag(
             MicrokernelSpec(load_classes=(LoadClass(8, 2),), n_accum=16),
