@@ -28,20 +28,33 @@ from asymtile.perf import (
 REF_TILE = TileConfig(32, 128, 64, 128)
 
 
-def test_eff_core_is_slab_cycle_ratio():
-    # One core's t_mc x 4096 x t_n slab at eff_micro 0.63: compute cycles at
-    # the derated MAC rate plus delta = 50 switch cycles per kernel launch,
-    # rho launches per t_k = 64 contraction step. eff_core is the compute
-    # cycles at peak over that total.
-    eff = Fraction(63, 100)
-    for tile in (REF_TILE, TileConfig(128, 128, 64, 128)):
-        at_peak = Fraction(2 * tile.t_mc * 4096 * tile.t_n, DEFAULT_ARCH.peak_flops_per_cycle)
-        switch = DEFAULT_ARCH.switch_overhead_delta * tile.rho * (4096 // tile.t_k)
-        assert eff_core(tile, eff) == at_peak / (at_peak / eff + switch)
-    # The reference slab takes 220,851 cycles, 12,800 of them switch cycles.
-    at_peak = Fraction(2 * 128 * 4096 * 128, 1024)
-    assert float(at_peak / eff + 12_800) == pytest.approx(220_851, abs=1)
-    assert eff_core(REF_TILE, eff) == at_peak / (at_peak / eff + 12_800)
+def _slab_cycles(tile, k, eff_micro, arch=DEFAULT_ARCH):
+    # One core's t_mc x k x t_n slab: eff_core is its compute cycles at peak
+    # over its total cycles, so dividing the former by eff_core gives the total.
+    at_peak = Fraction(2 * tile.t_mc * k * tile.t_n, arch.peak_flops_per_cycle)
+    return at_peak / eff_core(tile, eff_micro, arch)
+
+
+def test_t_asym_reference_value():
+    total = _slab_cycles(REF_TILE, 4096, 0.63)
+    assert float(total) == pytest.approx(220_851, abs=1)
+    # switch side alone: 50 cycles x 4 launches x 64 contraction steps
+    arch0 = replace(DEFAULT_ARCH, switch_overhead_delta=0)
+    assert total - _slab_cycles(REF_TILE, 4096, 0.63, arch0) == 12_800
+
+
+def test_t_asym_exact_rational():
+    total = _slab_cycles(REF_TILE, 4096, Fraction(63, 100))
+    assert total == Fraction(2 * 128 * 4096 * 128 * 100, 1024 * 63) + 12_800
+
+
+def test_t_asym_switch_term_linear_in_rho():
+    arch0 = replace(DEFAULT_ARCH, switch_overhead_delta=0)
+    flat = TileConfig(128, 128, 64, 128)
+    split = TileConfig(32, 128, 64, 128)
+    base = _slab_cycles(flat, 4096, 0.5, arch0)
+    assert _slab_cycles(flat, 4096, 0.5) - base == 50 * 1 * 64
+    assert _slab_cycles(split, 4096, 0.5) - base == 50 * 4 * 64
 
 
 def test_eff_core_validation():
