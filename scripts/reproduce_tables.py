@@ -21,6 +21,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -120,13 +121,8 @@ def emit_csv(out) -> None:
         out.write(",".join(row_cells(row)) + "\n")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--csv", action="store_true", help="emit CSV instead of markdown")
-    args = parser.parse_args(argv)
-
-    out = sys.stdout
-    if args.csv:
+def emit_report(out, csv: bool) -> None:
+    if csv:
         emit_csv(out)
     else:
         emit_markdown(out)
@@ -141,6 +137,21 @@ def main(argv=None) -> int:
         e1, e8 = by_tk[tk][1], by_tk[tk][8]
         drop = float((e1 - e8) / e1)
         out.write(f"t_k={tk}: rho 1->8 relative efficiency drop {drop:.1%}\n")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--csv", action="store_true", help="emit CSV instead of markdown")
+    args = parser.parse_args(argv)
+    try:
+        emit_report(sys.stdout, args.csv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``reproduce_tables.py | head``). Point
+        # stdout at devnull so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the tables were written", file=sys.stderr)
+        return 3
     return 0
 
 

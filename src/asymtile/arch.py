@@ -12,7 +12,9 @@ classic symmetric scheme.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any
@@ -46,24 +48,19 @@ def require_bools(obj, names) -> None:
 
 
 def as_byte_cost(value: Any) -> Fraction:
-    """Coerce a per-element byte cost to an exact Fraction.
+    """Coerce a per-element byte cost to an exact, finite, positive Fraction.
 
     Accepts int, Fraction, float (floats are binary-exact, so 1.25 means 5/4),
-    or a "p/q" string.
+    or a "p/q" string. A cost too large for a float is rejected, because the
+    model reports rates as floats.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):
         raise ConfigError(f"byte cost must be numeric, got {value!r}")
-    if isinstance(value, (int, Fraction)):
+    try:
         cost = Fraction(value)
-    elif isinstance(value, float):
-        cost = Fraction(value)
-    elif isinstance(value, str):
-        try:
-            cost = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad byte cost {value!r}") from exc
-    else:
-        raise ConfigError(f"byte cost must be numeric, got {value!r}")
+        float(cost)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"bad byte cost {value!r}") from exc
     if cost <= 0:
         raise ConfigError(f"byte cost must be positive, got {value!r}")
     return cost
@@ -83,9 +80,10 @@ class PrecisionSpec:
     accum_label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "byte_cost_a", as_byte_cost(self.byte_cost_a))
-        object.__setattr__(self, "byte_cost_b", as_byte_cost(self.byte_cost_b))
-        object.__setattr__(self, "byte_cost_c", as_byte_cost(self.byte_cost_c))
+        for name in ("byte_cost_a", "byte_cost_b", "byte_cost_c"):
+            object.__setattr__(self, name, as_byte_cost(getattr(self, name)))
+        if not isinstance(self.accum_label, str):
+            raise ConfigError(f"accum_label must be a string, got {self.accum_label!r}")
 
 
 # Named precision presets. Block-FP (shared-exponent) storage is costed at the
@@ -116,7 +114,7 @@ class ArchSpec:
     (count 1).
 
     Every field except ``clock_hz`` and ``offchip_bw`` is a count and must
-    be an int.
+    be an int; those two are rates and must be finite positive numbers.
     """
 
     l1_capacity: int = 63 * KIB
@@ -147,8 +145,14 @@ class ArchSpec:
                 f"n_cores={self.n_cores} does not match grid "
                 f"{self.n_rows}x{self.n_cols}"
             )
-        if self.clock_hz <= 0 or self.offchip_bw <= 0:
-            raise ConfigError("clock_hz and offchip_bw must be positive")
+        for name in ("clock_hz", "offchip_bw"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0 < value <= sys.float_info.max
+            ):
+                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
         if self.switch_overhead_delta < 0:
             raise ConfigError("switch_overhead_delta must be nonnegative")
         for name in ("buffer_multiplier_a", "buffer_multiplier_b", "buffer_multiplier_c"):
@@ -183,6 +187,7 @@ class ProblemSpec:
     n: int
 
     def __post_init__(self):
+        require_ints(self, ("m", "k", "n"))
         for name in ("m", "k", "n"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"problem dim {name} must be positive")
@@ -197,7 +202,8 @@ class TileConfig:
     positive multiples of ``microtile`` (the register-level granularity of the
     8x8x8 vector MAC), t_ma must divide t_mc, and t_mc >= t_ma.
 
-    ``microtile`` can be lowered for degenerate unit-size examples.
+    ``microtile`` can be lowered for degenerate unit-size examples; a config
+    document cannot set it.
     """
 
     t_ma: int
@@ -207,6 +213,7 @@ class TileConfig:
     microtile: int = 8
 
     def __post_init__(self):
+        require_ints(self, ("t_ma", "t_mc", "t_k", "t_n", "microtile"))
         if self.microtile <= 0:
             raise ConfigError("microtile must be positive")
         for name in ("t_ma", "t_mc", "t_k", "t_n"):
@@ -272,21 +279,28 @@ def derive_l2_tiles(tile: TileConfig, arch: ArchSpec = DEFAULT_ARCH) -> tuple[in
 
 # -- config-document loading -------------------------------------------------
 
-def _check_keys(data: dict, allowed: set[str], section: str) -> None:
+def from_section(cls, data, section: str, exclude=()):
+    """Build ``cls`` from the JSON object ``data`` of config section
+    ``section``; missing keys keep their defaults.
+
+    The keys allowed are the dataclass field names not in ``exclude``. Field
+    values are checked by ``cls`` itself.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section!r} section must be an object")
+    allowed = {f.name for f in fields(cls)} - set(exclude)
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in section {section!r}")
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise ConfigError(f"bad {section!r} section: {exc}") from exc
 
 
 def arch_from_dict(data: dict) -> ArchSpec:
     """Build an ArchSpec from a JSON-style dict; missing keys keep defaults."""
-    if not isinstance(data, dict):
-        raise ConfigError("'arch' section must be an object")
-    _check_keys(data, {f.name for f in fields(ArchSpec)}, "arch")
-    try:
-        return ArchSpec(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad 'arch' section: {exc}") from exc
+    return from_section(ArchSpec, data, "arch")
 
 
 def problem_from_value(value) -> ProblemSpec:
@@ -303,41 +317,39 @@ def problem_from_value(value) -> ProblemSpec:
             raise ConfigError(f"problem {value!r} is not of the form MxKxN") from exc
         return ProblemSpec(m, k, n)
     if isinstance(value, dict):
-        _check_keys(value, {"m", "k", "n"}, "problem")
-        try:
-            return ProblemSpec(**value)
-        except TypeError as exc:
-            raise ConfigError(f"bad 'problem' section: {exc}") from exc
+        return from_section(ProblemSpec, value, "problem")
     raise ConfigError(f"cannot parse problem from {value!r}")
 
 
 def tile_from_value(value) -> TileConfig:
-    """Parse a tile from a [t_ma, t_mc, t_k, t_n] list or a field dict."""
+    """Parse a tile from a [t_ma, t_mc, t_k, t_n] list, a "t_ma,t_mc,t_k,t_n"
+    string or a field dict."""
     if isinstance(value, TileConfig):
         return value
     if isinstance(value, str):
-        value = value.split(",")
+        try:
+            value = [int(v) for v in value.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad tile entry in {value!r}") from exc
     if isinstance(value, (list, tuple)):
         if len(value) != 4:
             raise ConfigError("tile must have exactly 4 entries: t_ma,t_mc,t_k,t_n")
-        try:
-            dims = [int(v) for v in value]
-        except ValueError as exc:
-            raise ConfigError(f"bad tile entry in {value!r}") from exc
-        return TileConfig(*dims)
+        return TileConfig(*value)
     if isinstance(value, dict):
-        _check_keys(value, {f.name for f in fields(TileConfig)}, "tile")
-        try:
-            return TileConfig(**value)
-        except TypeError as exc:
-            raise ConfigError(f"bad 'tile' section: {exc}") from exc
+        return from_section(TileConfig, value, "tile", exclude=("microtile",))
     raise ConfigError(f"cannot parse tile from {value!r}")
 
 
 def precision_from_value(value) -> PrecisionSpec:
-    """Parse a precision from a preset name or a byte-cost dict."""
+    """Parse a precision from a preset name, a byte-cost dict, or that dict
+    written as an inline JSON string."""
     if isinstance(value, PrecisionSpec):
         return value
+    if isinstance(value, str) and value.lstrip().startswith("{"):
+        try:
+            value = json.loads(value)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"bad inline precision spec: {exc}") from exc
     if isinstance(value, str):
         try:
             return PRECISION_PRESETS[value]
@@ -345,9 +357,5 @@ def precision_from_value(value) -> PrecisionSpec:
             known = ", ".join(sorted(PRECISION_PRESETS))
             raise ConfigError(f"unknown precision preset {value!r} (known: {known})") from None
     if isinstance(value, dict):
-        _check_keys(value, {f.name for f in fields(PrecisionSpec)}, "precision")
-        try:
-            return PrecisionSpec(**value)
-        except TypeError as exc:
-            raise ConfigError(f"bad 'precision' section: {exc}") from exc
+        return from_section(PrecisionSpec, value, "precision")
     raise ConfigError(f"cannot parse precision from {value!r}")

@@ -9,22 +9,25 @@ Subcommands
               one configuration or as a randomized verification sweep against
               the closed forms.
 
-Configuration comes from an optional JSON file (``--config``) plus flags;
-flags win. Reports are deterministic: identical inputs produce identical
-bytes. Exit codes: 0 success, 2 infeasible/empty result, 3 configuration
-error, 4 verification failure.
+Configuration comes from an optional JSON file (``--config``) plus flags:
+each value is the flag if given, else the config file's, else the default.
+Reports are deterministic: identical inputs produce identical bytes. Exit
+codes: 0 success, 2 infeasible/empty result, 3 configuration error or
+unwritable output, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from asymtile.arch import (
     DEFAULT_ARCH,
+    PRECISION_PRESETS,
     ArchSpec,
     ConfigError,
     PrecisionSpec,
@@ -44,10 +47,7 @@ from asymtile.movement import (
     trace_to_csv,
     verify_movement_equivalence,
 )
-from asymtile.perf import (
-    EFF_SOURCE_CALIBRATION,
-    perf_array,
-)
+from asymtile.perf import perf_array
 from asymtile.pipeline import (
     DEFAULT_MICROKERNEL,
     MicrokernelSpec,
@@ -93,6 +93,14 @@ _CONFIG_KEYS = {
 }
 
 
+def _count(text: str) -> int:
+    """argparse type for a nonnegative count."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser that reports usage problems as ConfigError (exit 3)
     instead of exiting the process directly."""
@@ -108,7 +116,7 @@ class RunConfig:
     problem: ProblemSpec | None
     tile: TileConfig | None
     space: SearchSpace
-    microkernel: MicrokernelSpec | None
+    microkernel: MicrokernelSpec
     eff_micro: Fraction | None
 
 
@@ -118,7 +126,7 @@ def _load_json_config(path: str) -> dict:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -135,61 +143,43 @@ def _parse_eff_micro(value) -> Fraction:
         raise ConfigError(f"bad eff_micro {value!r}: not a finite number") from exc
 
 
+def _parse_rho(value: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(r) for r in value.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad --rho value {value!r}: {exc}") from exc
+
+
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     raw = _load_json_config(args.config) if args.config else {}
 
-    arch = arch_from_dict(raw["arch"]) if "arch" in raw else DEFAULT_ARCH
+    def resolve(key: str, parse, default=None):
+        """The flag if given, else the config document's value, else
+        ``default``; a given value goes through ``parse``."""
+        value = getattr(args, key, None)
+        if value is None:
+            if key not in raw:
+                return default
+            value = raw[key]
+        return parse(value)
 
-    prec_value = args.precision if args.precision else raw.get("precision", "config1")
-    if isinstance(prec_value, str) and prec_value.lstrip().startswith("{"):
-        try:
-            prec_value = json.loads(prec_value)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad inline precision spec: {exc}") from exc
-    prec = precision_from_value(prec_value)
-
-    problem_value = args.problem if args.problem else raw.get("problem")
-    problem = problem_from_value(problem_value) if problem_value is not None else None
-
-    tile_value = getattr(args, "tile", None) or raw.get("tile")
-    tile = tile_from_value(tile_value) if tile_value is not None else None
-
-    space = search_space_from_dict(raw.get("search", {}))
-    overrides = {}
-    for name in ("t_mc_max", "t_k_min", "t_k_max", "t_n_max", "step"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    rho = getattr(args, "rho", None)
-    if rho:
-        try:
-            overrides["rho_candidates"] = tuple(int(r) for r in rho.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --rho value {rho!r}: {exc}") from exc
-    if getattr(args, "eff_source", None):
-        overrides["eff_source"] = args.eff_source
-    elif "eff_source" in raw:
-        overrides["eff_source"] = raw["eff_source"]
-    if overrides:
-        space = replace(space, **overrides)
-
-    microkernel = (
-        microkernel_from_dict(raw["microkernel"]) if "microkernel" in raw else None
-    )
-
-    eff_micro_value = getattr(args, "eff_micro", None)
-    if eff_micro_value is None:
-        eff_micro_value = raw.get("eff_micro")
-    eff_micro = _parse_eff_micro(eff_micro_value) if eff_micro_value is not None else None
+    space = resolve("search", search_space_from_dict, SearchSpace())
+    overrides = {
+        name: getattr(args, name, None)
+        for name in ("t_mc_max", "t_k_min", "t_k_max", "t_n_max", "step")
+    }
+    overrides["rho_candidates"] = resolve("rho", _parse_rho)
+    overrides["eff_source"] = resolve("eff_source", lambda value: value)
+    space = replace(space, **{k: v for k, v in overrides.items() if v is not None})
 
     return RunConfig(
-        arch=arch,
-        prec=prec,
-        problem=problem,
-        tile=tile,
+        arch=resolve("arch", arch_from_dict, DEFAULT_ARCH),
+        prec=resolve("precision", precision_from_value, PRECISION_PRESETS["config1"]),
+        problem=resolve("problem", problem_from_value),
+        tile=resolve("tile", tile_from_value),
         space=space,
-        microkernel=microkernel,
-        eff_micro=eff_micro,
+        microkernel=resolve("microkernel", microkernel_from_dict, DEFAULT_MICROKERNEL),
+        eff_micro=resolve("eff_micro", _parse_eff_micro),
     )
 
 
@@ -209,6 +199,7 @@ def cmd_eval(cfg: RunConfig, fmt: str, out) -> int:
         cfg.arch,
         eff_micro=cfg.eff_micro,
         eff_source=cfg.space.eff_source,
+        kernel=cfg.microkernel,
     )
     if fmt == "csv":
         out.write(RANK_CSV_COLUMNS + "\n")
@@ -255,7 +246,7 @@ def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
             "(buffer capacity and divisibility filters removed everything)\n"
         )
         return EXIT_INFEASIBLE
-    result = rank(configs, problem, cfg.prec, cfg.arch, space.eff_source)
+    result = rank(configs, problem, cfg.prec, cfg.arch, space.eff_source, cfg.microkernel)
     if emit == "csv":
         out.write(ranked_to_csv(result))
     elif emit == "table2":
@@ -279,7 +270,9 @@ def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
                 f"best_symmetric: {sym_tile.t_mc}x{sym_tile.t_k}x{sym_tile.t_n} "
                 f"at {_sig3(sym_est.perf_array / 1e12)} TFLOPS\n"
             )
-            out.write(f"atb_gain: {result.atb_gain:.2f}\n")
+            # No gain when the symmetric tile's rate rounds to zero.
+            gain = "n/a" if result.atb_gain is None else f"{result.atb_gain:.2f}"
+            out.write(f"atb_gain: {gain}\n")
         else:
             out.write("best_symmetric: none in space\natb_gain: n/a\n")
     return EXIT_OK
@@ -340,12 +333,9 @@ def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
             f"counts within the analytic bounds\n"
         )
         return EXIT_OK
-    if cfg.microkernel is not None:
-        spec = cfg.microkernel
-    elif cfg.tile is not None:
-        spec = microkernel_for_tile(cfg.tile)
-    else:
-        spec = DEFAULT_MICROKERNEL
+    spec = cfg.microkernel
+    if cfg.tile is not None:
+        spec = microkernel_for_tile(cfg.tile, spec)
     dag = build_microkernel_dag(spec)
     result = schedule(dag, slots_for(spec))
     metrics = measure(result)
@@ -362,8 +352,11 @@ def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
         + ii_line
     )
     if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as handle:
-            handle.write(dump_schedule_csv(dag, result))
+        try:
+            with open(args.dump, "w", encoding="utf-8") as handle:
+                handle.write(dump_schedule_csv(dag, result))
+        except OSError as exc:
+            raise ConfigError(f"cannot write schedule to {args.dump}: {exc}") from exc
         out.write(f"schedule written to {args.dump}\n")
     return EXIT_OK
 
@@ -393,7 +386,7 @@ def _make_parser() -> _Parser:
     p_search.add_argument("--t-n-max", dest="t_n_max", type=int)
     p_search.add_argument("--step", type=int)
     p_search.add_argument("--emit", choices=("text", "csv", "table2"), default="text")
-    p_search.add_argument("--limit", type=int, default=10)
+    p_search.add_argument("--limit", type=_count, default=10)
 
     p_sim = sub.add_parser("simulate", help="run an oracle simulation")
     sim_sub = p_sim.add_subparsers(dest="which", parser_class=_Parser)
@@ -403,38 +396,50 @@ def _make_parser() -> _Parser:
     p_move.add_argument("--tile", help="tile as t_ma,t_mc,t_k,t_n")
     p_move.add_argument("--boundary", choices=BOUNDARIES, default="core")
     p_move.add_argument("--format", choices=("text", "csv"), default="text")
-    p_move.add_argument("--verify", type=int, metavar="N", help="random equivalence sweep")
+    p_move.add_argument("--verify", type=_count, metavar="N", help="random equivalence sweep")
     p_move.add_argument("--seed", type=int, default=0)
 
     p_sched = sim_sub.add_parser("schedule", help="schedule the microkernel DAG")
     add_common(p_sched)
     p_sched.add_argument("--tile", help="derive the kernel from this tile")
     p_sched.add_argument("--dump", metavar="FILE", help="write schedule CSV here")
-    p_sched.add_argument("--verify", type=int, metavar="N", help="random soundness sweep")
+    p_sched.add_argument("--verify", type=_count, metavar="N", help="random soundness sweep")
     p_sched.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
+def _run(args: argparse.Namespace, out) -> int:
+    if args.command is None:
+        raise ConfigError("a subcommand is required (eval, search, simulate)")
+    if args.command == "simulate" and args.which is None:
+        raise ConfigError("simulate needs a target: movement or schedule")
+    cfg = _build_run_config(args)
+    if args.command == "eval":
+        return cmd_eval(cfg, args.format, out)
+    if args.command == "search":
+        return cmd_search(cfg, args.emit, args.limit, out)
+    if args.which == "movement":
+        return cmd_simulate_movement(cfg, args, out)
+    return cmd_simulate_schedule(cfg, args, out)
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise ConfigError("a subcommand is required (eval, search, simulate)")
-        if args.command == "simulate" and args.which is None:
-            raise ConfigError("simulate needs a target: movement or schedule")
-        cfg = _build_run_config(args)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.format, out)
-        if args.command == "search":
-            return cmd_search(cfg, args.emit, args.limit, out)
-        if args.which == "movement":
-            return cmd_simulate_movement(cfg, args, out)
-        return cmd_simulate_schedule(cfg, args, out)
-    except ConfigError as exc:
+        code = _run(_make_parser().parse_args(argv), out)
+        out.flush()
+        return code
+    # A count or rate too large for a float (say, a 400-digit integer in the
+    # config) overflows where a report converts it; that is bad input too.
+    except (ConfigError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except BrokenPipeError:
+        # The reader closed stdout (``asymtile search | head``). Point stdout
+        # at devnull so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

@@ -138,15 +138,20 @@ def perf_array(
     eff_micro=None,
     *,
     eff_source: str = EFF_SOURCE_CALIBRATION,
+    kernel: MicrokernelSpec = DEFAULT_MICROKERNEL,
 ) -> PerfEstimate:
     """Full two-sided estimate: min(intensity x bandwidth, derated compute).
 
     ``eff_micro`` may be given directly; otherwise it is resolved from
-    ``eff_source``. A tile whose staging buffers exceed capacity comes back
-    with ``feasible=False`` and zeroed rates rather than a silent number.
-    Ties between the two sides are classified as memory-bound.
+    ``eff_source``, with ``kernel`` as the base microkernel spec. A tile
+    whose staging buffers exceed capacity comes back with ``feasible=False``
+    and zeroed rates rather than a silent number. Ties between the two sides
+    are classified as memory-bound.
     """
-    eff = _coerce_eff(eff_micro) if eff_micro is not None else resolve_eff_micro(tile, eff_source)
+    if eff_micro is not None:
+        eff = _coerce_eff(eff_micro)
+    else:
+        eff = resolve_eff_micro(tile, eff_source, kernel)
     t_mc_l2, t_k_l2, t_n_l2 = derive_l2_tiles(tile, arch)
     for dim, size, name in (
         (problem.m, t_mc_l2, "m"),

@@ -18,11 +18,11 @@ never per term (rounding per term could overshoot a real schedule).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from asymtile.arch import ConfigError, TileConfig, require_bools, require_ints
+from asymtile.arch import ConfigError, TileConfig, from_section, require_bools, require_ints
 
 # One accumulator update consumes this many reduction elements (the vector
 # unit computes an 8x8x8 block per VMAC).
@@ -83,8 +83,10 @@ class MicrokernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "load_classes", tuple(self.load_classes))
-        if not self.load_classes:
-            raise ConfigError("load_classes must be nonempty")
+        if not self.load_classes or not all(
+            isinstance(c, LoadClass) for c in self.load_classes
+        ):
+            raise ConfigError("load_classes must be a nonempty list of load classes")
         positive = ("pipeline_depth", "u_ld", "u_st", "u_vmac", "r_load",
                     "chains", "n_accum", "l_store", "n_store", "accum_regs")
         require_ints(self, positive + ("n_clusters", "l_vmac_to_store"))
@@ -262,32 +264,14 @@ def _load_class_from_value(value) -> LoadClass:
             raise ConfigError(f"load class {value!r} must be [latency, count]")
         return LoadClass(*value)
     if isinstance(value, dict):
-        allowed = {f.name for f in fields(LoadClass)}
-        unknown = sorted(set(value) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in load class")
-        try:
-            return LoadClass(**value)
-        except TypeError as exc:
-            raise ConfigError(f"bad load class {value!r}: {exc}") from exc
+        return from_section(LoadClass, value, "load_classes")
     raise ConfigError(f"cannot parse load class from {value!r}")
 
 
 def microkernel_from_dict(data: dict) -> MicrokernelSpec:
-    """Build a MicrokernelSpec from a JSON-style dict; unknown keys rejected."""
-    if not isinstance(data, dict):
-        raise ConfigError("'microkernel' section must be an object")
-    allowed = {f.name for f in fields(MicrokernelSpec)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in section 'microkernel'")
-    data = dict(data)
-    if "load_classes" in data:
-        raw = data["load_classes"]
-        if not isinstance(raw, (list, tuple)):
-            raise ConfigError("'load_classes' must be a list")
-        data["load_classes"] = tuple(_load_class_from_value(v) for v in raw)
-    try:
-        return MicrokernelSpec(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad 'microkernel' section: {exc}") from exc
+    """Build a MicrokernelSpec from a JSON-style dict; unknown keys rejected.
+    ``load_classes`` entries are [latency, count(, unaligned)] lists or
+    field dicts."""
+    if isinstance(data, dict) and isinstance(data.get("load_classes"), list):
+        data = {**data, "load_classes": [_load_class_from_value(v) for v in data["load_classes"]]}
+    return from_section(MicrokernelSpec, data, "microkernel")

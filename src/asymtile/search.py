@@ -30,6 +30,7 @@ from asymtile.arch import (
     buffer_footprint,
     check_feasible,
     derive_l2_tiles,
+    from_section,
     is_int,
     require_ints,
 )
@@ -41,6 +42,7 @@ from asymtile.perf import (
     perf_array,
     resolve_eff_micro,
 )
+from asymtile.pipeline import DEFAULT_MICROKERNEL, MicrokernelSpec
 
 MICROTILE = 8
 
@@ -49,7 +51,9 @@ MICROTILE = 8
 class SearchSpace:
     """Tile enumeration ranges (inclusive, stepped) and candidate row-subtile
     factors. ``t_k_min`` defaults to the smallest contraction depth with a
-    calibrated efficiency entry at full steady-state benefit."""
+    calibrated efficiency entry at full steady-state benefit.
+    ``divisibility_problem`` is set by the search, never by a config
+    document."""
 
     t_mc_min: int = 8
     t_mc_max: int = 512
@@ -63,6 +67,8 @@ class SearchSpace:
     eff_source: str = EFF_SOURCE_CALIBRATION
 
     def __post_init__(self) -> None:
+        if isinstance(self.rho_candidates, list):
+            object.__setattr__(self, "rho_candidates", tuple(self.rho_candidates))
         require_ints(
             self, ("t_mc_min", "t_mc_max", "t_k_min", "t_k_max", "t_n_min", "t_n_max", "step")
         )
@@ -180,13 +186,15 @@ def rank(
     prec: PrecisionSpec,
     arch: ArchSpec = DEFAULT_ARCH,
     eff_source: str = EFF_SOURCE_CALIBRATION,
+    kernel: MicrokernelSpec = DEFAULT_MICROKERNEL,
 ) -> RankedResult:
-    """Evaluate and order ``configs``; derive the symmetric-vs-asymmetric
-    performance ratio from the best of each group."""
+    """Evaluate and order ``configs``, with ``kernel`` as the base
+    microkernel spec; derive the symmetric-vs-asymmetric performance ratio
+    from the best of each group."""
     if not configs:
         raise ConfigError("rank needs at least one tile config")
     evaluated = [
-        (tile, perf_array(tile, problem, prec, arch, eff_source=eff_source))
+        (tile, perf_array(tile, problem, prec, arch, eff_source=eff_source, kernel=kernel))
         for tile in configs
     ]
     evaluated.sort(key=_rank_key)
@@ -335,26 +343,4 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
 
 def search_space_from_dict(raw: dict) -> SearchSpace:
     """Build a SearchSpace from JSON-style data, rejecting unknown keys."""
-    if not isinstance(raw, dict):
-        raise ConfigError("search space must be a mapping")
-    known = {
-        "t_mc_min",
-        "t_mc_max",
-        "t_k_min",
-        "t_k_max",
-        "t_n_min",
-        "t_n_max",
-        "step",
-        "rho_candidates",
-        "eff_source",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown search space keys: {sorted(unknown)}")
-    kwargs = dict(raw)
-    if "rho_candidates" in kwargs:
-        rhos = kwargs["rho_candidates"]
-        if not isinstance(rhos, (list, tuple)):
-            raise ConfigError("rho_candidates must be a list")
-        kwargs["rho_candidates"] = tuple(rhos)
-    return SearchSpace(**kwargs)
+    return from_section(SearchSpace, raw, "search", exclude=("divisibility_problem",))

@@ -51,6 +51,9 @@ def test_precision_coercion():
         PrecisionSpec(0, 1, 1)
     with pytest.raises(ConfigError):
         PrecisionSpec("nope", 1, 1)
+    for cost in (float("inf"), float("nan"), 10**400, "1/0"):
+        with pytest.raises(ConfigError, match="bad byte cost"):
+            PrecisionSpec(cost, 1, 1)
 
 
 def test_tile_validation():
@@ -140,6 +143,13 @@ def test_arch_grid_consistency():
 def test_arch_rejects_non_integer_counts(overrides):
     with pytest.raises(ConfigError, match="must be an integer"):
         arch_from_dict(overrides)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1e9", 0, -1.0, 10**400])
+@pytest.mark.parametrize("name", ["clock_hz", "offchip_bw"])
+def test_arch_rejects_bad_rates(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be a finite positive number"):
+        arch_from_dict({name: value})
 
 
 def test_arch_real_fields_accept_floats():

@@ -7,25 +7,34 @@ checking the report text, emitted CSV/markdown, and the exit-code contract:
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from asymtile import cli
-from asymtile.arch import DEFAULT_ARCH, ArchSpec
+from asymtile.arch import DEFAULT_ARCH, ArchSpec, PrecisionSpec, ProblemSpec, TileConfig
 from asymtile.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_VERIFY_FAILURE,
     main,
 )
-from asymtile.search import RANK_CSV_COLUMNS
+from asymtile.pipeline import MicrokernelSpec
+from asymtile.search import RANK_CSV_COLUMNS, SearchSpace
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -224,6 +233,43 @@ def test_simulate_schedule_dump(reference_kernel_config, tmp_path):
     assert f"schedule written to {dump}" in text
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "/dev/full"])
+def test_simulate_schedule_unwritable_dump_exits_3(tmp_path, capsys, target):
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full on this platform")
+    dump = tmp_path / "missing" / "x.csv" if target == "missing-dir" else target
+    code, text = run_cli("simulate", "schedule", "--dump", str(dump))
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG_ERROR
+    assert text.startswith("instructions: ")
+    assert re.fullmatch(rf"error: cannot write schedule to {re.escape(str(dump))}: .+\n", err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--problem", "4096x4096x2048", "--limit", "300"),
+        ("search", "--problem", "4096x4096x2048", "--emit", "csv"),
+    ],
+)
+def test_closed_stdout_exits_3_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "asymtile.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_CONFIG_ERROR
+    assert proc.stderr == "error: stdout was closed before the report was written\n"
+
+
 def test_reports_are_byte_identical_across_runs():
     argv = ("search", "--problem", "4096x4096x2048", "--emit", "csv")
     _, first = run_cli(*argv)
@@ -277,6 +323,23 @@ def test_simulate_movement_rejects_tile_over_capacity(boundary):
         ({"search": {"rho_candidates": [True]}}, ("search",)),
         ({"eff_micro": "1/0"}, ("eval", "--tile", "32,128,64,128")),
         ({}, ("eval", "--tile", "32,128,64,128", "--eff-micro", "abc")),
+        (
+            {"precision": {"byte_cost_a": float("inf"), "byte_cost_b": 1, "byte_cost_c": 1}},
+            ("eval", "--tile", "32,128,64,128"),
+        ),
+        (
+            {"precision": {"byte_cost_a": float("nan"), "byte_cost_b": 1, "byte_cost_c": 1}},
+            ("eval", "--tile", "32,128,64,128"),
+        ),
+        (
+            {"tile": {"t_ma": 32, "t_mc": 128, "t_k": 64, "t_n": 128, "microtile": 1}},
+            ("eval",),
+        ),
+        ({"search": {"divisibility_problem": "8x8x8"}}, ("search",)),
+        ({"arch": {"peak_macs_per_cycle": 10**400}}, ("eval", "--tile", "32,128,64,128")),
+        ({}, ("search", "--limit", "-1")),
+        ({}, ("simulate", "movement", "--verify", "-3")),
+        ({}, ("simulate", "schedule", "--verify", "-2")),
     ],
 )
 def test_bad_search_and_efficiency_input_exits_3(tmp_path, capsys, config, argv):
@@ -310,29 +373,185 @@ def test_bad_search_and_efficiency_input_exits_3(tmp_path, capsys, config, argv)
         ({"arch": {"switch_overhead_delta": 50.5}}, ("eval", "--tile", "32,128,64,128")),
         ({"microkernel": {"load_classes": [[8, 4], [4, 2, "no"]]}}, ("simulate", "schedule")),
         ({"microkernel": {"clamp_ii": "no"}}, ("simulate", "schedule")),
+        ({"tile": {"t_ma": 32.0, "t_mc": 128, "t_k": 64, "t_n": 128}}, ("eval",)),
+        ({"tile": [32.7, 128, 64, 128]}, ("eval",)),
+        ({"problem": {"m": 4096.0, "k": 4096, "n": 2048}}, ("eval", "--tile", "32,128,64,128")),
+        ({"arch": {"clock_hz": float("nan")}}, ("eval", "--tile", "32,128,64,128")),
+        ({"arch": {"clock_hz": True}}, ("eval", "--tile", "32,128,64,128")),
     ],
 )
 def test_non_integer_kernel_and_arch_counts_exit_3(tmp_path, capsys, config, argv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code, text = run_cli(*argv, "--config", str(cfg), "--problem", "4096x4096x2048")
+    # A --problem flag would win over the config's problem section.
+    problem = () if "problem" in config else ("--problem", "4096x4096x2048")
+    code, text = run_cli(*argv, "--config", str(cfg), *problem)
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG_ERROR
     assert text == ""
-    # Count fields must be ints and flag fields bools; either way one line
-    # names the field and the value it got.
-    assert re.fullmatch(r"error: \w+ must be (an integer|true or false), got .+\n", err)
+    # Count fields must be ints, flag fields bools and rates finite positive
+    # numbers; either way one line names the field and the value it got.
+    assert re.fullmatch(
+        r"error: \w+ must be (an integer|true or false|a finite positive number), got .+\n",
+        err,
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"arch": {"bogus": 1}},
+        {"problem": {"m": 8, "k": 8, "n": 8, "bogus": 1}},
+        {"tile": {"bogus": 1}},
+        {"precision": {"bogus": 1}},
+        {"search": {"bogus": 1}},
+        {"microkernel": {"bogus": 1}},
+        {"microkernel": {"load_classes": [{"latency": 8, "count": 4, "bogus": 1}]}},
+    ],
+)
+def test_unknown_section_key_has_one_message(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, text = run_cli("eval", "--config", str(cfg))
+    section = next(iter(config))
+    if section == "microkernel" and "load_classes" in config[section]:
+        section = "load_classes"
+    assert code == EXIT_CONFIG_ERROR
+    assert text == ""
+    assert capsys.readouterr().err == f"error: unknown key 'bogus' in section '{section}'\n"
+
+
+def test_microkernel_section_reaches_every_command(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"microkernel": {"chains": 1}}))
+    tile_argv = ("--tile", "32,128,64,128", "--problem", "4096x4096x2048")
+    code, text = run_cli("eval", *tile_argv, "--eff-source", "closed_form", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert "eff_micro: 0.205" in text  # 8 / 39; the default kernel gives 8 / 25
+    # One chain per cluster makes every tile of the default space a kernel,
+    # so the closed-form search, which exits 3 on the default kernel, runs.
+    code, text = run_cli(
+        "search", "--problem", "4096x4096x2048", "--eff-source", "closed_form",
+        "--config", str(cfg),
+    )
+    assert code == EXIT_OK
+    assert "best_overall: 128x128x64 rho=4 at 14.6 TFLOPS" in text
+    # With a tile too, the schedule is the config's kernel shaped by the tile:
+    # n_accum 8 and 64 one-chain clusters, not the config's one cluster.
+    code, text = run_cli("simulate", "schedule", "--tile", "32,128,64,128", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert "bound_sequential: 2496\n" in text
 
 
 def test_cli_import_does_not_load_numpy():
-    src = Path(__file__).resolve().parent.parent / "src"
     probe = "import sys, asymtile.cli; print('numpy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# -- the exit-code contract under fuzzed input ---------------------------------
+
+# Valid sections that one fuzzed field replaces a field of.
+BASE_SECTIONS = {
+    "arch": {},
+    "problem": {"m": 512, "k": 64, "n": 1024},
+    "tile": {"t_ma": 32, "t_mc": 128, "t_k": 64, "t_n": 128},
+    "precision": {"byte_cost_a": 2, "byte_cost_b": "5/4", "byte_cost_c": 2, "accum_label": "bf16"},
+    "search": {},
+    "microkernel": {},
+}
+SECTION_TYPES = {
+    "arch": ArchSpec,
+    "problem": ProblemSpec,
+    "tile": TileConfig,
+    "precision": PrecisionSpec,
+    "search": SearchSpace,
+    "microkernel": MicrokernelSpec,
+}
+# Every field of every section, then every top-level key as a whole value.
+FUZZED_KEYS = [
+    (section, f.name) for section, cls in SECTION_TYPES.items() for f in fields(cls)
+] + [(section, None) for section in sorted(cli._CONFIG_KEYS | {"bogus"})]
+# Values that size a loop (search ranges, the L1 capacity, the core grid and
+# the kernel shape) are drawn small, so that one run takes milliseconds. The
+# sections and fields below size no loop and draw ints of any size.
+SMALL_INTS = st.integers(-8, 600)
+WIDE_INTS = SMALL_INTS | st.integers(-(2**70), 2**70) | st.just(10**400)
+WIDE_INT_KEYS = {
+    "problem", "tile", "precision", "eff_micro",
+    "peak_macs_per_cycle", "clock_hz", "offchip_bw", "switch_overhead_delta",
+    "buffer_multiplier_a", "buffer_multiplier_b", "buffer_multiplier_c",
+}
+SPECIALS = st.sampled_from(
+    [float("inf"), float("nan"), 32.0, 1e308, 5e-324, "4096x4096x2048", "32,128,64,128",
+     "config1", "closed_form", "1/3", "{"]
+)
+BAD_COUNTS = st.sampled_from(["x", "1.5", ""])
+LIMITS = st.integers(-5, 300).map(str) | BAD_COUNTS
+VERIFY_COUNTS = st.integers(-5, 2).map(str) | BAD_COUNTS
+
+
+def json_values(ints):
+    """Mostly scalars; lists and objects of them, and deeper nesting, less often."""
+    scalars = SPECIALS | st.none() | st.booleans() | ints | st.floats() | st.text(max_size=6)
+    nested = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+    return scalars | st.lists(scalars, max_size=4) | nested
+
+
+VALUES = {False: json_values(SMALL_INTS), True: json_values(WIDE_INTS)}
+
+
+def fuzzed_argv(section):
+    """Commands that read ``section``. Flags win over the config, so each
+    gives only what the config leaves out."""
+    # A small problem keeps the search space and the movement walk short.
+    problem = [] if section == "problem" else ["--problem", "512x64x1024"]
+    tile = [] if section == "tile" else ["--tile", "32,128,64,128"]
+    return st.one_of(
+        st.just(["eval", *tile, *problem]),
+        LIMITS.map(lambda limit: ["search", *problem, "--limit", limit]),
+        LIMITS.map(lambda limit: ["search", *problem, "--emit", "table2", "--limit", limit]),
+        st.just(["simulate", "movement", "--tile", "32,128,64,128", "--problem", "512x64x1024"]),
+        VERIFY_COUNTS.map(lambda n: ["simulate", "movement", "--verify", n]),
+        # A config tile would size the scheduled kernel; the flag keeps it small.
+        st.just(["simulate", "schedule", "--tile", "32,128,64,128"]),
+        VERIFY_COUNTS.map(lambda n: ["simulate", "schedule", "--verify", n]),
+    )
+
+
+ARGVS = {section: fuzzed_argv(section) for section, _ in FUZZED_KEYS}
+
+
+# Shrinking an example of 112 draws takes minutes; a failure prints all of them.
+@settings(max_examples=15, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_fuzzed_input_keeps_exit_code_contract(data):
+    """Each example gives every section field and top-level key one fuzzed
+    value, in a config of its own, to a command that reads it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        for section, key in FUZZED_KEYS:
+            value = data.draw(VALUES[section in WIDE_INT_KEYS or key in WIDE_INT_KEYS])
+            if key is not None:
+                value = {**BASE_SECTIONS[section], key: value}
+            argv = data.draw(ARGVS[section])
+            path.write_text(json.dumps({section: value}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, _ = run_cli(*argv, "--config", str(path))
+            assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG_ERROR, EXIT_VERIFY_FAILURE)
+            assert "Traceback" not in err.getvalue()
+            if code == EXIT_CONFIG_ERROR:
+                assert re.fullmatch(r"error: [^\n]+\n", err.getvalue())

@@ -1,8 +1,9 @@
-"""Runs of the scripts in ``scripts/``, each in a fresh interpreter.
+"""Runs of ``scripts/reproduce_tables.py``, each in a fresh interpreter.
 
-They are the only callers of ``sweep_grid`` and ``calibrated_eff_micro``
+It is the only caller of ``sweep_grid`` and ``calibrated_eff_micro``
 outside the tests, so a change to either shows here. Each run must exit 0
-and print the config1 reference row or the headline gain.
+and print the config1 reference row. The design-space search and its gain
+are the ``asymtile search`` command's, tested in ``test_cli.py``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,19 @@ def test_reproduce_tables_reference_row(args, sep):
     assert "Efficiency sweep" in text
 
 
-def test_explore_design_space_gain():
-    text = run_script("explore_design_space.py")
-    assert "asymmetric-buffering gain: 1.40x" in text
+def test_reproduce_tables_closed_stdout_exits_3_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: stdout was closed before the tables were written\n"
