@@ -64,6 +64,7 @@ from asymtile.schedule import (
     verify_random_specs,
 )
 from asymtile.search import (
+    KERNEL_EFF_SOURCES,
     RANK_CSV_COLUMNS,
     SearchSpace,
     _kb1,
@@ -239,11 +240,14 @@ def _report_infeasible(buffer_bytes: int, arch: ArchSpec, out) -> int:
 def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
     problem = _require(cfg.problem, "a problem size (--problem or config)")
     space = replace(cfg.space, divisibility_problem=problem)
-    configs = enumerate_feasible(space, cfg.prec, cfg.arch)
+    configs = enumerate_feasible(space, cfg.prec, cfg.arch, cfg.microkernel)
     if not configs:
+        filters = "buffer capacity and divisibility"
+        if space.eff_source in KERNEL_EFF_SOURCES:
+            filters = "buffer capacity, divisibility and kernel shape"
         out.write(
             "no feasible tile configuration in the search space "
-            "(buffer capacity and divisibility filters removed everything)\n"
+            f"({filters} filters removed everything)\n"
         )
         return EXIT_INFEASIBLE
     result = rank(configs, problem, cfg.prec, cfg.arch, space.eff_source, cfg.microkernel)

@@ -76,17 +76,18 @@ def resolve_eff_micro(
 ) -> Fraction:
     """Microkernel efficiency for ``tile`` from the chosen source:
     the measured calibration table, the closed-form phase model, or a
-    scheduled run of the constructed kernel DAG."""
+    scheduled run of the constructed kernel DAG. The scheduled run is
+    memoised by :func:`asymtile.schedule.kernel_run`, so each distinct
+    kernel is built and scheduled once per process however many tiles
+    share it."""
     if source == EFF_SOURCE_CALIBRATION:
         return calibrated_eff_micro(tile.t_k)
     if source == EFF_SOURCE_CLOSED_FORM:
         return closed_form_eff_micro(microkernel_for_tile(tile, base))
     if source == EFF_SOURCE_SIMULATED:
-        from asymtile.schedule import build_microkernel_dag, schedule, slots_for
+        from asymtile.schedule import kernel_run
 
-        spec = microkernel_for_tile(tile, base)
-        result = schedule(build_microkernel_dag(spec), slots_for(spec))
-        return result.vmac_issue_rate
+        return kernel_run(microkernel_for_tile(tile, base)).vmac_issue_rate
     raise ConfigError(f"unknown eff_micro source {source!r}; expected one of {EFF_SOURCES}")
 
 

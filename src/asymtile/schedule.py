@@ -13,6 +13,10 @@ id is its position in the builder's list, and the builder keeps per-round
 VMAC ids in lists. The scheduler maps ids to list indices once and holds
 successors, in-degrees and priorities in lists; its heaps order entries by
 (ready cycle, -priority, id), so ties still break by ascending id.
+
+:func:`kernel_run`, which the efficiency model and the soundness check
+read, schedules each distinct (spec, build options) kernel once per process:
+a design-space search scores many tiles that share a few kernel shapes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from asymtile.arch import ConfigError
@@ -37,6 +42,10 @@ from asymtile.pipeline import (
 SLOT_LOAD = "ld"
 SLOT_STORE = "st"
 SLOT_VMAC = "vmac"
+
+# Distinct (spec, build options) summaries kept by kernel_run. A search over
+# the default space needs 15; random soundness specs never repeat.
+KERNEL_RUN_CACHE_SIZE = 1024
 
 
 class Instruction(NamedTuple):
@@ -371,6 +380,52 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     )
 
 
+class KernelRun(NamedTuple):
+    """Summary of one scheduled kernel: what callers that do not need the
+    per-instruction cycles read. Immutable, so a cached one can be shared."""
+
+    total_cycles: int
+    first_vmac_cycle: int
+    vmac_issue_rate: Fraction
+
+
+def kernel_run(
+    spec: MicrokernelSpec,
+    overlap_clusters: bool = False,
+    *,
+    share_inputs: bool = True,
+    double_buffer: bool = True,
+) -> KernelRun:
+    """Build and schedule ``spec``'s DAG under the given options; summarise.
+
+    Memoised per process on (spec, options): specs and their load classes
+    are frozen with int counts and bool flags, and the builder and the
+    scheduler are deterministic, so equal keys give equal schedules. The
+    options go on positionally, so every spelling of one call shares an
+    entry. A builder error is not cached; it raises on every call.
+    ``kernel_run.cache_info()`` and ``cache_clear()`` reach the cache.
+    """
+    return _kernel_run(spec, overlap_clusters, share_inputs, double_buffer)
+
+
+@lru_cache(maxsize=KERNEL_RUN_CACHE_SIZE)
+def _kernel_run(
+    spec: MicrokernelSpec, overlap_clusters: bool, share_inputs: bool, double_buffer: bool
+) -> KernelRun:
+    dag = build_microkernel_dag(
+        spec,
+        share_inputs=share_inputs,
+        double_buffer=double_buffer,
+        overlap_clusters=overlap_clusters,
+    )
+    result = schedule(dag, slots_for(spec))
+    return KernelRun(result.total_cycles, result.phase_times[0], result.vmac_issue_rate)
+
+
+kernel_run.cache_info = _kernel_run.cache_info
+kernel_run.cache_clear = _kernel_run.cache_clear
+
+
 def measure(result: ScheduleResult) -> dict[str, Fraction | None]:
     """Observed efficiency metrics of a schedule.
 
@@ -460,13 +515,12 @@ def check_bounds_hold(
     bounds: LatencyBounds = total_latency(spec)
     violations: list[tuple[str, int, int]] = []
     for overlap in (False, True):
-        dag = build_microkernel_dag(spec, overlap_clusters=overlap, **options)
-        res = schedule(dag, slots_for(spec))
+        res = kernel_run(spec, overlap, **options)
         total_bound = bounds.l_total_overlapped if overlap else bounds.l_total_sequential
         name = "l_total_overlapped" if overlap else "l_total_sequential"
         if res.total_cycles < total_bound:
             violations.append((name, total_bound, res.total_cycles))
-        first_vmac = res.phase_times[0]
+        first_vmac = res.first_vmac_cycle
         if first_vmac < bounds.t_prolog:
             violations.append(("t_prolog", bounds.t_prolog, first_vmac))
         for bound_name in ("t_steady", "t_epilog"):

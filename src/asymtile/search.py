@@ -11,7 +11,9 @@ Enumeration prunes before it builds. Divisibility of the problem is tested
 one axis at a time, so no tile is built for a grid point that fails it. The
 buffer footprint strictly increases in ``t_ma``, ``t_k`` and ``t_n``, so the
 walk along each stops at the first tile that does not fit, and the capacity
-check runs only up to that point.
+check runs only up to that point. When the efficiency source scores each
+tile's own microkernel, tiles the base kernel cannot be shaped to are
+dropped after the walks.
 """
 
 from __future__ import annotations
@@ -36,15 +38,20 @@ from asymtile.arch import (
 )
 from asymtile.perf import (
     EFF_SOURCE_CALIBRATION,
+    EFF_SOURCE_CLOSED_FORM,
+    EFF_SOURCE_SIMULATED,
     EFF_SOURCES,
     PerfEstimate,
     eff_core,
     perf_array,
     resolve_eff_micro,
 )
-from asymtile.pipeline import DEFAULT_MICROKERNEL, MicrokernelSpec
+from asymtile.pipeline import DEFAULT_MICROKERNEL, MicrokernelSpec, microkernel_for_tile
 
 MICROTILE = 8
+# Efficiency sources that score a tile by its own microkernel, so they can
+# score only tiles that microkernel_for_tile can build a kernel for.
+KERNEL_EFF_SOURCES = (EFF_SOURCE_CLOSED_FORM, EFF_SOURCE_SIMULATED)
 
 
 @dataclass(frozen=True)
@@ -99,14 +106,26 @@ class SearchSpace:
             )
 
 
+def _builds_kernel(tile: TileConfig, kernel: MicrokernelSpec) -> bool:
+    """Whether :func:`microkernel_for_tile` can shape ``kernel`` to ``tile``."""
+    try:
+        microkernel_for_tile(tile, kernel)
+    except ConfigError:
+        return False
+    return True
+
+
 def enumerate_feasible(
     space: SearchSpace,
     prec: PrecisionSpec,
     arch: ArchSpec = DEFAULT_ARCH,
+    kernel: MicrokernelSpec = DEFAULT_MICROKERNEL,
 ) -> list[TileConfig]:
     """All tile configs in ``space`` that fit the buffer (and divide the
     space's problem, when one is set), in grid order: ``t_mc``, ``t_k``,
-    ``t_n``, then ascending ``rho``.
+    ``t_n``, then ascending ``rho``. When ``space.eff_source`` scores each
+    tile's own microkernel, only tiles that :func:`microkernel_for_tile`
+    can shape ``kernel`` to are kept.
 
     The grid is pruned before any tile is built. Divisibility separates by
     axis, so the ``t_mc``, ``t_k`` and ``t_n`` ranges are filtered on their
@@ -117,7 +136,9 @@ def enumerate_feasible(
     the rhos that fit at one ``(t_mc, t_k, t_n)`` are the largest ones, the
     walk over ``t_n`` stops at the first ``t_n`` where the smallest
     ``t_ma`` does not fit, and the walk over ``t_k`` stops at the first
-    ``t_k`` where nothing fits at the first ``t_n``.
+    ``t_k`` where nothing fits at the first ``t_n``. Whether a kernel
+    builds is not monotone in any axis, so that filter runs after the walks
+    and never ends one.
     """
     problem = space.divisibility_problem
 
@@ -160,6 +181,8 @@ def enumerate_feasible(
                 out.extend(reversed(fits))
             if not kept_any:
                 break
+    if space.eff_source in KERNEL_EFF_SOURCES:
+        out = [tile for tile in out if _builds_kernel(tile, kernel)]
     return out
 
 
@@ -219,14 +242,16 @@ def explore(
     problem: ProblemSpec,
     prec: PrecisionSpec,
     arch: ArchSpec = DEFAULT_ARCH,
+    kernel: MicrokernelSpec = DEFAULT_MICROKERNEL,
 ) -> RankedResult:
     """Enumerate, evaluate, and rank in one step over ``space``, constrained
-    to tiles that divide ``problem`` exactly."""
+    to tiles that divide ``problem`` exactly, with ``kernel`` as the base
+    microkernel spec."""
     space = replace(space, divisibility_problem=problem)
-    configs = enumerate_feasible(space, prec, arch)
+    configs = enumerate_feasible(space, prec, arch, kernel)
     if not configs:
         raise ConfigError("no feasible tile configuration in the search space")
-    return rank(configs, problem, prec, arch, space.eff_source)
+    return rank(configs, problem, prec, arch, space.eff_source, kernel)
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,24 @@ def test_search_reference_outcome():
     assert "atb_gain: 1.40" in text
 
 
+@pytest.mark.parametrize("source, gain", [("closed_form", "1.02"), ("simulated", "1.14")])
+def test_search_kernel_sources_keep_buildable_tiles(source, gain):
+    code, text = run_cli("search", "--problem", "4096x4096x2048", "--eff-source", source)
+    assert code == EXIT_OK
+    assert text.startswith("evaluated 167 feasible configurations\n")
+    assert "best_overall: 128x128x64 rho=4 at 19 TFLOPS" in text
+    assert f"atb_gain: {gain}" in text
+
+
+def test_search_kernel_filter_can_empty_the_space():
+    code, text = run_cli(
+        "search", "--problem", "4096x4096x2048", "--eff-source", "simulated",
+        "--t-mc-max", "16", "--t-n-max", "8",
+    )
+    assert code == EXIT_INFEASIBLE
+    assert "divisibility and kernel shape filters removed everything" in text
+
+
 def test_search_symmetric_only_gain_is_one():
     code, text = run_cli("search", "--problem", "4096x4096x2048", "--rho", "1")
     assert code == EXIT_OK
@@ -429,12 +447,14 @@ def test_microkernel_section_reaches_every_command(tmp_path):
     assert code == EXIT_OK
     assert "eff_micro: 0.205" in text  # 8 / 39; the default kernel gives 8 / 25
     # One chain per cluster makes every tile of the default space a kernel,
-    # so the closed-form search, which exits 3 on the default kernel, runs.
+    # so the closed-form search keeps all 215 tiles, not the default
+    # kernel's 167.
     code, text = run_cli(
         "search", "--problem", "4096x4096x2048", "--eff-source", "closed_form",
         "--config", str(cfg),
     )
     assert code == EXIT_OK
+    assert text.startswith("evaluated 215 feasible configurations\n")
     assert "best_overall: 128x128x64 rho=4 at 14.6 TFLOPS" in text
     # With a tile too, the schedule is the config's kernel shaped by the tile:
     # n_accum 8 and 64 one-chain clusters, not the config's one cluster.

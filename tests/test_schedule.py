@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymtile.arch import ConfigError
-from asymtile.pipeline import LoadClass, MicrokernelSpec, total_latency
+from asymtile.arch import PRECISION_PRESETS, ConfigError, ProblemSpec
+from asymtile.pipeline import LoadClass, MicrokernelSpec, microkernel_for_tile, total_latency
 from asymtile.schedule import (
     Instruction,
+    KernelRun,
     build_microkernel_dag,
     check_bounds_hold,
     derive_cluster_shape,
     dump_schedule_csv,
+    kernel_run,
     measure,
     ScheduleResult,
     random_microkernel_spec,
@@ -23,6 +25,7 @@ from asymtile.schedule import (
     slots_for,
     verify_random_specs,
 )
+from asymtile.search import SearchSpace, enumerate_feasible, rank
 
 
 # -- reference implementations -------------------------------------------------
@@ -501,6 +504,46 @@ def test_bounds_sound_over_random_specs():
 def test_bounds_sound_hypothesis(seed):
     spec, options = random_microkernel_spec(random.Random(seed))
     assert check_bounds_hold(spec, options) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), overlap=st.booleans())
+def test_kernel_run_equals_fresh_schedule(seed, overlap):
+    spec, options = random_microkernel_spec(random.Random(seed))
+    res = schedule(
+        build_microkernel_dag(spec, overlap_clusters=overlap, **options), slots_for(spec)
+    )
+    want = KernelRun(res.total_cycles, res.phase_times[0], res.vmac_issue_rate)
+    first = kernel_run(spec, overlap, **options)
+    hits = kernel_run.cache_info().hits
+    assert first == want
+    assert kernel_run(spec, overlap_clusters=overlap, **options) == want
+    assert kernel_run.cache_info().hits == hits + 1
+
+
+def test_kernel_run_does_not_cache_builder_errors():
+    spec = MicrokernelSpec(r_load=1, u_ld=1, load_classes=(LoadClass(3, 1),))
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="share_inputs needs r_load >= 2"):
+            kernel_run(spec)
+
+
+def test_search_schedules_each_distinct_kernel_once():
+    problem = ProblemSpec(4096, 4096, 2048)
+    prec = PRECISION_PRESETS["config1"]
+    space = SearchSpace(eff_source="simulated", divisibility_problem=problem)
+    tiles = enumerate_feasible(space, prec)
+    assert len(tiles) == 167
+    kernel_run.cache_clear()
+    result = rank(tiles, problem, prec, eff_source="simulated")
+    assert kernel_run.cache_info().misses == 15
+    for tile, est in result.entries:
+        spec = microkernel_for_tile(tile)
+        direct = schedule(build_microkernel_dag(spec), slots_for(spec))
+        assert est.eff_micro == direct.vmac_issue_rate
+    # The soundness check's sequential run is the one the search scored.
+    assert check_bounds_hold(microkernel_for_tile(tiles[0]), {}) == []
+    assert kernel_run.cache_info().misses == 16
 
 
 def test_double_buffer_and_overlap_monotone():

@@ -18,6 +18,7 @@ from asymtile.arch import (
     derive_l2_tiles,
 )
 from asymtile.perf import calibrated_eff_micro, eff_core
+from asymtile.pipeline import DEFAULT_MICROKERNEL
 from asymtile.search import (
     RankedResult,
     SearchSpace,
@@ -155,6 +156,25 @@ def search_cases(draw):
 def test_pruned_enumeration_equals_full_grid(case):
     space, prec, arch = case
     assert enumerate_feasible(space, prec, arch) == reference_enumerate(space, prec, arch)
+
+
+@settings(max_examples=100)
+@given(
+    case=search_cases(),
+    chains=st.integers(1, 5),
+    source=st.sampled_from(["closed_form", "simulated"]),
+)
+def test_kernel_sources_keep_the_buildable_full_grid_tiles(case, chains, source):
+    space, prec, arch = case
+    kernel = replace(DEFAULT_MICROKERNEL, chains=chains)
+    # Buildable: whole K_BASE=8 updates and whole clusters of 64 outputs
+    # per chain.
+    want = [
+        t for t in reference_enumerate(space, prec, arch)
+        if t.t_k % 8 == 0 and t.t_ma * t.t_n % (64 * chains) == 0
+    ]
+    space = replace(space, eff_source=source)
+    assert enumerate_feasible(space, prec, arch, kernel) == want
 
 
 def test_enumerate_tiny_capacity_is_empty():
