@@ -1,8 +1,10 @@
 """Architecture, precision, and tile-shape domain types.
 
-All byte accounting runs in exact rational arithmetic (fractions.Fraction) so
-feasibility decisions at the capacity boundary never hinge on float rounding.
-Sizes are bytes, dimensions are element counts.
+All byte accounting is exact, so feasibility decisions at the capacity
+boundary never hinge on float rounding. The hot closed forms work on integer
+numerators over the precision's common byte-cost denominator
+(:attr:`PrecisionSpec.cost_numerators`) and build a ``fractions.Fraction``
+only for a value they return. Sizes are bytes, dimensions are element counts.
 
 The tile naming follows the asymmetric-buffering scheme: the A operand is
 staged in slices of ``t_ma`` rows while the C accumulator tile covers ``t_mc``
@@ -17,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 KIB = 1024
@@ -84,6 +87,16 @@ class PrecisionSpec:
             object.__setattr__(self, name, as_byte_cost(getattr(self, name)))
         if not isinstance(self.accum_label, str):
             raise ConfigError(f"accum_label must be a string, got {self.accum_label!r}")
+
+    @cached_property
+    def cost_numerators(self) -> tuple[int, int, int, int]:
+        """``(a, b, c, den)``: the A, B and C byte costs are ``a/den``,
+        ``b/den`` and ``c/den``, with ``den`` the least common multiple of
+        their denominators."""
+        costs = (self.byte_cost_a, self.byte_cost_b, self.byte_cost_c)
+        den = math.lcm(*(cost.denominator for cost in costs))
+        a, b, c = (cost.numerator * (den // cost.denominator) for cost in costs)
+        return a, b, c, den
 
 
 # Named precision presets. Block-FP (shared-exponent) storage is costed at the
@@ -240,6 +253,20 @@ class TileConfig:
         return (self.t_ma, self.t_mc, self.t_k, self.t_n)
 
 
+def _buffer_numerators(
+    tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec
+) -> tuple[int, int, int, int]:
+    """The numerators of :func:`buffer_terms` over the precision's common
+    denominator, followed by that denominator."""
+    a, b, c, den = prec.cost_numerators
+    return (
+        arch.buffer_multiplier_a * a * tile.t_ma * tile.t_k,
+        arch.buffer_multiplier_b * b * tile.t_k * tile.t_n,
+        arch.buffer_multiplier_c * c * tile.t_mc * tile.t_n,
+        den,
+    )
+
+
 def buffer_terms(
     tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH
 ) -> tuple[Fraction, Fraction, Fraction]:
@@ -249,17 +276,16 @@ def buffer_terms(
     copies of the t_k x t_n B slice, and multiplier_c copies of the c-cost
     t_mc x t_n C tile.
     """
-    return (
-        arch.buffer_multiplier_a * prec.byte_cost_a * (tile.t_ma * tile.t_k),
-        arch.buffer_multiplier_b * prec.byte_cost_b * (tile.t_k * tile.t_n),
-        arch.buffer_multiplier_c * prec.byte_cost_c * (tile.t_mc * tile.t_n),
-    )
+    n_a, n_b, n_c, den = _buffer_numerators(tile, prec, arch)
+    return Fraction(n_a, den), Fraction(n_b, den), Fraction(n_c, den)
 
 
 def buffer_footprint(tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH) -> int:
     """Exact L1 bytes needed by the tile buffers (the sum of
-    :func:`buffer_terms`), rounded up to whole bytes."""
-    return math.ceil(sum(buffer_terms(tile, prec, arch)))
+    :func:`buffer_terms`), rounded up to whole bytes. The sum and the
+    ceiling are taken on the integer numerators, so no Fraction is built."""
+    n_a, n_b, n_c, den = _buffer_numerators(tile, prec, arch)
+    return -(-(n_a + n_b + n_c) // den)
 
 
 def check_feasible(tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH) -> bool:

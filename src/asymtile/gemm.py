@@ -58,18 +58,21 @@ def matrix_from_rows(rows: list[list[float]]) -> Matrix:
 
 def naive_gemm(a: Matrix, b: Matrix) -> Matrix:
     """Reference product: per output element, terms added in ascending
-    contraction order."""
+    contraction order, as a dot product of a row of ``a`` with a column of
+    ``b``."""
     if a.cols != b.rows:
         raise ConfigError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    out = [[0.0] * b.cols for _ in range(a.rows)]
+    cols = [b.data[j :: b.cols] for j in range(b.cols)]
+    out = []
     for i in range(a.rows):
         arow = a.row(i)
-        orow = out[i]
-        for kk in range(a.cols):
-            av = arow[kk]
-            brow = b.row(kk)
-            for j in range(b.cols):
-                orow[j] += av * brow[j]
+        orow = []
+        for col in cols:
+            s = 0.0
+            for x, y in zip(arow, col):
+                s += x * y
+            orow.append(s)
+        out.append(orow)
     return matrix_from_rows(out)
 
 

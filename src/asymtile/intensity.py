@@ -3,8 +3,11 @@
 With an output-stationary t_mc x t_n tile reduced over the full K dimension,
 each A element is re-read once per column tile and each B element once per row
 tile, so per-element traffic is a/t_n + b/t_mc + c/K bytes per output
-flop pair. Intensity is exact (Fraction) and notably independent of both the
-reduction tile depth t_k and the buffering asymmetry rho.
+flop pair. Intensity is exact and notably independent of both the reduction
+tile depth t_k and the buffering asymmetry rho. The traffic is summed as an
+integer numerator over the precision's common byte-cost denominator
+(:attr:`~asymtile.arch.PrecisionSpec.cost_numerators`), and each rational
+result is built once from integers.
 """
 
 from __future__ import annotations
@@ -31,16 +34,20 @@ def ai_tile(t_mc: int, t_n: int, k: int, prec: PrecisionSpec) -> AiResult:
     """Intensity (flops/byte) of one t_mc x t_n output tile reduced over k.
 
     Equals 2 / (a/t_n + b/t_mc + c/k) with a, b, c the per-element byte costs.
+    The traffic a·t_mc·k + b·k·t_n + c·t_mc·t_n is summed over the costs'
+    common denominator; ``ai`` and ``denominator_bytes`` are the exact
+    rationals built from that integer sum.
     """
     if t_mc <= 0 or t_n <= 0 or k <= 0:
         raise ConfigError("tile dims and k must be positive")
+    a, b, c, den = prec.cost_numerators
     flops = 2 * t_mc * t_n * k
-    traffic = (
-        prec.byte_cost_a * t_mc * k
-        + prec.byte_cost_b * k * t_n
-        + prec.byte_cost_c * t_mc * t_n
+    traffic = a * t_mc * k + b * k * t_n + c * t_mc * t_n
+    return AiResult(
+        ai=Fraction(flops * den, traffic),
+        numerator_flops=flops,
+        denominator_bytes=Fraction(traffic, den),
     )
-    return AiResult(ai=Fraction(flops) / traffic, numerator_flops=flops, denominator_bytes=traffic)
 
 
 def ai_array(

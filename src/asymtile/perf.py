@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from asymtile.arch import (
     DEFAULT_ARCH,
@@ -39,19 +41,24 @@ EFF_SOURCE_SIMULATED = "simulated"
 EFF_SOURCES = (EFF_SOURCE_CALIBRATION, EFF_SOURCE_CLOSED_FORM, EFF_SOURCE_SIMULATED)
 
 # Measured microkernel efficiency by contraction tile depth, from the modeled
-# machine; linear interpolation between entries, clamped at the ends.
-EFF_MICRO_CALIBRATION: dict[int, Fraction] = {
+# machine; linear interpolation between entries, clamped at the ends. The
+# table is read-only: calibrated_eff_micro sorts it once and memoises by t_k.
+EFF_MICRO_CALIBRATION = MappingProxyType({
     8: Fraction(1, 5),
     16: Fraction(9, 25),
     32: Fraction(41, 100),
     64: Fraction(63, 100),
-}
+})
+_CALIBRATION_POINTS = tuple(sorted(EFF_MICRO_CALIBRATION.items()))
 
 
+@lru_cache(maxsize=1024)
 def calibrated_eff_micro(t_k: int) -> Fraction:
+    """Calibrated microkernel efficiency at contraction depth ``t_k``,
+    memoised by ``t_k``."""
     if t_k < 1:
         raise ConfigError("t_k must be positive")
-    points = sorted(EFF_MICRO_CALIBRATION.items())
+    points = _CALIBRATION_POINTS
     if t_k <= points[0][0]:
         return points[0][1]
     if t_k >= points[-1][0]:
@@ -64,7 +71,8 @@ def calibrated_eff_micro(t_k: int) -> Fraction:
 
 def _coerce_eff(value) -> Fraction:
     eff = Fraction(value)
-    if not 0 < eff <= 1:
+    # 0 < p/q <= 1 with q > 0, compared on the integers.
+    if not 0 < eff.numerator <= eff.denominator:
         raise ConfigError(f"eff_micro must lie in (0, 1], got {value}")
     return eff
 
@@ -103,13 +111,17 @@ def eff_core(
     launch, ``rho`` launches per contraction step of depth t_k. The result is
     the compute cycles at peak over that total; k cancels, leaving the
     harmonic combination of ``eff_micro`` with the per-launch penalty
-    amortized over one step's work."""
+    amortized over one step's work.
+
+    With ``eff_micro = p/q``, one step's work ``W = 2·t_mc·t_n·t_k`` flops
+    and its switch cost ``S = delta·rho·peak`` flops, that is
+    ``1 / (q/p + S/W) = p·W / (q·W + p·S)``: an exact rational built once
+    from integer numerator and denominator."""
     eff = _coerce_eff(eff_micro)
-    overhead = Fraction(
-        arch.switch_overhead_delta * tile.rho * arch.peak_flops_per_cycle,
-        2 * tile.t_mc * tile.t_n * tile.t_k,
-    )
-    return 1 / (1 / eff + overhead)
+    work = 2 * tile.t_mc * tile.t_n * tile.t_k
+    switch = arch.switch_overhead_delta * tile.rho * arch.peak_flops_per_cycle
+    p, q = eff.numerator, eff.denominator
+    return Fraction(p * work, q * work + p * switch)
 
 
 @dataclass(frozen=True)

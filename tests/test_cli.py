@@ -8,6 +8,7 @@ checking the report text, emitted CSV/markdown, and the exit-code contract:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -575,3 +576,24 @@ def test_fuzzed_input_keeps_exit_code_contract(data):
             assert "Traceback" not in err.getvalue()
             if code == EXIT_CONFIG_ERROR:
                 assert re.fullmatch(r"error: [^\n]+\n", err.getvalue())
+
+
+def test_search_csv_matches_every_recorded_digest():
+    # benchmarks/csv_sha256.json holds the SHA-256 of `search --emit csv`
+    # for every (problem, precision) pair of the benchmark's search menu,
+    # recorded from the code the benchmark was defined on. The file is only
+    # read here: the search's CSV bytes must not change.
+    recorded = json.loads(
+        (SRC.parent / "benchmarks" / "csv_sha256.json").read_text()
+    )
+    assert len(recorded) == 256
+    mismatched = []
+    for pair, digest in sorted(recorded.items()):
+        problem, prec = pair.split("/")
+        code, text = run_cli(
+            "search", "--problem", problem, "--precision", prec, "--emit", "csv"
+        )
+        assert code == EXIT_OK, pair
+        if hashlib.sha256(text.encode()).hexdigest() != digest:
+            mismatched.append(pair)
+    assert mismatched == []

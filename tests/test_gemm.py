@@ -56,6 +56,36 @@ def test_naive_identity():
     assert naive_gemm(identity(8), x).data == x.data
 
 
+def reference_row_update_gemm(a: Matrix, b: Matrix) -> list[float]:
+    # The row-update loop naive_gemm replaced: each output row gains
+    # a[i][kk] * b[kk][:] for ascending kk.
+    out = [[0.0] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for kk in range(a.cols):
+            av, brow = a.at(i, kk), b.row(kk)
+            for j in range(b.cols):
+                out[i][j] += av * brow[j]
+    return [v for row in out for v in row]
+
+
+@settings(max_examples=60)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    data=st.data(),
+)
+def test_naive_dot_products_equal_row_updates_bitwise(shape, data):
+    # Same terms in the same order, so every float is identical, even with
+    # magnitudes far enough apart that the order of the additions matters.
+    m, k, n = shape
+    values = st.floats(-1e16, 1e16, allow_nan=False, allow_infinity=False)
+    a = Matrix(m, k, tuple(data.draw(st.lists(values, min_size=m * k, max_size=m * k))))
+    b = Matrix(k, n, tuple(data.draw(st.lists(values, min_size=k * n, max_size=k * n))))
+    got = naive_gemm(a, b).data
+    want = reference_row_update_gemm(a, b)
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+    assert list(got) == want
+
+
 def test_naive_one_by_one():
     assert naive_gemm(Matrix(1, 1, (3.0,)), Matrix(1, 1, (4.0,))).data == (12.0,)
 
