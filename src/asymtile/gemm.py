@@ -6,8 +6,10 @@ row-subtile slices of the first operand, full contraction panels of the
 second, an output tile accumulated in place. The walker owns the nest, the
 capacity check and the byte trace, so a numeric run proves the schedule
 computes the right answer and yields the very trace the oracle does. A
-block-floating-point codec (8 values sharing one exponent byte) grounds the
-fractional byte costs used by the intensity model.
+block-floating-point codec (8 values sharing one exponent byte, 9 bytes per
+block) sits beside it. The codec does not set any byte cost: the precision
+presets in ``asymtile.arch`` state their fractional costs (9/8 and 5/4) as
+constants of their own.
 """
 
 from __future__ import annotations
@@ -76,39 +78,66 @@ def naive_gemm(a: Matrix, b: Matrix) -> Matrix:
     return matrix_from_rows(out)
 
 
+LANES = 8  # accumulators per register block: the 8-wide VMAC's output lanes
+
+
 class _Executor:
     """Numeric payload for :func:`walk_nest`: real operand data staged and
-    multiplied at each event, into a resident output accumulator."""
+    multiplied at each event, into a resident output accumulator.
+
+    The update is a register-blocked microkernel. Each staged B panel is cut
+    into groups of :data:`LANES` columns, the last one padded with ``0.0``
+    columns when ``t_n`` is not a whole number of groups. For each A row and
+    group, the group's accumulators live in locals for the whole stage, take
+    one term per contraction step in ascending order, and are written back
+    once. Accumulator rows are as wide as the padded panel; only the first
+    ``t_n`` values reach the output, so the padding never does."""
 
     def __init__(self, a: Matrix, b: Matrix, tile: TileConfig) -> None:
         self.a, self.b = a, b
         self.t_ma, self.t_mc, self.t_k, self.t_n = tile.as_tuple()
+        self.width = -(-self.t_n // LANES) * LANES
         self.out = [[0.0] * b.cols for _ in range(a.rows)]
-        self.acc = [[0.0] * self.t_n for _ in range(self.t_mc)]
-        self.b_panel: list[tuple[float, ...]] = []
+        self.acc = [[0.0] * self.width for _ in range(self.t_mc)]
+        self.groups: list[tuple[int, list[tuple[float, ...]]]] = []
 
     def stage_b(self, i: int, j: int, kk: int) -> None:
-        n, k0, j0 = self.b.cols, kk * self.t_k, j * self.t_n
-        self.b_panel = [
-            self.b.data[row * n + j0 : row * n + j0 + self.t_n]
+        n, k0, j0, t_n = self.b.cols, kk * self.t_k, j * self.t_n, self.t_n
+        pad = (0.0,) * (self.width - t_n)
+        panel = [
+            self.b.data[row * n + j0 : row * n + j0 + t_n] + pad
             for row in range(k0, k0 + self.t_k)
+        ]
+        self.groups = [
+            (g, [brow[g : g + LANES] for brow in panel])
+            for g in range(0, self.width, LANES)
         ]
 
     def stage_a(self, i: int, j: int, kk: int, r: int) -> None:
-        t_ma, t_k, t_n, k = self.t_ma, self.t_k, self.t_n, self.a.cols
+        t_ma, t_k, k = self.t_ma, self.t_k, self.a.cols
         row0, k0 = i * self.t_mc + r * t_ma, kk * t_k
         for li in range(t_ma):
-            arow = self.a.data[(row0 + li) * k + k0 : (row0 + li) * k + k0 + t_k]
+            start = (row0 + li) * k + k0
+            arow = self.a.data[start : start + t_k]
             crow = self.acc[r * t_ma + li]
-            for av, brow in zip(arow, self.b_panel):
-                for jj in range(t_n):
-                    crow[jj] += av * brow[jj]
+            for g, group in self.groups:
+                c0, c1, c2, c3, c4, c5, c6, c7 = crow[g : g + LANES]
+                for av, (b0, b1, b2, b3, b4, b5, b6, b7) in zip(arow, group):
+                    c0 += av * b0
+                    c1 += av * b1
+                    c2 += av * b2
+                    c3 += av * b3
+                    c4 += av * b4
+                    c5 += av * b5
+                    c6 += av * b6
+                    c7 += av * b7
+                crow[g : g + LANES] = c0, c1, c2, c3, c4, c5, c6, c7
 
     def write_c(self, i: int, j: int) -> None:
         t_mc, t_n = self.t_mc, self.t_n
         for li in range(t_mc):
-            self.out[i * t_mc + li][j * t_n : (j + 1) * t_n] = self.acc[li]
-            self.acc[li] = [0.0] * t_n
+            self.out[i * t_mc + li][j * t_n : (j + 1) * t_n] = self.acc[li][:t_n]
+            self.acc[li] = [0.0] * self.width
 
 
 def tiled_gemm(
@@ -124,9 +153,12 @@ def tiled_gemm(
     The nest, the capacity check and the trace are :func:`walk_nest`'s, with
     the default architecture's buffers; this function only supplies the
     numbers. Per output tile the accumulator stays resident for the whole
-    contraction; each step stages one panel of ``b`` and then walks ``a`` in
-    row-subtile slices. Terms are accumulated in ascending contraction order,
-    so the result equals :func:`naive_gemm` exactly.
+    contraction; each step stages one panel of ``b``, cut into groups of
+    :data:`LANES` columns (the last padded with zero columns), and then walks
+    ``a`` in row-subtile slices, updating one 8-lane accumulator block per A
+    row and group. Each output takes the same terms as :func:`naive_gemm`,
+    in ascending contraction order, and padded lanes are never copied out,
+    so the result equals :func:`naive_gemm` bitwise.
     """
     if a.cols != b.rows:
         raise ConfigError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")

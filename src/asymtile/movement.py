@@ -2,13 +2,13 @@
 
 :func:`walk_nest` is the only copy of the nest (output tiles, contraction
 steps, row-subtile passes). It checks divisibility and buffer capacity,
-counts every staging event with lease-checked A residency, and builds the
-:class:`MovementTrace`. A payload can do work at each event:
-``asymtile.gemm.tiled_gemm`` is the numeric one. Without a payload the walk
-is the symbolic data-movement oracle: :func:`simulate_movement` counts the
-bytes that cross the chosen memory boundary, the measured counterpart to the
-closed-form intensity model in ``asymtile.intensity``. On any
-exactly-divisible problem the two must agree as exact rationals.
+counts every staging event, and builds the :class:`MovementTrace`. A
+payload can do work at each event: ``asymtile.gemm.tiled_gemm`` is the
+numeric one. Without a payload the walk is the symbolic data-movement
+oracle: :func:`simulate_movement` counts the bytes that cross the chosen
+memory boundary, the measured counterpart to the closed-form intensity
+model in ``asymtile.intensity``. On any exactly-divisible problem the two
+must agree as exact rationals.
 """
 
 from __future__ import annotations
@@ -37,34 +37,6 @@ BOUNDARIES = (BOUNDARY_CORE, BOUNDARY_ARRAY)
 
 class BufferOverflowError(ConfigError):
     """Raised when staged operands exceed the buffer capacity."""
-
-
-class LifetimeError(RuntimeError):
-    """Simulator self-check: an operand buffer was used after release."""
-
-
-class _LeaseChecker:
-    """Tracks operand-buffer leases and flags any read after release."""
-
-    def __init__(self) -> None:
-        self._alive: set[int] = set()
-        self._next = 0
-
-    def load(self) -> int:
-        token = self._next
-        self._next += 1
-        self._alive.add(token)
-        return token
-
-    def read(self, token: int) -> None:
-        if token not in self._alive:
-            raise LifetimeError(f"operand buffer {token} read after eviction")
-        return None
-
-    def evict(self, token: int) -> None:
-        if token not in self._alive:
-            raise LifetimeError(f"operand buffer {token} evicted twice")
-        self._alive.remove(token)
 
 
 @dataclass(frozen=True)
@@ -98,8 +70,7 @@ def walk_nest(
     Per output tile the contraction dimension is walked in T_K-wide steps;
     each step stages the B panel once and the A block in ``rho`` row-subtile
     passes, releasing every A subtile as soon as its output rows finish the
-    step (the access checker enforces this lifetime). The output tile stays
-    resident and is written back exactly once.
+    step. The output tile stays resident and is written back exactly once.
 
     ``payload``, when given, does the work of each event as it happens,
     by block index: ``stage_b(i, j, kk)`` for the B panel of output tile
@@ -133,7 +104,6 @@ def walk_nest(
 
     rho = tile.rho
     steps_a = steps_b = steps_c = 0
-    checker = _LeaseChecker()
     for i in range(m // t_mc):
         for j in range(n // t_n):
             for kk in range(k // t_k):
@@ -141,11 +111,8 @@ def walk_nest(
                     payload.stage_b(i, j, kk)
                 steps_b += 1
                 for r in range(rho):
-                    token = checker.load()
-                    checker.read(token)
                     if payload is not None:
                         payload.stage_a(i, j, kk, r)
-                    checker.evict(token)
                     steps_a += 1
             if payload is not None:
                 payload.write_c(i, j)

@@ -21,9 +21,7 @@ from asymtile.intensity import ai_array, ai_tile
 from asymtile.movement import (
     BOUNDARY_ARRAY,
     BufferOverflowError,
-    LifetimeError,
     MovementTrace,
-    _LeaseChecker,
     measured_ai,
     random_divisible_case,
     simulate_movement,
@@ -175,17 +173,6 @@ def test_ai_invariant_to_problem_m():
     big = simulate_movement(ProblemSpec(32, 16, 16), tile, UNIT)
     assert measured_ai(small) == measured_ai(big)
     assert big.total_bytes == 2 * small.total_bytes
-
-
-def test_lease_checker_flags_use_after_evict():
-    checker = _LeaseChecker()
-    token = checker.load()
-    checker.read(token)
-    checker.evict(token)
-    with pytest.raises(LifetimeError):
-        checker.read(token)
-    with pytest.raises(LifetimeError):
-        checker.evict(token)
 
 
 def test_oracle_equivalence_randomized():
