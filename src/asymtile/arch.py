@@ -187,6 +187,13 @@ class ArchSpec:
         """Whole-array peak in flops/s."""
         return self.peak_core_flops * self.n_cores
 
+    @property
+    def grid_scale(self) -> tuple[int, int, int]:
+        """L1 tiles per L2 tile along (m, k, n): cores in a grid row share C
+        rows and cores in a grid column share C columns, so the array
+        consumes an (n_rows * t_mc) x (n_cols * t_n) output tile per pass."""
+        return (self.n_rows, 1, self.n_cols)
+
 
 DEFAULT_ARCH = ArchSpec()
 
@@ -206,37 +213,32 @@ class ProblemSpec:
                 raise ConfigError(f"problem dim {name} must be positive")
 
 
+MICROTILE = 8  # tile granularity: the block edge of the 8x8x8 vector MAC
+
+
 @dataclass(frozen=True)
 class TileConfig:
     """L1 tile shape (t_ma, t_mc, t_k, t_n).
 
     ``t_ma`` rows of A are staged at a time against a ``t_mc x t_n`` output
     tile accumulated over reduction slices of depth ``t_k``. All dims must be
-    positive multiples of ``microtile`` (the register-level granularity of the
-    8x8x8 vector MAC), t_ma must divide t_mc, and t_mc >= t_ma.
-
-    ``microtile`` can be lowered for degenerate unit-size examples; a config
-    document cannot set it.
+    positive multiples of :data:`MICROTILE`, t_ma must divide t_mc, and
+    t_mc >= t_ma.
     """
 
     t_ma: int
     t_mc: int
     t_k: int
     t_n: int
-    microtile: int = 8
 
     def __post_init__(self):
-        require_ints(self, ("t_ma", "t_mc", "t_k", "t_n", "microtile"))
-        if self.microtile <= 0:
-            raise ConfigError("microtile must be positive")
+        require_ints(self, ("t_ma", "t_mc", "t_k", "t_n"))
         for name in ("t_ma", "t_mc", "t_k", "t_n"):
             dim = getattr(self, name)
             if dim <= 0:
                 raise ConfigError(f"tile dim {name} must be positive")
-            if dim % self.microtile != 0:
-                raise ConfigError(
-                    f"tile dim {name}={dim} is not a multiple of {self.microtile}"
-                )
+            if dim % MICROTILE != 0:
+                raise ConfigError(f"tile dim {name}={dim} is not a multiple of {MICROTILE}")
         if self.t_mc < self.t_ma:
             raise ConfigError(f"t_mc={self.t_mc} must be >= t_ma={self.t_ma}")
         if self.t_mc % self.t_ma != 0:
@@ -294,13 +296,10 @@ def check_feasible(tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAU
 
 
 def derive_l2_tiles(tile: TileConfig, arch: ArchSpec = DEFAULT_ARCH) -> tuple[int, int, int]:
-    """Effective (t_m, t_k, t_n) tile at the L2 boundary.
-
-    Cores in a grid row share the same C rows and cores in a grid column share
-    the same C columns, so the array as a whole consumes an
-    (n_rows * t_mc) x (n_cols * t_n) output tile per pass.
-    """
-    return (arch.n_rows * tile.t_mc, tile.t_k, arch.n_cols * tile.t_n)
+    """Effective (t_m, t_k, t_n) tile at the L2 boundary: each L1 dim times
+    its factor in :attr:`ArchSpec.grid_scale`."""
+    s_m, s_k, s_n = arch.grid_scale
+    return (s_m * tile.t_mc, s_k * tile.t_k, s_n * tile.t_n)
 
 
 # -- config-document loading -------------------------------------------------
@@ -362,7 +361,7 @@ def tile_from_value(value) -> TileConfig:
             raise ConfigError("tile must have exactly 4 entries: t_ma,t_mc,t_k,t_n")
         return TileConfig(*value)
     if isinstance(value, dict):
-        return from_section(TileConfig, value, "tile", exclude=("microtile",))
+        return from_section(TileConfig, value, "tile")
     raise ConfigError(f"cannot parse tile from {value!r}")
 
 

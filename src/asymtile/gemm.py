@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from asymtile.arch import (
+    MICROTILE,
     ConfigError,
     PrecisionSpec,
     ProblemSpec,
@@ -41,9 +42,6 @@ class Matrix:
             raise ConfigError(
                 f"data length {len(self.data)} != rows*cols = {self.rows * self.cols}"
             )
-
-    def at(self, i: int, j: int) -> float:
-        return self.data[i * self.cols + j]
 
     def row(self, i: int) -> tuple[float, ...]:
         return self.data[i * self.cols : (i + 1) * self.cols]
@@ -78,7 +76,7 @@ def naive_gemm(a: Matrix, b: Matrix) -> Matrix:
     return matrix_from_rows(out)
 
 
-LANES = 8  # accumulators per register block: the 8-wide VMAC's output lanes
+LANES = MICROTILE  # accumulators per register block: the VMAC's output lanes
 
 
 class _Executor:
@@ -86,31 +84,28 @@ class _Executor:
     multiplied at each event, into a resident output accumulator.
 
     The update is a register-blocked microkernel. Each staged B panel is cut
-    into groups of :data:`LANES` columns, the last one padded with ``0.0``
-    columns when ``t_n`` is not a whole number of groups. For each A row and
-    group, the group's accumulators live in locals for the whole stage, take
-    one term per contraction step in ascending order, and are written back
-    once. Accumulator rows are as wide as the padded panel; only the first
-    ``t_n`` values reach the output, so the padding never does."""
+    into groups of :data:`LANES` columns; ``t_n`` is a multiple of
+    :data:`~asymtile.arch.MICROTILE`, so the groups cover it exactly. For
+    each A row and group, the group's accumulators live in locals for the
+    whole stage, take one term per contraction step in ascending order, and
+    are written back once."""
 
     def __init__(self, a: Matrix, b: Matrix, tile: TileConfig) -> None:
         self.a, self.b = a, b
         self.t_ma, self.t_mc, self.t_k, self.t_n = tile.as_tuple()
-        self.width = -(-self.t_n // LANES) * LANES
         self.out = [[0.0] * b.cols for _ in range(a.rows)]
-        self.acc = [[0.0] * self.width for _ in range(self.t_mc)]
+        self.acc = [[0.0] * self.t_n for _ in range(self.t_mc)]
         self.groups: list[tuple[int, list[tuple[float, ...]]]] = []
 
     def stage_b(self, i: int, j: int, kk: int) -> None:
         n, k0, j0, t_n = self.b.cols, kk * self.t_k, j * self.t_n, self.t_n
-        pad = (0.0,) * (self.width - t_n)
         panel = [
-            self.b.data[row * n + j0 : row * n + j0 + t_n] + pad
+            self.b.data[row * n + j0 : row * n + j0 + t_n]
             for row in range(k0, k0 + self.t_k)
         ]
         self.groups = [
             (g, [brow[g : g + LANES] for brow in panel])
-            for g in range(0, self.width, LANES)
+            for g in range(0, t_n, LANES)
         ]
 
     def stage_a(self, i: int, j: int, kk: int, r: int) -> None:
@@ -136,8 +131,8 @@ class _Executor:
     def write_c(self, i: int, j: int) -> None:
         t_mc, t_n = self.t_mc, self.t_n
         for li in range(t_mc):
-            self.out[i * t_mc + li][j * t_n : (j + 1) * t_n] = self.acc[li][:t_n]
-            self.acc[li] = [0.0] * self.width
+            self.out[i * t_mc + li][j * t_n : (j + 1) * t_n] = self.acc[li]
+            self.acc[li] = [0.0] * t_n
 
 
 def tiled_gemm(
@@ -154,10 +149,9 @@ def tiled_gemm(
     the default architecture's buffers; this function only supplies the
     numbers. Per output tile the accumulator stays resident for the whole
     contraction; each step stages one panel of ``b``, cut into groups of
-    :data:`LANES` columns (the last padded with zero columns), and then walks
-    ``a`` in row-subtile slices, updating one 8-lane accumulator block per A
-    row and group. Each output takes the same terms as :func:`naive_gemm`,
-    in ascending contraction order, and padded lanes are never copied out,
+    :data:`LANES` columns, and then walks ``a`` in row-subtile slices,
+    updating one accumulator block per A row and group. Each output takes
+    the same terms as :func:`naive_gemm`, in ascending contraction order,
     so the result equals :func:`naive_gemm` bitwise.
     """
     if a.cols != b.rows:

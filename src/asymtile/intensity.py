@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from asymtile.arch import DEFAULT_ARCH, ArchSpec, ConfigError, PrecisionSpec, TileConfig
+from asymtile.arch import DEFAULT_ARCH, ArchSpec, ConfigError, PrecisionSpec, TileConfig, derive_l2_tiles
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ def ai_array(
     """Intensity of the whole core array at the off-chip boundary.
 
     The grid shares A slices along rows and B slices along columns, so the
-    array behaves like a single core with an (n_rows * t_mc) x (n_cols * t_n)
-    output tile.
+    array behaves like a single core with the L2 output tile of
+    :func:`~asymtile.arch.derive_l2_tiles`.
     """
-    return ai_tile(arch.n_rows * tile.t_mc, arch.n_cols * tile.t_n, k, prec)
+    t_m, _, t_n = derive_l2_tiles(tile, arch)
+    return ai_tile(t_m, t_n, k, prec)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from asymtile.arch import (
     DEFAULT_ARCH,
+    MICROTILE,
     ArchSpec,
     ConfigError,
     PrecisionSpec,
@@ -48,7 +49,6 @@ class MovementTrace:
     bytes_c: Fraction
     flops: int
     peak_l1_occupancy: int
-    peak_occupancy_per_operand: tuple[Fraction, Fraction, Fraction]
     evictions_a: int
 
     @property
@@ -91,9 +91,8 @@ def walk_nest(
             raise ConfigError(
                 f"problem dim {name}={dim} is not divisible by its tile {size}"
             )
-    terms = buffer_terms(tile, prec, arch)
     occupancy = Fraction(0)
-    for operand, term in zip("ABC", terms):
+    for operand, term in zip("ABC", buffer_terms(tile, prec, arch)):
         occupancy += term
         used = math.ceil(occupancy)
         if capacity is not None and used > capacity:
@@ -124,7 +123,6 @@ def walk_nest(
         bytes_c=steps_c * prec.byte_cost_c * (t_mc * t_n),
         flops=steps_a * 2 * t_ma * t_k * t_n,
         peak_l1_occupancy=math.ceil(occupancy),
-        peak_occupancy_per_operand=terms,
         evictions_a=steps_a,
     )
 
@@ -136,18 +134,17 @@ def simulate_movement(
     arch: ArchSpec = DEFAULT_ARCH,
     *,
     boundary: str = BOUNDARY_CORE,
-    capacity: int | None = None,
 ) -> MovementTrace:
     """Byte-count the nest at ``boundary``: one core's scratchpad walks
     ``tile``; the array boundary walks the L2 tile the whole grid consumes
     per pass (:func:`derive_l2_tiles`), split into the same ``rho`` row
-    subtiles. ``capacity`` is passed to :func:`walk_nest`."""
+    subtiles."""
     if boundary == BOUNDARY_ARRAY:
         t_mc, t_k, t_n = derive_l2_tiles(tile, arch)
         tile = replace(tile, t_ma=t_mc // tile.rho, t_mc=t_mc, t_k=t_k, t_n=t_n)
     elif boundary != BOUNDARY_CORE:
         raise ConfigError(f"unknown boundary {boundary!r}; expected one of {BOUNDARIES}")
-    return walk_nest(problem, tile, prec, arch, capacity=capacity)
+    return walk_nest(problem, tile, prec, arch)
 
 
 def measured_ai(trace: MovementTrace) -> Fraction:
@@ -178,13 +175,13 @@ def random_divisible_case(
 ) -> tuple[ProblemSpec, TileConfig, PrecisionSpec]:
     """Draw a (problem, tile, precision) triple exactly divisible at both
     boundaries, for measured-vs-closed-form equivalence runs."""
-    t_ma = 8 * rng.randint(1, 4)
+    t_ma = MICROTILE * rng.randint(1, 4)
     rho = rng.choice([1, 2, 4])
     tile = TileConfig(
         t_ma=t_ma,
         t_mc=t_ma * rho,
-        t_k=8 * rng.randint(1, 8),
-        t_n=8 * rng.randint(1, 8),
+        t_k=MICROTILE * rng.randint(1, 8),
+        t_n=MICROTILE * rng.randint(1, 8),
     )
     costs = [Fraction(1), Fraction(9, 8), Fraction(5, 4), Fraction(3, 2), Fraction(2)]
     prec = PrecisionSpec(

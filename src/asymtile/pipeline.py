@@ -20,16 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from asymtile.arch import ConfigError, TileConfig, from_section, require_bools, require_ints
+from asymtile.arch import MICROTILE, ConfigError, TileConfig, from_section, require_bools, require_ints
 
 # One accumulator update consumes this many reduction elements (the vector
 # unit computes an 8x8x8 block per VMAC).
-K_BASE = 8
+K_BASE = MICROTILE
 # Output elements produced per chain cluster (an 8x8 register tile per chain,
 # C chains per cluster).
-MICROTILE_OUT = 64
+MICROTILE_OUT = MICROTILE * MICROTILE
 
 
 @dataclass(frozen=True)
@@ -111,18 +111,12 @@ class MicrokernelSpec:
 DEFAULT_MICROKERNEL = MicrokernelSpec()
 
 
-class InitiationIntervals(NamedTuple):
-    ii_single: int
-    ii_parallel: Fraction
-
-
 @dataclass(frozen=True)
 class LatencyBounds:
     """All phase and total bounds for one microkernel spec, and the
     efficiency they imply."""
 
     t_prolog: int
-    ii_single: int
     ii_parallel: Fraction
     t_steady: int
     t_epilog: int
@@ -157,7 +151,7 @@ def ii_parallel_raw(spec: MicrokernelSpec) -> Fraction:
     Interleaving C chains hides up to C-1 cycles of the accumulator RAW
     distance, and the cluster's per-step loads amortize over C VMACs:
     max(P + 1 - C, ceil(r_load / u_ld)) / C. Can drop below one cycle per
-    VMAC; see initiation_intervals for the issue-slot clamp.
+    VMAC; see initiation_interval for the issue-slot clamp.
     """
     raw = max(
         spec.pipeline_depth + 1 - spec.chains,
@@ -166,19 +160,17 @@ def ii_parallel_raw(spec: MicrokernelSpec) -> Fraction:
     return Fraction(raw, spec.chains)
 
 
-def initiation_intervals(spec: MicrokernelSpec) -> InitiationIntervals:
-    """(single-chain II, parallel-chain II) in cycles per VMAC.
+def initiation_interval(spec: MicrokernelSpec) -> Fraction:
+    """Parallel-chain initiation interval in cycles per VMAC.
 
-    A single chain is paced by the larger of the accumulator RAW distance P
-    and its own load pressure. The parallel value divides across C chains and,
-    when clamp_ii is set, is floored at 1/u_vmac since the VMAC slots cannot
-    issue more than u_vmac VMACs per cycle.
+    :func:`ii_parallel_raw` divides across C chains; when clamp_ii is set,
+    the result is floored at 1/u_vmac since the VMAC slots cannot issue
+    more than u_vmac VMACs per cycle.
     """
-    single = max(spec.pipeline_depth, math.ceil(spec.r_load / spec.u_ld))
-    parallel = ii_parallel_raw(spec)
+    ii = ii_parallel_raw(spec)
     if spec.clamp_ii:
-        parallel = max(parallel, Fraction(1, spec.u_vmac))
-    return InitiationIntervals(single, parallel)
+        ii = max(ii, Fraction(1, spec.u_vmac))
+    return ii
 
 
 def epilog_bound(spec: MicrokernelSpec) -> int:
@@ -204,7 +196,7 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
     pattern, so the cluster count cancels.
     """
     t_prolog = prolog_bound(spec.load_classes, spec.u_ld)
-    ii_single, ii_par = initiation_intervals(spec)
+    ii_par = initiation_interval(spec)
     steady_exact = ii_par * max(0, spec.n_accum - spec.chains)
     t_epilog = epilog_bound(spec)
     cluster = t_prolog + steady_exact + t_epilog
@@ -217,7 +209,6 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
         ovl = min(math.ceil(ovl_exact), seq)
     return LatencyBounds(
         t_prolog=t_prolog,
-        ii_single=ii_single,
         ii_parallel=ii_par,
         t_steady=math.ceil(steady_exact),
         t_epilog=t_epilog,

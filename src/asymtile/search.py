@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from asymtile.arch import (
     DEFAULT_ARCH,
+    MICROTILE,
     ArchSpec,
     ConfigError,
     PrecisionSpec,
@@ -31,7 +32,6 @@ from asymtile.arch import (
     TileConfig,
     buffer_footprint,
     check_feasible,
-    derive_l2_tiles,
     from_section,
     is_int,
     require_ints,
@@ -42,13 +42,12 @@ from asymtile.perf import (
     EFF_SOURCE_SIMULATED,
     EFF_SOURCES,
     PerfEstimate,
+    calibrated_eff_micro,
     eff_core,
     perf_array,
-    resolve_eff_micro,
 )
 from asymtile.pipeline import DEFAULT_MICROKERNEL, MicrokernelSpec, microkernel_for_tile
 
-MICROTILE = 8
 # Efficiency sources that score a tile by its own microkernel, so they can
 # score only tiles that microkernel_for_tile can build a kernel for.
 KERNEL_EFF_SOURCES = (EFF_SOURCE_CLOSED_FORM, EFF_SOURCE_SIMULATED)
@@ -129,7 +128,7 @@ def enumerate_feasible(
 
     The grid is pruned before any tile is built. Divisibility separates by
     axis, so the ``t_mc``, ``t_k`` and ``t_n`` ranges are filtered on their
-    own, and the valid ``t_ma = t_mc / rho`` values (whole microtiles) are
+    own, and the valid ``t_ma = t_mc / rho`` values (multiples of 8) are
     worked out once per ``t_mc``. :func:`check_feasible` then runs on the
     survivors only. The footprint strictly increases in ``t_ma``, ``t_k``
     and ``t_n`` (byte costs are positive and multipliers at least 1), so
@@ -146,13 +145,8 @@ def enumerate_feasible(
         values = range(lo, hi + 1, space.step)
         if problem is None:
             return list(values)
-        # Each L2 extent of derive_l2_tiles depends on its own L1 dimension
-        # only, so the diagonal tile (v, v, v, v) gives it for value v.
-        dim = (problem.m, problem.k, problem.n)[axis]
-        return [
-            v for v in values
-            if dim % derive_l2_tiles(TileConfig(v, v, v, v), arch)[axis] == 0
-        ]
+        dim, scale = (problem.m, problem.k, problem.n)[axis], arch.grid_scale[axis]
+        return [v for v in values if dim % (scale * v) == 0]
 
     t_mcs = axis_values(0, space.t_mc_min, space.t_mc_max)
     t_ks = axis_values(1, space.t_k_min, space.t_k_max)
@@ -268,22 +262,21 @@ def sweep_grid(
     fixed_t_mc: int,
     fixed_t_n: int,
     arch: ArchSpec = DEFAULT_ARCH,
-    eff_source: str = EFF_SOURCE_CALIBRATION,
 ) -> list[SweepRow]:
-    """Model efficiencies over a (t_k, rho) grid at fixed output-tile dims.
+    """Calibrated efficiencies over a (t_k, rho) grid at fixed output-tile dims.
 
     Rows appear in t_k-major order. Each rho must divide ``fixed_t_mc`` into
-    a whole microtile multiple.
+    a multiple of :data:`~asymtile.arch.MICROTILE`.
     """
     rows: list[SweepRow] = []
     for t_k in tk_values:
         for rho in rho_values:
             if fixed_t_mc % rho != 0 or (fixed_t_mc // rho) % MICROTILE != 0:
                 raise ConfigError(
-                    f"rho={rho} does not divide t_mc={fixed_t_mc} into microtiles"
+                    f"rho={rho} does not divide t_mc={fixed_t_mc} into multiples of {MICROTILE}"
                 )
             tile = TileConfig(fixed_t_mc // rho, fixed_t_mc, t_k, fixed_t_n)
-            eff = resolve_eff_micro(tile, eff_source)
+            eff = calibrated_eff_micro(t_k)
             rows.append(SweepRow(t_k, rho, eff, eff_core(tile, eff, arch)))
     return rows
 

@@ -71,10 +71,11 @@ def test_tile_validation():
 
 
 def test_unit_tile_footprint():
-    # Degenerate all-ones tile at unit byte costs: 2*1 + 2*1 + 1*1 = 5 bytes.
-    tile = TileConfig(1, 1, 1, 1, microtile=1)
+    # Smallest tile, one 8x8 block per dim, at unit byte costs: two 8x8 A
+    # slices, two 8x8 B slices and one 8x8 C tile, 2*64 + 2*64 + 1*64 = 320.
+    tile = TileConfig(8, 8, 8, 8)
     prec = PrecisionSpec(1, 1, 1)
-    assert buffer_footprint(tile, prec) == 5
+    assert buffer_footprint(tile, prec) == 320
 
 
 def test_footprint_reference_config():

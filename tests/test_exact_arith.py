@@ -106,13 +106,12 @@ precisions = st.builds(PrecisionSpec, byte_costs, byte_costs, byte_costs)
 
 @st.composite
 def tiles(draw):
-    t_ma = draw(st.integers(1, 64))
+    t_ma = 8 * draw(st.integers(1, 8))
     return TileConfig(
         t_ma,
         t_ma * draw(st.integers(1, 8)),
-        draw(st.integers(1, 512)),
-        draw(st.integers(1, 512)),
-        microtile=1,
+        8 * draw(st.integers(1, 64)),
+        8 * draw(st.integers(1, 64)),
     )
 
 

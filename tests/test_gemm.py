@@ -58,7 +58,7 @@ def reference_row_update_gemm(a: Matrix, b: Matrix) -> list[float]:
     out = [[0.0] * b.cols for _ in range(a.rows)]
     for i in range(a.rows):
         for kk in range(a.cols):
-            av, brow = a.at(i, kk), b.row(kk)
+            av, brow = a.data[i * a.cols + kk], b.row(kk)
             for j in range(b.cols):
                 out[i][j] += av * brow[j]
     return [v for row in out for v in row]
@@ -159,19 +159,16 @@ def wide_value(rng: random.Random) -> float:
 
 
 def test_tiled_equivalence_randomized():
-    # Microtiles below 8 give t_n that are not whole lane groups, so the
-    # padded lanes run; the result must still be naive_gemm's, float for
-    # float and sign for sign.
+    # t_n from 8 to 40 is one to five 8-lane groups; the result must be
+    # naive_gemm's, float for float and sign for sign.
     rng = random.Random(4)
     for _ in range(40):
-        micro = rng.choice([1, 2, 4, 8])
-        t_ma = micro * rng.randint(1, 2)
+        t_ma = 8 * rng.randint(1, 2)
         tile = TileConfig(
             t_ma,
-            t_ma * rng.choice([1, 2, 4, 8]),
-            micro * rng.randint(1, 3),
-            micro * rng.randint(1, 5),
-            microtile=micro,
+            t_ma * rng.choice([1, 2, 4]),
+            8 * rng.randint(1, 3),
+            8 * rng.randint(1, 5),
         )
         m = tile.t_mc * rng.randint(1, 2)
         k = tile.t_k * rng.randint(1, 2)
@@ -187,19 +184,20 @@ def test_tiled_equivalence_randomized():
 
 
 def test_tiled_non_finite_matches_naive():
-    # inf times a padded 0.0 lane is NaN; padded lanes must never reach the
-    # output, so NaN and inf land exactly where naive_gemm puts them.
+    # inf times 0.0 is NaN, and inf and NaN spread along their rows and
+    # columns; across two lane groups and two output tiles per dim, NaN and
+    # inf must land exactly where naive_gemm puts them.
     inf, nan = math.inf, math.nan
     rng = random.Random(5)
-    a_rows = [[rng.uniform(-2, 2) for _ in range(6)] for _ in range(4)]
-    b_rows = [[rng.uniform(-2, 2) for _ in range(10)] for _ in range(6)]
+    a_rows = [[rng.uniform(-2, 2) for _ in range(16)] for _ in range(32)]
+    b_rows = [[rng.uniform(-2, 2) for _ in range(32)] for _ in range(16)]
     a_rows[0][1] = inf
-    a_rows[2][0] = -inf
+    a_rows[20][0] = -inf
     b_rows[1][4] = 0.0
-    b_rows[2][3] = nan
-    b_rows[5][7] = -inf
+    b_rows[2][11] = nan
+    b_rows[13][27] = -inf
     a, b = matrix_from_rows(a_rows), matrix_from_rows(b_rows)
-    tile = TileConfig(2, 4, 3, 5, microtile=1)
+    tile = TileConfig(8, 16, 8, 16)
     got, _ = tiled_gemm(a, b, tile, 10**9, UNIT)
     want = naive_gemm(a, b)
     assert [math.isnan(v) for v in got.data] == [math.isnan(v) for v in want.data]

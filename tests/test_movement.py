@@ -26,6 +26,7 @@ from asymtile.movement import (
     random_divisible_case,
     simulate_movement,
     verify_movement_equivalence,
+    walk_nest,
 )
 from asymtile.perf import perf_array
 
@@ -44,8 +45,8 @@ def test_reference_core_counts():
 
 
 def test_single_tile_moves_each_element_once():
-    m, k, n = 24, 16, 40
-    tile = TileConfig(12, 24, 16, 40, microtile=4)
+    m, k, n = 48, 16, 40
+    tile = TileConfig(24, 48, 16, 40)
     trace = simulate_movement(ProblemSpec(m, k, n), tile, UNIT)
     assert trace.bytes_a == m * k
     assert trace.bytes_b == k * n
@@ -78,8 +79,6 @@ def test_occupancy_equals_footprint():
     tile = TileConfig(32, 128, 64, 128)
     trace = simulate_movement(ProblemSpec(512, 128, 512), tile, prec)
     assert trace.peak_l1_occupancy == buffer_footprint(tile, prec)
-    occ_a, occ_b, occ_c = trace.peak_occupancy_per_operand
-    assert occ_a + occ_b + occ_c == buffer_footprint(tile, prec)
 
 
 @settings(max_examples=25)
@@ -107,7 +106,7 @@ def test_one_footprint_decides_feasibility(seed, multipliers, slack):
     arch = replace(arch, l1_capacity=max(1, buffer_footprint(tile, prec, arch) + slack))
     est = perf_array(tile, problem, prec, arch)
     try:
-        trace = simulate_movement(problem, tile, prec, arch, capacity=arch.l1_capacity)
+        trace = walk_nest(problem, tile, prec, arch, capacity=arch.l1_capacity)
     except BufferOverflowError:
         trace = None
     assert check_feasible(tile, prec, arch) == est.feasible == (trace is not None)
@@ -119,18 +118,13 @@ def test_capacity_overflow_names_first_step():
     prec = PRECISION_PRESETS["config1"]
     tile = TileConfig(128, 128, 64, 128)
     with pytest.raises(BufferOverflowError, match=r"i=0, j=0, kk=0"):
-        simulate_movement(
-            ProblemSpec(128, 64, 128),
-            tile,
-            prec,
-            capacity=DEFAULT_ARCH.l1_capacity,
-        )
+        walk_nest(ProblemSpec(128, 64, 128), tile, prec, capacity=DEFAULT_ARCH.l1_capacity)
 
 
 def test_capacity_ok_when_feasible():
     prec = PRECISION_PRESETS["config1"]
     tile = TileConfig(32, 128, 64, 128)
-    trace = simulate_movement(
+    trace = walk_nest(
         ProblemSpec(128, 64, 128), tile, prec, capacity=DEFAULT_ARCH.l1_capacity
     )
     assert trace.flops == 2 * 128 * 64 * 128
@@ -152,7 +146,6 @@ def test_measured_ai_rejects_zero_bytes():
         bytes_c=Fraction(0),
         flops=0,
         peak_l1_occupancy=0,
-        peak_occupancy_per_operand=(Fraction(0), Fraction(0), Fraction(0)),
         evictions_a=0,
     )
     with pytest.raises(ConfigError):
@@ -160,11 +153,15 @@ def test_measured_ai_rejects_zero_bytes():
 
 
 def test_unit_problem_ai():
-    tile = TileConfig(1, 1, 1, 1, microtile=1)
+    # One 8x8x8 tile covering the problem moves each operand once: 64
+    # elements each, so 2*64 + (5/4)*64 + 1*64 = 272 bytes for 2*8^3 = 1024
+    # flops, an intensity of 1024/272 = 64/17.
+    tile = TileConfig(8, 8, 8, 8)
     prec = PrecisionSpec(2, Fraction(5, 4), 1, "mixed")
-    trace = simulate_movement(ProblemSpec(1, 1, 1), tile, prec)
-    assert trace.flops == 2
-    assert measured_ai(trace) == Fraction(2) / (2 + Fraction(5, 4) + 1)
+    trace = simulate_movement(ProblemSpec(8, 8, 8), tile, prec)
+    assert trace.flops == 1024
+    assert trace.total_bytes == 272
+    assert measured_ai(trace) == Fraction(64, 17)
 
 
 def test_ai_invariant_to_problem_m():

@@ -11,7 +11,7 @@ from asymtile.pipeline import (
     eff_micro,
     epilog_bound,
     ii_parallel_raw,
-    initiation_intervals,
+    initiation_interval,
     microkernel_for_tile,
     microkernel_from_dict,
     prolog_bound,
@@ -65,27 +65,26 @@ def test_prolog_permutation_invariant_and_monotone(classes, u_ld, seed):
 # -- initiation intervals ----------------------------------------------------
 
 def test_ii_single_chain():
+    # One chain hides no RAW cycles: max(3 + 1 - 1, ceil(4 / 2)) / 1 = 3.
     spec = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=1, accum_regs=5)
-    ii = initiation_intervals(spec)
-    assert ii.ii_single == 3
-    assert ii.ii_parallel == 3
+    assert initiation_interval(spec) == 3
 
 
 def test_ii_three_chains_clamped():
     spec = mk(pipeline_depth=3, r_load=2, u_ld=2, chains=3)
     assert ii_parallel_raw(spec) == Fraction(1, 3)
-    assert initiation_intervals(spec).ii_parallel == 1
+    assert initiation_interval(spec) == 1
 
 
 def test_ii_four_chains_clamped():
     spec = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=4)
     assert ii_parallel_raw(spec) == Fraction(1, 2)
-    assert initiation_intervals(spec).ii_parallel == 1
+    assert initiation_interval(spec) == 1
 
 
 def test_ii_unclamped_mode():
     spec = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=4, clamp_ii=False)
-    assert initiation_intervals(spec).ii_parallel == Fraction(1, 2)
+    assert initiation_interval(spec) == Fraction(1, 2)
 
 
 @given(
@@ -197,7 +196,7 @@ def test_eff_micro_reference_phases():
 
 def test_eff_micro_saturates():
     spec = mk(n_accum=4096, chains=4, r_load=2)
-    assert initiation_intervals(spec).ii_parallel == 1
+    assert initiation_interval(spec) == 1
     assert eff_micro(spec) > Fraction(99, 100)
 
 
@@ -237,7 +236,7 @@ def test_eff_micro_bounded_by_ii(params):
         load_classes=(LoadClass(lat, max(1, r_load * chains)),),
         accum_regs=5,
     )
-    ii = initiation_intervals(spec).ii_parallel
+    ii = initiation_interval(spec)
     assert 0 < eff_micro(spec) * ii <= 1
 
 

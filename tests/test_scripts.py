@@ -1,8 +1,8 @@
 """Runs of ``scripts/reproduce_tables.py``, each in a fresh interpreter.
 
-It is the only caller of ``sweep_grid`` and ``calibrated_eff_micro``
-outside the tests, so a change to either shows here. Each run must exit 0
-and print the config1 reference row. The design-space search and its gain
+It is the only caller of ``sweep_grid`` outside the tests, and it scores
+its reference rows with ``calibrated_eff_micro`` directly, so a change to
+either shows here. Each run must exit 0 and print the config1 reference row. The design-space search and its gain
 are the ``asymtile search`` command's, tested in ``test_cli.py``.
 """
 
