@@ -76,19 +76,17 @@ def naive_gemm(a: Matrix, b: Matrix) -> Matrix:
     return matrix_from_rows(out)
 
 
-LANES = MICROTILE  # accumulators per register block: the VMAC's output lanes
-
-
 class _Executor:
     """Numeric payload for :func:`walk_nest`: real operand data staged and
     multiplied at each event, into a resident output accumulator.
 
     The update is a register-blocked microkernel. Each staged B panel is cut
-    into groups of :data:`LANES` columns; ``t_n`` is a multiple of
-    :data:`~asymtile.arch.MICROTILE`, so the groups cover it exactly. For
-    each A row and group, the group's accumulators live in locals for the
-    whole stage, take one term per contraction step in ascending order, and
-    are written back once."""
+    into groups of :data:`~asymtile.arch.MICROTILE` columns (the VMAC's
+    output lanes); ``t_n`` is a multiple of it, so the groups cover it
+    exactly. For each A row and group, the group's accumulators live in
+    locals for the whole stage, take one term per contraction step in
+    ascending order, and are written back once. :meth:`stage_a` unpacks
+    eight locals, so it holds only while ``MICROTILE`` is 8."""
 
     def __init__(self, a: Matrix, b: Matrix, tile: TileConfig) -> None:
         self.a, self.b = a, b
@@ -104,8 +102,8 @@ class _Executor:
             for row in range(k0, k0 + self.t_k)
         ]
         self.groups = [
-            (g, [brow[g : g + LANES] for brow in panel])
-            for g in range(0, t_n, LANES)
+            (g, [brow[g : g + MICROTILE] for brow in panel])
+            for g in range(0, t_n, MICROTILE)
         ]
 
     def stage_a(self, i: int, j: int, kk: int, r: int) -> None:
@@ -116,7 +114,7 @@ class _Executor:
             arow = self.a.data[start : start + t_k]
             crow = self.acc[r * t_ma + li]
             for g, group in self.groups:
-                c0, c1, c2, c3, c4, c5, c6, c7 = crow[g : g + LANES]
+                c0, c1, c2, c3, c4, c5, c6, c7 = crow[g : g + MICROTILE]
                 for av, (b0, b1, b2, b3, b4, b5, b6, b7) in zip(arow, group):
                     c0 += av * b0
                     c1 += av * b1
@@ -126,7 +124,7 @@ class _Executor:
                     c5 += av * b5
                     c6 += av * b6
                     c7 += av * b7
-                crow[g : g + LANES] = c0, c1, c2, c3, c4, c5, c6, c7
+                crow[g : g + MICROTILE] = c0, c1, c2, c3, c4, c5, c6, c7
 
     def write_c(self, i: int, j: int) -> None:
         t_mc, t_n = self.t_mc, self.t_n
@@ -149,8 +147,8 @@ def tiled_gemm(
     the default architecture's buffers; this function only supplies the
     numbers. Per output tile the accumulator stays resident for the whole
     contraction; each step stages one panel of ``b``, cut into groups of
-    :data:`LANES` columns, and then walks ``a`` in row-subtile slices,
-    updating one accumulator block per A row and group. Each output takes
+    :data:`~asymtile.arch.MICROTILE` columns, and then walks ``a`` in
+    row-subtile slices, updating one accumulator block per A row and group. Each output takes
     the same terms as :func:`naive_gemm`, in ascending contraction order,
     so the result equals :func:`naive_gemm` bitwise.
     """

@@ -24,9 +24,6 @@ from typing import Iterable
 
 from asymtile.arch import MICROTILE, ConfigError, TileConfig, from_section, require_bools, require_ints
 
-# One accumulator update consumes this many reduction elements (the vector
-# unit computes an 8x8x8 block per VMAC).
-K_BASE = MICROTILE
 # Output elements produced per chain cluster (an 8x8 register tile per chain,
 # C chains per cluster).
 MICROTILE_OUT = MICROTILE * MICROTILE
@@ -227,12 +224,13 @@ def eff_micro(spec: MicrokernelSpec) -> Fraction:
 def microkernel_for_tile(tile: TileConfig, base: MicrokernelSpec = DEFAULT_MICROKERNEL) -> MicrokernelSpec:
     """Instantiate a microkernel spec for a tile shape.
 
-    Each accumulator update covers K_BASE reduction elements, so
-    n_accum = t_k / K_BASE; each cluster produces MICROTILE_OUT * chains
-    output elements, so n_clusters = t_ma * t_n / (MICROTILE_OUT * chains).
+    Each accumulator update (one 8x8x8 VMAC) covers MICROTILE reduction
+    elements, so n_accum = t_k / MICROTILE; each cluster produces
+    MICROTILE_OUT * chains output elements, so
+    n_clusters = t_ma * t_n / (MICROTILE_OUT * chains).
     """
-    if tile.t_k % K_BASE != 0:
-        raise ConfigError(f"t_k={tile.t_k} must be a multiple of {K_BASE}")
+    if tile.t_k % MICROTILE != 0:
+        raise ConfigError(f"t_k={tile.t_k} must be a multiple of {MICROTILE}")
     per_cluster = MICROTILE_OUT * base.chains
     if (tile.t_ma * tile.t_n) % per_cluster != 0:
         raise ConfigError(
@@ -240,7 +238,7 @@ def microkernel_for_tile(tile: TileConfig, base: MicrokernelSpec = DEFAULT_MICRO
         )
     return replace(
         base,
-        n_accum=tile.t_k // K_BASE,
+        n_accum=tile.t_k // MICROTILE,
         n_clusters=(tile.t_ma * tile.t_n) // per_cluster,
     )
 

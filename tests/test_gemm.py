@@ -159,14 +159,14 @@ def wide_value(rng: random.Random) -> float:
 
 
 def test_tiled_equivalence_randomized():
-    # t_n from 8 to 40 is one to five 8-lane groups; the result must be
-    # naive_gemm's, float for float and sign for sign.
+    # t_n from 8 to 40 is one to five 8-lane groups and rho runs to 8; the
+    # result must be naive_gemm's, float for float and sign for sign.
     rng = random.Random(4)
     for _ in range(40):
         t_ma = 8 * rng.randint(1, 2)
         tile = TileConfig(
             t_ma,
-            t_ma * rng.choice([1, 2, 4]),
+            t_ma * rng.choice([1, 2, 4, 8]),
             8 * rng.randint(1, 3),
             8 * rng.randint(1, 5),
         )

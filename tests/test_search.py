@@ -151,6 +151,21 @@ def search_cases(draw):
     return space, prec, arch
 
 
+def test_divisibility_scales_each_axis_by_the_grid():
+    # The default 4x8 grid turns an L1 tile into an L2 tile of
+    # (4*t_mc, t_k, 8*t_n). With m = 384 = 2^7*3 and n = 768 = 2^8*3, the
+    # L2 tile divides the problem only for t_mc | 96 and t_n | 96, though
+    # t_mc = 128 divides 384 and t_n = 128 divides 768.
+    problem = ProblemSpec(384, 512, 768)
+    space = small_space(t_mc_min=8, t_n_min=8, divisibility_problem=problem)
+    tiles = enumerate_feasible(space, CONFIG1)
+    assert {t.t_mc for t in tiles} == {8, 16, 24, 32, 48, 96}
+    assert {t.t_n for t in tiles} == {8, 16, 24, 32, 48, 96}
+    assert check_feasible(TileConfig(32, 128, 64, 128), CONFIG1)
+    assert TileConfig(32, 128, 64, 128) not in tiles
+    assert tiles == reference_enumerate(space, CONFIG1, DEFAULT_ARCH)
+
+
 @settings(max_examples=150)
 @given(case=search_cases())
 def test_pruned_enumeration_equals_full_grid(case):
@@ -167,7 +182,7 @@ def test_pruned_enumeration_equals_full_grid(case):
 def test_kernel_sources_keep_the_buildable_full_grid_tiles(case, chains, source):
     space, prec, arch = case
     kernel = replace(DEFAULT_MICROKERNEL, chains=chains)
-    # Buildable: whole K_BASE=8 updates and whole clusters of 64 outputs
+    # Buildable: whole 8-element updates and whole clusters of 64 outputs
     # per chain.
     want = [
         t for t in reference_enumerate(space, prec, arch)
