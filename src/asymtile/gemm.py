@@ -10,6 +10,16 @@ block-floating-point codec (8 values sharing one exponent byte, 9 bytes per
 block) sits beside it. The codec does not set any byte cost: the precision
 presets in ``asymtile.arch`` state their fractional costs (9/8 and 5/4) as
 constants of their own.
+
+Both products are register-blocked the way the paper's VMAC is: a group of
+:data:`~asymtile.arch.MICROTILE` adjacent output columns keeps its
+accumulators in eight locals while one row of the first operand is walked
+along the contraction, each accumulator taking one term per step in
+ascending order. :func:`naive_gemm` walks the whole contraction in one
+pass and finishes the ``n % MICROTILE`` columns past its last full group
+with plain dot products; :func:`tiled_gemm` walks it one staged panel at a
+time. Both kernels unpack eight locals, so they hold only while
+``MICROTILE`` is 8.
 """
 
 from __future__ import annotations
@@ -18,7 +28,9 @@ import math
 from dataclasses import dataclass
 
 from asymtile.arch import (
+    DEFAULT_ARCH,
     MICROTILE,
+    ArchSpec,
     ConfigError,
     PrecisionSpec,
     ProblemSpec,
@@ -58,22 +70,45 @@ def matrix_from_rows(rows: list[list[float]]) -> Matrix:
 
 def naive_gemm(a: Matrix, b: Matrix) -> Matrix:
     """Reference product: per output element, terms added in ascending
-    contraction order, as a dot product of a row of ``a`` with a column of
-    ``b``."""
+    contraction order into an accumulator that starts at ``0.0``.
+
+    Each row of ``a`` is walked once per group of
+    :data:`~asymtile.arch.MICROTILE` adjacent output columns, with the
+    group's accumulators in locals; ``b`` is regrouped once into per-row
+    tuples of those columns. The ``n % MICROTILE`` columns past the last
+    full group are plain dot products of the row with a column of ``b``.
+    Either way every output sums the same terms in the same order, and the
+    whole contraction is one pass, so this never shares the tiled nest."""
     if a.cols != b.rows:
         raise ConfigError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    cols = [b.data[j :: b.cols] for j in range(b.cols)]
-    out = []
+    k, n = a.cols, b.cols
+    full = n - n % MICROTILE
+    groups = [
+        [b.data[row * n + g : row * n + g + MICROTILE] for row in range(k)]
+        for g in range(0, full, MICROTILE)
+    ]
+    rest = [b.data[j::n] for j in range(full, n)]
+    out: list[float] = []
     for i in range(a.rows):
-        arow = a.row(i)
-        orow = []
-        for col in cols:
+        arow = a.data[i * k : (i + 1) * k]
+        for group in groups:
+            c0 = c1 = c2 = c3 = c4 = c5 = c6 = c7 = 0.0
+            for av, (b0, b1, b2, b3, b4, b5, b6, b7) in zip(arow, group):
+                c0 += av * b0
+                c1 += av * b1
+                c2 += av * b2
+                c3 += av * b3
+                c4 += av * b4
+                c5 += av * b5
+                c6 += av * b6
+                c7 += av * b7
+            out += c0, c1, c2, c3, c4, c5, c6, c7
+        for col in rest:
             s = 0.0
             for x, y in zip(arow, col):
                 s += x * y
-            orow.append(s)
-        out.append(orow)
-    return matrix_from_rows(out)
+            out.append(s)
+    return Matrix(a.rows, n, tuple(out))
 
 
 class _Executor:
@@ -85,13 +120,12 @@ class _Executor:
     output lanes); ``t_n`` is a multiple of it, so the groups cover it
     exactly. For each A row and group, the group's accumulators live in
     locals for the whole stage, take one term per contraction step in
-    ascending order, and are written back once. :meth:`stage_a` unpacks
-    eight locals, so it holds only while ``MICROTILE`` is 8."""
+    ascending order, and are written back once."""
 
     def __init__(self, a: Matrix, b: Matrix, tile: TileConfig) -> None:
         self.a, self.b = a, b
         self.t_ma, self.t_mc, self.t_k, self.t_n = tile.as_tuple()
-        self.out = [[0.0] * b.cols for _ in range(a.rows)]
+        self.out = [0.0] * (a.rows * b.cols)
         self.acc = [[0.0] * self.t_n for _ in range(self.t_mc)]
         self.groups: list[tuple[int, list[tuple[float, ...]]]] = []
 
@@ -127,9 +161,10 @@ class _Executor:
                 crow[g : g + MICROTILE] = c0, c1, c2, c3, c4, c5, c6, c7
 
     def write_c(self, i: int, j: int) -> None:
-        t_mc, t_n = self.t_mc, self.t_n
+        t_mc, t_n, n = self.t_mc, self.t_n, self.b.cols
         for li in range(t_mc):
-            self.out[i * t_mc + li][j * t_n : (j + 1) * t_n] = self.acc[li]
+            start = (i * t_mc + li) * n + j * t_n
+            self.out[start : start + t_n] = self.acc[li]
             self.acc[li] = [0.0] * t_n
 
 
@@ -139,25 +174,29 @@ def tiled_gemm(
     tile: TileConfig,
     capacity: int,
     prec: PrecisionSpec,
+    *,
+    arch: ArchSpec = DEFAULT_ARCH,
 ) -> tuple[Matrix, MovementTrace]:
     """Compute ``a @ b`` through bounded staging buffers, returning the
     product and the byte trace of every transfer into them.
 
     The nest, the capacity check and the trace are :func:`walk_nest`'s, with
-    the default architecture's buffers; this function only supplies the
-    numbers. Per output tile the accumulator stays resident for the whole
-    contraction; each step stages one panel of ``b``, cut into groups of
+    the buffers of ``arch``, so they equal
+    :func:`~asymtile.movement.simulate_movement`'s for the same ``arch``;
+    this function only supplies the numbers. Per output tile the
+    accumulator stays resident for the whole contraction; each step stages
+    one panel of ``b``, cut into groups of
     :data:`~asymtile.arch.MICROTILE` columns, and then walks ``a`` in
-    row-subtile slices, updating one accumulator block per A row and group. Each output takes
-    the same terms as :func:`naive_gemm`, in ascending contraction order,
-    so the result equals :func:`naive_gemm` bitwise.
+    row-subtile slices, updating one accumulator block per A row and group.
+    Each output takes the same terms as :func:`naive_gemm`, in ascending
+    contraction order, so the result equals :func:`naive_gemm` bitwise.
     """
     if a.cols != b.rows:
         raise ConfigError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     executor = _Executor(a, b, tile)
     problem = ProblemSpec(a.rows, a.cols, b.cols)
-    trace = walk_nest(problem, tile, prec, capacity=capacity, payload=executor)
-    return matrix_from_rows(executor.out), trace
+    trace = walk_nest(problem, tile, prec, arch, capacity=capacity, payload=executor)
+    return Matrix(a.rows, b.cols, tuple(executor.out)), trace
 
 
 # -- block floating point ------------------------------------------------------

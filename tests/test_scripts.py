@@ -1,13 +1,17 @@
-"""Runs of ``scripts/reproduce_tables.py``, each in a fresh interpreter.
+"""Runs of ``scripts/reproduce_tables.py``, each in a fresh interpreter, and
+the summary of ``scripts/bench_pairs.py`` on synthetic run records.
 
-It is the only caller of ``sweep_grid`` outside the tests, and it scores
-its reference rows with ``calibrated_eff_micro`` directly, so a change to
-either shows here. Each run must exit 0 and print the config1 reference row. The design-space search and its gain
-are the ``asymtile search`` command's, tested in ``test_cli.py``.
+``reproduce_tables.py`` is the only caller of ``sweep_grid`` outside the
+tests, and it scores its reference rows with ``calibrated_eff_micro``
+directly, so a change to either shows here. Each run must exit 0 and print
+the config1 reference row. The design-space search and its gain are the
+``asymtile search`` command's, tested in ``test_cli.py``. No test here runs
+the benchmark.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -56,3 +60,43 @@ def test_reproduce_tables_closed_stdout_exits_3_without_traceback():
         os.close(write_end)
     assert proc.returncode == 3
     assert proc.stderr == "error: stdout was closed before the tables were written\n"
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_record(pass_norm_s, sha="f" * 64, correct=True):
+    return {"pass_norm_s": pass_norm_s, "setup_s": 0.06712, "peak_rss_mb": 33.456,
+            "sha256": sha, "correct": correct}
+
+
+def test_bench_pairs_summary():
+    summarise = load_bench_pairs().summarise
+    parents = (0.80, 0.70, 0.75, 0.60, 0.90)
+    changes = (0.60, 0.70, 0.55, 0.61, 0.50)
+    runs = {
+        seed: {"parent": run_record(p), "change": run_record(c)}
+        for seed, p, c in zip((15, 11, 12, 13, 14), parents, changes)
+    }
+    summary = summarise(runs)
+    assert summary["parent"]["pass_norm_s"] == {"median": 0.75, "q1": 0.7, "q3": 0.8}
+    assert summary["change"]["pass_norm_s"] == {"median": 0.6, "q1": 0.55, "q3": 0.61}
+    assert summary["change"]["setup_s"] == {"median": 0.0671, "q1": 0.0671, "q3": 0.0671}
+    # Seed 11 ties and seed 13 is a loss: three wins of five.
+    assert summary["change_wins"] == 3
+    assert summary["fingerprints_equal"] and summary["all_correct_zero_failed"]
+    assert list(summary["runs"]) == ["11", "12", "13", "14", "15"]
+    assert summary["runs"]["15"] == {
+        "parent": {"pass_norm_s": 0.8, "setup_s": 0.0671, "peak_rss_mb": 33.46},
+        "change": {"pass_norm_s": 0.6, "setup_s": 0.0671, "peak_rss_mb": 33.46},
+    }
+
+    runs[12]["change"] = run_record(0.55, sha="0" * 64)
+    runs[14]["parent"] = run_record(0.90, correct=False)
+    summary = summarise(runs)
+    assert not summary["fingerprints_equal"]
+    assert not summary["all_correct_zero_failed"]
