@@ -40,7 +40,8 @@ ORDER = "alternated: parent first on odd seeds, change first on even seeds"
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run in ``tree``: its end-to-end metrics, its
-    fingerprint digest and whether it was correct."""
+    fingerprint digest, whether it was correct and whether it was pinned to
+    one CPU."""
     result_path = tree / "benchmarks" / "results" / f"{workload}-seed{seed}.json"
     result_path.unlink(missing_ok=True)
     proc = subprocess.run(
@@ -60,6 +61,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     record["correct"] = (
         proc.returncode == 0 and result["provenance"]["failed_operations"] == 0
     )
+    record["pinned"] = result["provenance"]["pinned_cpu"] is not None
     return record
 
 
@@ -97,7 +99,9 @@ def summarise(runs: dict[int, dict[str, dict]]) -> dict:
     return summary
 
 
-def machine() -> dict:
+def machine(pinned: bool) -> dict:
+    """The host the runs shared; ``pinned`` says every run was pinned to one
+    CPU."""
     model = platform.processor() or platform.machine()
     cpuinfo = Path("/proc/cpuinfo")
     if cpuinfo.exists():
@@ -106,8 +110,9 @@ def machine() -> dict:
                 model = line.split(":", 1)[1].strip()
                 break
     release = ".".join(platform.release().split(".")[:2])
+    cpu = f"{model}, {os.cpu_count()} vCPU"
     return {
-        "cpu": f"{model}, {os.cpu_count()} vCPU, process pinned to one CPU",
+        "cpu": f"{cpu}, process pinned to one CPU" if pinned else cpu,
         "arch": platform.machine(),
         "os": f"{platform.system()} {release}",
         "python": platform.python_version(),
@@ -157,7 +162,9 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": sorted(runs),
         "order": ORDER,
         **summary,
-        "machine": machine(),
+        "machine": machine(
+            all(runs[s][side]["pinned"] for s in runs for side in SIDES)
+        ),
     }
     out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")

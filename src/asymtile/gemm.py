@@ -28,9 +28,7 @@ import math
 from dataclasses import dataclass
 
 from asymtile.arch import (
-    DEFAULT_ARCH,
     MICROTILE,
-    ArchSpec,
     ConfigError,
     PrecisionSpec,
     ProblemSpec,
@@ -174,28 +172,24 @@ def tiled_gemm(
     tile: TileConfig,
     capacity: int,
     prec: PrecisionSpec,
-    *,
-    arch: ArchSpec = DEFAULT_ARCH,
 ) -> tuple[Matrix, MovementTrace]:
     """Compute ``a @ b`` through bounded staging buffers, returning the
     product and the byte trace of every transfer into them.
 
     The nest, the capacity check and the trace are :func:`walk_nest`'s, with
-    the buffers of ``arch``, so they equal
-    :func:`~asymtile.movement.simulate_movement`'s for the same ``arch``;
-    this function only supplies the numbers. Per output tile the
-    accumulator stays resident for the whole contraction; each step stages
-    one panel of ``b``, cut into groups of
+    the default architecture's buffers; this function only supplies the
+    numbers. Per output tile the accumulator stays resident for the whole
+    contraction; each step stages one panel of ``b``, cut into groups of
     :data:`~asymtile.arch.MICROTILE` columns, and then walks ``a`` in
-    row-subtile slices, updating one accumulator block per A row and group.
-    Each output takes the same terms as :func:`naive_gemm`, in ascending
-    contraction order, so the result equals :func:`naive_gemm` bitwise.
+    row-subtile slices, updating one accumulator block per A row and group. Each output takes
+    the same terms as :func:`naive_gemm`, in ascending contraction order,
+    so the result equals :func:`naive_gemm` bitwise.
     """
     if a.cols != b.rows:
         raise ConfigError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     executor = _Executor(a, b, tile)
     problem = ProblemSpec(a.rows, a.cols, b.cols)
-    trace = walk_nest(problem, tile, prec, arch, capacity=capacity, payload=executor)
+    trace = walk_nest(problem, tile, prec, capacity=capacity, payload=executor)
     return Matrix(a.rows, b.cols, tuple(executor.out)), trace
 
 

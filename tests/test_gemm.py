@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from asymtile.arch import (
     DEFAULT_ARCH,
     PRECISION_PRESETS,
-    ArchSpec,
     ConfigError,
     PrecisionSpec,
     ProblemSpec,
@@ -74,13 +73,11 @@ def test_naive_dot_products_equal_row_updates_bitwise(shape, data):
     # Same terms in the same order, so every float is identical, even with
     # magnitudes far enough apart that the order of the additions matters.
     # n up to 20 is zero to two full 8-lane groups plus zero to seven
-    # remainder columns; zeros of both signs show an accumulator that does
-    # not start at 0.0.
+    # remainder columns. Zeros of both signs, drawn about one time in four so
+    # most terms stay nonzero, show an accumulator that does not start at 0.0.
     m, k, n = shape
-    values = st.one_of(
-        st.sampled_from((0.0, -0.0)),
-        st.floats(-1e16, 1e16, allow_nan=False, allow_infinity=False),
-    )
+    floats = st.floats(-1e16, 1e16, allow_nan=False, allow_infinity=False)
+    values = st.one_of(floats, floats, floats, st.sampled_from((0.0, -0.0)))
     a = Matrix(m, k, tuple(data.draw(st.lists(values, min_size=m * k, max_size=m * k))))
     b = Matrix(k, n, tuple(data.draw(st.lists(values, min_size=k * n, max_size=k * n))))
     got = naive_gemm(a, b).data
@@ -125,25 +122,6 @@ def test_trace_matches_movement_sim():
     _, trace = tiled_gemm(a, b, tile, DEFAULT_ARCH.l1_capacity, prec)
     expected = simulate_movement(ProblemSpec(64, 32, 32), tile, prec)
     assert trace == expected
-
-
-def test_tiled_walks_the_buffers_of_its_arch():
-    # Single-buffered A and B: the numeric walk must charge the same buffers
-    # as the movement oracle and the closed-form footprint for that arch.
-    single = ArchSpec(buffer_multiplier_a=1, buffer_multiplier_b=1)
-    prec = PRECISION_PRESETS["config2"]
-    tile = TileConfig(8, 16, 8, 16)
-    rng = random.Random(8)
-    a = random_matrix(rng, 32, 16)
-    b = random_matrix(rng, 16, 32)
-    cap = buffer_footprint(tile, prec, single)
-    assert cap < buffer_footprint(tile, prec)
-    got, trace = tiled_gemm(a, b, tile, cap, prec, arch=single)
-    assert got.data == naive_gemm(a, b).data
-    assert trace.peak_l1_occupancy == cap
-    assert trace == simulate_movement(ProblemSpec(32, 16, 32), tile, prec, single)
-    with pytest.raises(BufferOverflowError):
-        tiled_gemm(a, b, tile, cap, prec)
 
 
 def test_capacity_one_under_footprint_names_c():

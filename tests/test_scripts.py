@@ -100,3 +100,9 @@ def test_bench_pairs_summary():
     summary = summarise(runs)
     assert not summary["fingerprints_equal"]
     assert not summary["all_correct_zero_failed"]
+
+
+def test_bench_pairs_names_pinning_only_when_every_run_was_pinned():
+    machine = load_bench_pairs().machine
+    assert machine(True)["cpu"].endswith(", process pinned to one CPU")
+    assert "pinned" not in machine(False)["cpu"]
