@@ -16,7 +16,9 @@ successors, in-degrees and priorities in lists; its heaps order entries by
 
 :func:`kernel_run`, which the efficiency model and the soundness check
 read, schedules each distinct (spec, build options) kernel once per process:
-a design-space search scores many tiles that share a few kernel shapes.
+a design-space search scores many tiles that share a few kernel shapes. It
+also schedules back-to-back (sequential) clusters only once: they run in
+disjoint windows, so n of them take n times one cluster's cycles.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import io
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -36,6 +38,7 @@ from asymtile.pipeline import (
     LatencyBounds,
     LoadClass,
     MicrokernelSpec,
+    chain_drain,
     total_latency,
 )
 
@@ -43,8 +46,10 @@ SLOT_LOAD = "ld"
 SLOT_STORE = "st"
 SLOT_VMAC = "vmac"
 
-# Distinct (spec, build options) summaries kept by kernel_run. A search over
-# the default space needs 15; random soundness specs never repeat.
+# Distinct (spec, build options) summaries kept by kernel_run. The simulated
+# reference search (config1, 4096x4096x2048) needs 15: four one-cluster
+# schedules and 11 multi-cluster entries scaled from them. Random soundness
+# specs never repeat.
 KERNEL_RUN_CACHE_SIZE = 1024
 
 
@@ -402,16 +407,41 @@ def kernel_run(
     are frozen with int counts and bool flags, and the builder and the
     scheduler are deterministic, so equal keys give equal schedules. The
     options go on positionally, so every spelling of one call shares an
-    entry. A builder error is not cached; it raises on every call.
-    ``kernel_run.cache_info()`` and ``cache_clear()`` reach the cache.
+    entry. With at most one cluster the two sequencing modes build the same
+    DAG, so they share an entry too. A builder error is not cached; it
+    raises on every call. ``kernel_run.cache_info()`` and ``cache_clear()``
+    reach the cache.
+
+    Sequential clusters (``overlap_clusters`` false, n > 1 of them) are not
+    built: the result is the one-cluster run, itself memoised, with n times
+    its cycles. This is exact. Every instruction of cluster c + 1 waits,
+    directly or through another instruction, on the cluster gate: all
+    chains' final stores of cluster c, with delay ``l_store``. Every
+    instruction of cluster c reaches a final store, so it issues, and ends,
+    by then. The clusters therefore run in disjoint windows, and the
+    scheduler only ever compares instructions of one cluster. Cluster c's
+    ids are cluster 0's plus a constant, and its priorities are its
+    one-cluster priorities plus a constant as long as no instruction's own
+    latency exceeds its longest downstream path. Only a chain's last VMAC
+    can break that, so the shortcut needs ``pipeline_depth <=
+    chain_drain(spec)`` (forwarding latency, store sequence and
+    ``l_store``). Then each window is the one-cluster schedule shifted in
+    time, with the same first VMAC cycle and VMAC issue rate. Specs outside
+    the condition take the full build.
     """
-    return _kernel_run(spec, overlap_clusters, share_inputs, double_buffer)
+    return _kernel_run(
+        spec, overlap_clusters and spec.n_clusters > 1, share_inputs, double_buffer
+    )
 
 
 @lru_cache(maxsize=KERNEL_RUN_CACHE_SIZE)
 def _kernel_run(
     spec: MicrokernelSpec, overlap_clusters: bool, share_inputs: bool, double_buffer: bool
 ) -> KernelRun:
+    n = spec.n_clusters
+    if not overlap_clusters and n > 1 and spec.pipeline_depth <= chain_drain(spec):
+        one = _kernel_run(replace(spec, n_clusters=1), False, share_inputs, double_buffer)
+        return KernelRun(one.total_cycles * n, one.first_vmac_cycle, one.vmac_issue_rate)
     dag = build_microkernel_dag(
         spec,
         share_inputs=share_inputs,
@@ -510,7 +540,9 @@ def check_bounds_hold(
 
     Returns (bound name, bound value, simulated value) triples for any bound
     the simulation beats; empty means sound. Both cluster sequencing modes
-    are exercised.
+    are checked, through :func:`kernel_run`, which schedules a one-cluster
+    kernel once for both. A kernel of zero clusters issues nothing and has
+    no phases, so only its two total bounds are checked.
     """
     bounds: LatencyBounds = total_latency(spec)
     violations: list[tuple[str, int, int]] = []
@@ -520,6 +552,8 @@ def check_bounds_hold(
         name = "l_total_overlapped" if overlap else "l_total_sequential"
         if res.total_cycles < total_bound:
             violations.append((name, total_bound, res.total_cycles))
+        if not spec.n_clusters:
+            continue
         first_vmac = res.first_vmac_cycle
         if first_vmac < bounds.t_prolog:
             violations.append(("t_prolog", bounds.t_prolog, first_vmac))

@@ -1,7 +1,9 @@
 import heapq
+import importlib
 import math
 import random
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymtile.arch import PRECISION_PRESETS, ConfigError, ProblemSpec
-from asymtile.pipeline import LoadClass, MicrokernelSpec, microkernel_for_tile, total_latency
+from asymtile.pipeline import (
+    LoadClass,
+    MicrokernelSpec,
+    chain_drain,
+    microkernel_for_tile,
+    total_latency,
+)
 from asymtile.schedule import (
     Instruction,
     KernelRun,
@@ -26,6 +34,9 @@ from asymtile.schedule import (
     verify_random_specs,
 )
 from asymtile.search import SearchSpace, enumerate_feasible, rank
+
+# The package exports the function ``schedule``, which hides the module.
+schedule_module = importlib.import_module("asymtile.schedule")
 
 
 # -- reference implementations -------------------------------------------------
@@ -506,10 +517,54 @@ def test_bounds_sound_hypothesis(seed):
     assert check_bounds_hold(spec, options) == []
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**9), overlap=st.booleans())
-def test_kernel_run_equals_fresh_schedule(seed, overlap):
-    spec, options = random_microkernel_spec(random.Random(seed))
+def adversarial_microkernel_spec(rng: random.Random) -> tuple[MicrokernelSpec, dict]:
+    """A buildable spec from outside ``random_microkernel_spec``'s envelope:
+    store forwarding from 0 cycles (often shorter than the MAC pipeline),
+    deeper pipelines, two VMAC or store slots, partial last rounds, unaligned
+    loads with pop companions, and always at least two clusters."""
+    chains = rng.randint(1, 5)
+    r_load = rng.randint(1, 4)
+    classes = [
+        LoadClass(
+            latency=rng.randint(1, 10),
+            count=r_load * chains + rng.randint(0, 2),
+            unaligned=rng.random() < 0.3,
+        )
+    ]
+    if rng.random() < 0.5:
+        classes.append(
+            LoadClass(latency=rng.randint(1, 10), count=rng.randint(1, 3), unaligned=rng.random() < 0.5)
+        )
+    spec = MicrokernelSpec(
+        pipeline_depth=rng.randint(1, 8),
+        u_ld=rng.choice([1, 2, 4]),
+        u_st=rng.randint(1, 2),
+        u_vmac=rng.randint(1, 2),
+        load_classes=tuple(classes),
+        r_load=r_load,
+        chains=chains,
+        n_accum=rng.randint(1, 4 * chains),
+        n_clusters=rng.randint(2, 6),
+        l_vmac_to_store=rng.randint(0, 8),
+        l_store=rng.randint(1, 3),
+        n_store=rng.randint(1, 4),
+        accum_regs=5,
+        clamp_ii=rng.random() < 0.5,
+    )
+    options = {
+        "share_inputs": r_load >= 2 and rng.random() < 0.5,
+        "double_buffer": rng.random() < 0.5,
+    }
+    return spec, options
+
+
+SPEC_DRAWS = [random_microkernel_spec, adversarial_microkernel_spec]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**9), overlap=st.booleans(), draw=st.sampled_from(SPEC_DRAWS))
+def test_kernel_run_equals_fresh_schedule(seed, overlap, draw):
+    spec, options = draw(random.Random(seed))
     res = schedule(
         build_microkernel_dag(spec, overlap_clusters=overlap, **options), slots_for(spec)
     )
@@ -521,28 +576,88 @@ def test_kernel_run_equals_fresh_schedule(seed, overlap):
     assert kernel_run.cache_info().hits == hits + 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), draw=st.sampled_from(SPEC_DRAWS))
+def test_sequential_clusters_repeat_one_cluster_schedule(seed, draw):
+    # Inside kernel_run's condition every instruction of cluster c issues
+    # exactly c * T after its cluster-0 twin, T being one cluster's cycles.
+    spec, options = draw(random.Random(seed))
+    n = max(spec.n_clusters, 2)
+    spec = replace(
+        spec, n_clusters=n, l_vmac_to_store=max(spec.l_vmac_to_store, spec.pipeline_depth)
+    )
+    assert spec.pipeline_depth <= chain_drain(spec)
+    slots = slots_for(spec)
+    one_dag = build_microkernel_dag(replace(spec, n_clusters=1), **options)
+    one = schedule(one_dag, slots)
+    dag = build_microkernel_dag(spec, **options)
+    full = schedule(dag, slots)
+    m, period = len(one_dag), one.total_cycles
+    assert len(dag) == n * m
+    assert full.total_cycles == n * period
+    for ins in dag:
+        c, twin = divmod(ins.id, m)
+        assert ins.group == c
+        assert ins.kind == one_dag[twin].kind
+        assert full.cycle_of[ins.id] == one.cycle_of[twin] + c * period
+
+
+def test_one_cluster_modes_share_a_cache_entry():
+    spec = MicrokernelSpec(n_accum=16, n_clusters=1)
+    kernel_run.cache_clear()
+    assert check_bounds_hold(spec, {}) == []
+    assert kernel_run.cache_info().misses == 1
+    assert kernel_run.cache_info().hits == 1
+    assert kernel_run(spec, True) == kernel_run(spec, False)
+    assert kernel_run.cache_info().misses == 1
+
+
+def test_zero_cluster_kernel_has_no_phase_violations():
+    spec = MicrokernelSpec(n_clusters=0)
+    assert kernel_run(spec, False) == kernel_run(spec, True) == KernelRun(0, 0, Fraction(0))
+    assert check_bounds_hold(spec, {}) == []
+
+
 def test_kernel_run_does_not_cache_builder_errors():
     spec = MicrokernelSpec(r_load=1, u_ld=1, load_classes=(LoadClass(3, 1),))
-    for _ in range(2):
-        with pytest.raises(ConfigError, match="share_inputs needs r_load >= 2"):
-            kernel_run(spec)
+    for n_clusters in (1, 3):
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="share_inputs needs r_load >= 2"):
+                kernel_run(replace(spec, n_clusters=n_clusters))
 
 
-def test_search_schedules_each_distinct_kernel_once():
+def test_search_schedules_each_distinct_kernel_once(monkeypatch):
     problem = ProblemSpec(4096, 4096, 2048)
     prec = PRECISION_PRESETS["config1"]
     space = SearchSpace(eff_source="simulated", divisibility_problem=problem)
     tiles = enumerate_feasible(space, prec)
     assert len(tiles) == 167
+    built = []
+    monkeypatch.setattr(
+        schedule_module, "build_microkernel_dag",
+        lambda spec, **options: built.append(spec) or build_microkernel_dag(spec, **options),
+    )
     kernel_run.cache_clear()
     result = rank(tiles, problem, prec, eff_source="simulated")
+    # The tiles make 15 distinct kernels. The four with one cluster (n_accum
+    # 8, 16, 32 and 64) are built and scheduled; the 11 with more clusters
+    # are scaled from them without a build.
+    specs = {microkernel_for_tile(tile) for tile in tiles}
+    assert len(specs) == 15
+    assert sorted(spec.n_accum for spec in built) == [8, 16, 32, 64]
+    assert all(spec.n_clusters == 1 for spec in built)
     assert kernel_run.cache_info().misses == 15
     for tile, est in result.entries:
         spec = microkernel_for_tile(tile)
         direct = schedule(build_microkernel_dag(spec), slots_for(spec))
         assert est.eff_micro == direct.vmac_issue_rate
-    # The soundness check's sequential run is the one the search scored.
-    assert check_bounds_hold(microkernel_for_tile(tiles[0]), {}) == []
+    # The soundness check's sequential run is the one the search scored; a
+    # one-cluster kernel's overlapped run is the same entry again.
+    one_cluster = next(t for t in tiles if microkernel_for_tile(t).n_clusters == 1)
+    assert check_bounds_hold(microkernel_for_tile(one_cluster), {}) == []
+    assert kernel_run.cache_info().misses == 15
+    many = next(t for t in tiles if microkernel_for_tile(t).n_clusters > 1)
+    assert check_bounds_hold(microkernel_for_tile(many), {}) == []
     assert kernel_run.cache_info().misses == 16
 
 
