@@ -170,19 +170,14 @@ def initiation_interval(spec: MicrokernelSpec) -> Fraction:
     return ii
 
 
-def chain_drain(spec: MicrokernelSpec) -> int:
-    """Cycles from one chain's last accumulator update until its last store
-    completes: the VMAC-to-store forwarding latency plus its store sequence."""
-    return spec.l_vmac_to_store + spec.n_store - 1 + spec.l_store
-
-
 def epilog_bound(spec: MicrokernelSpec) -> int:
     """Cycles to drain one cluster after its last accumulator update.
 
-    One chain needs :func:`chain_drain`; the remaining C - 1 chains' drains
-    pipeline one cycle apart.
+    One chain needs the VMAC-to-store forwarding latency plus its store
+    sequence; the remaining C - 1 chains' drains pipeline one cycle apart.
     """
-    return chain_drain(spec) + (spec.chains - 1)
+    one_chain = spec.l_vmac_to_store + spec.l_store + spec.n_store - 1
+    return one_chain + (spec.chains - 1)
 
 
 def total_latency(spec: MicrokernelSpec) -> LatencyBounds:

@@ -38,7 +38,6 @@ from asymtile.pipeline import (
     LatencyBounds,
     LoadClass,
     MicrokernelSpec,
-    chain_drain,
     total_latency,
 )
 
@@ -419,15 +418,18 @@ def kernel_run(
     chains' final stores of cluster c, with delay ``l_store``. Every
     instruction of cluster c reaches a final store, so it issues, and ends,
     by then. The clusters therefore run in disjoint windows, and the
-    scheduler only ever compares instructions of one cluster. Cluster c's
-    ids are cluster 0's plus a constant, and its priorities are its
-    one-cluster priorities plus a constant as long as no instruction's own
-    latency exceeds its longest downstream path. Only a chain's last VMAC
-    can break that, so the shortcut needs ``pipeline_depth <=
-    chain_drain(spec)`` (forwarding latency, store sequence and
-    ``l_store``). Then each window is the one-cluster schedule shifted in
-    time, with the same first VMAC cycle and VMAC issue rate. Specs outside
-    the condition take the full build.
+    scheduler only ever compares instructions of one cluster and one slot
+    class. Cluster c's ids are cluster 0's plus c times the cluster size.
+    Its priorities shift by one constant per slot class. Only final stores
+    have edges out of the cluster, all to the same gated instructions, so
+    the stores shift by one constant. Every load or VMAC path ends at a
+    terminal VMAC, a chain's last VMAC with no successor but its stores.
+    Within one build they all have one priority, max(``pipeline_depth``,
+    their store path). No other instruction's own latency or store path is its
+    longest: a non-terminal last VMAC also feeds a load of a later round.
+    So loads and VMACs shift by one constant too. Each window is then the
+    one-cluster schedule shifted in time, with the same first VMAC cycle
+    and VMAC issue rate.
     """
     return _kernel_run(
         spec, overlap_clusters and spec.n_clusters > 1, share_inputs, double_buffer
@@ -439,7 +441,7 @@ def _kernel_run(
     spec: MicrokernelSpec, overlap_clusters: bool, share_inputs: bool, double_buffer: bool
 ) -> KernelRun:
     n = spec.n_clusters
-    if not overlap_clusters and n > 1 and spec.pipeline_depth <= chain_drain(spec):
+    if not overlap_clusters and n > 1:
         one = _kernel_run(replace(spec, n_clusters=1), False, share_inputs, double_buffer)
         return KernelRun(one.total_cycles * n, one.first_vmac_cycle, one.vmac_issue_rate)
     dag = build_microkernel_dag(

@@ -11,13 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymtile.arch import PRECISION_PRESETS, ConfigError, ProblemSpec
-from asymtile.pipeline import (
-    LoadClass,
-    MicrokernelSpec,
-    chain_drain,
-    microkernel_for_tile,
-    total_latency,
-)
+from asymtile.pipeline import LoadClass, MicrokernelSpec, microkernel_for_tile, total_latency
 from asymtile.schedule import (
     Instruction,
     KernelRun,
@@ -579,14 +573,12 @@ def test_kernel_run_equals_fresh_schedule(seed, overlap, draw):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9), draw=st.sampled_from(SPEC_DRAWS))
 def test_sequential_clusters_repeat_one_cluster_schedule(seed, draw):
-    # Inside kernel_run's condition every instruction of cluster c issues
-    # exactly c * T after its cluster-0 twin, T being one cluster's cycles.
+    # Every instruction of sequential cluster c issues exactly c * T after
+    # its cluster-0 twin, T being one cluster's cycles. The adversarial draw
+    # often has a MAC pipeline deeper than a chain's store drain.
     spec, options = draw(random.Random(seed))
     n = max(spec.n_clusters, 2)
-    spec = replace(
-        spec, n_clusters=n, l_vmac_to_store=max(spec.l_vmac_to_store, spec.pipeline_depth)
-    )
-    assert spec.pipeline_depth <= chain_drain(spec)
+    spec = replace(spec, n_clusters=n)
     slots = slots_for(spec)
     one_dag = build_microkernel_dag(replace(spec, n_clusters=1), **options)
     one = schedule(one_dag, slots)
