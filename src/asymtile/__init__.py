@@ -35,7 +35,6 @@ from asymtile.gemm import (
     bfp16_encode,
     bfp16_error_bound,
     naive_gemm,
-    quantize_bfp16,
     tiled_gemm,
 )
 from asymtile.intensity import AiResult, ai_array, ai_tile
@@ -120,7 +119,6 @@ __all__ = [
     "microkernel_for_tile",
     "naive_gemm",
     "perf_array",
-    "quantize_bfp16",
     "rank",
     "ranked_to_csv",
     "ranked_to_markdown",

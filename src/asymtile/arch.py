@@ -99,16 +99,21 @@ class PrecisionSpec:
         return a, b, c, den
 
 
+# The block-FP format of the BFP16 codec in ``asymtile.gemm``: BFP_BLOCK
+# values share one exponent byte, BFP_BYTES_PER_BLOCK bytes per block.
+BFP_BLOCK = 8
+BFP_BYTES_PER_BLOCK = 9
+
 # Named precision presets. Block-FP (shared-exponent) storage is costed at the
 # conventional 1.25 B/elem rate; the "_packed" variant uses the exact packed
-# density of 9 bytes per 8 elements, which is what a byte-true allocator sees.
+# density of the codec's blocks, which is what a byte-true allocator sees.
 PRECISION_PRESETS: dict[str, PrecisionSpec] = {
     # BF16 activations and output, block-FP weights.
     "config1": PrecisionSpec(Fraction(2), Fraction(5, 4), Fraction(2), "bf16"),
     # Block-FP everywhere, accumulation stays in the same block format.
     "config2": PrecisionSpec(Fraction(5, 4), Fraction(5, 4), Fraction(5, 4), "bfp16"),
-    # config2 with the exact 9/8 packed block-FP density.
-    "config2_packed": PrecisionSpec(Fraction(9, 8), Fraction(9, 8), Fraction(9, 8), "bfp16"),
+    # config2 with the exact packed block-FP density, 9/8.
+    "config2_packed": PrecisionSpec(*[Fraction(BFP_BYTES_PER_BLOCK, BFP_BLOCK)] * 3, "bfp16"),
     # Block-FP storage, BF16 accumulation.
     "config3": PrecisionSpec(Fraction(5, 4), Fraction(5, 4), Fraction(5, 4), "bf16"),
 }
@@ -133,7 +138,6 @@ class ArchSpec:
     l1_capacity: int = 63 * KIB
     n_rows: int = 4
     n_cols: int = 8
-    n_cores: int = 32
     peak_macs_per_cycle: int = 512
     clock_hz: float = 1.8e9
     offchip_bw: float = 65e9
@@ -144,20 +148,15 @@ class ArchSpec:
 
     def __post_init__(self):
         require_ints(self, (
-            "l1_capacity", "n_rows", "n_cols", "n_cores", "peak_macs_per_cycle",
+            "l1_capacity", "n_rows", "n_cols", "peak_macs_per_cycle",
             "switch_overhead_delta", "buffer_multiplier_a", "buffer_multiplier_b",
             "buffer_multiplier_c",
         ))
         if self.l1_capacity <= 0:
             raise ConfigError("l1_capacity must be positive")
-        for name in ("n_rows", "n_cols", "n_cores", "peak_macs_per_cycle"):
+        for name in ("n_rows", "n_cols", "peak_macs_per_cycle"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.n_cores != self.n_rows * self.n_cols:
-            raise ConfigError(
-                f"n_cores={self.n_cores} does not match grid "
-                f"{self.n_rows}x{self.n_cols}"
-            )
         for name in ("clock_hz", "offchip_bw"):
             value = getattr(self, name)
             if (
@@ -171,6 +170,11 @@ class ArchSpec:
         for name in ("buffer_multiplier_a", "buffer_multiplier_b", "buffer_multiplier_c"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+
+    @property
+    def n_cores(self) -> int:
+        """Cores in the grid."""
+        return self.n_rows * self.n_cols
 
     @property
     def peak_flops_per_cycle(self) -> int:

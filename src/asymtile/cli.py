@@ -58,7 +58,6 @@ from asymtile.pipeline import (
 from asymtile.schedule import (
     build_microkernel_dag,
     dump_schedule_csv,
-    measure,
     schedule,
     slots_for,
     verify_random_specs,
@@ -342,9 +341,8 @@ def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
         spec = microkernel_for_tile(cfg.tile, spec)
     dag = build_microkernel_dag(spec)
     result = schedule(dag, slots_for(spec))
-    metrics = measure(result)
     bounds = total_latency(spec)
-    ii = metrics["ii_observed"]
+    ii = result.ii_observed
     ii_line = f"ii_observed: {float(ii):.3f}\n" if ii is not None else "ii_observed: n/a\n"
     out.write(
         f"instructions: {len(dag)}\n"
@@ -352,7 +350,7 @@ def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
         f"total_cycles: {result.total_cycles}\n"
         f"bound_sequential: {bounds.l_total_sequential}\n"
         f"bound_overlapped: {bounds.l_total_overlapped}\n"
-        f"eff_micro_sim: {float(metrics['eff_micro_sim']):.4f}\n"
+        f"eff_micro_sim: {float(result.vmac_issue_rate):.4f}\n"
         + ii_line
     )
     if args.dump:

@@ -6,10 +6,10 @@ row-subtile slices of the first operand, full contraction panels of the
 second, an output tile accumulated in place. The walker owns the nest, the
 capacity check and the byte trace, so a numeric run proves the schedule
 computes the right answer and yields the very trace the oracle does. A
-block-floating-point codec (8 values sharing one exponent byte, 9 bytes per
-block) sits beside it. The codec does not set any byte cost: the precision
-presets in ``asymtile.arch`` state their fractional costs (9/8 and 5/4) as
-constants of their own.
+block-floating-point codec (``BFP_BLOCK`` = 8 values sharing one exponent
+byte, ``BFP_BYTES_PER_BLOCK`` = 9 bytes per block) sits beside it. Both
+constants live in ``asymtile.arch``, whose ``config2_packed`` preset takes
+its 9/8 byte cost from them.
 
 Both products are register-blocked the way the paper's VMAC is: a group of
 :data:`~asymtile.arch.MICROTILE` adjacent output columns keeps its
@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 
 from asymtile.arch import (
+    BFP_BLOCK,
+    BFP_BYTES_PER_BLOCK,
     MICROTILE,
     ConfigError,
     PrecisionSpec,
@@ -52,18 +54,6 @@ class Matrix:
             raise ConfigError(
                 f"data length {len(self.data)} != rows*cols = {self.rows * self.cols}"
             )
-
-    def row(self, i: int) -> tuple[float, ...]:
-        return self.data[i * self.cols : (i + 1) * self.cols]
-
-
-def matrix_from_rows(rows: list[list[float]]) -> Matrix:
-    if not rows:
-        raise ConfigError("matrix needs at least one row")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ConfigError("ragged rows")
-    return Matrix(len(rows), width, tuple(float(v) for row in rows for v in row))
 
 
 def naive_gemm(a: Matrix, b: Matrix) -> Matrix:
@@ -195,10 +185,8 @@ def tiled_gemm(
 
 # -- block floating point ------------------------------------------------------
 
-BFP_BLOCK = 8
 BFP_EXP_BIAS = 127
 BFP_MANTISSA_SHIFT = 7
-BFP_BYTES_PER_BLOCK = 9
 
 
 @dataclass(frozen=True)
@@ -264,16 +252,3 @@ def bfp16_decode(block: Bfp16Block) -> list[float]:
 def bfp16_error_bound(block: Bfp16Block) -> float:
     """Largest possible per-element roundtrip error for this block's scale."""
     return math.ldexp(1.0, _bfp_scale_power(block.shared_exponent) - 1)
-
-
-def quantize_bfp16(mat: Matrix) -> Matrix:
-    """Pass a matrix through the block codec (rows padded to full blocks)."""
-    out_rows: list[list[float]] = []
-    for i in range(mat.rows):
-        row = list(mat.row(i))
-        padded = row + [0.0] * (-len(row) % BFP_BLOCK)
-        decoded: list[float] = []
-        for off in range(0, len(padded), BFP_BLOCK):
-            decoded.extend(bfp16_decode(bfp16_encode(padded[off : off + BFP_BLOCK])))
-        out_rows.append(decoded[: mat.cols])
-    return matrix_from_rows(out_rows)

@@ -59,8 +59,7 @@ class MicrokernelSpec:
     pipeline, two load slots, one store slot, one VMAC slot, four interleaved
     accumulation chains sharing operands in a 2x2 cluster (two loads per VMAC
     before sharing), 8-cycle operand loads, and a two-instruction store path.
-    Every field except ``load_classes`` and ``clamp_ii`` must be an int;
-    ``clamp_ii`` must be a bool.
+    Every field except ``load_classes`` must be an int.
     """
 
     pipeline_depth: int = 3
@@ -76,7 +75,6 @@ class MicrokernelSpec:
     l_store: int = 2
     n_store: int = 2
     accum_regs: int = 5
-    clamp_ii: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "load_classes", tuple(self.load_classes))
@@ -87,7 +85,6 @@ class MicrokernelSpec:
         positive = ("pipeline_depth", "u_ld", "u_st", "u_vmac", "r_load",
                     "chains", "n_accum", "l_store", "n_store", "accum_regs")
         require_ints(self, positive + ("n_clusters", "l_vmac_to_store"))
-        require_bools(self, ("clamp_ii",))
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -160,14 +157,11 @@ def ii_parallel_raw(spec: MicrokernelSpec) -> Fraction:
 def initiation_interval(spec: MicrokernelSpec) -> Fraction:
     """Parallel-chain initiation interval in cycles per VMAC.
 
-    :func:`ii_parallel_raw` divides across C chains; when clamp_ii is set,
-    the result is floored at 1/u_vmac since the VMAC slots cannot issue
-    more than u_vmac VMACs per cycle.
+    :func:`ii_parallel_raw` divides across C chains; the result is floored
+    at 1/u_vmac since the VMAC slots cannot issue more than u_vmac VMACs per
+    cycle.
     """
-    ii = ii_parallel_raw(spec)
-    if spec.clamp_ii:
-        ii = max(ii, Fraction(1, spec.u_vmac))
-    return ii
+    return max(ii_parallel_raw(spec), Fraction(1, spec.u_vmac))
 
 
 def epilog_bound(spec: MicrokernelSpec) -> int:

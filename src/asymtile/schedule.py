@@ -9,10 +9,11 @@ be slower, never faster.
 
 Both halves work on dense lists, because they run once per kernel and a
 kernel has thousands of instructions. ``Instruction`` is a NamedTuple whose
-id is its position in the builder's list, and the builder keeps per-round
-VMAC ids in lists. The scheduler maps ids to list indices once and holds
-successors, in-degrees and priorities in lists; its heaps order entries by
-(ready cycle, -priority, id), so ties still break by ascending id.
+id is its position in the builder's list, and each of its preds comes
+earlier in that list. The scheduler takes the DAG on exactly that contract,
+checked once: ids index its successor, in-degree, priority and cycle lists
+directly, the list order is the topological order, and its heaps order
+entries by (ready cycle, -priority, id), so ties break by ascending id.
 
 :func:`kernel_run`, which the efficiency model and the soundness check
 read, schedules each distinct (spec, build options) kernel once per process:
@@ -55,11 +56,13 @@ KERNEL_RUN_CACHE_SIZE = 1024
 class Instruction(NamedTuple):
     """One VLIW operation: issued on ``slot``, result ready after ``latency``.
 
-    ``preds`` holds (predecessor id, required issue delay) pairs: this
-    instruction may not issue before pred_issue + delay. ``group`` tags the
-    owning chain cluster for phase measurements. A NamedTuple rather than a
-    dataclass: it is as immutable and several times cheaper to build,
-    which matters because a kernel DAG holds thousands of them.
+    ``id`` is the instruction's position in its DAG's list. ``preds`` holds
+    (predecessor id, required issue delay) pairs, each naming an earlier
+    position: this instruction may not issue before pred_issue + delay.
+    ``group`` is the owning chain cluster, for phase measurements. A
+    NamedTuple rather than a dataclass: it is as immutable and several
+    times cheaper to build, which matters because a kernel DAG holds
+    thousands of them.
     """
 
     id: int
@@ -68,18 +71,23 @@ class Instruction(NamedTuple):
     latency: int
     preds: tuple[tuple[int, int], ...] = ()
     group: int = 0
-    tag: str = ""
 
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Issue cycles and summary metrics of one scheduled DAG."""
+    """Issue cycles and summary metrics of one scheduled DAG.
 
-    cycle_of: dict[int, int]
+    ``cycle_of[i]`` is the issue cycle of instruction i. ``vmac_issue_rate``
+    is VMACs per cycle against a one-per-cycle peak. ``ii_observed`` is the
+    mean gap between consecutive VMAC issues within each cluster (gaps
+    across clusters excluded), or None when no cluster has two VMACs.
+    """
+
+    cycle_of: list[int]
     total_cycles: int
     vmac_issue_rate: Fraction
     phase_times: tuple[int, int, int]
-    vmac_cycles_by_group: tuple[tuple[int, ...], ...]
+    ii_observed: Fraction | None
 
 
 def slots_for(spec: MicrokernelSpec) -> dict[str, int]:
@@ -161,18 +169,17 @@ def build_microkernel_dag(
 
     for cl in range(spec.n_clusters):
         prolog_preds: list[tuple[int, int]] = []
-        for ci, cls in enumerate(spec.load_classes):
+        for cls in spec.load_classes:
             latency = cls.latency
-            for li in range(cls.count):
-                tag = f"c{cl}.prolog{ci}.{li}"
+            for _ in range(cls.count):
                 if cls.unaligned:
                     pop = len(instrs)
-                    emit(Instruction(pop, "vload_pop", SLOT_LOAD, 1, gate, cl, tag + ".pop"))
+                    emit(Instruction(pop, "vload_pop", SLOT_LOAD, 1, gate, cl))
                     preds = ((pop, 1),)
                 else:
                     preds = gate
                 vid = len(instrs)
-                emit(Instruction(vid, "vload", SLOT_LOAD, latency, preds, cl, tag))
+                emit(Instruction(vid, "vload", SLOT_LOAD, latency, preds, cl))
                 prolog_preds.append((vid, latency))
         round0_preds = tuple(prolog_preds)
 
@@ -183,7 +190,7 @@ def build_microkernel_dag(
             if overlap_clusters and cl > 0:
                 preds += ((prev_last_store[j], 1), (prev_last_vmac[j], depth))
             vid = len(instrs)
-            emit(Instruction(vid, "vmac", SLOT_VMAC, depth, preds, cl, f"c{cl}.r0.vmac{j}"))
+            emit(Instruction(vid, "vmac", SLOT_VMAC, depth, preds, cl))
             vmacs.append(vid)
         round_vmacs.append(vmacs)
 
@@ -194,21 +201,13 @@ def build_microkernel_dag(
             war = tuple((v, 1) for v in round_vmacs[t - 2]) if t >= 2 else gate
             if not double_buffer:
                 war += tuple((v, 1) for v in round_vmacs[t - 1])
-            prefix = f"c{cl}.r{t}."
             if share_inputs:
                 shared: list[tuple[int, int]] = []
-                for r in range((len(in_round) - 1) // cols + 1):
+                n_row_loads = (len(in_round) - 1) // cols + 1
+                # The row operands' loads, then the column operands'.
+                for _ in range(n_row_loads + min(len(in_round), cols)):
                     vid = len(instrs)
-                    emit(Instruction(
-                        vid, "vload", SLOT_LOAD, steady_latency, war, cl, f"{prefix}row{r}"
-                    ))
-                    shared.append((vid, steady_latency))
-                n_row_loads = len(shared)
-                for c in range(min(len(in_round), cols)):
-                    vid = len(instrs)
-                    emit(Instruction(
-                        vid, "vload", SLOT_LOAD, steady_latency, war, cl, f"{prefix}col{c}"
-                    ))
+                    emit(Instruction(vid, "vload", SLOT_LOAD, steady_latency, war, cl))
                     shared.append((vid, steady_latency))
                 load_preds = [
                     [shared[j // cols], shared[n_row_loads + j % cols]] for j in in_round
@@ -217,11 +216,9 @@ def build_microkernel_dag(
                 load_preds = [[] for _ in in_round]
             for j in in_round:
                 own = load_preds[j]
-                for e in range(extra):
+                for _ in range(extra):
                     vid = len(instrs)
-                    emit(Instruction(
-                        vid, "vload", SLOT_LOAD, steady_latency, war, cl, f"{prefix}ch{j}.x{e}"
-                    ))
+                    emit(Instruction(vid, "vload", SLOT_LOAD, steady_latency, war, cl))
                     own.append((vid, steady_latency))
             prev = round_vmacs[t - 1]
             vmacs = []
@@ -229,7 +226,7 @@ def build_microkernel_dag(
                 own = load_preds[j]
                 own.append((prev[j], depth))
                 vid = len(instrs)
-                emit(Instruction(vid, "vmac", SLOT_VMAC, depth, tuple(own), cl, f"{prefix}vmac{j}"))
+                emit(Instruction(vid, "vmac", SLOT_VMAC, depth, tuple(own), cl))
                 vmacs.append(vid)
             round_vmacs.append(vmacs)
 
@@ -240,11 +237,9 @@ def build_microkernel_dag(
             last_vmac = round_vmacs[last_round[j]][j]
             last_vmac_of.append(last_vmac)
             link = (last_vmac, spec.l_vmac_to_store)
-            for s in range(spec.n_store):
+            for _ in range(spec.n_store):
                 sid = len(instrs)
-                emit(Instruction(
-                    sid, "vstore", SLOT_STORE, spec.l_store, (link,), cl, f"c{cl}.ch{j}.st{s}"
-                ))
+                emit(Instruction(sid, "vstore", SLOT_STORE, spec.l_store, (link,), cl))
                 link = (sid, 1)
             last_store_of.append(sid)
             gate_of.append((sid, spec.l_store))
@@ -264,59 +259,43 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     count of their class, the classes taken in sorted order. Deterministic
     for identical inputs.
 
-    The work runs on dense list indices (list positions) instead of ids: a
-    Kahn pass over the index lists orders the DAG for the priority sweep and
-    rejects cycles, and each heap entry carries a precomputed
-    (-priority, id, index) key.
+    ``dag`` must be dense, as :func:`build_microkernel_dag` emits it: the
+    instruction at position i has id i, and each of its preds names an
+    earlier position. Anything else raises ConfigError. The list order is
+    then a topological order, so priorities come from one backward sweep,
+    and the id is the list index everywhere, the heap tie-break included.
     """
-    if not dag:
-        return ScheduleResult({}, 0, Fraction(0), (0, 0, 0), ())
     n = len(dag)
-    ids = [ins.id for ins in dag]
-    index_of = {vid: i for i, vid in enumerate(ids)}
-    if len(index_of) != n:
-        raise ConfigError("duplicate instruction ids")
     classes = sorted(slots)
     class_of = {name: c for c, name in enumerate(classes)}
     caps = [slots[name] for name in classes]
     succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    indeg = [0] * n
+    remaining = [0] * n  # unissued preds
     slot_of = [0] * n
     for i, ins in enumerate(dag):
+        if ins.id != i:
+            raise ConfigError(f"instruction at position {i} has id {ins.id}")
         c = class_of.get(ins.slot)
         if c is None or caps[c] < 1:
             raise ConfigError(f"no slots for class {ins.slot!r}")
         slot_of[i] = c
         for pid, delay in ins.preds:
-            p = index_of.get(pid)
-            if p is None:
-                raise ConfigError(f"instruction {ins.id} depends on unknown id {pid}")
-            succs[p].append((i, delay))
-        indeg[i] = len(ins.preds)
-
-    order = [i for i in range(n) if not indeg[i]]
-    remaining = indeg[:]
-    for i in order:  # grows while it is walked: Kahn's queue
-        for s, _ in succs[i]:
-            remaining[s] -= 1
-            if not remaining[s]:
-                order.append(s)
-    if len(order) != n:
-        raise ConfigError("dependency cycle in instruction DAG")
+            if not 0 <= pid < i:
+                raise ConfigError(f"instruction {i} depends on id {pid}, not an earlier one")
+            succs[pid].append((i, delay))
+        remaining[i] = len(ins.preds)
 
     prio = [0] * n
-    for i in reversed(order):
+    for i in reversed(range(n)):
         best = dag[i].latency
         for s, delay in succs[i]:
             if delay + prio[s] > best:
                 best = delay + prio[s]
         prio[i] = best
 
-    # Pool order (-priority, id); ids are unique, so the index never decides.
-    key = [(-prio[i], ids[i], i) for i in range(n)]
+    key = [(-prio[i], i) for i in range(n)]  # pool order
     ready_bound = [0] * n
-    remaining = indeg[:]
-    future = [(0, key[i]) for i in range(n) if not indeg[i]]  # (ready cycle, key)
+    future = [(0, key[i]) for i in range(n) if not remaining[i]]  # (ready cycle, key)
     heapq.heapify(future)
     pools: list[list[tuple]] = [[] for _ in classes]
     issue_classes = list(zip(pools, caps))
@@ -324,19 +303,21 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     heappop = heapq.heappop
     n_pooled = 0
 
-    cycle_of: dict[int, int] = {}
+    # The lowest unissued position has all its preds issued, so it is pooled
+    # or due: the loop cannot stall.
+    cycle_of = [0] * n
     cycle = 0
     n_done = 0
     while n_done < n:
         while future and future[0][0] <= cycle:
             k = heappop(future)[1]
-            heappush(pools[slot_of[k[2]]], k)
+            heappush(pools[slot_of[k[1]]], k)
             n_pooled += 1
         for bucket, cap in issue_classes:
             n_issued = 0
             while n_issued < cap and bucket:
-                i = heappop(bucket)[2]
-                cycle_of[ids[i]] = cycle
+                i = heappop(bucket)[1]
+                cycle_of[i] = cycle
                 n_issued += 1
                 for s, delay in succs[i]:
                     if cycle + delay > ready_bound[s]:
@@ -351,36 +332,34 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
             cycle += 1
         elif future:
             cycle = max(cycle + 1, future[0][0])
-        elif n_done < n:
-            raise ConfigError("scheduler stalled with unissued instructions")
 
-    total = 0
-    for ins in dag:
-        end = cycle_of[ins.id] + (ins.latency if ins.kind == "vstore" else 1)
-        total = max(total, end)
-
-    vmacs = sorted(
-        (cycle_of[ins.id], ins.group) for ins in dag if ins.kind == "vmac"
+    total = max(
+        (c + (ins.latency if ins.kind == "vstore" else 1) for ins, c in zip(dag, cycle_of)),
+        default=0,
     )
-    if vmacs:
-        first_v = vmacs[0][0]
-        last_v = vmacs[-1][0]
+    vmac_cycles: dict[int, list[int]] = defaultdict(list)  # cluster -> VMAC issue cycles
+    for ins, c in zip(dag, cycle_of):
+        if ins.kind == "vmac":
+            vmac_cycles[ins.group].append(c)
+    if vmac_cycles:
+        first_v = min(map(min, vmac_cycles.values()))
+        last_v = max(map(max, vmac_cycles.values()))
         phases = (first_v, last_v - first_v, total - last_v)
-        rate = Fraction(len(vmacs), total)
-        by_group: dict[int, list[int]] = defaultdict(list)
-        for c, g in vmacs:
-            by_group[g].append(c)
-        groups = tuple(tuple(by_group[g]) for g in sorted(by_group))
+        n_vmacs = sum(map(len, vmac_cycles.values()))
+        rate = Fraction(n_vmacs, total)
+        n_gaps = n_vmacs - len(vmac_cycles)
+        span = sum(max(cs) - min(cs) for cs in vmac_cycles.values())
+        ii_observed = Fraction(span, n_gaps) if n_gaps else None
     else:
         phases = (total, 0, 0)
         rate = Fraction(0)
-        groups = ()
+        ii_observed = None
     return ScheduleResult(
         cycle_of=cycle_of,
         total_cycles=total,
         vmac_issue_rate=rate,
         phase_times=phases,
-        vmac_cycles_by_group=groups,
+        ii_observed=ii_observed,
     )
 
 
@@ -458,21 +437,6 @@ kernel_run.cache_info = _kernel_run.cache_info
 kernel_run.cache_clear = _kernel_run.cache_clear
 
 
-def measure(result: ScheduleResult) -> dict[str, Fraction | None]:
-    """Observed efficiency metrics of a schedule.
-
-    ``eff_micro_sim`` is VMACs per cycle against a one-per-cycle peak.
-    ``ii_observed`` is the mean gap between consecutive VMAC issues pooled
-    within each cluster (cross-cluster gaps excluded); None with fewer than
-    two VMACs in every cluster.
-    """
-    gaps: list[int] = []
-    for cycles in result.vmac_cycles_by_group:
-        gaps.extend(b - a for a, b in zip(cycles, cycles[1:]))
-    ii_observed = Fraction(sum(gaps), len(gaps)) if gaps else None
-    return {"eff_micro_sim": result.vmac_issue_rate, "ii_observed": ii_observed}
-
-
 def dump_schedule_csv(dag: list[Instruction], result: ScheduleResult) -> str:
     """Render a schedule as CSV rows (cycle, slot, instruction id, kind)."""
     out = io.StringIO()
@@ -526,7 +490,6 @@ def random_microkernel_spec(rng: random.Random) -> tuple[MicrokernelSpec, dict]:
         l_store=rng.randint(1, 3),
         n_store=rng.randint(3, 5),
         accum_regs=5,
-        clamp_ii=True,
     )
     options = {
         "share_inputs": share,

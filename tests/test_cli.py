@@ -90,6 +90,20 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     assert "probem" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key", [("microkernel", "clamp_ii"), ("arch", "n_cores")]
+)
+def test_removed_config_keys_exit_3(tmp_path, capsys, section, key):
+    # The initiation interval always floors at 1/u_vmac, and the core count
+    # is n_rows * n_cols, so neither is a config key.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: 32 if key == "n_cores" else True}}))
+    code, text = run_cli("eval", "--config", str(cfg), "--tile", "32,128,64,128")
+    assert code == EXIT_CONFIG_ERROR
+    assert text == ""
+    assert capsys.readouterr().err == f"error: unknown key {key!r} in section {section!r}\n"
+
+
 def test_unknown_subcommand_exits_3(capsys):
     code, _ = run_cli("nosuch")
     assert code == EXIT_CONFIG_ERROR
@@ -388,10 +402,13 @@ def test_bad_search_and_efficiency_input_exits_3(tmp_path, capsys, config, argv)
             {"arch": {"buffer_multiplier_a": 1.5}},
             ("simulate", "movement", "--tile", "32,128,64,128"),
         ),
-        ({"arch": {"n_rows": 4.0, "n_cols": 8, "n_cores": 32}}, ("search",)),
+        ({"arch": {"n_rows": 4.0, "n_cols": 8}}, ("search",)),
         ({"arch": {"switch_overhead_delta": 50.5}}, ("eval", "--tile", "32,128,64,128")),
         ({"microkernel": {"load_classes": [[8, 4], [4, 2, "no"]]}}, ("simulate", "schedule")),
-        ({"microkernel": {"clamp_ii": "no"}}, ("simulate", "schedule")),
+        (
+            {"microkernel": {"load_classes": [{"latency": 8, "count": 4, "unaligned": 0}]}},
+            ("simulate", "schedule"),
+        ),
         ({"tile": {"t_ma": 32.0, "t_mc": 128, "t_k": 64, "t_n": 128}}, ("eval",)),
         ({"tile": [32.7, 128, 64, 128]}, ("eval",)),
         ({"problem": {"m": 4096.0, "k": 4096, "n": 2048}}, ("eval", "--tile", "32,128,64,128")),

@@ -85,7 +85,6 @@ def archs(draw):
         l1_capacity=draw(st.integers(1, 1 << 20)),
         n_rows=rows,
         n_cols=cols,
-        n_cores=rows * cols,
         switch_overhead_delta=draw(st.integers(0, 200)),
         buffer_multiplier_a=draw(st.integers(1, 3)),
         buffer_multiplier_b=draw(st.integers(1, 3)),

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,15 +16,14 @@ from asymtile.arch import (
     buffer_footprint,
 )
 from asymtile.gemm import (
+    BFP_BLOCK,
     BFP_BYTES_PER_BLOCK,
     Bfp16Block,
     Matrix,
     bfp16_decode,
     bfp16_encode,
     bfp16_error_bound,
-    matrix_from_rows,
     naive_gemm,
-    quantize_bfp16,
     tiled_gemm,
 )
 from asymtile.movement import BufferOverflowError, simulate_movement
@@ -58,7 +58,7 @@ def reference_row_update_gemm(a: Matrix, b: Matrix) -> list[float]:
     out = [[0.0] * b.cols for _ in range(a.rows)]
     for i in range(a.rows):
         for kk in range(a.cols):
-            av, brow = a.data[i * a.cols + kk], b.row(kk)
+            av, brow = a.data[i * a.cols + kk], b.data[kk * b.cols : (kk + 1) * b.cols]
             for j in range(b.cols):
                 out[i][j] += av * brow[j]
     return [v for row in out for v in row]
@@ -99,7 +99,7 @@ def test_matrix_validation():
     with pytest.raises(ConfigError):
         Matrix(2, 2, (1.0, 2.0, 3.0))
     with pytest.raises(ConfigError):
-        matrix_from_rows([[1.0, 2.0], [3.0]])
+        Matrix(0, 2, ())
 
 
 def test_tiled_matches_naive_exactly():
@@ -200,7 +200,8 @@ def test_tiled_non_finite_matches_naive():
     b_rows[1][4] = 0.0
     b_rows[2][11] = nan
     b_rows[13][27] = -inf
-    a, b = matrix_from_rows(a_rows), matrix_from_rows(b_rows)
+    a = Matrix(32, 16, tuple(v for row in a_rows for v in row))
+    b = Matrix(16, 32, tuple(v for row in b_rows for v in row))
     tile = TileConfig(8, 16, 8, 16)
     got, _ = tiled_gemm(a, b, tile, 10**9, UNIT)
     want = naive_gemm(a, b)
@@ -242,6 +243,14 @@ def test_bfp16_block_is_nine_bytes():
     assert Bfp16Block.from_bytes(raw) == block
 
 
+def test_packed_preset_costs_one_codec_block_per_eight_values():
+    prec = PRECISION_PRESETS["config2_packed"]
+    block = bfp16_encode([1.0] * BFP_BLOCK)
+    cost = Fraction(len(block.to_bytes()), len(block.mantissas))
+    assert cost == Fraction(9, 8)
+    assert (prec.byte_cost_a, prec.byte_cost_b, prec.byte_cost_c) == (cost,) * 3
+
+
 def test_bfp16_rejects_non_finite():
     with pytest.raises(ConfigError):
         bfp16_encode([float("nan")] + [0.0] * 7)
@@ -280,18 +289,3 @@ def test_bfp16_exponent_is_minimal(vals):
         scale = math.ldexp(1.0, smaller - 127 - 7)
         fits = all(-128 <= round(v / scale) <= 127 for v in vals)
         assert not fits
-
-
-def test_quantize_matrix_respects_bound():
-    rng = random.Random(7)
-    mat = random_matrix(rng, 4, 12)
-    quant = quantize_bfp16(mat)
-    assert (quant.rows, quant.cols) == (4, 12)
-    for i in range(4):
-        for off in (0, 8):
-            width = min(8, 12 - off)
-            orig = list(mat.row(i))[off : off + width]
-            padded = orig + [0.0] * (8 - width)
-            bound = bfp16_error_bound(bfp16_encode(padded))
-            got = list(quant.row(i))[off : off + width]
-            assert all(abs(o - g) <= bound for o, g in zip(orig, got))

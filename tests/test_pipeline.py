@@ -82,11 +82,6 @@ def test_ii_four_chains_clamped():
     assert initiation_interval(spec) == 1
 
 
-def test_ii_unclamped_mode():
-    spec = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=4, clamp_ii=False)
-    assert initiation_interval(spec) == Fraction(1, 2)
-
-
 @given(
     p=st.integers(1, 8),
     r=st.integers(1, 8),
@@ -187,9 +182,10 @@ def test_eff_micro_reference_phases():
     # 8 updates per cluster over prolog 10 + steady 4 + epilog 12 cycles.
     spec = eight_cluster_spec()
     assert eff_micro(spec) == total_latency(spec).eff_micro == Fraction(8, 26)
-    # The steady term is exact, not rounded up: 8 updates over 10 + 3/2 + 12.
+    # The steady term is exact, not rounded up: two VMAC slots make the II
+    # 1/2, so 7 updates take 10 + 3/2 + 12 cycles.
     half = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=4, n_accum=7,
-              clamp_ii=False, load_classes=(LoadClass(8, 6),))
+              u_vmac=2, load_classes=(LoadClass(8, 6),))
     assert total_latency(half).t_steady == 2
     assert eff_micro(half) == Fraction(7) / (10 + Fraction(3, 2) + 12)
 
@@ -289,7 +285,5 @@ def test_spec_validation():
     with pytest.raises(ConfigError, match="must be an integer"):
         LoadClass(8, False)
     for bad in ("no", 0, None):
-        with pytest.raises(ConfigError, match="must be true or false"):
-            mk(clamp_ii=bad)
         with pytest.raises(ConfigError, match="must be true or false"):
             LoadClass(8, 4, bad)

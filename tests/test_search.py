@@ -123,7 +123,6 @@ def search_cases(draw):
     arch = ArchSpec(
         n_rows=n_rows,
         n_cols=n_cols,
-        n_cores=n_rows * n_cols,
         buffer_multiplier_a=draw(st.integers(1, 3)),
         buffer_multiplier_b=draw(st.integers(1, 3)),
         buffer_multiplier_c=draw(st.integers(1, 3)),
