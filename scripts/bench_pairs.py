@@ -16,7 +16,9 @@ side it holds the median and quartiles (inclusive method) of
 ``pass_norm_s``, ``setup_s`` and ``peak_rss_mb``. It also counts the seeds on
 which the change's ``pass_norm_s`` is lower (ties count for neither), says
 whether both sides have the same fingerprint on every seed and whether every
-run was correct with no failed operation, and lists each seed's runs.
+run was correct with no failed operation, and lists each seed's runs. The
+script prints each seed's ``pass_norm_s`` pair as it goes, then one line with
+both sides' ``pass_norm_s`` and ``setup_s`` medians and the change's wins.
 """
 
 from __future__ import annotations
@@ -168,11 +170,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"{out.name}: pass_norm_s median {report['parent']['pass_norm_s']['median']} -> "
-        f"{report['change']['pass_norm_s']['median']}, change wins {report['change_wins']} "
-        f"of {len(runs)}"
+    medians = ", ".join(
+        f"{name} median {report['parent'][name]['median']} -> "
+        f"{report['change'][name]['median']}"
+        for name in ("pass_norm_s", "setup_s")
     )
+    print(f"{out.name}: {medians}, change wins {report['change_wins']} of {len(runs)}")
     return 0
 
 

@@ -11,9 +11,13 @@ Both halves work on dense lists, because they run once per kernel and a
 kernel has thousands of instructions. ``Instruction`` is a NamedTuple whose
 id is its position in the builder's list, and each of its preds comes
 earlier in that list. The scheduler takes the DAG on exactly that contract,
-checked once: ids index its successor, in-degree, priority and cycle lists
-directly, the list order is the topological order, and its heaps order
-entries by (ready cycle, -priority, id), so ties break by ascending id.
+checked once: ids index its priority, pool and cycle lists directly, and the
+list order is the topological order. Its per-edge work is done once per
+distinct pred tuple, not per instruction: instructions with equal preds (a
+round's steady loads, say) form a group with one ready cycle. Its pool heaps
+hold plain int keys, rank(priority)·n + id, so ties break by ascending id,
+and instructions not yet ready wait in a dict of due cycle -> ids beside a
+small heap of the distinct due cycles.
 
 :func:`kernel_run`, which the efficiency model and the soundness check
 read, schedules each distinct (spec, build options) kernel once per process:
@@ -28,7 +32,6 @@ import heapq
 import io
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -163,6 +166,9 @@ def build_microkernel_dag(
 
     instrs: list[Instruction] = []
     emit = instrs.append
+    # tuple.__new__ on the field tuple makes the same Instruction as the
+    # generated NamedTuple constructor, in less than half the time.
+    new = tuple.__new__
     gate: tuple[tuple[int, int], ...] = ()  # (final store, delay) per chain
     prev_last_vmac: list[int] = []
     prev_last_store: list[int] = []
@@ -174,12 +180,12 @@ def build_microkernel_dag(
             for _ in range(cls.count):
                 if cls.unaligned:
                     pop = len(instrs)
-                    emit(Instruction(pop, "vload_pop", SLOT_LOAD, 1, gate, cl))
+                    emit(new(Instruction, (pop, "vload_pop", SLOT_LOAD, 1, gate, cl)))
                     preds = ((pop, 1),)
                 else:
                     preds = gate
                 vid = len(instrs)
-                emit(Instruction(vid, "vload", SLOT_LOAD, latency, preds, cl))
+                emit(new(Instruction, (vid, "vload", SLOT_LOAD, latency, preds, cl)))
                 prolog_preds.append((vid, latency))
         round0_preds = tuple(prolog_preds)
 
@@ -190,7 +196,7 @@ def build_microkernel_dag(
             if overlap_clusters and cl > 0:
                 preds += ((prev_last_store[j], 1), (prev_last_vmac[j], depth))
             vid = len(instrs)
-            emit(Instruction(vid, "vmac", SLOT_VMAC, depth, preds, cl))
+            emit(new(Instruction, (vid, "vmac", SLOT_VMAC, depth, preds, cl)))
             vmacs.append(vid)
         round_vmacs.append(vmacs)
 
@@ -207,7 +213,7 @@ def build_microkernel_dag(
                 # The row operands' loads, then the column operands'.
                 for _ in range(n_row_loads + min(len(in_round), cols)):
                     vid = len(instrs)
-                    emit(Instruction(vid, "vload", SLOT_LOAD, steady_latency, war, cl))
+                    emit(new(Instruction, (vid, "vload", SLOT_LOAD, steady_latency, war, cl)))
                     shared.append((vid, steady_latency))
                 load_preds = [
                     [shared[j // cols], shared[n_row_loads + j % cols]] for j in in_round
@@ -218,7 +224,7 @@ def build_microkernel_dag(
                 own = load_preds[j]
                 for _ in range(extra):
                     vid = len(instrs)
-                    emit(Instruction(vid, "vload", SLOT_LOAD, steady_latency, war, cl))
+                    emit(new(Instruction, (vid, "vload", SLOT_LOAD, steady_latency, war, cl)))
                     own.append((vid, steady_latency))
             prev = round_vmacs[t - 1]
             vmacs = []
@@ -226,7 +232,7 @@ def build_microkernel_dag(
                 own = load_preds[j]
                 own.append((prev[j], depth))
                 vid = len(instrs)
-                emit(Instruction(vid, "vmac", SLOT_VMAC, depth, tuple(own), cl))
+                emit(new(Instruction, (vid, "vmac", SLOT_VMAC, depth, tuple(own), cl)))
                 vmacs.append(vid)
             round_vmacs.append(vmacs)
 
@@ -239,7 +245,7 @@ def build_microkernel_dag(
             link = (last_vmac, spec.l_vmac_to_store)
             for _ in range(spec.n_store):
                 sid = len(instrs)
-                emit(Instruction(sid, "vstore", SLOT_STORE, spec.l_store, (link,), cl))
+                emit(new(Instruction, (sid, "vstore", SLOT_STORE, spec.l_store, (link,), cl)))
                 link = (sid, 1)
             last_store_of.append(sid)
             gate_of.append((sid, spec.l_store))
@@ -263,92 +269,135 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     instruction at position i has id i, and each of its preds names an
     earlier position. Anything else raises ConfigError. The list order is
     then a topological order, so priorities come from one backward sweep,
-    and the id is the list index everywhere, the heap tie-break included.
+    and the id is the list index everywhere.
+
+    Per-edge work is done once per group, the instructions with equal pred
+    tuples (a round's steady loads share one): a group keeps one
+    unissued-pred count and one ready cycle, successor lists map a pred to
+    (group, delay), and priorities read each group's largest member
+    priority. A group's members fall due together, into a dict of due
+    cycle -> ids beside a heap of the distinct due cycles. Pool heaps hold
+    ints rank(priority)·n + id, ranking the distinct priorities in
+    descending order. Latencies and delays need only be ordered numbers:
+    hence ranks rather than differences of priorities, and due cycles taken
+    while at most the current cycle, which may step past a fractional one.
     """
     n = len(dag)
     classes = sorted(slots)
-    class_of = {name: c for c, name in enumerate(classes)}
-    caps = [slots[name] for name in classes]
-    succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    remaining = [0] * n  # unissued preds
-    slot_of = [0] * n
-    for i, ins in enumerate(dag):
-        if ins.id != i:
-            raise ConfigError(f"instruction at position {i} has id {ins.id}")
-        c = class_of.get(ins.slot)
-        if c is None or caps[c] < 1:
-            raise ConfigError(f"no slots for class {ins.slot!r}")
-        slot_of[i] = c
-        for pid, delay in ins.preds:
-            if not 0 <= pid < i:
-                raise ConfigError(f"instruction {i} depends on id {pid}, not an earlier one")
-            succs[pid].append((i, delay))
-        remaining[i] = len(ins.preds)
+    pools: list[list[int]] = [[] for _ in classes]
+    pool_for = {name: pool for name, pool in zip(classes, pools) if slots[name] >= 1}
+    group_of_preds: dict[tuple, int] = {}
+    members: list[list[int]] = []  # group -> ids, ascending
+    succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # id -> (group, delay)
+    group_of = [0] * n
+    pool_of: list[list[int] | None] = [None] * n
+    for i, (vid, _, slot, _, preds, _) in enumerate(dag):
+        if vid != i:
+            raise ConfigError(f"instruction at position {i} has id {vid}")
+        pool = pool_for.get(slot)
+        if pool is None:
+            raise ConfigError(f"no slots for class {slot!r}")
+        pool_of[i] = pool
+        g = group_of_preds.get(preds)
+        if g is None:
+            # Checked at the group's first member, so for every later one.
+            g = group_of_preds[preds] = len(members)
+            members.append([i])
+            for pid, delay in preds:
+                if not 0 <= pid < i:
+                    raise ConfigError(f"instruction {i} depends on id {pid}, not an earlier one")
+                succs[pid].append((g, delay))
+        else:
+            members[g].append(i)
+        group_of[i] = g
 
+    # A group's members all come after its preds, so the sweep has seen them.
     prio = [0] * n
+    group_prio = [-math.inf] * len(members)
     for i in reversed(range(n)):
         best = dag[i].latency
-        for s, delay in succs[i]:
-            if delay + prio[s] > best:
-                best = delay + prio[s]
+        for g, delay in succs[i]:
+            if delay + group_prio[g] > best:
+                best = delay + group_prio[g]
         prio[i] = best
+        g = group_of[i]
+        if best > group_prio[g]:
+            group_prio[g] = best
+    rank = {p: r * n for r, p in enumerate(sorted(set(prio), reverse=True))}
+    key = [rank[p] + i for i, p in enumerate(prio)]
 
-    key = [(-prio[i], i) for i in range(n)]  # pool order
-    ready_bound = [0] * n
-    future = [(0, key[i]) for i in range(n) if not remaining[i]]  # (ready cycle, key)
-    heapq.heapify(future)
-    pools: list[list[tuple]] = [[] for _ in classes]
-    issue_classes = list(zip(pools, caps))
+    remaining = [len(preds) for preds in group_of_preds]  # unissued preds
+    ready_bound = [0] * len(members)
+    # Each group falls due once, so its member list becomes the due list.
+    due: dict[int, list[int]] = {}
+    due_cycles: list[int] = []
+    g = group_of_preds.get(())
+    if g is not None:
+        due[0] = members[g]
+        due_cycles.append(0)
+    issue_classes = [(pool, slots[name]) for name, pool in zip(classes, pools)]
     heappush = heapq.heappush
     heappop = heapq.heappop
-    n_pooled = 0
 
     # The lowest unissued position has all its preds issued, so it is pooled
-    # or due: the loop cannot stall.
+    # or due: the loop ends only when every instruction has issued.
     cycle_of = [0] * n
     cycle = 0
-    n_done = 0
-    while n_done < n:
-        while future and future[0][0] <= cycle:
-            k = heappop(future)[1]
-            heappush(pools[slot_of[k[1]]], k)
-            n_pooled += 1
+    while True:
+        while due_cycles and due_cycles[0] <= cycle:
+            for i in due.pop(heappop(due_cycles)):
+                heappush(pool_of[i], key[i])
         for bucket, cap in issue_classes:
             n_issued = 0
-            while n_issued < cap and bucket:
-                i = heappop(bucket)[1]
+            while bucket and n_issued < cap:
+                i = heappop(bucket) % n
                 cycle_of[i] = cycle
                 n_issued += 1
-                for s, delay in succs[i]:
-                    if cycle + delay > ready_bound[s]:
-                        ready_bound[s] = cycle + delay
-                    remaining[s] -= 1
-                    if not remaining[s]:
-                        ready = ready_bound[s] if ready_bound[s] > cycle else cycle + 1
-                        heappush(future, (ready, key[s]))
-            n_done += n_issued
-            n_pooled -= n_issued
-        if n_pooled:
+                for g, delay in succs[i]:
+                    if cycle + delay > ready_bound[g]:
+                        ready_bound[g] = cycle + delay
+                    remaining[g] -= 1
+                    if not remaining[g]:
+                        ready = ready_bound[g] if ready_bound[g] > cycle else cycle + 1
+                        ids = due.get(ready)
+                        if ids is None:
+                            due[ready] = members[g]
+                            heappush(due_cycles, ready)
+                        else:
+                            ids += members[g]
+        if any(pools):
             cycle += 1
-        elif future:
-            cycle = max(cycle + 1, future[0][0])
+        elif due_cycles:
+            cycle = max(cycle + 1, due_cycles[0])
+        else:
+            break
 
-    total = max(
-        (c + (ins.latency if ins.kind == "vstore" else 1) for ins, c in zip(dag, cycle_of)),
-        default=0,
-    )
-    vmac_cycles: dict[int, list[int]] = defaultdict(list)  # cluster -> VMAC issue cycles
+    total = 0
+    vmac_cycles: dict[int, list[int]] = {}  # cluster -> [first, last, count]
     for ins, c in zip(dag, cycle_of):
-        if ins.kind == "vmac":
-            vmac_cycles[ins.group].append(c)
+        kind = ins.kind
+        end = c + ins.latency if kind == "vstore" else c + 1
+        if end > total:
+            total = end
+        if kind == "vmac":
+            seen = vmac_cycles.get(ins.group)
+            if seen is None:
+                vmac_cycles[ins.group] = [c, c, 1]
+            else:
+                if c < seen[0]:
+                    seen[0] = c
+                elif c > seen[1]:
+                    seen[1] = c
+                seen[2] += 1
     if vmac_cycles:
-        first_v = min(map(min, vmac_cycles.values()))
-        last_v = max(map(max, vmac_cycles.values()))
+        spans = vmac_cycles.values()
+        first_v = min(first for first, _, _ in spans)
+        last_v = max(last for _, last, _ in spans)
         phases = (first_v, last_v - first_v, total - last_v)
-        n_vmacs = sum(map(len, vmac_cycles.values()))
+        n_vmacs = sum(count for _, _, count in spans)
         rate = Fraction(n_vmacs, total)
         n_gaps = n_vmacs - len(vmac_cycles)
-        span = sum(max(cs) - min(cs) for cs in vmac_cycles.values())
+        span = sum(last - first for first, last, _ in spans)
         ii_observed = Fraction(span, n_gaps) if n_gaps else None
     else:
         phases = (total, 0, 0)

@@ -285,6 +285,46 @@ def test_dense_build_and_schedule_equal_reference(seed):
         assert_same_schedule(dag, slots)
 
 
+def random_dense_dag(rng: random.Random) -> tuple[list[Instruction], dict[str, int]]:
+    """A dense DAG of no builder's shape, with 1-3 slots per class.
+
+    Position i takes its preds three ways in turn: the tuple object of
+    position i - 1, under another slot class and latency; an equal copy of
+    an earlier tuple; or a fresh tuple, which repeats an entry every third
+    time. Delays include 0 and Fractions, latencies Fractions.
+    """
+    kind_of = {"ld": "vload", "st": "vstore", "vmac": "vmac"}
+    slots = {name: rng.randint(1, 3) for name in kind_of}
+    delays = (0, 0, 1, 2, 3, Fraction(1, 2), Fraction(5, 3))
+    latencies = (0, 1, 2, 4, Fraction(3, 2), Fraction(7, 3))
+    dag: list[Instruction] = []
+    for i in range(rng.randint(1, 40)):
+        slot = rng.choice(list(kind_of))
+        latency = rng.choice(latencies)
+        if i % 3 == 1:
+            prev = dag[-1]
+            preds = prev.preds
+            slot = rng.choice([name for name in kind_of if name != prev.slot])
+            latency = rng.choice([x for x in latencies if x != prev.latency])
+        elif i % 3 == 2:
+            preds = tuple(list(dag[rng.randrange(i)].preds))
+        else:
+            n_preds = rng.randint(0, min(i, 4))
+            preds = [(rng.randrange(i), rng.choice(delays)) for _ in range(n_preds)]
+            if preds and i % 9 == 3:
+                preds.append(rng.choice(preds))
+            preds = tuple(preds)
+        dag.append(Instruction(i, kind_of[slot], slot, latency, preds, rng.randint(0, 2)))
+    return dag, slots
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_random_dense_dags_match_reference(seed):
+    dag, slots = random_dense_dag(random.Random(seed))
+    assert_same_schedule(dag, slots)
+
+
 def fig3_spec() -> MicrokernelSpec:
     # Single chain, one update, loads: two of the accumulator tile and one of
     # each input operand, all latency 3, on two load slots.
@@ -343,8 +383,12 @@ def test_cycle_rejected():
     # Also every other DAG that is not dense: a duplicate id, an unknown pred
     # id, a self-loop whose other preds all come earlier in the list, a pred
     # listed later but acyclic, and a builder DAG under fresh ids in
-    # shuffled order.
+    # shuffled order. The last cases repeat pred tuples, as one object and
+    # as equal copies: an earlier valid one, beside one that is invalid where
+    # it first occurs and valid where it recurs, or beside a duplicate id.
     spec = MicrokernelSpec(n_accum=8, n_clusters=2)
+    shared = ((0, 1),)
+    late = ((3, 1),)
     dags = [
         [Instruction(0, "vload", "ld", 1, ((1, 1),)), Instruction(1, "vload", "ld", 1, ((0, 1),))],
         [Instruction(0, "vload", "ld", 1), Instruction(0, "vload", "ld", 1)],
@@ -353,9 +397,26 @@ def test_cycle_rejected():
         [Instruction(0, "vload", "ld", 1, ((1, 1),)), Instruction(1, "vload", "ld", 1)],
         relabel_and_shuffle(build_microkernel_dag(spec), random.Random(3)),
     ]
+    for recur in (late, tuple(list(late))):
+        dags.append([
+            Instruction(0, "vload", "ld", 1),
+            Instruction(1, "vmac", "vmac", 1, shared),
+            Instruction(2, "vload", "ld", 1, late),
+            Instruction(3, "vmac", "vmac", 1, tuple(list(shared))),
+            Instruction(4, "vload", "ld", 1, recur),
+        ])
+    dags.append([
+        Instruction(0, "vload", "ld", 1),
+        Instruction(1, "vmac", "vmac", 1, shared),
+        Instruction(1, "vmac", "vmac", 1, shared),
+    ])
     for dag in dags:
         with pytest.raises(ConfigError):
             schedule(dag, slots_for(spec))
+    # With the invalid first occurrence made valid, the repeats schedule.
+    valid = list(dags[-3])
+    valid[2] = valid[2]._replace(preds=shared)
+    assert_same_schedule(valid, slots_for(spec))
 
 
 def test_fractional_latencies_match_reference():
