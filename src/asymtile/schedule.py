@@ -59,9 +59,10 @@ KERNEL_RUN_CACHE_SIZE = 1024
 class Instruction(NamedTuple):
     """One VLIW operation: issued on ``slot``, result ready after ``latency``.
 
-    ``id`` is the instruction's position in its DAG's list. ``preds`` holds
-    (predecessor id, required issue delay) pairs, each naming an earlier
-    position: this instruction may not issue before pred_issue + delay.
+    ``id`` is the instruction's position in its DAG's list. ``preds`` is a
+    tuple of (predecessor id, required issue delay) pairs, each naming an
+    earlier position: this instruction may not issue before pred_issue +
+    delay. The scheduler groups equal pred tuples, so they must be hashable.
     ``group`` is the owning chain cluster, for phase measurements. A
     NamedTuple rather than a dataclass: it is as immutable and several
     times cheaper to build, which matters because a kernel DAG holds
