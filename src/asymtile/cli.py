@@ -19,6 +19,7 @@ unwritable output, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -363,6 +364,7 @@ def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _make_parser() -> _Parser:
     parser = _Parser(prog="asymtile", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -427,6 +429,8 @@ def _run(args: argparse.Namespace, out) -> int:
 
 
 def main(argv=None, out=None) -> int:
+    """Run one command line and return its exit code. The parser is built once
+    per process: parsing leaves it unchanged and returns a fresh namespace."""
     out = out if out is not None else sys.stdout
     try:
         code = _run(_make_parser().parse_args(argv), out)

@@ -6,8 +6,8 @@ tile, so per-element traffic is a/t_n + b/t_mc + c/K bytes per output
 flop pair. Intensity is exact and notably independent of both the reduction
 tile depth t_k and the buffering asymmetry rho. The traffic is summed as an
 integer numerator over the precision's common byte-cost denominator
-(:attr:`~asymtile.arch.PrecisionSpec.cost_numerators`), and each rational
-result is built once from integers.
+(:attr:`~asymtile.arch.PrecisionSpec.cost_numerators`), so the intensity is
+one rational built once from integers.
 """
 
 from __future__ import annotations
@@ -20,14 +20,9 @@ from asymtile.arch import DEFAULT_ARCH, ArchSpec, ConfigError, PrecisionSpec, Ti
 
 @dataclass(frozen=True)
 class AiResult:
-    """Arithmetic intensity with its exact flop and byte legs."""
+    """Exact arithmetic intensity in flops per byte."""
 
     ai: Fraction
-    numerator_flops: int
-    denominator_bytes: Fraction
-
-    def __float__(self) -> float:
-        return float(self.ai)
 
 
 def ai_tile(t_mc: int, t_n: int, k: int, prec: PrecisionSpec) -> AiResult:
@@ -35,19 +30,14 @@ def ai_tile(t_mc: int, t_n: int, k: int, prec: PrecisionSpec) -> AiResult:
 
     Equals 2 / (a/t_n + b/t_mc + c/k) with a, b, c the per-element byte costs.
     The traffic a·t_mc·k + b·k·t_n + c·t_mc·t_n is summed over the costs'
-    common denominator; ``ai`` and ``denominator_bytes`` are the exact
-    rationals built from that integer sum.
+    common denominator, and ``ai`` is the exact rational of the flops over
+    that integer sum.
     """
     if t_mc <= 0 or t_n <= 0 or k <= 0:
         raise ConfigError("tile dims and k must be positive")
     a, b, c, den = prec.cost_numerators
-    flops = 2 * t_mc * t_n * k
     traffic = a * t_mc * k + b * k * t_n + c * t_mc * t_n
-    return AiResult(
-        ai=Fraction(flops * den, traffic),
-        numerator_flops=flops,
-        denominator_bytes=Fraction(traffic, den),
-    )
+    return AiResult(Fraction(2 * t_mc * t_n * k * den, traffic))
 
 
 def ai_array(

@@ -24,7 +24,7 @@ from asymtile.arch import (
     buffer_footprint,
     derive_l2_tiles,
 )
-from asymtile.intensity import ai_array
+from asymtile.intensity import ai_tile
 from asymtile.pipeline import (
     DEFAULT_MICROKERNEL,
     MicrokernelSpec,
@@ -70,7 +70,8 @@ def calibrated_eff_micro(t_k: int) -> Fraction:
 
 
 def _coerce_eff(value) -> Fraction:
-    eff = Fraction(value)
+    """``value`` as an efficiency in (0, 1]; a ``Fraction`` is used as given."""
+    eff = value if type(value) is Fraction else Fraction(value)
     # 0 < p/q <= 1 with q > 0, compared on the integers.
     if not 0 < eff.numerator <= eff.denominator:
         raise ConfigError(f"eff_micro must lie in (0, 1], got {value}")
@@ -87,16 +88,24 @@ def resolve_eff_micro(
     scheduled run of the constructed kernel DAG. The scheduled run is
     memoised by :func:`asymtile.schedule.kernel_run`, so each distinct
     kernel is built and scheduled once per process however many tiles
-    share it."""
+    share it. A kernel source scoring above 1 (a kernel with ``u_vmac`` > 1)
+    raises a ``ConfigError`` naming the source, the tile and ``u_vmac``."""
     if source == EFF_SOURCE_CALIBRATION:
         return calibrated_eff_micro(tile.t_k)
     if source == EFF_SOURCE_CLOSED_FORM:
-        return closed_form_eff_micro(microkernel_for_tile(tile, base))
-    if source == EFF_SOURCE_SIMULATED:
+        eff = closed_form_eff_micro(microkernel_for_tile(tile, base))
+    elif source == EFF_SOURCE_SIMULATED:
         from asymtile.schedule import kernel_run
 
-        return kernel_run(microkernel_for_tile(tile, base)).vmac_issue_rate
-    raise ConfigError(f"unknown eff_micro source {source!r}; expected one of {EFF_SOURCES}")
+        eff = kernel_run(microkernel_for_tile(tile, base)).vmac_issue_rate
+    else:
+        raise ConfigError(f"unknown eff_micro source {source!r}; expected one of {EFF_SOURCES}")
+    if eff.numerator > eff.denominator:
+        raise ConfigError(
+            f"{source} eff_micro of tile {','.join(map(str, tile.as_tuple()))} is {eff}, above 1: "
+            f"its kernel issues up to u_vmac={base.u_vmac} VMACs per cycle, more than the arch peak of one"
+        )
+    return eff
 
 
 def eff_core(
@@ -161,10 +170,7 @@ def perf_array(
     and zeroed rates rather than a silent number. Ties between the two sides
     are classified as memory-bound.
     """
-    if eff_micro is not None:
-        eff = _coerce_eff(eff_micro)
-    else:
-        eff = resolve_eff_micro(tile, eff_source, kernel)
+    eff = resolve_eff_micro(tile, eff_source, kernel) if eff_micro is None else _coerce_eff(eff_micro)
     t_mc_l2, t_k_l2, t_n_l2 = derive_l2_tiles(tile, arch)
     for dim, size, name in (
         (problem.m, t_mc_l2, "m"),
@@ -177,7 +183,7 @@ def perf_array(
             )
     buffer_bytes = buffer_footprint(tile, prec, arch)
     feasible = buffer_bytes <= arch.l1_capacity
-    ai = ai_array(tile, problem.k, prec, arch).ai
+    ai = ai_tile(t_mc_l2, t_n_l2, problem.k, prec).ai
     ec = eff_core(tile, eff, arch)
     if feasible:
         memory_bound = float(ai) * arch.offchip_bw

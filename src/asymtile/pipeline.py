@@ -210,8 +210,8 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
 
 
 def eff_micro(spec: MicrokernelSpec) -> Fraction:
-    """Modeled VMAC issue efficiency of the microkernel in (0, 1], from the
-    phases of :func:`total_latency`."""
+    """Modeled VMAC issue efficiency of the microkernel, from the phases of
+    :func:`total_latency`; above 1 only when ``u_vmac`` is."""
     return total_latency(spec).eff_micro
 
 

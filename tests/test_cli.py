@@ -481,6 +481,71 @@ def test_microkernel_section_reaches_every_command(tmp_path):
     assert "bound_sequential: 2496\n" in text
 
 
+@pytest.mark.parametrize(
+    "source, microkernel, eff, u_vmac",
+    [
+        ("closed_form", {"u_vmac": 2}, "64/51", 2),
+        ("simulated", {"u_vmac": 4, "u_ld": 4, "load_classes": [[1, 4]]}, "64/61", 4),
+    ],
+)
+@pytest.mark.parametrize("command", ["search", "eval"])
+def test_kernel_efficiency_above_one_names_source_tile_and_u_vmac(
+    tmp_path, capsys, source, microkernel, eff, u_vmac, command
+):
+    # A kernel issuing up to u_vmac VMACs per cycle can score above the arch
+    # peak. That stays a configuration error, but the message must not blame
+    # an eff_micro the user never gave. The tile is the first one the search
+    # scores above 1.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"microkernel": microkernel}))
+    tile = ("--tile", "8,8,512,32") if command == "eval" else ()
+    code, text = run_cli(
+        command, *tile, "--problem", "4096x4096x2048", "--eff-source", source,
+        "--config", str(cfg),
+    )
+    assert code == EXIT_CONFIG_ERROR
+    assert text == ""
+    assert capsys.readouterr().err == (
+        f"error: {source} eff_micro of tile 8,8,512,32 is {eff}, above 1: its kernel "
+        f"issues up to u_vmac={u_vmac} VMACs per cycle, more than the arch peak of one\n"
+    )
+
+
+def test_repeated_main_calls_match_single_runs(tmp_path):
+    # main builds its parser once per process. Each call in a sequence must
+    # report what the same argv reports in a process of its own: no default,
+    # option value or error state may carry over from the call before.
+    dump = tmp_path / "sched.csv"
+    problem = ("--problem", "4096x4096x2048")
+    tile = ("--tile", "32,128,64,128")
+    sequence = [
+        ("search", *problem, "--limit", "3", "--emit", "text"),
+        ("search", *problem),
+        ("eval", *tile, *problem, "--format", "csv"),
+        ("eval", *tile, *problem),
+        ("search", *problem, "--limit", "-1"),
+        ("search", *problem, "--emit", "table2"),
+        ("simulate", "schedule", "--dump", str(dump)),
+        ("simulate", "schedule"),
+    ]
+    in_process = []
+    for argv in sequence:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run_cli(*argv)
+        in_process.append((code, text, err.getvalue()))
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 3, 0, 0, 0]
+    for argv, got in zip(sequence, in_process):
+        alone = subprocess.run(
+            [sys.executable, "-m", "asymtile.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+
+
 def test_cli_import_does_not_load_numpy():
     probe = "import sys, asymtile.cli; print('numpy' in sys.modules)"
     proc = subprocess.run(

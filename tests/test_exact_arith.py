@@ -5,7 +5,8 @@
 numerators over the precision's common byte-cost denominator and build each
 rational once. The ``reference_*`` functions below are the Fraction formulas
 they replaced, kept as the specification the integer forms must equal for
-every architecture, precision and tile the config loader accepts.
+every architecture, precision and tile the config loader accepts;
+``reference_perf_array`` composes them into the whole estimate.
 """
 
 import math
@@ -18,13 +19,22 @@ from hypothesis import strategies as st
 from asymtile.arch import (
     ArchSpec,
     PrecisionSpec,
+    ProblemSpec,
     TileConfig,
     buffer_footprint,
     buffer_terms,
     check_feasible,
 )
 from asymtile.intensity import ai_array, ai_tile
-from asymtile.perf import EFF_MICRO_CALIBRATION, calibrated_eff_micro, eff_core
+from asymtile.perf import (
+    BOUND_COMPUTE,
+    BOUND_MEMORY,
+    EFF_MICRO_CALIBRATION,
+    PerfEstimate,
+    calibrated_eff_micro,
+    eff_core,
+    perf_array,
+)
 
 
 def reference_buffer_terms(tile, prec, arch):
@@ -50,7 +60,7 @@ def reference_ai_tile(t_mc, t_n, k, prec):
         + prec.byte_cost_b * k * t_n
         + prec.byte_cost_c * t_mc * t_n
     )
-    return Fraction(flops) / traffic, flops, traffic
+    return Fraction(flops) / traffic
 
 
 def reference_ai_array(tile, k, prec, arch):
@@ -76,6 +86,36 @@ def reference_calibrated_eff_micro(t_k):
         if x0 <= t_k <= x1:
             return y0 + (y1 - y0) * Fraction(t_k - x0, x1 - x0)
     raise AssertionError("unreachable")
+
+
+def reference_perf_array(tile, problem, prec, arch, eff_micro):
+    if eff_micro is None:
+        eff = reference_calibrated_eff_micro(tile.t_k)
+    else:
+        eff = Fraction(eff_micro)
+    ai = reference_ai_array(tile, problem.k, prec, arch)
+    ec = reference_eff_core(tile, eff, arch)
+    buffer_bytes = reference_buffer_footprint(tile, prec, arch)
+    feasible = reference_check_feasible(tile, prec, arch)
+    if feasible:
+        memory_bound = float(ai) * arch.offchip_bw
+        compute_bound = float(ec) * arch.peak_array_flops
+        perf = min(memory_bound, compute_bound)
+        bound_kind = BOUND_MEMORY if memory_bound <= compute_bound else BOUND_COMPUTE
+    else:
+        memory_bound = compute_bound = perf = 0.0
+        bound_kind = BOUND_MEMORY
+    return PerfEstimate(
+        ai_array=ai,
+        memory_bound=memory_bound,
+        compute_bound=compute_bound,
+        eff_micro=eff,
+        eff_core=ec,
+        perf_array=perf,
+        bound_kind=bound_kind,
+        buffer_bytes=buffer_bytes,
+        feasible=feasible,
+    )
 
 
 @st.composite
@@ -157,8 +197,8 @@ def test_intensity_equals_reference(tile, k, prec, arch):
         (ai_tile(tile.t_mc, tile.t_n, k, prec), reference_ai_tile(tile.t_mc, tile.t_n, k, prec)),
         (ai_array(tile, k, prec, arch), reference_ai_array(tile, k, prec, arch)),
     ):
-        assert (got.ai, got.numerator_flops, got.denominator_bytes) == want
-        assert type(got.ai) is Fraction and type(got.denominator_bytes) is Fraction
+        assert got.ai == want
+        assert type(got.ai) is Fraction
 
 
 effs = st.one_of(
@@ -182,3 +222,33 @@ def test_calibrated_eff_micro_equals_reference(t_k):
     # The second call comes from the memo.
     assert calibrated_eff_micro(t_k) == want
     assert calibrated_eff_micro(t_k) == want
+
+
+# None resolves from the calibration table; the rest are given directly, as
+# a Fraction, a float, an int or a "p/q" string.
+perf_effs = st.one_of(
+    st.none(),
+    effs,
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(1, 100), st.integers(100, 1000)),
+)
+
+
+@settings(max_examples=200)
+@given(
+    tile=tiles(),
+    prec=precisions,
+    arch=archs(),
+    eff=perf_effs,
+    multiples=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+)
+def test_perf_array_equals_reference(tile, prec, arch, eff, multiples):
+    # A problem every array-level tile dim divides.
+    s_m, s_k, s_n = arch.grid_scale
+    a, b, c = multiples
+    problem = ProblemSpec(a * s_m * tile.t_mc, b * s_k * tile.t_k, c * s_n * tile.t_n)
+    got = perf_array(tile, problem, prec, arch, eff_micro=eff)
+    assert got == reference_perf_array(tile, problem, prec, arch, eff)
+    assert all(type(v) is Fraction for v in (got.ai_array, got.eff_micro, got.eff_core))
+    if type(eff) is Fraction:
+        # A Fraction efficiency is used as given, not rebuilt.
+        assert got.eff_micro is eff
