@@ -4,11 +4,11 @@
 Emits two artifacts on stdout:
 
 1. The reference GEMM configuration table (markdown or CSV): one row per
-   frozen evaluation point, with used buffer, compute bound, intensity,
-   memory bound, and the predicted (min) bound. Intensity uses each row's
-   arithmetic byte costs; the used-buffer column uses the row's physical
-   storage costs, which for the BFP16 rows is the packed 9/8 B/element
-   layout.
+   frozen evaluation point, its group and then the report columns of
+   ``asymtile.search``. Intensity uses each row's arithmetic byte costs;
+   the buffer columns use the row's physical storage costs, which for the
+   BFP16 rows is the packed 9/8 B/element layout. The acceptance gates
+   read their reference points from ``REFERENCE_ROWS``.
 
 2. The efficiency sweep grid over (t_k, rho) at a fixed 128x128 output
    tile, showing how kernel-switch overhead erodes core efficiency for
@@ -25,16 +25,16 @@ import os
 import sys
 from dataclasses import dataclass
 
-from asymtile.arch import (
-    DEFAULT_ARCH,
-    PRECISION_PRESETS,
-    ProblemSpec,
-    TileConfig,
-    buffer_footprint,
-)
+from asymtile.arch import DEFAULT_ARCH, PRECISION_PRESETS, ProblemSpec, TileConfig
 from asymtile.intensity import ai_array
 from asymtile.perf import calibrated_eff_micro, eff_core
-from asymtile.search import sweep_grid, sweep_to_csv
+from asymtile.search import (
+    REPORT_COLUMNS,
+    markdown_table,
+    report_cells,
+    sweep_grid,
+    sweep_to_csv,
+)
 
 
 @dataclass(frozen=True)
@@ -69,50 +69,22 @@ REFERENCE_ROWS = (
                  ProblemSpec(4096, 4096, 2048), TileConfig(32, 128, 64, 128)),
 )
 
-HEADER_CELLS = (
-    "Group",
-    "Problem (MxKxN)",
-    "L1 tile (T_MC x T_K x T_N)",
-    "rho",
-    "Used buffer (KB)",
-    "Buffer if rho=1 (KB)",
-    "Compute-bound (TFLOPS)",
-    "AI (op/B)",
-    "Memory-bound (TFLOPS)",
-    "Predicted bound (TFLOPS)",
-)
+HEADER_CELLS = ("Group",) + REPORT_COLUMNS
 
 
 def row_cells(row: ReferenceRow) -> tuple[str, ...]:
     arch = DEFAULT_ARCH
     tile, problem = row.tile, row.problem
     ai = float(ai_array(tile, problem.k, PRECISION_PRESETS[row.ai_preset]).ai)
+    compute = float(eff_core(tile, calibrated_eff_micro(tile.t_k), arch)) * arch.peak_array_flops
     storage = PRECISION_PRESETS[row.storage_preset]
-    used_kb = buffer_footprint(tile, storage) / 1024
-    flat = TileConfig(tile.t_mc, tile.t_mc, tile.t_k, tile.t_n)
-    flat_kb = buffer_footprint(flat, storage) / 1024
-    eff = eff_core(tile, calibrated_eff_micro(tile.t_k), arch)
-    compute = float(eff) * arch.peak_array_flops
-    memory = ai * arch.offchip_bw
-    return (
-        row.group,
-        f"{problem.m}x{problem.k}x{problem.n}",
-        f"{tile.t_mc}x{tile.t_k}x{tile.t_n}",
-        str(tile.rho),
-        f"{used_kb:.1f}",
-        f"{flat_kb:.1f}",
-        f"{compute / 1e12:.3g}",
-        f"{ai:.3g}",
-        f"{memory / 1e12:.3g}",
-        f"{min(compute, memory) / 1e12:.3g}",
+    return (row.group,) + report_cells(
+        problem, tile, storage, arch, ai, ai * arch.offchip_bw, compute
     )
 
 
 def emit_markdown(out) -> None:
-    out.write("| " + " | ".join(HEADER_CELLS) + " |\n")
-    out.write("|" + "---|" * len(HEADER_CELLS) + "\n")
-    for row in REFERENCE_ROWS:
-        out.write("| " + " | ".join(row_cells(row)) + " |\n")
+    out.write(markdown_table(HEADER_CELLS, map(row_cells, REFERENCE_ROWS)))
 
 
 def emit_csv(out) -> None:

@@ -48,7 +48,7 @@ from asymtile.movement import (
     trace_to_csv,
     verify_movement_equivalence,
 )
-from asymtile.perf import perf_array
+from asymtile.perf import EFF_SOURCE_CALIBRATION, EFF_SOURCES, perf_array
 from asymtile.pipeline import (
     DEFAULT_MICROKERNEL,
     MicrokernelSpec,
@@ -64,14 +64,13 @@ from asymtile.schedule import (
     verify_random_specs,
 )
 from asymtile.search import (
-    KERNEL_EFF_SOURCES,
     RANK_CSV_COLUMNS,
+    EmptySearchSpace,
     SearchSpace,
     _kb1,
     _sig3,
-    enumerate_feasible,
     estimate_csv_row,
-    rank,
+    explore,
     ranked_to_csv,
     ranked_to_markdown,
     search_space_from_dict,
@@ -118,6 +117,7 @@ class RunConfig:
     tile: TileConfig | None
     space: SearchSpace
     microkernel: MicrokernelSpec
+    eff_source: str
     eff_micro: Fraction | None
 
 
@@ -170,8 +170,10 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         for name in ("t_mc_max", "t_k_min", "t_k_max", "t_n_max", "step")
     }
     overrides["rho_candidates"] = resolve("rho", _parse_rho)
-    overrides["eff_source"] = resolve("eff_source", lambda value: value)
     space = replace(space, **{k: v for k, v in overrides.items() if v is not None})
+    eff_source = resolve("eff_source", lambda value: value, EFF_SOURCE_CALIBRATION)
+    if eff_source not in EFF_SOURCES:
+        raise ConfigError(f"unknown eff_source {eff_source!r}; expected one of {EFF_SOURCES}")
 
     return RunConfig(
         arch=resolve("arch", arch_from_dict, DEFAULT_ARCH),
@@ -180,6 +182,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         tile=resolve("tile", tile_from_value),
         space=space,
         microkernel=resolve("microkernel", microkernel_from_dict, DEFAULT_MICROKERNEL),
+        eff_source=eff_source,
         eff_micro=resolve("eff_micro", _parse_eff_micro),
     )
 
@@ -199,7 +202,7 @@ def cmd_eval(cfg: RunConfig, fmt: str, out) -> int:
         cfg.prec,
         cfg.arch,
         eff_micro=cfg.eff_micro,
-        eff_source=cfg.space.eff_source,
+        eff_source=cfg.eff_source,
         kernel=cfg.microkernel,
     )
     if fmt == "csv":
@@ -239,18 +242,13 @@ def _report_infeasible(buffer_bytes: int, arch: ArchSpec, out) -> int:
 
 def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
     problem = _require(cfg.problem, "a problem size (--problem or config)")
-    space = replace(cfg.space, divisibility_problem=problem)
-    configs = enumerate_feasible(space, cfg.prec, cfg.arch, cfg.microkernel)
-    if not configs:
-        filters = "buffer capacity and divisibility"
-        if space.eff_source in KERNEL_EFF_SOURCES:
-            filters = "buffer capacity, divisibility and kernel shape"
-        out.write(
-            "no feasible tile configuration in the search space "
-            f"({filters} filters removed everything)\n"
+    try:
+        result = explore(
+            cfg.space, problem, cfg.prec, cfg.arch, cfg.microkernel, eff_source=cfg.eff_source
         )
+    except EmptySearchSpace as exc:
+        out.write(f"{exc}\n")
         return EXIT_INFEASIBLE
-    result = rank(configs, problem, cfg.prec, cfg.arch, space.eff_source, cfg.microkernel)
     if emit == "csv":
         out.write(ranked_to_csv(result))
     elif emit == "table2":
@@ -369,20 +367,22 @@ def _make_parser() -> _Parser:
     parser = _Parser(prog="asymtile", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add_common(p: _Parser) -> None:
+    # Each subcommand registers only the inputs it reads.
+    def add_common(p: _Parser, eff_source: bool) -> None:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--precision", help="preset name or inline spec")
         p.add_argument("--problem", help="problem size MxKxN")
-        p.add_argument("--eff-source", dest="eff_source", help="eff_micro source")
+        if eff_source:
+            p.add_argument("--eff-source", dest="eff_source", help="eff_micro source")
 
     p_eval = sub.add_parser("eval", help="evaluate one tile configuration")
-    add_common(p_eval)
+    add_common(p_eval, eff_source=True)
     p_eval.add_argument("--tile", help="tile as t_ma,t_mc,t_k,t_n")
     p_eval.add_argument("--eff-micro", dest="eff_micro", help="explicit efficiency")
     p_eval.add_argument("--format", choices=("text", "csv"), default="text")
 
     p_search = sub.add_parser("search", help="explore the tile design space")
-    add_common(p_search)
+    add_common(p_search, eff_source=True)
     p_search.add_argument("--rho", help="comma-separated rho candidates")
     p_search.add_argument("--t-mc-max", dest="t_mc_max", type=int)
     p_search.add_argument("--t-k-min", dest="t_k_min", type=int)
@@ -396,7 +396,7 @@ def _make_parser() -> _Parser:
     sim_sub = p_sim.add_subparsers(dest="which", parser_class=_Parser)
 
     p_move = sim_sub.add_parser("movement", help="byte-count the tiled loop nest")
-    add_common(p_move)
+    add_common(p_move, eff_source=False)
     p_move.add_argument("--tile", help="tile as t_ma,t_mc,t_k,t_n")
     p_move.add_argument("--boundary", choices=BOUNDARIES, default="core")
     p_move.add_argument("--format", choices=("text", "csv"), default="text")
@@ -404,7 +404,7 @@ def _make_parser() -> _Parser:
     p_move.add_argument("--seed", type=int, default=0)
 
     p_sched = sim_sub.add_parser("schedule", help="schedule the microkernel DAG")
-    add_common(p_sched)
+    p_sched.add_argument("--config", help="JSON config file")
     p_sched.add_argument("--tile", help="derive the kernel from this tile")
     p_sched.add_argument("--dump", metavar="FILE", help="write schedule CSV here")
     p_sched.add_argument("--verify", type=_count, metavar="N", help="random soundness sweep")

@@ -147,10 +147,6 @@ class PerfEstimate:
     buffer_bytes: int
     feasible: bool
 
-    @property
-    def perf_tflops(self) -> float:
-        return self.perf_array / 1e12
-
 
 def perf_array(
     tile: TileConfig,

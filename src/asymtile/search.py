@@ -40,7 +40,6 @@ from asymtile.perf import (
     EFF_SOURCE_CALIBRATION,
     EFF_SOURCE_CLOSED_FORM,
     EFF_SOURCE_SIMULATED,
-    EFF_SOURCES,
     PerfEstimate,
     calibrated_eff_micro,
     eff_core,
@@ -70,7 +69,6 @@ class SearchSpace:
     step: int = 8
     rho_candidates: tuple[int, ...] = (1, 2, 4, 6, 8)
     divisibility_problem: ProblemSpec | None = None
-    eff_source: str = EFF_SOURCE_CALIBRATION
 
     def __post_init__(self) -> None:
         if isinstance(self.rho_candidates, list):
@@ -99,10 +97,10 @@ class SearchSpace:
                 f"rho_candidates must be a nonempty set of positive ints, "
                 f"got {self.rho_candidates!r}"
             )
-        if self.eff_source not in EFF_SOURCES:
-            raise ConfigError(
-                f"unknown eff_source {self.eff_source!r}; expected one of {EFF_SOURCES}"
-            )
+
+
+class EmptySearchSpace(ConfigError):
+    """No tile of the search space passed the enumeration filters."""
 
 
 def _builds_kernel(tile: TileConfig, kernel: MicrokernelSpec) -> bool:
@@ -119,17 +117,20 @@ def enumerate_feasible(
     prec: PrecisionSpec,
     arch: ArchSpec = DEFAULT_ARCH,
     kernel: MicrokernelSpec = DEFAULT_MICROKERNEL,
+    *,
+    eff_source: str = EFF_SOURCE_CALIBRATION,
 ) -> list[TileConfig]:
     """All tile configs in ``space`` that fit the buffer (and divide the
     space's problem, when one is set), in grid order: ``t_mc``, ``t_k``,
-    ``t_n``, then ascending ``rho``. When ``space.eff_source`` scores each
-    tile's own microkernel, only tiles that :func:`microkernel_for_tile`
-    can shape ``kernel`` to are kept.
+    ``t_n``, then ascending ``rho``. When ``eff_source`` scores each tile's
+    own microkernel, only tiles that :func:`microkernel_for_tile` can shape
+    ``kernel`` to are kept.
 
     The grid is pruned before any tile is built. Divisibility separates by
     axis, so the ``t_mc``, ``t_k`` and ``t_n`` ranges are filtered on their
-    own, and the valid ``t_ma = t_mc / rho`` values (multiples of 8) are
-    worked out once per ``t_mc``. :func:`check_feasible` then runs on the
+    own, each only up to ``dim // scale`` (a larger value cannot divide
+    ``dim``), and the valid ``t_ma = t_mc / rho`` values (multiples of 8)
+    are worked out once per ``t_mc``. :func:`check_feasible` then runs on the
     survivors only. The footprint strictly increases in ``t_ma``, ``t_k``
     and ``t_n`` (byte costs are positive and multipliers at least 1), so
     the rhos that fit at one ``(t_mc, t_k, t_n)`` are the largest ones, the
@@ -142,10 +143,10 @@ def enumerate_feasible(
     problem = space.divisibility_problem
 
     def axis_values(axis: int, lo: int, hi: int) -> list[int]:
-        values = range(lo, hi + 1, space.step)
         if problem is None:
-            return list(values)
+            return list(range(lo, hi + 1, space.step))
         dim, scale = (problem.m, problem.k, problem.n)[axis], arch.grid_scale[axis]
+        values = range(lo, min(hi, dim // scale) + 1, space.step)
         return [v for v in values if dim % (scale * v) == 0]
 
     t_mcs = axis_values(0, space.t_mc_min, space.t_mc_max)
@@ -175,7 +176,7 @@ def enumerate_feasible(
                 out.extend(reversed(fits))
             if not kept_any:
                 break
-    if space.eff_source in KERNEL_EFF_SOURCES:
+    if eff_source in KERNEL_EFF_SOURCES:
         out = [tile for tile in out if _builds_kernel(tile, kernel)]
     return out
 
@@ -237,15 +238,24 @@ def explore(
     prec: PrecisionSpec,
     arch: ArchSpec = DEFAULT_ARCH,
     kernel: MicrokernelSpec = DEFAULT_MICROKERNEL,
+    *,
+    eff_source: str = EFF_SOURCE_CALIBRATION,
 ) -> RankedResult:
     """Enumerate, evaluate, and rank in one step over ``space``, constrained
     to tiles that divide ``problem`` exactly, with ``kernel`` as the base
-    microkernel spec."""
+    microkernel spec. Raises :class:`EmptySearchSpace`, naming the filters
+    that ran, when no tile is left."""
     space = replace(space, divisibility_problem=problem)
-    configs = enumerate_feasible(space, prec, arch, kernel)
+    configs = enumerate_feasible(space, prec, arch, kernel, eff_source=eff_source)
     if not configs:
-        raise ConfigError("no feasible tile configuration in the search space")
-    return rank(configs, problem, prec, arch, space.eff_source, kernel)
+        filters = "buffer capacity and divisibility"
+        if eff_source in KERNEL_EFF_SOURCES:
+            filters = "buffer capacity, divisibility and kernel shape"
+        raise EmptySearchSpace(
+            "no feasible tile configuration in the search space "
+            f"({filters} filters removed everything)"
+        )
+    return rank(configs, problem, prec, arch, eff_source, kernel)
 
 
 @dataclass(frozen=True)
@@ -315,6 +325,44 @@ def ranked_to_csv(result: RankedResult) -> str:
     return out.getvalue()
 
 
+# The reference-report layout: the nine column titles, and report_cells for
+# the cells of one row in the same order.
+REPORT_COLUMNS = (
+    "Problem (MxKxN)", "L1 tile (T_MC x T_K x T_N)", "rho", "Used buffer (KB)",
+    "Buffer if rho=1 (KB)", "Compute-bound (TFLOPS)", "AI (op/B)", "Memory-bound (TFLOPS)",
+    "Predicted bound (TFLOPS)",
+)
+
+
+def report_cells(
+    problem: ProblemSpec, tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec,
+    ai: Fraction | float, memory_bound: float, compute_bound: float,
+) -> tuple[str, ...]:
+    """One row of the reference-report layout. ``prec`` prices both buffer
+    columns: the tile's own footprint and the footprint at rho=1. The
+    bounds are in flop/s and the predicted bound is the smaller one."""
+    flat = TileConfig(tile.t_mc, tile.t_mc, tile.t_k, tile.t_n)
+    return (
+        f"{problem.m}x{problem.k}x{problem.n}",
+        f"{tile.t_mc}x{tile.t_k}x{tile.t_n}",
+        str(tile.rho),
+        _kb1(buffer_footprint(tile, prec, arch)),
+        _kb1(buffer_footprint(flat, prec, arch)),
+        _sig3(compute_bound / 1e12),
+        f"{float(ai):.0f}",
+        _sig3(memory_bound / 1e12),
+        _sig3(min(memory_bound, compute_bound) / 1e12),
+    )
+
+
+def markdown_table(titles: tuple[str, ...], rows) -> str:
+    """A markdown table with one header row of ``titles`` and one row per
+    tuple of cells in ``rows``."""
+    lines = ["| " + " | ".join(titles) + " |", "|" + "---|" * len(titles)]
+    lines.extend("| " + " | ".join(cells) + " |" for cells in rows)
+    return "\n".join(lines) + "\n"
+
+
 def ranked_to_markdown(
     result: RankedResult,
     problem: ProblemSpec,
@@ -322,31 +370,13 @@ def ranked_to_markdown(
     arch: ArchSpec = DEFAULT_ARCH,
     limit: int | None = 10,
 ) -> str:
-    """Markdown table in the reference-report layout: problem size, tile,
-    rho, used buffer, buffer at rho=1, compute bound, intensity, memory
-    bound, predicted bound."""
-    header = (
-        "| Problem (MxKxN) | L1 tile (T_MC x T_K x T_N) | rho | Used buffer (KB) | "
-        "Buffer if rho=1 (KB) | Compute-bound (TFLOPS) | AI (op/B) | "
-        "Memory-bound (TFLOPS) | Predicted bound (TFLOPS) |"
+    """The first ``limit`` ranked tiles as a markdown table in the
+    reference-report layout."""
+    rows = (
+        report_cells(problem, tile, prec, arch, est.ai_array, est.memory_bound, est.compute_bound)
+        for tile, est in result.entries[:limit]
     )
-    rule = "|" + "---|" * 9
-    lines = [header, rule]
-    entries = result.entries[:limit] if limit is not None else result.entries
-    for tile, est in entries:
-        flat = TileConfig(tile.t_mc, tile.t_mc, tile.t_k, tile.t_n)
-        lines.append(
-            f"| {problem.m}x{problem.k}x{problem.n} "
-            f"| {tile.t_mc}x{tile.t_k}x{tile.t_n} "
-            f"| {tile.rho} "
-            f"| {_kb1(est.buffer_bytes)} "
-            f"| {_kb1(buffer_footprint(flat, prec, arch))} "
-            f"| {_sig3(est.compute_bound / 1e12)} "
-            f"| {float(est.ai_array):.0f} "
-            f"| {_sig3(est.memory_bound / 1e12)} "
-            f"| {_sig3(est.perf_array / 1e12)} |"
-        )
-    return "\n".join(lines) + "\n"
+    return markdown_table(REPORT_COLUMNS, rows)
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:

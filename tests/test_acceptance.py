@@ -3,13 +3,18 @@
 Each test covers one numbered criterion at its stated tolerance and prints
 exactly one PASS/FAIL line on the terminal (bypassing capture), so a plain
 pytest run shows the whole checklist at a glance. Reference figures are the
-frozen regression targets this model is required to reproduce.
+frozen regression targets this model is required to reproduce. Gates 1-3
+read the reference evaluation points (group, presets, problem, tile) from
+``scripts/reproduce_tables.py``, the one table of them, and hold only the
+figures each point must reproduce.
 """
 
 from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+
+from conftest import load_script
 
 from asymtile.arch import (
     DEFAULT_ARCH,
@@ -39,32 +44,27 @@ from asymtile.schedule import (
 )
 from asymtile.search import SearchSpace, explore
 
-# Reference evaluation points: (precision preset for intensity, tile as
-# (t_ma, t_mc, t_k, t_n), contraction depth K, expected intensity in op/B,
-# expected memory-bound throughput in TFLOPS).
-REFERENCE_ROWS = (
-    ("config1", (64, 64, 88, 64), 4224, 216.0, 14.1),
-    ("config1", (64, 64, 64, 128), 4096, 273.0, 17.8),
-    ("config1", (16, 64, 224, 64), 4480, 217.0, 14.1),
-    ("config1", (32, 128, 64, 128), 4096, 410.0, 26.6),
-    ("config2", (96, 96, 128, 64), 4096, 333.0, 21.7),
-    ("config2", (128, 128, 64, 128), 4096, 504.0, 32.8),
-    ("config2", (32, 256, 64, 128), 4096, 728.0, 47.3),
-    ("config2", (32, 192, 128, 96), 4096, 562.0, 36.5),
-    ("config3", (96, 96, 64, 128), 4096, 418.0, 27.2),
-    ("config3", (32, 128, 64, 128), 4096, 504.0, 32.8),
+REFERENCE_ROWS = load_script("reproduce_tables.py").REFERENCE_ROWS
+
+# Expected intensity in op/B and memory-bound throughput in TFLOPS of each
+# reference row, in table order. Intensity uses the row's arithmetic preset.
+REFERENCE_AI_TFLOPS = (
+    (216.0, 14.1),
+    (273.0, 17.8),
+    (217.0, 14.1),
+    (410.0, 26.6),
+    (333.0, 21.7),
+    (504.0, 32.8),
+    (728.0, 47.3),
+    (562.0, 36.5),
+    (418.0, 27.2),
+    (504.0, 32.8),
 )
 
-# Buffer-footprint targets for the asymmetric-buffering rows, in KB. The
-# second preset group uses the packed 9/8 B-per-element storage cost.
-REFERENCE_BUFFERS = (
-    ("config1", (64, 64, 64, 128), 54.5),
-    ("config1", (16, 64, 224, 64), 57.4),
-    ("config1", (32, 128, 64, 128), 60.3),
-    ("config2_packed", (128, 128, 64, 128), 54.0),
-    ("config2_packed", (32, 256, 64, 128), 58.5),
-    ("config2_packed", (32, 192, 128, 96), 56.3),
-)
+# Buffer-footprint targets in KB, priced at the row's storage preset (the
+# packed 9/8 B-per-element cost for config2), for the six rows gated on
+# their buffer; None marks the other four.
+REFERENCE_BUFFERS_KB = (None, 54.5, 57.4, 60.3, None, 54.0, 58.5, 56.3, None, None)
 
 
 @contextmanager
@@ -86,31 +86,38 @@ def rel_err(got: float, want: float) -> float:
 
 def test_criterion_01_array_intensity_reference_rows(capsys):
     with reported(capsys, 1, "array intensity matches all 10 reference rows within 1%"):
-        for preset, dims, k, want_ai, _ in REFERENCE_ROWS:
-            tile = TileConfig(*dims)
-            got = float(ai_array(tile, k, PRECISION_PRESETS[preset]).ai)
-            assert rel_err(got, want_ai) <= 0.01, (preset, dims, got, want_ai)
+        assert len(REFERENCE_ROWS) == len(REFERENCE_AI_TFLOPS) == 10
+        for row, (want_ai, _) in zip(REFERENCE_ROWS, REFERENCE_AI_TFLOPS):
+            got = float(ai_array(row.tile, row.problem.k, PRECISION_PRESETS[row.ai_preset]).ai)
+            assert rel_err(got, want_ai) <= 0.01, (row, got, want_ai)
 
 
 def test_criterion_02_memory_bound_reference_rows(capsys):
     with reported(capsys, 2, "memory-bound throughput matches all 10 rows within 2%"):
-        for preset, dims, k, _, want_tflops in REFERENCE_ROWS:
-            tile = TileConfig(*dims)
-            ai = ai_array(tile, k, PRECISION_PRESETS[preset]).ai
+        assert len(REFERENCE_ROWS) == len(REFERENCE_AI_TFLOPS) == 10
+        for row, (_, want_tflops) in zip(REFERENCE_ROWS, REFERENCE_AI_TFLOPS):
+            ai = ai_array(row.tile, row.problem.k, PRECISION_PRESETS[row.ai_preset]).ai
             got = float(ai) * DEFAULT_ARCH.offchip_bw
-            assert rel_err(got, want_tflops * 1e12) <= 0.02, (preset, dims, got)
+            assert rel_err(got, want_tflops * 1e12) <= 0.02, (row, got)
 
 
 def test_criterion_03_buffer_footprints(capsys):
     with reported(
         capsys, 3, "buffer footprints within 10% on all 6 rows; rho=1 variant infeasible"
     ):
-        for preset, dims, want_kb in REFERENCE_BUFFERS:
-            tile = TileConfig(*dims)
-            got_kb = buffer_footprint(tile, PRECISION_PRESETS[preset]) / 1024
-            assert rel_err(got_kb, want_kb) <= 0.10, (preset, dims, got_kb, want_kb)
-        wide = TileConfig(128, 128, 64, 128)
-        prec = PRECISION_PRESETS["config1"]
+        gated = [
+            (row, want_kb)
+            for row, want_kb in zip(REFERENCE_ROWS, REFERENCE_BUFFERS_KB, strict=True)
+            if want_kb is not None
+        ]
+        assert len(gated) == 6
+        for row, want_kb in gated:
+            got_kb = buffer_footprint(row.tile, PRECISION_PRESETS[row.storage_preset]) / 1024
+            assert rel_err(got_kb, want_kb) <= 0.10, (row, got_kb, want_kb)
+        # The fourth row's rho=4 tile, widened to rho=1, no longer fits.
+        row = REFERENCE_ROWS[3]
+        wide = TileConfig(row.tile.t_mc, row.tile.t_mc, row.tile.t_k, row.tile.t_n)
+        prec = PRECISION_PRESETS[row.storage_preset]
         assert not check_feasible(wide, prec)
         assert buffer_footprint(wide, prec) > DEFAULT_ARCH.l1_capacity
 

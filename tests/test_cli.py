@@ -91,17 +91,34 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "section, key", [("microkernel", "clamp_ii"), ("arch", "n_cores")]
+    "section, key",
+    [("microkernel", "clamp_ii"), ("arch", "n_cores"), ("search", "eff_source")],
 )
 def test_removed_config_keys_exit_3(tmp_path, capsys, section, key):
     # The initiation interval always floors at 1/u_vmac, and the core count
-    # is n_rows * n_cols, so neither is a config key.
+    # is n_rows * n_cols, so neither is a config key. The efficiency source
+    # is a top-level key, read by eval as well as search, so the search
+    # section has none.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: 32 if key == "n_cores" else True}}))
     code, text = run_cli("eval", "--config", str(cfg), "--tile", "32,128,64,128")
     assert code == EXIT_CONFIG_ERROR
     assert text == ""
     assert capsys.readouterr().err == f"error: unknown key {key!r} in section {section!r}\n"
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_unknown_eff_source_exits_3(tmp_path, capsys, given):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eff_source": "vibes"} if given == "config" else {}))
+    flag = ("--eff-source", "vibes") if given == "flag" else ()
+    code, text = run_cli("search", "--problem", "4096x4096x2048", "--config", str(cfg), *flag)
+    assert code == EXIT_CONFIG_ERROR
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "error: unknown eff_source 'vibes'; expected one of "
+        "('calibration', 'closed_form', 'simulated')\n"
+    )
 
 
 def test_unknown_subcommand_exits_3(capsys):
@@ -151,7 +168,10 @@ def test_search_symmetric_only_gain_is_one():
 def test_search_empty_space_exits_2():
     code, text = run_cli("search", "--problem", "100x100x100")
     assert code == EXIT_INFEASIBLE
-    assert "no feasible tile configuration" in text
+    assert text == (
+        "no feasible tile configuration in the search space "
+        "(buffer capacity and divisibility filters removed everything)\n"
+    )
 
 
 def test_search_table_emit():
@@ -373,6 +393,12 @@ def test_simulate_movement_rejects_tile_over_capacity(boundary):
         ({}, ("search", "--limit", "-1")),
         ({}, ("simulate", "movement", "--verify", "-3")),
         ({}, ("simulate", "schedule", "--verify", "-2")),
+        # Flags a simulate subcommand does not read are not registered on it
+        # (the --problem this test adds is one of them for schedule).
+        ({}, ("simulate", "movement", "--tile", "32,128,64,128", "--eff-source", "simulated")),
+        ({}, ("simulate", "schedule", "--eff-source", "simulated")),
+        ({}, ("simulate", "schedule", "--precision", "config1")),
+        ({}, ("simulate", "schedule")),
     ],
 )
 def test_bad_search_and_efficiency_input_exits_3(tmp_path, capsys, config, argv):
@@ -419,8 +445,10 @@ def test_bad_search_and_efficiency_input_exits_3(tmp_path, capsys, config, argv)
 def test_non_integer_kernel_and_arch_counts_exit_3(tmp_path, capsys, config, argv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    # A --problem flag would win over the config's problem section.
-    problem = () if "problem" in config else ("--problem", "4096x4096x2048")
+    # A --problem flag would win over the config's problem section, and
+    # simulate schedule reads no problem.
+    reads_problem = "problem" not in config and argv[:2] != ("simulate", "schedule")
+    problem = ("--problem", "4096x4096x2048") if reads_problem else ()
     code, text = run_cli(*argv, "--config", str(cfg), *problem)
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG_ERROR

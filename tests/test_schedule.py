@@ -685,8 +685,8 @@ def test_kernel_run_does_not_cache_builder_errors():
 def test_search_schedules_each_distinct_kernel_once(monkeypatch):
     problem = ProblemSpec(4096, 4096, 2048)
     prec = PRECISION_PRESETS["config1"]
-    space = SearchSpace(eff_source="simulated", divisibility_problem=problem)
-    tiles = enumerate_feasible(space, prec)
+    space = SearchSpace(divisibility_problem=problem)
+    tiles = enumerate_feasible(space, prec, eff_source="simulated")
     assert len(tiles) == 167
     built = []
     monkeypatch.setattr(

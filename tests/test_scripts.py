@@ -4,23 +4,32 @@ the summary of ``scripts/bench_pairs.py`` on synthetic run records.
 ``reproduce_tables.py`` is the only caller of ``sweep_grid`` outside the
 tests, and it scores its reference rows with ``calibrated_eff_micro``
 directly, so a change to either shows here. Each run must exit 0 and print
-the config1 reference row. The design-space search and its gain are the
-``asymtile search`` command's, tested in ``test_cli.py``. No test here runs
-the benchmark.
+a config1 and a config2 reference row, and the config1 row must read as the
+search's best row in the same report layout. The design-space search and
+its gain are the ``asymtile search`` command's, tested in ``test_cli.py``.
+No test here runs the benchmark.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import load_script
+
+from asymtile.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-REFERENCE_CELLS = ("4096x4096x2048", "128x64x128", "4", "60.0", "84.0", "35", "410", "26.6", "26.6")
+# The config1 row the search also picks, and a config2 row that is compute
+# bound and fits only at the packed storage cost (at 5/4 B it needs 65.0 KB).
+REFERENCE_CELLS = (
+    ("config1", "4096x4096x2048", "128x64x128", "4", "60.0", "84.0", "35", "410", "26.6", "26.6"),
+    ("config2", "4096x4096x2048", "256x64x128", "8", "58.5", "90.0", "35", "728", "47.3", "35"),
+)
 
 
 def run_script(name: str, *args: str) -> str:
@@ -40,8 +49,23 @@ def run_script(name: str, *args: str) -> str:
 @pytest.mark.parametrize("args, sep", [((), " | "), (("--csv",), ",")], ids=["markdown", "csv"])
 def test_reproduce_tables_reference_row(args, sep):
     text = run_script("reproduce_tables.py", *args)
-    assert "config1" + sep + sep.join(REFERENCE_CELLS) in text
+    for cells in REFERENCE_CELLS:
+        assert sep.join(cells) in text
     assert "Efficiency sweep" in text
+
+
+def test_reproduce_tables_row_reads_as_the_search_table_row():
+    # The script keeps its own arithmetic and storage byte costs, but on the
+    # config1 row at 4096x4096x2048 both price the search's best tile alike.
+    report = io.StringIO()
+    load_script("reproduce_tables.py").emit_markdown(report)
+    row = next(
+        line for line in report.getvalue().splitlines()
+        if line.startswith("| config1 | 4096x4096x2048 |")
+    )
+    table = io.StringIO()
+    assert main(["search", "--problem", "4096x4096x2048", "--emit", "table2"], out=table) == 0
+    assert row.removeprefix("| config1 ") == table.getvalue().splitlines()[2]
 
 
 def test_reproduce_tables_closed_stdout_exits_3_without_traceback():
@@ -62,20 +86,13 @@ def test_reproduce_tables_closed_stdout_exits_3_without_traceback():
     assert proc.stderr == "error: stdout was closed before the tables were written\n"
 
 
-def load_bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def run_record(pass_norm_s, sha="f" * 64, correct=True):
     return {"pass_norm_s": pass_norm_s, "setup_s": 0.06712, "peak_rss_mb": 33.456,
             "sha256": sha, "correct": correct}
 
 
 def test_bench_pairs_summary():
-    summarise = load_bench_pairs().summarise
+    summarise = load_script("bench_pairs.py").summarise
     parents = (0.80, 0.70, 0.75, 0.60, 0.90)
     changes = (0.60, 0.70, 0.55, 0.61, 0.50)
     runs = {
@@ -103,6 +120,6 @@ def test_bench_pairs_summary():
 
 
 def test_bench_pairs_names_pinning_only_when_every_run_was_pinned():
-    machine = load_bench_pairs().machine
+    machine = load_script("bench_pairs.py").machine
     assert machine(True)["cpu"].endswith(", process pinned to one CPU")
     assert "pinned" not in machine(False)["cpu"]

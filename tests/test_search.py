@@ -20,6 +20,7 @@ from asymtile.arch import (
 from asymtile.perf import calibrated_eff_micro, eff_core
 from asymtile.pipeline import DEFAULT_MICROKERNEL
 from asymtile.search import (
+    EmptySearchSpace,
     RankedResult,
     SearchSpace,
     SweepRow,
@@ -80,8 +81,6 @@ def test_space_validation():
         SearchSpace(t_mc_min=128, t_mc_max=64)
     with pytest.raises(ConfigError):
         SearchSpace(rho_candidates=())
-    with pytest.raises(ConfigError):
-        SearchSpace(eff_source="vibes")
 
 
 @pytest.mark.parametrize(
@@ -187,8 +186,41 @@ def test_kernel_sources_keep_the_buildable_full_grid_tiles(case, chains, source)
         t for t in reference_enumerate(space, prec, arch)
         if t.t_k % 8 == 0 and t.t_ma * t.t_n % (64 * chains) == 0
     ]
-    space = replace(space, eff_source=source)
-    assert enumerate_feasible(space, prec, arch, kernel) == want
+    assert enumerate_feasible(space, prec, arch, kernel, eff_source=source) == want
+
+
+def test_ranges_past_the_problem_add_nothing():
+    # No L1 dim whose grid-scaled L2 dim exceeds the problem's can divide
+    # it, so ranges far past the problem give the tiles of ranges that stop
+    # at it, and without walking the values in between.
+    dims = (PROBLEM.m, PROBLEM.k, PROBLEM.n)
+    bound = {
+        f"{axis}_max": dim // scale
+        for axis, dim, scale in zip(("t_mc", "t_k", "t_n"), dims, DEFAULT_ARCH.grid_scale)
+    }
+    huge = small_space(t_mc_max=10**12, t_k_max=10**12, t_n_max=10**12)
+    assert enumerate_feasible(huge, CONFIG1) == enumerate_feasible(small_space(**bound), CONFIG1)
+
+
+KERNEL_FILTERS = "buffer capacity, divisibility and kernel shape"
+
+
+@pytest.mark.parametrize(
+    "source, space, problem, filters",
+    [
+        ("calibration", SearchSpace(), ProblemSpec(100, 100, 100), "buffer capacity and divisibility"),
+        ("closed_form", SearchSpace(), ProblemSpec(100, 100, 100), KERNEL_FILTERS),
+        # Only the kernel shape filter empties this space.
+        ("simulated", SearchSpace(t_mc_max=16, t_n_max=8), PROBLEM, KERNEL_FILTERS),
+    ],
+)
+def test_explore_empty_space_names_its_filters(source, space, problem, filters):
+    with pytest.raises(EmptySearchSpace) as raised:
+        explore(space, problem, CONFIG1, eff_source=source)
+    assert isinstance(raised.value, ConfigError)
+    assert str(raised.value) == (
+        f"no feasible tile configuration in the search space ({filters} filters removed everything)"
+    )
 
 
 def test_enumerate_tiny_capacity_is_empty():
