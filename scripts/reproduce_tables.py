@@ -10,9 +10,9 @@ Emits two artifacts on stdout:
    BFP16 rows is the packed 9/8 B/element layout. The acceptance gates
    read their reference points from ``REFERENCE_ROWS``.
 
-2. The efficiency sweep grid over (t_k, rho) at a fixed 128x128 output
-   tile, showing how kernel-switch overhead erodes core efficiency for
-   shallow contraction tiles.
+2. The efficiency sweep over (t_k, rho) at a fixed 128x128 output tile,
+   showing how kernel-switch overhead erodes core efficiency for shallow
+   contraction tiles.
 
 Usage:
     python3 scripts/reproduce_tables.py [--csv]
@@ -28,13 +28,7 @@ from dataclasses import dataclass
 from asymtile.arch import DEFAULT_ARCH, PRECISION_PRESETS, ProblemSpec, TileConfig
 from asymtile.intensity import ai_array
 from asymtile.perf import calibrated_eff_micro, eff_core
-from asymtile.search import (
-    REPORT_COLUMNS,
-    markdown_table,
-    report_cells,
-    sweep_grid,
-    sweep_to_csv,
-)
+from asymtile.search import REPORT_COLUMNS, markdown_table, report_cells
 
 
 @dataclass(frozen=True)
@@ -100,15 +94,15 @@ def emit_report(out, csv: bool) -> None:
         emit_markdown(out)
 
     out.write("\nEfficiency sweep (fixed 128x128 output tile):\n")
-    rows = sweep_grid((8, 16, 32, 64), (1, 2, 4, 8), 128, 128)
-    out.write(sweep_to_csv(rows))
-    by_tk = {}
-    for r in rows:
-        by_tk.setdefault(r.t_k, {})[r.rho] = r.eff_core
-    for tk in sorted(by_tk):
-        e1, e8 = by_tk[tk][1], by_tk[tk][8]
-        drop = float((e1 - e8) / e1)
-        out.write(f"t_k={tk}: rho 1->8 relative efficiency drop {drop:.1%}\n")
+    out.write("t_k,rho,eff_micro,eff_core\n")
+    drops = []
+    for t_k in (8, 16, 32, 64):
+        eff = calibrated_eff_micro(t_k)
+        by_rho = [(rho, eff_core(TileConfig(128 // rho, 128, t_k, 128), eff)) for rho in (1, 2, 4, 8)]
+        out.writelines(f"{t_k},{rho},{float(eff):.4f},{float(core):.4f}\n" for rho, core in by_rho)
+        drop = float((by_rho[0][1] - by_rho[-1][1]) / by_rho[0][1])
+        drops.append(f"t_k={t_k}: rho 1->8 relative efficiency drop {drop:.1%}\n")
+    out.writelines(drops)
 
 
 def main(argv=None) -> int:

@@ -76,7 +76,6 @@ from asymtile.search import (
     rank,
     ranked_to_csv,
     ranked_to_markdown,
-    sweep_grid,
 )
 
 __all__ = [
@@ -126,7 +125,6 @@ __all__ = [
     "schedule",
     "simulate_movement",
     "slots_for",
-    "sweep_grid",
     "tiled_gemm",
     "total_latency",
     "verify_movement_equivalence",

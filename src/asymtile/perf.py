@@ -31,6 +31,7 @@ from asymtile.pipeline import (
     eff_micro as closed_form_eff_micro,
     microkernel_for_tile,
 )
+from asymtile.schedule import kernel_run
 
 BOUND_MEMORY = "memory"
 BOUND_COMPUTE = "compute"
@@ -95,8 +96,6 @@ def resolve_eff_micro(
     if source == EFF_SOURCE_CLOSED_FORM:
         eff = closed_form_eff_micro(microkernel_for_tile(tile, base))
     elif source == EFF_SOURCE_SIMULATED:
-        from asymtile.schedule import kernel_run
-
         eff = kernel_run(microkernel_for_tile(tile, base)).vmac_issue_rate
     else:
         raise ConfigError(f"unknown eff_micro source {source!r}; expected one of {EFF_SOURCES}")

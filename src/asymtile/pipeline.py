@@ -223,8 +223,6 @@ def microkernel_for_tile(tile: TileConfig, base: MicrokernelSpec = DEFAULT_MICRO
     MICROTILE_OUT * chains output elements, so
     n_clusters = t_ma * t_n / (MICROTILE_OUT * chains).
     """
-    if tile.t_k % MICROTILE != 0:
-        raise ConfigError(f"t_k={tile.t_k} must be a multiple of {MICROTILE}")
     per_cluster = MICROTILE_OUT * base.chains
     if (tile.t_ma * tile.t_n) % per_cluster != 0:
         raise ConfigError(

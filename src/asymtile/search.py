@@ -12,8 +12,8 @@ one axis at a time, so no tile is built for a grid point that fails it. The
 buffer footprint strictly increases in ``t_ma``, ``t_k`` and ``t_n``, so the
 walk along each stops at the first tile that does not fit, and the capacity
 check runs only up to that point. When the efficiency source scores each
-tile's own microkernel, tiles the base kernel cannot be shaped to are
-dropped after the walks.
+tile's own microkernel, :func:`explore` drops the tiles the base kernel
+cannot be shaped to before it ranks.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from asymtile.perf import (
     EFF_SOURCE_CLOSED_FORM,
     EFF_SOURCE_SIMULATED,
     PerfEstimate,
-    calibrated_eff_micro,
-    eff_core,
     perf_array,
 )
 from asymtile.pipeline import DEFAULT_MICROKERNEL, MicrokernelSpec, microkernel_for_tile
@@ -113,38 +111,33 @@ def _builds_kernel(tile: TileConfig, kernel: MicrokernelSpec) -> bool:
 
 
 def enumerate_feasible(
-    space: SearchSpace,
-    prec: PrecisionSpec,
-    arch: ArchSpec = DEFAULT_ARCH,
-    kernel: MicrokernelSpec = DEFAULT_MICROKERNEL,
-    *,
-    eff_source: str = EFF_SOURCE_CALIBRATION,
+    space: SearchSpace, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH
 ) -> list[TileConfig]:
     """All tile configs in ``space`` that fit the buffer (and divide the
     space's problem, when one is set), in grid order: ``t_mc``, ``t_k``,
-    ``t_n``, then ascending ``rho``. When ``eff_source`` scores each tile's
-    own microkernel, only tiles that :func:`microkernel_for_tile` can shape
-    ``kernel`` to are kept.
+    ``t_n``, then ascending ``rho``.
 
     The grid is pruned before any tile is built. Divisibility separates by
     axis, so the ``t_mc``, ``t_k`` and ``t_n`` ranges are filtered on their
     own, each only up to ``dim // scale`` (a larger value cannot divide
     ``dim``), and the valid ``t_ma = t_mc / rho`` values (multiples of 8)
     are worked out once per ``t_mc``. :func:`check_feasible` then runs on the
-    survivors only. The footprint strictly increases in ``t_ma``, ``t_k``
-    and ``t_n`` (byte costs are positive and multipliers at least 1), so
-    the rhos that fit at one ``(t_mc, t_k, t_n)`` are the largest ones, the
-    walk over ``t_n`` stops at the first ``t_n`` where the smallest
-    ``t_ma`` does not fit, and the walk over ``t_k`` stops at the first
-    ``t_k`` where nothing fits at the first ``t_n``. Whether a kernel
-    builds is not monotone in any axis, so that filter runs after the walks
-    and never ends one.
+    survivors only. The footprint strictly increases in ``t_ma``, ``t_mc``,
+    ``t_k`` and ``t_n`` (byte costs are positive and multipliers at least
+    1), so the rhos that fit at one ``(t_mc, t_k, t_n)`` are the largest
+    ones, the walk over ``t_n`` stops at the first ``t_n`` where the
+    smallest ``t_ma`` does not fit, and the walk over ``t_k`` stops at the
+    first ``t_k`` where nothing fits at the first ``t_n``. The walk over
+    ``t_mc`` stops after a ``t_mc`` that kept nothing if even ``t_ma`` =
+    ``MICROTILE`` at the smallest ``t_k`` and ``t_n`` does not fit: no
+    later ``t_mc`` has a smaller tile, so no range has to be walked to its
+    end.
     """
     problem = space.divisibility_problem
 
-    def axis_values(axis: int, lo: int, hi: int) -> list[int]:
+    def axis_values(axis: int, lo: int, hi: int) -> range | list[int]:
         if problem is None:
-            return list(range(lo, hi + 1, space.step))
+            return range(lo, hi + 1, space.step)
         dim, scale = (problem.m, problem.k, problem.n)[axis], arch.grid_scale[axis]
         values = range(lo, min(hi, dim // scale) + 1, space.step)
         return [v for v in values if dim % (scale * v) == 0]
@@ -152,6 +145,8 @@ def enumerate_feasible(
     t_mcs = axis_values(0, space.t_mc_min, space.t_mc_max)
     t_ks = axis_values(1, space.t_k_min, space.t_k_max)
     t_ns = axis_values(2, space.t_n_min, space.t_n_max)
+    if not t_ks or not t_ns:
+        return []
     rhos = sorted(set(space.rho_candidates))
     out: list[TileConfig] = []
     for t_mc in t_mcs:
@@ -161,6 +156,7 @@ def enumerate_feasible(
             for rho in reversed(rhos)
             if t_mc % rho == 0 and (t_mc // rho) % MICROTILE == 0
         ]
+        kept_before = len(out)
         for t_k in t_ks:
             kept_any = False
             for t_n in t_ns:
@@ -176,8 +172,10 @@ def enumerate_feasible(
                 out.extend(reversed(fits))
             if not kept_any:
                 break
-    if eff_source in KERNEL_EFF_SOURCES:
-        out = [tile for tile in out if _builds_kernel(tile, kernel)]
+        if len(out) == kept_before and not check_feasible(
+            TileConfig(MICROTILE, t_mc, t_ks[0], t_ns[0]), prec, arch
+        ):
+            break
     return out
 
 
@@ -243,52 +241,23 @@ def explore(
 ) -> RankedResult:
     """Enumerate, evaluate, and rank in one step over ``space``, constrained
     to tiles that divide ``problem`` exactly, with ``kernel`` as the base
-    microkernel spec. Raises :class:`EmptySearchSpace`, naming the filters
-    that ran, when no tile is left."""
-    space = replace(space, divisibility_problem=problem)
-    configs = enumerate_feasible(space, prec, arch, kernel, eff_source=eff_source)
+    microkernel spec. When ``eff_source`` scores each tile's own
+    microkernel, only the tiles that :func:`microkernel_for_tile` can shape
+    ``kernel`` to are ranked. Whether a kernel builds is not monotone in any
+    axis, so that filter runs on the enumerated tiles and never ends a walk.
+    Raises :class:`EmptySearchSpace`, naming the filters that ran, when no
+    tile is left."""
+    configs = enumerate_feasible(replace(space, divisibility_problem=problem), prec, arch)
+    filters = "buffer capacity and divisibility"
+    if eff_source in KERNEL_EFF_SOURCES:
+        configs = [tile for tile in configs if _builds_kernel(tile, kernel)]
+        filters = "buffer capacity, divisibility and kernel shape"
     if not configs:
-        filters = "buffer capacity and divisibility"
-        if eff_source in KERNEL_EFF_SOURCES:
-            filters = "buffer capacity, divisibility and kernel shape"
         raise EmptySearchSpace(
             "no feasible tile configuration in the search space "
             f"({filters} filters removed everything)"
         )
     return rank(configs, problem, prec, arch, eff_source, kernel)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    t_k: int
-    rho: int
-    eff_micro: Fraction
-    eff_core: Fraction
-
-
-def sweep_grid(
-    tk_values,
-    rho_values,
-    fixed_t_mc: int,
-    fixed_t_n: int,
-    arch: ArchSpec = DEFAULT_ARCH,
-) -> list[SweepRow]:
-    """Calibrated efficiencies over a (t_k, rho) grid at fixed output-tile dims.
-
-    Rows appear in t_k-major order. Each rho must divide ``fixed_t_mc`` into
-    a multiple of :data:`~asymtile.arch.MICROTILE`.
-    """
-    rows: list[SweepRow] = []
-    for t_k in tk_values:
-        for rho in rho_values:
-            if fixed_t_mc % rho != 0 or (fixed_t_mc // rho) % MICROTILE != 0:
-                raise ConfigError(
-                    f"rho={rho} does not divide t_mc={fixed_t_mc} into multiples of {MICROTILE}"
-                )
-            tile = TileConfig(fixed_t_mc // rho, fixed_t_mc, t_k, fixed_t_n)
-            eff = calibrated_eff_micro(t_k)
-            rows.append(SweepRow(t_k, rho, eff, eff_core(tile, eff, arch)))
-    return rows
 
 
 # -- emitters ------------------------------------------------------------------
@@ -377,16 +346,6 @@ def ranked_to_markdown(
         for tile, est in result.entries[:limit]
     )
     return markdown_table(REPORT_COLUMNS, rows)
-
-
-def sweep_to_csv(rows: list[SweepRow]) -> str:
-    out = io.StringIO()
-    out.write("t_k,rho,eff_micro,eff_core\n")
-    for row in rows:
-        out.write(
-            f"{row.t_k},{row.rho},{float(row.eff_micro):.4f},{float(row.eff_core):.4f}\n"
-        )
-    return out.getvalue()
 
 
 def search_space_from_dict(raw: dict) -> SearchSpace:

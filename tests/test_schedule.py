@@ -26,7 +26,7 @@ from asymtile.schedule import (
     slots_for,
     verify_random_specs,
 )
-from asymtile.search import SearchSpace, enumerate_feasible, rank
+from asymtile.search import SearchSpace, explore, rank
 
 # The package exports the function ``schedule``, which hides the module.
 schedule_module = importlib.import_module("asymtile.schedule")
@@ -685,8 +685,8 @@ def test_kernel_run_does_not_cache_builder_errors():
 def test_search_schedules_each_distinct_kernel_once(monkeypatch):
     problem = ProblemSpec(4096, 4096, 2048)
     prec = PRECISION_PRESETS["config1"]
-    space = SearchSpace(divisibility_problem=problem)
-    tiles = enumerate_feasible(space, prec, eff_source="simulated")
+    searched = explore(SearchSpace(), problem, prec, eff_source="simulated")
+    tiles = [tile for tile, _ in searched.entries]
     assert len(tiles) == 167
     built = []
     monkeypatch.setattr(

@@ -1,17 +1,20 @@
 """Runs of ``scripts/reproduce_tables.py``, each in a fresh interpreter, and
 the summary of ``scripts/bench_pairs.py`` on synthetic run records.
 
-``reproduce_tables.py`` is the only caller of ``sweep_grid`` outside the
-tests, and it scores its reference rows with ``calibrated_eff_micro``
-directly, so a change to either shows here. Each run must exit 0 and print
-a config1 and a config2 reference row, and the config1 row must read as the
-search's best row in the same report layout. The design-space search and
-its gain are the ``asymtile search`` command's, tested in ``test_cli.py``.
-No test here runs the benchmark.
+``reproduce_tables.py`` scores its reference rows and its efficiency sweep
+with ``calibrated_eff_micro`` and ``eff_core`` directly, so a change to
+either shows here. Each run must exit 0 and print exactly the pinned text of
+its form (by sha256, so a wrong problem in a reference row or a reordered
+sweep fails even where no gate reads it), a config1 and a config2 reference
+row among it, and the config1 row must read as the search's best row in the
+same report layout. The design-space search and its gain are the
+``asymtile search`` command's, tested in ``test_cli.py``. No test here runs
+the benchmark.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import subprocess
@@ -30,6 +33,13 @@ REFERENCE_CELLS = (
     ("config1", "4096x4096x2048", "128x64x128", "4", "60.0", "84.0", "35", "410", "26.6", "26.6"),
     ("config2", "4096x4096x2048", "256x64x128", "8", "58.5", "90.0", "35", "728", "47.3", "35"),
 )
+# The sha256 of each form's whole stdout: every reference row and every
+# sweep line. Recompute it (``reproduce_tables.py [--csv] | sha256sum``) only
+# in a change that means to move the model's figures, and say so.
+REPORT_SHA256 = {
+    "markdown": "72ce4d45accd2dfc6d3bb2ffa0573efc99d765ddc109439eec9058c83ee92e40",
+    "csv": "f9d845644685e9f4f38f2f1c6aa9702befc7e64be50c959ce22055c7b4350526",
+}
 
 
 def run_script(name: str, *args: str) -> str:
@@ -46,12 +56,15 @@ def run_script(name: str, *args: str) -> str:
     return proc.stdout
 
 
-@pytest.mark.parametrize("args, sep", [((), " | "), (("--csv",), ",")], ids=["markdown", "csv"])
-def test_reproduce_tables_reference_row(args, sep):
+@pytest.mark.parametrize(
+    "form, args, sep", [("markdown", (), " | "), ("csv", ("--csv",), ",")], ids=["markdown", "csv"]
+)
+def test_reproduce_tables_reference_row(form, args, sep):
     text = run_script("reproduce_tables.py", *args)
     for cells in REFERENCE_CELLS:
         assert sep.join(cells) in text
-    assert "Efficiency sweep" in text
+    assert "\nEfficiency sweep (fixed 128x128 output tile):\nt_k,rho,eff_micro,eff_core\n" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[form], text
 
 
 def test_reproduce_tables_row_reads_as_the_search_table_row():

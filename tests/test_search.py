@@ -2,7 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asymtile.arch import (
@@ -17,21 +17,17 @@ from asymtile.arch import (
     check_feasible,
     derive_l2_tiles,
 )
-from asymtile.perf import calibrated_eff_micro, eff_core
 from asymtile.pipeline import DEFAULT_MICROKERNEL
 from asymtile.search import (
     EmptySearchSpace,
     RankedResult,
     SearchSpace,
-    SweepRow,
     enumerate_feasible,
     explore,
     rank,
     ranked_to_csv,
     ranked_to_markdown,
     search_space_from_dict,
-    sweep_grid,
-    sweep_to_csv,
 )
 
 CONFIG1 = PRECISION_PRESETS["config1"]
@@ -179,14 +175,20 @@ def test_pruned_enumeration_equals_full_grid(case):
 )
 def test_kernel_sources_keep_the_buildable_full_grid_tiles(case, chains, source):
     space, prec, arch = case
+    problem = space.divisibility_problem
+    assume(problem is not None)
     kernel = replace(DEFAULT_MICROKERNEL, chains=chains)
-    # Buildable: whole 8-element updates and whole clusters of 64 outputs
-    # per chain.
+    # Buildable: whole clusters of 64 outputs per chain. Every tile dim is a
+    # multiple of 8, so every t_k makes whole 8-element updates.
     want = [
-        t for t in reference_enumerate(space, prec, arch)
-        if t.t_k % 8 == 0 and t.t_ma * t.t_n % (64 * chains) == 0
+        t for t in reference_enumerate(space, prec, arch) if t.t_ma * t.t_n % (64 * chains) == 0
     ]
-    assert enumerate_feasible(space, prec, arch, kernel, eff_source=source) == want
+    if not want:
+        with pytest.raises(EmptySearchSpace):
+            explore(space, problem, prec, arch, kernel, eff_source=source)
+        return
+    result = explore(space, problem, prec, arch, kernel, eff_source=source)
+    assert sorted(t.as_tuple() for t, _ in result.entries) == sorted(t.as_tuple() for t in want)
 
 
 def test_ranges_past_the_problem_add_nothing():
@@ -200,6 +202,19 @@ def test_ranges_past_the_problem_add_nothing():
     }
     huge = small_space(t_mc_max=10**12, t_k_max=10**12, t_n_max=10**12)
     assert enumerate_feasible(huge, CONFIG1) == enumerate_feasible(small_space(**bound), CONFIG1)
+
+
+def test_enumeration_without_a_problem_stops_at_capacity():
+    # With no problem set, only capacity ends the walks. Past the first t_mc
+    # whose smallest tile (t_ma = 8, the smallest t_k and t_n) overflows L1,
+    # no t_mc adds a tile, so ranges of 10**12 give the tiles of ranges that
+    # stop at 4096, without walking (or listing) the values in between.
+    def space(hi):
+        return SearchSpace(t_mc_max=hi, t_k_max=hi, t_n_max=hi)
+
+    tiles = enumerate_feasible(space(4096), CONFIG1)
+    assert len(tiles) == 14_498
+    assert enumerate_feasible(space(10**12), CONFIG1) == tiles
 
 
 KERNEL_FILTERS = "buffer capacity, divisibility and kernel shape"
@@ -307,38 +322,6 @@ def test_config2_packed_ordering_efficiency_beats_intensity():
     assert result.entries[0][1].ai_array < result.entries[1][1].ai_array
 
 
-def test_sweep_grid_trends():
-    rows = sweep_grid([8, 16, 32, 64], [1, 2, 4, 8], 128, 128)
-    assert len(rows) == 16
-    by_tk = {
-        t_k: [r for r in rows if r.t_k == t_k] for t_k in (8, 16, 32, 64)
-    }
-    for t_k, group in by_tk.items():
-        cores = [r.eff_core for r in group]
-        assert cores == sorted(cores, reverse=True)  # decreasing in rho
-        assert all(r.eff_micro == calibrated_eff_micro(t_k) for r in group)
-    for rho_idx in range(4):
-        col = [by_tk[t_k][rho_idx].eff_core for t_k in (8, 16, 32, 64)]
-        assert col == sorted(col)  # increasing in t_k
-
-
-def test_sweep_single_cell_matches_direct_call():
-    rows = sweep_grid([64], [4], 128, 128)
-    assert rows == [
-        SweepRow(
-            64,
-            4,
-            calibrated_eff_micro(64),
-            eff_core(TileConfig(32, 128, 64, 128), calibrated_eff_micro(64)),
-        )
-    ]
-
-
-def test_sweep_rejects_bad_rho():
-    with pytest.raises(ConfigError):
-        sweep_grid([64], [3], 128, 128)
-
-
 def test_csv_emitters_are_stable():
     result = explore(small_space(), PROBLEM, CONFIG1)
     first = ranked_to_csv(result)
@@ -346,8 +329,6 @@ def test_csv_emitters_are_stable():
     lines = first.strip().splitlines()
     assert lines[0].startswith("t_ma,t_mc,t_k,t_n,rho,")
     assert len(lines) == len(result.entries) + 1
-    sweep_text = sweep_to_csv(sweep_grid([8, 64], [1, 8], 128, 128))
-    assert sweep_text.splitlines()[0] == "t_k,rho,eff_micro,eff_core"
 
 
 def test_markdown_table_layout():
