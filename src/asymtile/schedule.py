@@ -112,6 +112,23 @@ def _steady_round_load_count(spec: MicrokernelSpec, share_inputs: bool, shape: t
     return spec.r_load * spec.chains
 
 
+def check_buildable(spec: MicrokernelSpec, *, share_inputs: bool = True) -> None:
+    """Raise ``ConfigError`` if :func:`build_microkernel_dag` cannot build
+    ``spec``: no accumulator update, shared operands with fewer than two
+    loads per VMAC, or, when a chain runs more than one round, a prolog
+    with fewer loads than a steady round consumes."""
+    if spec.n_accum < 1:
+        raise ConfigError("n_accum must be >= 1 to build a kernel")
+    if share_inputs and spec.r_load < 2:
+        raise ConfigError("share_inputs needs r_load >= 2 (one row and one column operand)")
+    per_round = _steady_round_load_count(spec, share_inputs, derive_cluster_shape(spec.chains))
+    if spec.n_accum > spec.chains and spec.prolog_load_count < per_round:
+        raise ConfigError(
+            f"prolog supplies {spec.prolog_load_count} loads but a steady round "
+            f"consumes {per_round}"
+        )
+
+
 def build_microkernel_dag(
     spec: MicrokernelSpec,
     *,
@@ -143,21 +160,12 @@ def build_microkernel_dag(
     t * chains + j < n_accum, a prefix of the chains, so chain j's last
     VMAC is in round (n_accum - 1 - j) // chains.
     """
-    if spec.n_accum < 1:
-        raise ConfigError("n_accum must be >= 1 to build a kernel")
+    check_buildable(spec, share_inputs=share_inputs)
     shape = derive_cluster_shape(spec.chains)
     cols = shape[1]
-    if share_inputs and spec.r_load < 2:
-        raise ConfigError("share_inputs needs r_load >= 2 (one row and one column operand)")
     chains = spec.chains
     n_accum = spec.n_accum
     n_rounds = math.ceil(n_accum / chains)
-    per_round = _steady_round_load_count(spec, share_inputs, shape)
-    if n_rounds > 1 and spec.prolog_load_count < per_round:
-        raise ConfigError(
-            f"prolog supplies {spec.prolog_load_count} loads but a steady round "
-            f"consumes {per_round}"
-        )
     steady_latency = max(c.latency for c in spec.load_classes)
     depth = spec.pipeline_depth
     extra = spec.r_load - 2 if share_inputs else spec.r_load

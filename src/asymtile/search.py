@@ -44,9 +44,11 @@ from asymtile.perf import (
     perf_array,
 )
 from asymtile.pipeline import DEFAULT_MICROKERNEL, MicrokernelSpec, microkernel_for_tile
+from asymtile.schedule import check_buildable
 
 # Efficiency sources that score a tile by its own microkernel, so they can
-# score only tiles that microkernel_for_tile can build a kernel for.
+# score only tiles that microkernel_for_tile can build a kernel for (and, for
+# the simulated source, that the DAG builder can build).
 KERNEL_EFF_SOURCES = (EFF_SOURCE_CLOSED_FORM, EFF_SOURCE_SIMULATED)
 
 
@@ -101,10 +103,13 @@ class EmptySearchSpace(ConfigError):
     """No tile of the search space passed the enumeration filters."""
 
 
-def _builds_kernel(tile: TileConfig, kernel: MicrokernelSpec) -> bool:
-    """Whether :func:`microkernel_for_tile` can shape ``kernel`` to ``tile``."""
+def _builds_kernel(tile: TileConfig, kernel: MicrokernelSpec, eff_source: str) -> bool:
+    """Whether :func:`microkernel_for_tile` can shape ``kernel`` to ``tile``
+    and, for the simulated source, the DAG builder can build the result."""
     try:
-        microkernel_for_tile(tile, kernel)
+        spec = microkernel_for_tile(tile, kernel)
+        if eff_source == EFF_SOURCE_SIMULATED:
+            check_buildable(spec)
     except ConfigError:
         return False
     return True
@@ -243,14 +248,15 @@ def explore(
     to tiles that divide ``problem`` exactly, with ``kernel`` as the base
     microkernel spec. When ``eff_source`` scores each tile's own
     microkernel, only the tiles that :func:`microkernel_for_tile` can shape
-    ``kernel`` to are ranked. Whether a kernel builds is not monotone in any
+    ``kernel`` to, and that the simulated source's DAG builder can build,
+    are ranked. Whether a kernel builds is not monotone in any
     axis, so that filter runs on the enumerated tiles and never ends a walk.
     Raises :class:`EmptySearchSpace`, naming the filters that ran, when no
     tile is left."""
     configs = enumerate_feasible(replace(space, divisibility_problem=problem), prec, arch)
     filters = "buffer capacity and divisibility"
     if eff_source in KERNEL_EFF_SOURCES:
-        configs = [tile for tile in configs if _builds_kernel(tile, kernel)]
+        configs = [tile for tile in configs if _builds_kernel(tile, kernel, eff_source)]
         filters = "buffer capacity, divisibility and kernel shape"
     if not configs:
         raise EmptySearchSpace(

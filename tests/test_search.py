@@ -2,7 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asymtile.arch import (
@@ -18,6 +18,7 @@ from asymtile.arch import (
     derive_l2_tiles,
 )
 from asymtile.pipeline import DEFAULT_MICROKERNEL
+from asymtile.schedule import derive_cluster_shape
 from asymtile.search import (
     EmptySearchSpace,
     RankedResult,
@@ -173,15 +174,37 @@ def test_pruned_enumeration_equals_full_grid(case):
     chains=st.integers(1, 5),
     source=st.sampled_from(["closed_form", "simulated"]),
 )
+# Five chains share operands in a 1x5 cluster, 6 loads a steady round, more
+# than the 4 prolog loads: the simulated source cannot build a t_k = 48 kernel.
+@example(
+    case=(
+        SearchSpace(
+            t_mc_min=32, t_mc_max=80, t_k_min=48, t_k_max=48, t_n_min=16, t_n_max=32,
+            step=16, rho_candidates=(2,),
+            divisibility_problem=ProblemSpec(184320, 55296, 55296),
+        ),
+        PrecisionSpec(Fraction(1, 8), Fraction(1, 8), Fraction(1, 8)),
+        ArchSpec(l1_capacity=512, n_rows=1, n_cols=1, buffer_multiplier_a=1, buffer_multiplier_b=1),
+    ),
+    chains=5,
+    source="simulated",
+)
 def test_kernel_sources_keep_the_buildable_full_grid_tiles(case, chains, source):
     space, prec, arch = case
     problem = space.divisibility_problem
     assume(problem is not None)
     kernel = replace(DEFAULT_MICROKERNEL, chains=chains)
     # Buildable: whole clusters of 64 outputs per chain. Every tile dim is a
-    # multiple of 8, so every t_k makes whole 8-element updates.
+    # multiple of 8, so every t_k makes whole 8-element updates. The
+    # simulated source also builds the DAG: a kernel of more than one round
+    # (t_k > 8 * chains) needs a prolog with the loads of one steady round,
+    # one per row and column of the shared-operand cluster.
+    rows, cols = derive_cluster_shape(chains)
+    prolog_covers_a_round = kernel.prolog_load_count >= rows + cols
     want = [
-        t for t in reference_enumerate(space, prec, arch) if t.t_ma * t.t_n % (64 * chains) == 0
+        t for t in reference_enumerate(space, prec, arch)
+        if t.t_ma * t.t_n % (64 * chains) == 0
+        and (source != "simulated" or prolog_covers_a_round or t.t_k <= 8 * chains)
     ]
     if not want:
         with pytest.raises(EmptySearchSpace):
