@@ -34,12 +34,15 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def require_ints(obj, names) -> None:
-    """Raise ConfigError unless each named field of ``obj`` is an int."""
+def require_ints(obj, names, minimum: int) -> None:
+    """Raise ConfigError unless each named field of ``obj`` is an int of at
+    least ``minimum``."""
     for name in names:
         value = getattr(obj, name)
         if not is_int(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 def require_bools(obj, names) -> None:
@@ -132,7 +135,8 @@ class ArchSpec:
     (count 1).
 
     Every field except ``clock_hz`` and ``offchip_bw`` is a count and must
-    be an int; those two are rates and must be finite positive numbers.
+    be an int, at least 1 (``switch_overhead_delta`` at least 0); those two
+    are rates and must be finite positive numbers.
     """
 
     l1_capacity: int = 63 * KIB
@@ -149,14 +153,9 @@ class ArchSpec:
     def __post_init__(self):
         require_ints(self, (
             "l1_capacity", "n_rows", "n_cols", "peak_macs_per_cycle",
-            "switch_overhead_delta", "buffer_multiplier_a", "buffer_multiplier_b",
-            "buffer_multiplier_c",
-        ))
-        if self.l1_capacity <= 0:
-            raise ConfigError("l1_capacity must be positive")
-        for name in ("n_rows", "n_cols", "peak_macs_per_cycle"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            "buffer_multiplier_a", "buffer_multiplier_b", "buffer_multiplier_c",
+        ), 1)
+        require_ints(self, ("switch_overhead_delta",), 0)
         for name in ("clock_hz", "offchip_bw"):
             value = getattr(self, name)
             if (
@@ -165,11 +164,6 @@ class ArchSpec:
                 or not 0 < value <= sys.float_info.max
             ):
                 raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
-        if self.switch_overhead_delta < 0:
-            raise ConfigError("switch_overhead_delta must be nonnegative")
-        for name in ("buffer_multiplier_a", "buffer_multiplier_b", "buffer_multiplier_c"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
 
     @property
     def n_cores(self) -> int:
@@ -211,10 +205,7 @@ class ProblemSpec:
     n: int
 
     def __post_init__(self):
-        require_ints(self, ("m", "k", "n"))
-        for name in ("m", "k", "n"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"problem dim {name} must be positive")
+        require_ints(self, ("m", "k", "n"), 1)
 
 
 MICROTILE = 8  # tile granularity: the block edge of the 8x8x8 vector MAC
@@ -236,11 +227,9 @@ class TileConfig:
     t_n: int
 
     def __post_init__(self):
-        require_ints(self, ("t_ma", "t_mc", "t_k", "t_n"))
+        require_ints(self, ("t_ma", "t_mc", "t_k", "t_n"), 1)
         for name in ("t_ma", "t_mc", "t_k", "t_n"):
             dim = getattr(self, name)
-            if dim <= 0:
-                raise ConfigError(f"tile dim {name} must be positive")
             if dim % MICROTILE != 0:
                 raise ConfigError(f"tile dim {name}={dim} is not a multiple of {MICROTILE}")
         if self.t_mc < self.t_ma:
@@ -294,6 +283,16 @@ def buffer_footprint(tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEF
     return -(-(n_a + n_b + n_c) // den)
 
 
+def require_divides(problem: ProblemSpec, sizes: tuple[int, int, int], what: str) -> None:
+    """Raise ConfigError unless the (m, k, n) ``sizes`` of a ``what`` tile
+    divide the problem's dims; a pass (once per ranked tile) builds nothing."""
+    t_m, t_k, t_n = sizes
+    if problem.m % t_m or problem.k % t_k or problem.n % t_n:
+        for name, dim, size in zip("mkn", (problem.m, problem.k, problem.n), sizes):
+            if dim % size:
+                raise ConfigError(f"problem dim {name}={dim} is not divisible by its {what} {size}")
+
+
 def check_feasible(tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH) -> bool:
     """True when the tile's buffers fit the L1 capacity (boundary inclusive)."""
     return buffer_footprint(tile, prec, arch) <= arch.l1_capacity
@@ -334,8 +333,6 @@ def arch_from_dict(data: dict) -> ArchSpec:
 
 def problem_from_value(value) -> ProblemSpec:
     """Parse a problem from {"m":..,"k":..,"n":..} or an "MxKxN" string."""
-    if isinstance(value, ProblemSpec):
-        return value
     if isinstance(value, str):
         parts = value.lower().split("x")
         if len(parts) != 3:
@@ -353,8 +350,6 @@ def problem_from_value(value) -> ProblemSpec:
 def tile_from_value(value) -> TileConfig:
     """Parse a tile from a [t_ma, t_mc, t_k, t_n] list, a "t_ma,t_mc,t_k,t_n"
     string or a field dict."""
-    if isinstance(value, TileConfig):
-        return value
     if isinstance(value, str):
         try:
             value = [int(v) for v in value.split(",")]
@@ -372,8 +367,6 @@ def tile_from_value(value) -> TileConfig:
 def precision_from_value(value) -> PrecisionSpec:
     """Parse a precision from a preset name, a byte-cost dict, or that dict
     written as an inline JSON string."""
-    if isinstance(value, PrecisionSpec):
-        return value
     if isinstance(value, str) and value.lstrip().startswith("{"):
         try:
             value = json.loads(value)

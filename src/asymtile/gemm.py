@@ -35,6 +35,7 @@ from asymtile.arch import (
     PrecisionSpec,
     ProblemSpec,
     TileConfig,
+    require_ints,
 )
 from asymtile.movement import MovementTrace, walk_nest
 
@@ -48,8 +49,7 @@ class Matrix:
     data: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError("matrix dims must be positive")
+        require_ints(self, ("rows", "cols"), 1)
         if len(self.data) != self.rows * self.cols:
             raise ConfigError(
                 f"data length {len(self.data)} != rows*cols = {self.rows * self.cols}"

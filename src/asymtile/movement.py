@@ -28,6 +28,7 @@ from asymtile.arch import (
     TileConfig,
     buffer_terms,
     derive_l2_tiles,
+    require_divides,
 )
 from asymtile.intensity import ai_array, ai_tile
 
@@ -86,11 +87,7 @@ def walk_nest(
     """
     m, k, n = problem.m, problem.k, problem.n
     t_ma, t_mc, t_k, t_n = tile.as_tuple()
-    for dim, size, name in ((m, t_mc, "m"), (k, t_k, "k"), (n, t_n, "n")):
-        if dim % size != 0:
-            raise ConfigError(
-                f"problem dim {name}={dim} is not divisible by its tile {size}"
-            )
+    require_divides(problem, (t_mc, t_k, t_n), "tile")
     occupancy = Fraction(0)
     for operand, term in zip("ABC", buffer_terms(tile, prec, arch)):
         occupancy += term

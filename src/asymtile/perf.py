@@ -23,6 +23,7 @@ from asymtile.arch import (
     TileConfig,
     buffer_footprint,
     derive_l2_tiles,
+    require_divides,
 )
 from asymtile.intensity import ai_tile
 from asymtile.pipeline import (
@@ -167,15 +168,7 @@ def perf_array(
     """
     eff = resolve_eff_micro(tile, eff_source, kernel) if eff_micro is None else _coerce_eff(eff_micro)
     t_mc_l2, t_k_l2, t_n_l2 = derive_l2_tiles(tile, arch)
-    for dim, size, name in (
-        (problem.m, t_mc_l2, "m"),
-        (problem.k, t_k_l2, "k"),
-        (problem.n, t_n_l2, "n"),
-    ):
-        if dim % size != 0:
-            raise ConfigError(
-                f"problem dim {name}={dim} is not divisible by its array-level tile {size}"
-            )
+    require_divides(problem, (t_mc_l2, t_k_l2, t_n_l2), "array-level tile")
     buffer_bytes = buffer_footprint(tile, prec, arch)
     feasible = buffer_bytes <= arch.l1_capacity
     ai = ai_tile(t_mc_l2, t_n_l2, problem.k, prec).ai

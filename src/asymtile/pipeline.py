@@ -43,12 +43,8 @@ class LoadClass:
     unaligned: bool = False
 
     def __post_init__(self):
-        require_ints(self, ("latency", "count"))
+        require_ints(self, ("latency", "count"), 1)
         require_bools(self, ("unaligned",))
-        if self.latency < 1:
-            raise ConfigError(f"load latency must be >= 1, got {self.latency}")
-        if self.count < 1:
-            raise ConfigError(f"load count must be >= 1, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,8 @@ class MicrokernelSpec:
     pipeline, two load slots, one store slot, one VMAC slot, four interleaved
     accumulation chains sharing operands in a 2x2 cluster (two loads per VMAC
     before sharing), 8-cycle operand loads, and a two-instruction store path.
-    Every field except ``load_classes`` must be an int.
+    Every field except ``load_classes`` must be an int, at least 1
+    (``l_vmac_to_store`` at least 0).
     """
 
     pipeline_depth: int = 3
@@ -82,16 +79,9 @@ class MicrokernelSpec:
             isinstance(c, LoadClass) for c in self.load_classes
         ):
             raise ConfigError("load_classes must be a nonempty list of load classes")
-        positive = ("pipeline_depth", "u_ld", "u_st", "u_vmac", "r_load",
-                    "chains", "n_accum", "l_store", "n_store", "accum_regs")
-        require_ints(self, positive + ("n_clusters", "l_vmac_to_store"))
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.n_clusters < 0:
-            raise ConfigError("n_clusters must be >= 0")
-        if self.l_vmac_to_store < 0:
-            raise ConfigError("l_vmac_to_store must be >= 0")
+        require_ints(self, ("pipeline_depth", "u_ld", "u_st", "u_vmac", "r_load", "chains",
+                            "n_accum", "n_clusters", "l_store", "n_store", "accum_regs"), 1)
+        require_ints(self, ("l_vmac_to_store",), 0)
         if self.chains > self.accum_regs:
             raise ConfigError(
                 f"chains={self.chains} exceeds accum_regs={self.accum_regs}"
@@ -192,12 +182,9 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
     t_epilog = epilog_bound(spec)
     cluster = t_prolog + steady_exact + t_epilog
     n_c = spec.n_clusters
-    if n_c == 0:
-        seq = ovl = 0
-    else:
-        seq = math.ceil(cluster * n_c)
-        ovl_exact = t_prolog + (steady_exact + ii_par * spec.chains) * n_c + t_epilog
-        ovl = min(math.ceil(ovl_exact), seq)
+    seq = math.ceil(cluster * n_c)
+    ovl_exact = t_prolog + (steady_exact + ii_par * spec.chains) * n_c + t_epilog
+    ovl = min(math.ceil(ovl_exact), seq)
     return LatencyBounds(
         t_prolog=t_prolog,
         ii_parallel=ii_par,
@@ -238,8 +225,6 @@ def microkernel_for_tile(tile: TileConfig, base: MicrokernelSpec = DEFAULT_MICRO
 # -- config-document loading -------------------------------------------------
 
 def _load_class_from_value(value) -> LoadClass:
-    if isinstance(value, LoadClass):
-        return value
     if isinstance(value, (list, tuple)):
         if len(value) not in (2, 3):
             raise ConfigError(f"load class {value!r} must be [latency, count]")

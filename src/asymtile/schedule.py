@@ -114,11 +114,9 @@ def _steady_round_load_count(spec: MicrokernelSpec, share_inputs: bool, shape: t
 
 def check_buildable(spec: MicrokernelSpec, *, share_inputs: bool = True) -> None:
     """Raise ``ConfigError`` if :func:`build_microkernel_dag` cannot build
-    ``spec``: no accumulator update, shared operands with fewer than two
-    loads per VMAC, or, when a chain runs more than one round, a prolog
-    with fewer loads than a steady round consumes."""
-    if spec.n_accum < 1:
-        raise ConfigError("n_accum must be >= 1 to build a kernel")
+    ``spec``: shared operands with fewer than two loads per VMAC, or, when
+    a chain runs more than one round, a prolog with fewer loads than a
+    steady round consumes."""
     if share_inputs and spec.r_load < 2:
         raise ConfigError("share_inputs needs r_load >= 2 (one row and one column operand)")
     per_round = _steady_round_load_count(spec, share_inputs, derive_cluster_shape(spec.chains))
@@ -564,8 +562,7 @@ def check_bounds_hold(
     Returns (bound name, bound value, simulated value) triples for any bound
     the simulation beats; empty means sound. Both cluster sequencing modes
     are checked, through :func:`kernel_run`, which schedules a one-cluster
-    kernel once for both. A kernel of zero clusters issues nothing and has
-    no phases, so only its two total bounds are checked.
+    kernel once for both.
     """
     bounds: LatencyBounds = total_latency(spec)
     violations: list[tuple[str, int, int]] = []
@@ -575,8 +572,6 @@ def check_bounds_hold(
         name = "l_total_overlapped" if overlap else "l_total_sequential"
         if res.total_cycles < total_bound:
             violations.append((name, total_bound, res.total_cycles))
-        if not spec.n_clusters:
-            continue
         first_vmac = res.first_vmac_cycle
         if first_vmac < bounds.t_prolog:
             violations.append(("t_prolog", bounds.t_prolog, first_vmac))

@@ -74,9 +74,10 @@ class SearchSpace:
         if isinstance(self.rho_candidates, list):
             object.__setattr__(self, "rho_candidates", tuple(self.rho_candidates))
         require_ints(
-            self, ("t_mc_min", "t_mc_max", "t_k_min", "t_k_max", "t_n_min", "t_n_max", "step")
+            self, ("t_mc_min", "t_mc_max", "t_k_min", "t_k_max", "t_n_min", "t_n_max", "step"),
+            MICROTILE,
         )
-        if self.step < MICROTILE or self.step % MICROTILE != 0:
+        if self.step % MICROTILE != 0:
             raise ConfigError(f"step must be a positive multiple of {MICROTILE}")
         for lo, hi, name in (
             (self.t_mc_min, self.t_mc_max, "t_mc"),

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,9 @@ from asymtile.arch import (
     problem_from_value,
     tile_from_value,
 )
+from asymtile.gemm import Matrix
+from asymtile.pipeline import LoadClass, MicrokernelSpec
+from asymtile.search import SearchSpace
 
 
 def test_default_arch_constants():
@@ -69,6 +73,41 @@ def test_tile_validation():
         TileConfig(24, 64, 64, 128)  # t_ma does not divide t_mc
     with pytest.raises(ConfigError):
         TileConfig(0, 8, 8, 8)
+
+
+# Each config type with the smallest valid values of its other fields, so
+# that any one count field can go to its floor.
+FLOOR_BASES = (
+    (ArchSpec, {}),
+    (ProblemSpec, {"m": 1, "k": 1, "n": 1}),
+    (TileConfig, {"t_ma": 8, "t_mc": 8, "t_k": 8, "t_n": 8}),
+    (LoadClass, {"latency": 1, "count": 1}),
+    (MicrokernelSpec, {"chains": 1}),
+    (SearchSpace, {"t_k_min": 8}),
+    (Matrix, {"rows": 1, "cols": 1, "data": (1.0,)}),
+)
+FLOORS = {"switch_overhead_delta": 0, "l_vmac_to_store": 0}
+COUNT_FIELDS = [
+    (cls, base, f.name, 8 if cls is SearchSpace else FLOORS.get(f.name, 1))
+    for cls, base in FLOOR_BASES
+    for f in fields(cls)
+    if f.type == "int"
+]
+
+
+@pytest.mark.parametrize(
+    "cls, base, name, floor", COUNT_FIELDS, ids=[f"{c[0].__name__}.{c[2]}" for c in COUNT_FIELDS]
+)
+def test_count_field_floor(cls, base, name, floor):
+    with pytest.raises(ConfigError) as exc:
+        cls(**{**base, name: floor - 1})
+    assert str(exc.value) == f"{name} must be >= {floor}, got {floor - 1}"
+    if cls is TileConfig:
+        # 1 passes the floor; the tile grid then asks for a multiple of 8.
+        with pytest.raises(ConfigError, match=f"^tile dim {name}=1 is not a multiple of 8$"):
+            cls(**{**base, name: floor})
+    else:
+        assert getattr(cls(**{**base, name: floor}), name) == floor
 
 
 def test_unit_tile_footprint():

@@ -24,7 +24,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from asymtile import cli
-from asymtile.arch import DEFAULT_ARCH, ArchSpec, PrecisionSpec, ProblemSpec, TileConfig
+from asymtile.arch import DEFAULT_ARCH, ArchSpec, ConfigError, PrecisionSpec, ProblemSpec, TileConfig
 from asymtile.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INFEASIBLE,
@@ -105,6 +105,17 @@ def test_removed_config_keys_exit_3(tmp_path, capsys, section, key):
     assert code == EXIT_CONFIG_ERROR
     assert text == ""
     assert capsys.readouterr().err == f"error: unknown key {key!r} in section {section!r}\n"
+
+
+def test_zero_cluster_kernel_exits_3(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="^n_clusters must be >= 1, got 0$"):
+        MicrokernelSpec(n_clusters=0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"microkernel": {"n_clusters": 0}}))
+    code, text = run_cli("simulate", "schedule", "--config", str(cfg))
+    assert code == EXIT_CONFIG_ERROR
+    assert text == ""
+    assert capsys.readouterr().err == "error: n_clusters must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("given", ["flag", "config"])

@@ -102,6 +102,13 @@ def test_matrix_validation():
         Matrix(0, 2, ())
 
 
+def test_matrix_dims_must_be_ints():
+    with pytest.raises(ConfigError, match=r"^rows must be an integer, got 2\.0$"):
+        Matrix(2.0, 2, (1.0, 2.0, 3.0, 4.0))
+    with pytest.raises(ConfigError, match="^rows must be an integer, got True$"):
+        Matrix(True, 1, (1.0,))
+
+
 def test_tiled_matches_naive_exactly():
     rng = random.Random(1)
     a = random_matrix(rng, 16, 16)

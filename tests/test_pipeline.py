@@ -142,12 +142,6 @@ def test_total_latency_reference():
     assert b.l_total_overlapped == 86
 
 
-def test_total_latency_zero_clusters():
-    b = total_latency(mk(n_clusters=0))
-    assert b.l_total_sequential == 0
-    assert b.l_total_overlapped == 0
-
-
 def test_total_latency_single_cluster_modes_agree_on_order():
     b = total_latency(mk(n_clusters=1))
     assert b.l_total_overlapped <= b.l_total_sequential

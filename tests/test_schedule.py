@@ -668,12 +668,6 @@ def test_one_cluster_modes_share_a_cache_entry():
     assert kernel_run.cache_info().misses == 1
 
 
-def test_zero_cluster_kernel_has_no_phase_violations():
-    spec = MicrokernelSpec(n_clusters=0)
-    assert kernel_run(spec, False) == kernel_run(spec, True) == KernelRun(0, 0, Fraction(0))
-    assert check_bounds_hold(spec, {}) == []
-
-
 def test_kernel_run_does_not_cache_builder_errors():
     spec = MicrokernelSpec(r_load=1, u_ld=1, load_classes=(LoadClass(3, 1),))
     for n_clusters in (1, 3):
