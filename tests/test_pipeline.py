@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,16 @@ def test_total_latency_reference():
     assert b.l_total_sequential == 208
     assert b.l_total_overlapped == 10 + (4 + 4) * 8 + 12
     assert b.l_total_overlapped == 86
+
+
+def test_total_latency_zero_clusters():
+    # A kernel has at least one cluster, so total_latency never sees zero:
+    # the spec rejects it, also when copied from a valid one.
+    for build in (lambda: mk(n_clusters=0), lambda: replace(mk(), n_clusters=0)):
+        with pytest.raises(ConfigError, match=r"^n_clusters must be >= 1, got 0$"):
+            total_latency(build())
+    b = total_latency(mk(n_clusters=1))
+    assert b.l_total_sequential == b.t_prolog + b.t_steady + b.t_epilog
 
 
 def test_total_latency_single_cluster_modes_agree_on_order():

@@ -668,6 +668,14 @@ def test_one_cluster_modes_share_a_cache_entry():
     assert kernel_run.cache_info().misses == 1
 
 
+def test_zero_cluster_kernel_has_no_phase_violations():
+    # A zero-cluster kernel cannot be built, so the bounds are checked from
+    # one cluster up, and one cluster has none.
+    with pytest.raises(ConfigError, match=r"^n_clusters must be >= 1, got 0$"):
+        kernel_run(replace(MicrokernelSpec(), n_clusters=0))
+    assert check_bounds_hold(MicrokernelSpec(n_clusters=1), {}) == []
+
+
 def test_kernel_run_does_not_cache_builder_errors():
     spec = MicrokernelSpec(r_load=1, u_ld=1, load_classes=(LoadClass(3, 1),))
     for n_clusters in (1, 3):
