@@ -11,14 +11,17 @@ trees run ``benchmarks/run.py --workload W --seed S --trace 0`` at the run
 length ``BENCHMARK.json`` sets, the parent first on odd seeds and the change
 first on even ones.
 
-The summary is written to ``BENCH_<W>.json`` at the repository root. Per
-side it holds the median and quartiles (inclusive method) of
-``pass_norm_s``, ``setup_s`` and ``peak_rss_mb``. It also counts the seeds on
-which the change's ``pass_norm_s`` is lower (ties count for neither), says
-whether both sides have the same fingerprint on every seed and whether every
-run was correct with no failed operation, and lists each seed's runs. The
-script prints each seed's ``pass_norm_s`` pair as it goes, then one line with
-both sides' ``pass_norm_s`` and ``setup_s`` medians and the change's wins.
+The gated metrics are the ``end_to_end`` entries of ``BENCHMARK.json``
+(``pass_norm_s`` and ``setup_s``), each with the direction its ``better``
+names. The summary is written to ``BENCH_<W>.json`` at the repository root.
+Per side it holds the median and quartiles (inclusive method) of each gated
+metric and of ``peak_rss_mb``. For each gated metric it counts the seeds on
+which the change's value is better (ties count for neither), in
+``change_wins``. It also says whether both sides have the same fingerprint
+on every seed and whether every run was correct with no failed operation,
+and lists each seed's runs. The script prints each seed's gated pairs as it
+goes, then one line with both sides' medians and the change's wins for each
+gated metric.
 """
 
 from __future__ import annotations
@@ -34,8 +37,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("pass_norm_s", "setup_s", "peak_rss_mb")
-DIGITS = {"pass_norm_s": 4, "setup_s": 4, "peak_rss_mb": 2}
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+# Gated metric name -> "lower" or "higher", whichever is better.
+GATED = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
+METRICS = (*GATED, "peak_rss_mb")
+DIGITS = {**dict.fromkeys(GATED, 4), "peak_rss_mb": 2}
 SIDES = ("parent", "change")
 ORDER = "alternated: parent first on odd seeds, change first on even seeds"
 
@@ -72,6 +78,12 @@ def quartiles(values: list[float], digits: int) -> dict:
     return {"median": round(median, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
 
 
+def better(change: float, parent: float, direction: str) -> bool:
+    """Whether ``change`` beats ``parent`` on a metric where ``direction``
+    ("lower" or "higher") is better; a tie beats neither."""
+    return change < parent if direction == "lower" else change > parent
+
+
 def summarise(runs: dict[int, dict[str, dict]]) -> dict:
     """Summary of per-seed run records, each ``{"parent": rec, "change": rec}``
     with the records :func:`run_once` returns."""
@@ -82,9 +94,13 @@ def summarise(runs: dict[int, dict[str, dict]]) -> dict:
             name: quartiles([runs[s][side][name] for s in seeds], DIGITS[name])
             for name in METRICS
         }
-    summary["change_wins"] = sum(
-        runs[s]["change"]["pass_norm_s"] < runs[s]["parent"]["pass_norm_s"] for s in seeds
-    )
+    summary["change_wins"] = {
+        name: sum(
+            better(runs[s]["change"][name], runs[s]["parent"][name], direction)
+            for s in seeds
+        )
+        for name, direction in GATED.items()
+    }
     summary["fingerprints_equal"] = all(
         runs[s]["parent"]["sha256"] == runs[s]["change"]["sha256"] for s in seeds
     )
@@ -130,10 +146,9 @@ def export_tree(rev: str, dest: Path) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--workload", required=True, choices=[w["name"] for w in bench["workloads"]]
+        "--workload", required=True, choices=[w["name"] for w in BENCHMARK["workloads"]]
     )
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
@@ -152,15 +167,18 @@ def main(argv: list[str] | None = None) -> int:
         for seed in args.seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
             runs[seed] = {side: run_once(trees[side], args.workload, seed) for side in order}
-            pair = "  ".join(f"{side} {runs[seed][side]['pass_norm_s']:.4f}" for side in SIDES)
-            print(f"seed {seed}: {pair}", flush=True)
+            pairs = "; ".join(
+                name + " " + "  ".join(f"{side} {runs[seed][side][name]:.4f}" for side in SIDES)
+                for name in GATED
+            )
+            print(f"seed {seed}: {pairs}", flush=True)
 
     summary = summarise(runs)
     summary["parent"] = {"commit": commit, **summary["parent"]}
     report = {
         "workload": args.workload,
         "command": f"python3 benchmarks/run.py --workload {args.workload} --seed SEED --trace 0",
-        "seconds_per_run": bench["run_seconds"],
+        "seconds_per_run": BENCHMARK["run_seconds"],
         "seeds": sorted(runs),
         "order": ORDER,
         **summary,
@@ -172,10 +190,11 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(report, indent=2) + "\n")
     medians = ", ".join(
         f"{name} median {report['parent'][name]['median']} -> "
-        f"{report['change'][name]['median']}"
-        for name in ("pass_norm_s", "setup_s")
+        f"{report['change'][name]['median']} (change wins "
+        f"{report['change_wins'][name]} of {len(runs)})"
+        for name in GATED
     )
-    print(f"{out.name}: {medians}, change wins {report['change_wins']} of {len(runs)}")
+    print(f"{out.name}: {medians}")
     return 0
 
 

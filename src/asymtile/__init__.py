@@ -13,6 +13,14 @@ Module map:
 - ``perf``      two-sided (memory/compute) performance estimates.
 - ``search``    feasible-space enumeration, ranking, and report emitters.
 - ``cli``       ``asymtile`` command-line entry point.
+
+A dataclass only where construction validates. Each input (``TileConfig``,
+for one) is a frozen dataclass whose ``__post_init__`` checks every field.
+Each record a function returns (``PerfEstimate``, for one) is a
+``typing.NamedTuple``: nothing checks it, it is as immutable, it is several
+times cheaper to build, and it costs no generated code at import. Copy one
+with a field changed by ``record._replace(field=...)``; it compares equal to
+a plain tuple of the same values.
 """
 
 from asymtile.arch import (

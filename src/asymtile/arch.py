@@ -34,15 +34,19 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless ``value``, called ``name`` in the message, is
+    an int of at least ``minimum``."""
+    if not is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
 def require_ints(obj, names, minimum: int) -> None:
-    """Raise ConfigError unless each named field of ``obj`` is an int of at
-    least ``minimum``."""
+    """:func:`require_int` on each named field of ``obj``."""
     for name in names:
-        value = getattr(obj, name)
-        if not is_int(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+        require_int(name, getattr(obj, name), minimum)
 
 
 def require_bools(obj, names) -> None:

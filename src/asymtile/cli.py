@@ -23,8 +23,9 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from asymtile.arch import (
     DEFAULT_ARCH,
@@ -109,8 +110,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     arch: ArchSpec
     prec: PrecisionSpec
     problem: ProblemSpec | None

@@ -12,14 +12,13 @@ one rational built once from integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from asymtile.arch import DEFAULT_ARCH, ArchSpec, ConfigError, PrecisionSpec, TileConfig, derive_l2_tiles
+from asymtile.arch import DEFAULT_ARCH, ArchSpec, PrecisionSpec, TileConfig, derive_l2_tiles, require_int
 
 
-@dataclass(frozen=True)
-class AiResult:
+class AiResult(NamedTuple):
     """Exact arithmetic intensity in flops per byte."""
 
     ai: Fraction
@@ -31,10 +30,12 @@ def ai_tile(t_mc: int, t_n: int, k: int, prec: PrecisionSpec) -> AiResult:
     Equals 2 / (a/t_n + b/t_mc + c/k) with a, b, c the per-element byte costs.
     The traffic a·t_mc·k + b·k·t_n + c·t_mc·t_n is summed over the costs'
     common denominator, and ``ai`` is the exact rational of the flops over
-    that integer sum.
+    that integer sum. Each of ``t_mc``, ``t_n`` and ``k`` must be an int of
+    at least 1 (:func:`~asymtile.arch.require_int`).
     """
-    if t_mc <= 0 or t_n <= 0 or k <= 0:
-        raise ConfigError("tile dims and k must be positive")
+    require_int("t_mc", t_mc, 1)
+    require_int("t_n", t_n, 1)
+    require_int("k", k, 1)
     a, b, c, den = prec.cost_numerators
     traffic = a * t_mc * k + b * k * t_n + c * t_mc * t_n
     return AiResult(Fraction(2 * t_mc * t_n * k * den, traffic))

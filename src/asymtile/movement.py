@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from asymtile.arch import (
     DEFAULT_ARCH,
@@ -41,8 +42,7 @@ class BufferOverflowError(ConfigError):
     """Raised when staged operands exceed the buffer capacity."""
 
 
-@dataclass(frozen=True)
-class MovementTrace:
+class MovementTrace(NamedTuple):
     """Byte counters and buffer statistics from one simulated loop nest."""
 
     bytes_a: Fraction

@@ -9,10 +9,10 @@ rate is applied exactly once when converting to flops per second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from asymtile.arch import (
     DEFAULT_ARCH,
@@ -24,6 +24,7 @@ from asymtile.arch import (
     buffer_footprint,
     derive_l2_tiles,
     require_divides,
+    require_int,
 )
 from asymtile.intensity import ai_tile
 from asymtile.pipeline import (
@@ -54,12 +55,13 @@ EFF_MICRO_CALIBRATION = MappingProxyType({
 _CALIBRATION_POINTS = tuple(sorted(EFF_MICRO_CALIBRATION.items()))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def calibrated_eff_micro(t_k: int) -> Fraction:
-    """Calibrated microkernel efficiency at contraction depth ``t_k``,
-    memoised by ``t_k``."""
-    if t_k < 1:
-        raise ConfigError("t_k must be positive")
+    """Calibrated microkernel efficiency at contraction depth ``t_k``, an int
+    of at least 1 (:func:`~asymtile.arch.require_int`), memoised by ``t_k``.
+    The cache is typed, so ``True``, which hashes equal to 1, misses 1's
+    entry and is checked rather than served."""
+    require_int("t_k", t_k, 1)
     points = _CALIBRATION_POINTS
     if t_k <= points[0][0]:
         return points[0][1]
@@ -133,8 +135,7 @@ def eff_core(
     return Fraction(p * work, q * work + p * switch)
 
 
-@dataclass(frozen=True)
-class PerfEstimate:
+class PerfEstimate(NamedTuple):
     """Two-sided performance bound for one (tile, problem, precision) choice."""
 
     ai_array: Fraction

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from asymtile.arch import MICROTILE, ConfigError, TileConfig, from_section, require_bools, require_ints
 
@@ -95,8 +95,7 @@ class MicrokernelSpec:
 DEFAULT_MICROKERNEL = MicrokernelSpec()
 
 
-@dataclass(frozen=True)
-class LatencyBounds:
+class LatencyBounds(NamedTuple):
     """All phase and total bounds for one microkernel spec, and the
     efficiency they imply."""
 

@@ -32,7 +32,7 @@ import heapq
 import io
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -64,9 +64,8 @@ class Instruction(NamedTuple):
     earlier position: this instruction may not issue before pred_issue +
     delay. The scheduler groups equal pred tuples, so they must be hashable.
     ``group`` is the owning chain cluster, for phase measurements. A
-    NamedTuple rather than a dataclass: it is as immutable and several
-    times cheaper to build, which matters because a kernel DAG holds
-    thousands of them.
+    NamedTuple, as every unvalidated record is (see the ``asymtile``
+    package docstring); a kernel DAG holds thousands of them.
     """
 
     id: int
@@ -77,8 +76,7 @@ class Instruction(NamedTuple):
     group: int = 0
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
+class ScheduleResult(NamedTuple):
     """Issue cycles and summary metrics of one scheduled DAG.
 
     ``cycle_of[i]`` is the issue cycle of instruction i. ``vmac_issue_rate``

@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from asymtile.arch import (
     DEFAULT_ARCH,
@@ -185,8 +186,7 @@ def enumerate_feasible(
     return out
 
 
-@dataclass(frozen=True)
-class RankedResult:
+class RankedResult(NamedTuple):
     """Evaluated configurations ordered best-first."""
 
     entries: tuple[tuple[TileConfig, PerfEstimate], ...]

@@ -33,10 +33,18 @@ def test_reference_array_intensity():
 
 
 def test_invalid_dims_raise():
-    with pytest.raises(ConfigError):
-        ai_tile(0, 8, 8, UNIT)
-    with pytest.raises(ConfigError):
-        ai_tile(8, 8, -1, UNIT)
+    # The count-field rule: a float or a bool is not a dimension, so neither
+    # is rounded or read as 1.
+    cases = [
+        ((0, 8, 8), "t_mc must be >= 1, got 0"),
+        ((8, 8, -1), "k must be >= 1, got -1"),
+        ((8.5, 8, 8), "t_mc must be an integer, got 8.5"),
+        ((8, True, 8), "t_n must be an integer, got True"),
+        ((8, 8, 0), "k must be >= 1, got 0"),
+    ]
+    for dims, message in cases:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ai_tile(*dims, UNIT)
 
 
 @given(

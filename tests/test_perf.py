@@ -124,8 +124,12 @@ def test_calibration_table():
     assert calibrated_eff_micro(4) == Fraction(1, 5)
     assert calibrated_eff_micro(512) == Fraction(63, 100)
     assert calibrated_eff_micro(48) == Fraction(41, 100) + Fraction(63 - 41, 100) / 2
-    with pytest.raises(ConfigError):
-        calibrated_eff_micro(0)
+    # True hashes equal to 1, so it must not be served 1's cached entry.
+    assert calibrated_eff_micro(1) == Fraction(1, 5)
+    for t_k, message in [(0, "t_k must be >= 1, got 0"), (12.5, "t_k must be an integer, got 12.5"),
+                         (True, "t_k must be an integer, got True")]:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            calibrated_eff_micro(t_k)
 
 
 def test_resolve_sources():

@@ -268,7 +268,7 @@ def assert_same_schedule(dag, slots):
     assert [got.cycle_of[i] for i in range(len(dag))] == [
         want.cycle_of[i] for i in range(len(dag))
     ]
-    assert got == replace(want, cycle_of=got.cycle_of)
+    assert got == want._replace(cycle_of=got.cycle_of)
 
 
 @settings(max_examples=60, deadline=None)
