@@ -101,7 +101,7 @@ def resolve_eff_micro(
     elif source == EFF_SOURCE_SIMULATED:
         eff = kernel_run(microkernel_for_tile(tile, base)).vmac_issue_rate
     else:
-        raise ConfigError(f"unknown eff_micro source {source!r}; expected one of {EFF_SOURCES}")
+        raise ConfigError(f"unknown eff_source {source!r}; expected one of {EFF_SOURCES}")
     if eff.numerator > eff.denominator:
         raise ConfigError(
             f"{source} eff_micro of tile {','.join(map(str, tile.as_tuple()))} is {eff}, above 1: "

@@ -586,16 +586,22 @@ def test_repeated_main_calls_match_single_runs(tmp_path):
 
 
 def test_cli_import_does_not_load_numpy():
-    probe = "import sys, asymtile.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # The CLI loads only the modules it runs (not the numeric GEMM), and the
+    # package root, which re-exports nothing, loads no submodule at all.
+    probes = {
+        "import sys, asymtile.cli; print('numpy' in sys.modules, 'asymtile.gemm' in sys.modules)": "False False",
+        "import sys, asymtile; print(sorted(m for m in sys.modules if m.startswith('asymtile.')))": "[]",
+    }
+    for probe, want in probes.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == want
 
 
 # -- the exit-code contract under fuzzed input ---------------------------------

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -138,7 +139,8 @@ def test_resolve_sources():
     assert closed == Fraction(8, 25)
     simulated = resolve_eff_micro(REF_TILE, EFF_SOURCE_SIMULATED)
     assert 0 < simulated <= closed
-    with pytest.raises(ConfigError):
+    message = "unknown eff_source 'guesswork'; expected one of ('calibration', 'closed_form', 'simulated')"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         resolve_eff_micro(REF_TILE, "guesswork")
 
 
