@@ -20,14 +20,37 @@ which the change's value is better (ties count for neither), in
 ``change_wins``. It also says whether both sides have the same fingerprint
 on every seed and whether every run was correct with no failed operation,
 and lists each seed's runs. The script prints each seed's gated pairs as it
-goes, then one line with both sides' medians and the change's wins for each
-gated metric.
+goes, then one line per gated metric with both sides' medians, the change's
+wins and the metric's verdict.
+
+The verdict rule, in ``verdicts`` of the summary. Per gated metric, a win is
+a seed on which the change is better and a loss one on which the parent is
+(ties count for neither). The gap is the parent's median minus the
+change's, signed so that a positive gap favours the change; the spread is
+the parent's interquartile range (q3 - q1); the bound is the metric's
+``bound`` in ``BENCHMARK.json``, read as a share of the parent's median;
+``sign_p`` is the exact two-sided sign test of the wins against the losses
+under a fair coin. The first of these that holds is the verdict:
+
+1. "regression": the change's median is worse than the parent's by more
+   than the bound.
+2. "gain": the change wins at least nine tenths of the pairs, the gap is
+   larger than the spread, and ``sign_p`` is below 0.05.
+3. "regression": the same with the sides swapped (losses and a negative
+   gap).
+4. "unresolved": the spread is wider than the bound and not every change
+   run is better than every parent run, so the runs cannot show that the
+   metric stayed within its bound.
+5. "within spread": the gap, either way, is no larger than the spread.
+6. "unresolved": otherwise (the medians differ by more than the spread, but
+   the counts or the sign test do not settle which side is better).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -38,8 +61,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
-# Gated metric name -> "lower" or "higher", whichever is better.
+# Gated metric name -> "lower" or "higher", whichever is better, and the
+# bound on how far it may worsen, as a share of the parent's median.
 GATED = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
+BOUNDS = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
+SIGN_TEST_ALPHA = 0.05
 METRICS = (*GATED, "peak_rss_mb")
 DIGITS = {**dict.fromkeys(GATED, 4), "peak_rss_mb": 2}
 SIDES = ("parent", "change")
@@ -84,6 +110,45 @@ def better(change: float, parent: float, direction: str) -> bool:
     return change < parent if direction == "lower" else change > parent
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses``
+    under a fair coin; 1.0 when there is no untied pair."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def verdict(parent: list[float], change: list[float], direction: str, bound: float) -> dict:
+    """The verdict of the module docstring's rule on per-seed pairs
+    ``parent[i]``, ``change[i]``, with the figures it rests on."""
+    n = len(parent)
+    wins = sum(better(c, p, direction) for p, c in zip(parent, change))
+    losses = sum(better(p, c, direction) for p, c in zip(parent, change))
+    q1, parent_median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    change_median = statistics.median(change)
+    gap = parent_median - change_median if direction == "lower" else change_median - parent_median
+    spread = q3 - q1
+    allowed = bound * abs(parent_median)
+    p_value = sign_test_p(wins, losses)
+    every_run_better = all(better(c, q, direction) for c in change for q in parent)
+    if -gap > allowed:
+        name = "regression"
+    elif 10 * wins >= 9 * n and gap > spread and p_value < SIGN_TEST_ALPHA:
+        name = "gain"
+    elif 10 * losses >= 9 * n and -gap > spread and p_value < SIGN_TEST_ALPHA:
+        name = "regression"
+    elif spread > allowed and not every_run_better:
+        name = "unresolved"
+    elif abs(gap) <= spread:
+        name = "within spread"
+    else:
+        name = "unresolved"
+    return {
+        "verdict": name, "wins": wins, "losses": losses, "pairs": n,
+        "gap": gap, "parent_iqr": spread, "sign_p": p_value,
+    }
+
+
 def summarise(runs: dict[int, dict[str, dict]]) -> dict:
     """Summary of per-seed run records, each ``{"parent": rec, "change": rec}``
     with the records :func:`run_once` returns."""
@@ -98,6 +163,15 @@ def summarise(runs: dict[int, dict[str, dict]]) -> dict:
         name: sum(
             better(runs[s]["change"][name], runs[s]["parent"][name], direction)
             for s in seeds
+        )
+        for name, direction in GATED.items()
+    }
+    summary["verdicts"] = {
+        name: verdict(
+            [runs[s]["parent"][name] for s in seeds],
+            [runs[s]["change"][name] for s in seeds],
+            direction,
+            BOUNDS[name],
         )
         for name, direction in GATED.items()
     }
@@ -188,13 +262,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
-    medians = ", ".join(
-        f"{name} median {report['parent'][name]['median']} -> "
-        f"{report['change'][name]['median']} (change wins "
-        f"{report['change_wins'][name]} of {len(runs)})"
-        for name in GATED
-    )
-    print(f"{out.name}: {medians}")
+    print(f"{out.name}:")
+    for name in GATED:
+        v = report["verdicts"][name]
+        print(
+            f"  {name} median {report['parent'][name]['median']} -> "
+            f"{report['change'][name]['median']} (change wins {v['wins']}, loses "
+            f"{v['losses']} of {v['pairs']}; gap {v['gap']:.4g} against parent IQR "
+            f"{v['parent_iqr']:.4g}; sign test p {v['sign_p']:.3g}): {v['verdict']}"
+        )
     return 0
 
 

@@ -73,6 +73,12 @@ def calibrated_eff_micro(t_k: int) -> Fraction:
     raise AssertionError("unreachable: calibration points cover the range")
 
 
+def unknown_eff_source(source) -> ConfigError:
+    """The error for an efficiency source that is not one of
+    :data:`EFF_SOURCES`."""
+    return ConfigError(f"unknown eff_source {source!r}; expected one of {EFF_SOURCES}")
+
+
 def _coerce_eff(value) -> Fraction:
     """``value`` as an efficiency in (0, 1]; a ``Fraction`` is used as given."""
     eff = value if type(value) is Fraction else Fraction(value)
@@ -101,7 +107,7 @@ def resolve_eff_micro(
     elif source == EFF_SOURCE_SIMULATED:
         eff = kernel_run(microkernel_for_tile(tile, base)).vmac_issue_rate
     else:
-        raise ConfigError(f"unknown eff_source {source!r}; expected one of {EFF_SOURCES}")
+        raise unknown_eff_source(source)
     if eff.numerator > eff.denominator:
         raise ConfigError(
             f"{source} eff_micro of tile {','.join(map(str, tile.as_tuple()))} is {eff}, above 1: "
@@ -149,33 +155,42 @@ class PerfEstimate(NamedTuple):
     feasible: bool
 
 
-def perf_array(
+def memory_side(
     tile: TileConfig,
     problem: ProblemSpec,
     prec: PrecisionSpec,
     arch: ArchSpec = DEFAULT_ARCH,
-    eff_micro=None,
-    *,
-    eff_source: str = EFF_SOURCE_CALIBRATION,
-    kernel: MicrokernelSpec = DEFAULT_MICROKERNEL,
-) -> PerfEstimate:
-    """Full two-sided estimate: min(intensity x bandwidth, derated compute).
-
-    ``eff_micro`` may be given directly; otherwise it is resolved from
-    ``eff_source``, with ``kernel`` as the base microkernel spec. A tile
-    whose staging buffers exceed capacity comes back with ``feasible=False``
-    and zeroed rates rather than a silent number. Ties between the two sides
-    are classified as memory-bound.
-    """
-    eff = resolve_eff_micro(tile, eff_source, kernel) if eff_micro is None else _coerce_eff(eff_micro)
+) -> tuple[Fraction, float]:
+    """The memory side of the roofline: the array intensity and intensity
+    times off-chip bandwidth, in flop/s. Both depend on the C tile
+    (``t_mc``, ``t_k``, ``t_n``) alone, never on ``rho``: the L2 tile of
+    :func:`~asymtile.arch.derive_l2_tiles` must divide ``problem`` (else a
+    ``ConfigError``), and the intensity is that of its output tile reduced
+    over the whole ``k``."""
     t_mc_l2, t_k_l2, t_n_l2 = derive_l2_tiles(tile, arch)
     require_divides(problem, (t_mc_l2, t_k_l2, t_n_l2), "array-level tile")
+    ai = ai_tile(t_mc_l2, t_n_l2, problem.k, prec).ai
+    return ai, float(ai) * arch.offchip_bw
+
+
+def compute_side(
+    tile: TileConfig,
+    eff: Fraction,
+    memory: tuple[Fraction, float],
+    prec: PrecisionSpec,
+    arch: ArchSpec = DEFAULT_ARCH,
+) -> PerfEstimate:
+    """The estimate for ``tile`` at microkernel efficiency ``eff``, given the
+    ``memory`` side of its C tile (:func:`memory_side`): the footprint and
+    feasibility, ``eff_core`` and the compute bound, and the smaller bound.
+    A tile whose staging buffers exceed capacity comes back with
+    ``feasible=False`` and zeroed rates rather than a silent number. Ties
+    between the two sides are classified as memory-bound."""
+    ai, memory_bound = memory
     buffer_bytes = buffer_footprint(tile, prec, arch)
     feasible = buffer_bytes <= arch.l1_capacity
-    ai = ai_tile(t_mc_l2, t_n_l2, problem.k, prec).ai
     ec = eff_core(tile, eff, arch)
     if feasible:
-        memory_bound = float(ai) * arch.offchip_bw
         compute_bound = float(ec) * arch.peak_array_flops
         perf = min(memory_bound, compute_bound)
         bound_kind = BOUND_MEMORY if memory_bound <= compute_bound else BOUND_COMPUTE
@@ -193,3 +208,25 @@ def perf_array(
         buffer_bytes=buffer_bytes,
         feasible=feasible,
     )
+
+
+def perf_array(
+    tile: TileConfig,
+    problem: ProblemSpec,
+    prec: PrecisionSpec,
+    arch: ArchSpec = DEFAULT_ARCH,
+    eff_micro=None,
+    *,
+    eff_source: str = EFF_SOURCE_CALIBRATION,
+    kernel: MicrokernelSpec = DEFAULT_MICROKERNEL,
+) -> PerfEstimate:
+    """Full two-sided estimate: min(intensity x bandwidth, derated compute),
+    the :func:`compute_side` of ``tile`` over its C tile's
+    :func:`memory_side`.
+
+    ``eff_micro`` may be given directly; otherwise it is resolved from
+    ``eff_source``, with ``kernel`` as the base microkernel spec. The
+    efficiency is resolved before the problem's divisibility is checked.
+    """
+    eff = resolve_eff_micro(tile, eff_source, kernel) if eff_micro is None else _coerce_eff(eff_micro)
+    return compute_side(tile, eff, memory_side(tile, problem, prec, arch), prec, arch)

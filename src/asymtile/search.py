@@ -42,7 +42,9 @@ from asymtile.perf import (
     EFF_SOURCE_CLOSED_FORM,
     EFF_SOURCE_SIMULATED,
     PerfEstimate,
-    perf_array,
+    compute_side,
+    memory_side,
+    resolve_eff_micro,
 )
 from asymtile.pipeline import DEFAULT_MICROKERNEL, MicrokernelSpec, microkernel_for_tile
 from asymtile.schedule import check_buildable
@@ -212,13 +214,25 @@ def rank(
 ) -> RankedResult:
     """Evaluate and order ``configs``, with ``kernel`` as the base
     microkernel spec; derive the symmetric-vs-asymmetric performance ratio
-    from the best of each group."""
+    from the best of each group.
+
+    Each entry equals :func:`~asymtile.perf.perf_array` of its tile. The
+    memory side depends on the C tile alone, so it is worked out once per
+    (``t_mc``, ``t_k``, ``t_n``) and shared by the tiles that differ only in
+    ``rho``; configs may come in any order. Each tile's efficiency is still
+    resolved before its C tile's divisibility is checked, so the first
+    failing tile raises what ``perf_array`` would."""
     if not configs:
         raise ConfigError("rank needs at least one tile config")
-    evaluated = [
-        (tile, perf_array(tile, problem, prec, arch, eff_source=eff_source, kernel=kernel))
-        for tile in configs
-    ]
+    memory: dict[tuple[int, int, int], tuple[Fraction, float]] = {}
+    evaluated = []
+    for tile in configs:
+        eff = resolve_eff_micro(tile, eff_source, kernel)
+        c_tile = (tile.t_mc, tile.t_k, tile.t_n)
+        side = memory.get(c_tile)
+        if side is None:
+            side = memory[c_tile] = memory_side(tile, problem, prec, arch)
+        evaluated.append((tile, compute_side(tile, eff, side, prec, arch)))
     evaluated.sort(key=_rank_key)
     best = evaluated[0]
     symmetric = [item for item in evaluated if item[0].rho == 1]
@@ -283,21 +297,37 @@ def _kb1(value) -> str:
     return f"{float(value) / 1024:.1f}"
 
 
-def estimate_csv_row(tile: TileConfig, est: PerfEstimate) -> str:
+def _fixed4(value, floats: dict[int, str]) -> str:
+    """``value`` to four decimals, converted once per distinct object.
+    ``floats`` maps the id of each value seen to its text, so it must not
+    outlive those values: a dead object's id can be reused."""
+    text = floats.get(id(value))
+    if text is None:
+        text = floats[id(value)] = f"{float(value):.4f}"
+    return text
+
+
+def estimate_csv_row(tile: TileConfig, est: PerfEstimate, floats: dict[int, str] | None = None) -> str:
+    """One CSV row of ``RANK_CSV_COLUMNS``. Rows built with one ``floats``
+    dict (:func:`_fixed4`) convert a shared exact value once: the tiles of
+    one C tile share one ``ai_array``, and the tiles of one ``t_k`` the
+    cached calibration ``eff_micro``."""
+    floats = {} if floats is None else floats
     return (
         f"{tile.t_ma},{tile.t_mc},{tile.t_k},{tile.t_n},{tile.rho},"
-        f"{est.buffer_bytes},{est.feasible},{float(est.ai_array):.4f},"
-        f"{float(est.eff_micro):.4f},{float(est.eff_core):.4f},"
+        f"{est.buffer_bytes},{est.feasible},{_fixed4(est.ai_array, floats)},"
+        f"{_fixed4(est.eff_micro, floats)},{float(est.eff_core):.4f},"
         f"{_sig3(est.memory_bound / 1e12)},{_sig3(est.compute_bound / 1e12)},"
         f"{_sig3(est.perf_array / 1e12)},{est.bound_kind}"
     )
 
 
 def ranked_to_csv(result: RankedResult) -> str:
+    floats: dict[int, str] = {}
     out = io.StringIO()
     out.write(RANK_CSV_COLUMNS + "\n")
     for tile, est in result.entries:
-        out.write(estimate_csv_row(tile, est) + "\n")
+        out.write(estimate_csv_row(tile, est, floats) + "\n")
     return out.getvalue()
 
 

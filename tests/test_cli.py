@@ -20,6 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from conftest import load_script
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -174,6 +175,16 @@ def test_search_symmetric_only_gain_is_one():
     code, text = run_cli("search", "--problem", "4096x4096x2048", "--rho", "1")
     assert code == EXIT_OK
     assert "atb_gain: 1.00" in text
+
+
+def test_search_and_eval_bytes_match_the_golden_file():
+    # scripts/record_cli_golden.py recorded each case's exit code, stdout
+    # sha256 and stderr; every case must replay to the same bytes.
+    recorder = load_script("record_cli_golden.py")
+    golden = json.loads(recorder.GOLDEN.read_text())
+    assert [entry["argv"] for entry in golden] == [list(case) for case in recorder.CASES]
+    for entry in golden:
+        assert recorder.run_case(entry["argv"]) == entry
 
 
 def test_search_empty_space_exits_2():

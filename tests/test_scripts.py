@@ -122,6 +122,8 @@ def test_bench_pairs_summary():
     # better for both. pass_norm_s: seed 11 ties and seed 13 is a loss, three
     # wins of five. setup_s: seed 13 ties and seed 14 is a loss, three wins.
     assert summary["change_wins"] == {"pass_norm_s": 3, "setup_s": 3}
+    # A 0.15 gap over a 0.10 parent IQR, on three wins of five: unsettled.
+    assert summary["verdicts"]["pass_norm_s"]["verdict"] == "unresolved"
     assert summary["fingerprints_equal"] and summary["all_correct_zero_failed"]
     assert list(summary["runs"]) == ["11", "12", "13", "14", "15"]
     assert summary["runs"]["15"] == {
@@ -140,3 +142,52 @@ def test_bench_pairs_names_pinning_only_when_every_run_was_pinned():
     machine = load_script("bench_pairs.py").machine
     assert machine(True)["cpu"].endswith(", process pinned to one CPU")
     assert "pinned" not in machine(False)["cpu"]
+
+
+# Ten parent runs 1.00, 1.01, ..., 1.09: median 1.045, IQR 0.045, and a
+# bound of 0.2 allows the change's median to be worse by 0.209.
+PARENT_RUNS = [1 + i / 100 for i in range(10)]
+
+
+@pytest.mark.parametrize(
+    "change, direction, want",
+    [
+        # Ten wins by 0.2, far outside the IQR.
+        ([p - 0.2 for p in PARENT_RUNS], "lower", "gain"),
+        # Nine wins and one loss (sign test p = 22/1024) by 0.2.
+        ([p - 0.2 for p in PARENT_RUNS[:9]] + [1.2], "lower", "gain"),
+        # Nine wins, but by 0.01: the gap lies inside the parent's IQR.
+        ([p - 0.01 for p in PARENT_RUNS[:9]] + [1.2], "lower", "within spread"),
+        # Eight wins of ten by 0.2: below nine tenths.
+        ([p - 0.2 for p in PARENT_RUNS[:8]] + [1.2, 1.2], "lower", "unresolved"),
+        # A/A: the same runs, and the same runs in another order.
+        (list(PARENT_RUNS), "lower", "within spread"),
+        (PARENT_RUNS[5:] + PARENT_RUNS[:5], "lower", "within spread"),
+        # Ten losses by 0.1: outside the IQR, inside the bound.
+        ([p + 0.1 for p in PARENT_RUNS], "lower", "regression"),
+        # One loss of ten, but the median is worse by more than the bound.
+        ([p + 0.3 for p in PARENT_RUNS[:9]] + [0.5], "lower", "regression"),
+        # Where higher is better, the same shifts read the other way.
+        ([p + 0.2 for p in PARENT_RUNS], "higher", "gain"),
+        ([p - 0.1 for p in PARENT_RUNS], "higher", "regression"),
+    ],
+)
+def test_bench_pairs_verdict(change, direction, want):
+    verdict = load_script("bench_pairs.py").verdict
+    assert verdict(PARENT_RUNS, change, direction, 0.2)["verdict"] == want
+
+
+def test_bench_pairs_verdict_needs_the_sign_test_and_a_spread_within_the_bound():
+    module = load_script("bench_pairs.py")
+    assert module.sign_test_p(9, 1) == 22 / 1024
+    assert module.sign_test_p(10, 0) == 2 / 1024
+    assert module.sign_test_p(5, 5) == module.sign_test_p(0, 0) == 1.0
+    # Four wins of four by 0.2 clear the share and the IQR, not the sign
+    # test (p = 2/16).
+    v = module.verdict(PARENT_RUNS[:4], [p - 0.2 for p in PARENT_RUNS[:4]], "lower", 0.2)
+    assert (v["verdict"], v["wins"], v["sign_p"]) == ("unresolved", 4, 0.125)
+    # Parent runs 1..10 spread wider (IQR 4.5) than the bound allows (1.1):
+    # a small steady loss cannot be told from noise.
+    wide = [float(i) for i in range(1, 11)]
+    v = module.verdict(wide, [p + 0.05 for p in wide], "lower", 0.2)
+    assert (v["verdict"], v["losses"]) == ("unresolved", 10)

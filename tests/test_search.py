@@ -17,12 +17,15 @@ from asymtile.arch import (
     check_feasible,
     derive_l2_tiles,
 )
+from asymtile.perf import EFF_SOURCES, perf_array
 from asymtile.pipeline import DEFAULT_MICROKERNEL
 from asymtile.schedule import derive_cluster_shape
 from asymtile.search import (
+    KERNEL_EFF_SOURCES,
     EmptySearchSpace,
     RankedResult,
     SearchSpace,
+    _builds_kernel,
     enumerate_feasible,
     explore,
     rank,
@@ -314,6 +317,86 @@ def test_rank_is_deterministic_and_sorted():
     assert a == b
     perfs = [est.perf_array for _, est in a.entries]
     assert perfs == sorted(perfs, reverse=True)
+
+
+# C tiles (t_mc, t_k, t_n) and the rhos each admits (t_ma = t_mc / rho a
+# multiple of 8). Every L2 tile divides PROBLEM; the larger ones overflow L1,
+# and no kernel can be shaped to t_n = 16.
+RANK_C_TILES = [
+    (t_mc, t_k, t_n) for t_mc in (32, 64, 128, 256) for t_k in (64, 128) for t_n in (16, 32, 128, 256)
+]
+RANK_RHOS = (1, 2, 4, 8)
+
+
+@st.composite
+def c_tile_lists(draw, c_tiles, source):
+    """A shuffled list of tiles over a few C tiles, several rhos each; under a
+    kernel source, only tiles whose kernel builds."""
+    tiles = []
+    for t_mc, t_k, t_n in draw(st.lists(st.sampled_from(c_tiles), min_size=1, max_size=5, unique=True)):
+        rhos = [r for r in RANK_RHOS if t_mc % r == 0 and (t_mc // r) % 8 == 0]
+        for rho in draw(st.lists(st.sampled_from(rhos), min_size=1, max_size=len(rhos), unique=True)):
+            tile = TileConfig(t_mc // rho, t_mc, t_k, t_n)
+            if source not in KERNEL_EFF_SOURCES or _builds_kernel(tile, DEFAULT_MICROKERNEL, source):
+                tiles.append(tile)
+    assume(tiles)
+    return draw(st.permutations(tiles))
+
+
+@st.composite
+def rank_inputs(draw):
+    source = draw(st.sampled_from(EFF_SOURCES))
+    prec = PRECISION_PRESETS[draw(st.sampled_from(sorted(PRECISION_PRESETS)))]
+    return draw(c_tile_lists(RANK_C_TILES, source)), prec, source
+
+
+@settings(max_examples=60)
+@given(rank_inputs())
+def test_rank_entries_equal_perf_array(case):
+    tiles, prec, source = case
+    result = rank(tiles, PROBLEM, prec, eff_source=source)
+    assert sorted(tile.as_tuple() for tile, _ in result.entries) == sorted(t.as_tuple() for t in tiles)
+    for tile, est in result.entries:
+        want = perf_array(tile, PROBLEM, prec, eff_source=source)
+        for field in want._fields:
+            got_value, want_value = getattr(est, field), getattr(want, field)
+            assert type(got_value) is type(want_value), field
+            assert got_value == want_value, (tile, field)
+
+
+# K = 64·63: t_k of 64 or 192 divides it, 128 or 256 does not, so these
+# C tiles break divisibility through t_k alone.
+K_ONLY_PROBLEM = ProblemSpec(4096, 64 * 63, 2048)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_rank_raises_perf_arrays_error_for_the_first_t_k_that_does_not_divide(data):
+    source = data.draw(st.sampled_from(EFF_SOURCES))
+    good = data.draw(c_tile_lists([(t_mc, t_k, t_n) for t_mc, t_k, t_n in RANK_C_TILES
+                                   if t_k == 64] + [(64, 192, 128)], source))
+    tiles = list(good)
+    # Each bad tile goes after a good tile of the same (t_mc, t_n), so a
+    # memo that left t_k out of its key would serve it the good one's side.
+    for _ in range(data.draw(st.integers(1, 3))):
+        sibling = data.draw(st.sampled_from(good))
+        bad = TileConfig(sibling.t_ma, sibling.t_mc, data.draw(st.sampled_from((128, 256))), sibling.t_n)
+        if source in KERNEL_EFF_SOURCES and not _builds_kernel(bad, DEFAULT_MICROKERNEL, source):
+            continue
+        after = tiles.index(sibling) + 1
+        tiles.insert(data.draw(st.integers(after, len(tiles))), bad)
+    first_error = None
+    for tile in tiles:
+        try:
+            perf_array(tile, K_ONLY_PROBLEM, CONFIG1, eff_source=source)
+        except ConfigError as exc:
+            first_error = str(exc)
+            break
+    assume(first_error is not None)
+    assert "is not divisible by its array-level tile" in first_error
+    with pytest.raises(ConfigError) as caught:
+        rank(tiles, K_ONLY_PROBLEM, CONFIG1, eff_source=source)
+    assert str(caught.value) == first_error
 
 
 def test_gain_never_below_one_when_symmetric_present():
