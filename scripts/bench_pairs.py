@@ -19,9 +19,10 @@ metric and of ``peak_rss_mb``. For each gated metric it counts the seeds on
 which the change's value is better (ties count for neither), in
 ``change_wins``. It also says whether both sides have the same fingerprint
 on every seed and whether every run was correct with no failed operation,
-and lists each seed's runs. The script prints each seed's gated pairs as it
-goes, then one line per gated metric with both sides' medians, the change's
-wins and the metric's verdict.
+and lists each seed's runs. Every figure is stored unrounded, so
+``verdict`` on the stored runs gives the stored verdicts. The script prints
+each seed's gated pairs as it goes, then one line per gated metric with both
+sides' medians, the change's wins and the metric's verdict.
 
 The verdict rule, in ``verdicts`` of the summary. Per gated metric, a win is
 a seed on which the change is better and a loss one on which the parent is
@@ -67,7 +68,6 @@ GATED = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
 BOUNDS = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
 SIGN_TEST_ALPHA = 0.05
 METRICS = (*GATED, "peak_rss_mb")
-DIGITS = {**dict.fromkeys(GATED, 4), "peak_rss_mb": 2}
 SIDES = ("parent", "change")
 ORDER = "alternated: parent first on odd seeds, change first on even seeds"
 
@@ -99,9 +99,9 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return record
 
 
-def quartiles(values: list[float], digits: int) -> dict:
+def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(median, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def better(change: float, parent: float, direction: str) -> bool:
@@ -156,7 +156,7 @@ def summarise(runs: dict[int, dict[str, dict]]) -> dict:
     summary: dict = {}
     for side in SIDES:
         summary[side] = {
-            name: quartiles([runs[s][side][name] for s in seeds], DIGITS[name])
+            name: quartiles([runs[s][side][name] for s in seeds])
             for name in METRICS
         }
     summary["change_wins"] = {
@@ -183,7 +183,7 @@ def summarise(runs: dict[int, dict[str, dict]]) -> dict:
     )
     summary["runs"] = {
         str(s): {
-            side: {name: round(runs[s][side][name], DIGITS[name]) for name in METRICS}
+            side: {name: runs[s][side][name] for name in METRICS}
             for side in SIDES
         }
         for s in seeds
@@ -266,8 +266,8 @@ def main(argv: list[str] | None = None) -> int:
     for name in GATED:
         v = report["verdicts"][name]
         print(
-            f"  {name} median {report['parent'][name]['median']} -> "
-            f"{report['change'][name]['median']} (change wins {v['wins']}, loses "
+            f"  {name} median {report['parent'][name]['median']:.4g} -> "
+            f"{report['change'][name]['median']:.4g} (change wins {v['wins']}, loses "
             f"{v['losses']} of {v['pairs']}; gap {v['gap']:.4g} against parent IQR "
             f"{v['parent_iqr']:.4g}; sign test p {v['sign_p']:.3g}): {v['verdict']}"
         )

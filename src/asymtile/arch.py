@@ -36,7 +36,10 @@ def is_int(value) -> bool:
 
 def require_int(name: str, value, minimum: int) -> None:
     """Raise ConfigError unless ``value``, called ``name`` in the message, is
-    an int of at least ``minimum``."""
+    an int of at least ``minimum``. An int in range returns after one test:
+    every tile a search builds passes its four dims through here."""
+    if type(value) is int and value >= minimum:
+        return
     if not is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
@@ -174,17 +177,17 @@ class ArchSpec:
         """Cores in the grid."""
         return self.n_rows * self.n_cols
 
-    @property
+    @cached_property
     def peak_flops_per_cycle(self) -> int:
         """Per-core flops per cycle (each MAC is one multiply plus one add)."""
         return 2 * self.peak_macs_per_cycle
 
-    @property
+    @cached_property
     def peak_core_flops(self) -> float:
         """Per-core peak in flops/s."""
         return self.peak_flops_per_cycle * self.clock_hz
 
-    @property
+    @cached_property
     def peak_array_flops(self) -> float:
         """Whole-array peak in flops/s."""
         return self.peak_core_flops * self.n_cores
@@ -253,17 +256,37 @@ class TileConfig:
 
 
 def _buffer_numerators(
-    tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec
+    t_mc: int, t_k: int, t_n: int, prec: PrecisionSpec, arch: ArchSpec
 ) -> tuple[int, int, int, int]:
-    """The numerators of :func:`buffer_terms` over the precision's common
-    denominator, followed by that denominator."""
+    """``(a_row, n_b, n_c, den)``: the numerators of :func:`buffer_terms`
+    for the C tile ``(t_mc, t_k, t_n)`` over the precision's common
+    denominator ``den``. The A term depends on ``t_ma`` as well: a tile that
+    stages ``t_ma`` rows of A has the A numerator ``a_row * t_ma``."""
     a, b, c, den = prec.cost_numerators
     return (
-        arch.buffer_multiplier_a * a * tile.t_ma * tile.t_k,
-        arch.buffer_multiplier_b * b * tile.t_k * tile.t_n,
-        arch.buffer_multiplier_c * c * tile.t_mc * tile.t_n,
+        arch.buffer_multiplier_a * a * t_k,
+        arch.buffer_multiplier_b * b * t_k * t_n,
+        arch.buffer_multiplier_c * c * t_mc * t_n,
         den,
     )
+
+
+def c_tile_buffers(
+    t_mc: int, t_k: int, t_n: int, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH
+) -> tuple[int, int, int, int]:
+    """``(a_row, n_bc, den, max_t_ma)`` for the C tile ``(t_mc, t_k, t_n)``,
+    the capacity rule in one place.
+
+    A tile of this C tile that stages ``t_ma`` rows of A needs ``(a_row *
+    t_ma + n_bc) / den`` bytes of L1, with ``n_bc`` the B and C numerators
+    of :func:`_buffer_numerators`. Its footprint, the ceiling of that, is at
+    most ``l1_capacity`` exactly when the numerator is at most
+    ``l1_capacity * den``, i.e. when ``t_ma <= max_t_ma = (l1_capacity * den
+    - n_bc) // a_row``. ``max_t_ma`` is negative when B and C alone
+    overflow L1."""
+    a_row, n_b, n_c, den = _buffer_numerators(t_mc, t_k, t_n, prec, arch)
+    n_bc = n_b + n_c
+    return a_row, n_bc, den, (arch.l1_capacity * den - n_bc) // a_row
 
 
 def buffer_terms(
@@ -275,16 +298,23 @@ def buffer_terms(
     copies of the t_k x t_n B slice, and multiplier_c copies of the c-cost
     t_mc x t_n C tile.
     """
-    n_a, n_b, n_c, den = _buffer_numerators(tile, prec, arch)
-    return Fraction(n_a, den), Fraction(n_b, den), Fraction(n_c, den)
+    a_row, n_b, n_c, den = _buffer_numerators(tile.t_mc, tile.t_k, tile.t_n, prec, arch)
+    return Fraction(a_row * tile.t_ma, den), Fraction(n_b, den), Fraction(n_c, den)
+
+
+def footprint_bytes(a_row: int, n_bc: int, den: int, t_ma: int) -> int:
+    """Whole L1 bytes of the tile that stages ``t_ma`` rows of A, from its C
+    tile's :func:`c_tile_buffers`: the numerators' sum over ``den``, rounded
+    up."""
+    return -(-(a_row * t_ma + n_bc) // den)
 
 
 def buffer_footprint(tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH) -> int:
     """Exact L1 bytes needed by the tile buffers (the sum of
     :func:`buffer_terms`), rounded up to whole bytes. The sum and the
     ceiling are taken on the integer numerators, so no Fraction is built."""
-    n_a, n_b, n_c, den = _buffer_numerators(tile, prec, arch)
-    return -(-(n_a + n_b + n_c) // den)
+    a_row, n_bc, den, _ = c_tile_buffers(tile.t_mc, tile.t_k, tile.t_n, prec, arch)
+    return footprint_bytes(a_row, n_bc, den, tile.t_ma)
 
 
 def require_divides(problem: ProblemSpec, sizes: tuple[int, int, int], what: str) -> None:
@@ -298,8 +328,9 @@ def require_divides(problem: ProblemSpec, sizes: tuple[int, int, int], what: str
 
 
 def check_feasible(tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH) -> bool:
-    """True when the tile's buffers fit the L1 capacity (boundary inclusive)."""
-    return buffer_footprint(tile, prec, arch) <= arch.l1_capacity
+    """True when the tile's buffers fit the L1 capacity (boundary inclusive):
+    its ``t_ma`` is at most its C tile's ``max_t_ma`` (:func:`c_tile_buffers`)."""
+    return tile.t_ma <= c_tile_buffers(tile.t_mc, tile.t_k, tile.t_n, prec, arch)[3]
 
 
 def derive_l2_tiles(tile: TileConfig, arch: ArchSpec = DEFAULT_ARCH) -> tuple[int, int, int]:

@@ -21,8 +21,9 @@ from asymtile.arch import (
     PrecisionSpec,
     ProblemSpec,
     TileConfig,
-    buffer_footprint,
+    c_tile_buffers,
     derive_l2_tiles,
+    footprint_bytes,
     require_divides,
     require_int,
 )
@@ -116,6 +117,20 @@ def resolve_eff_micro(
     return eff
 
 
+def _eff_core_terms(tiles: list[TileConfig], effs: list[Fraction], arch: ArchSpec) -> list[tuple[int, int]]:
+    """The numerator and denominator of :func:`eff_core`, ``p·W`` and
+    ``q·W + p·S``, for each of ``tiles``, tiles of one C tile, at its
+    efficiency ``p/q`` in ``effs``. One step's work ``W`` is the group's;
+    each tile adds only its switch cost ``S``, which grows with its rho."""
+    c_tile = tiles[0]
+    work = 2 * c_tile.t_mc * c_tile.t_n * c_tile.t_k
+    switch = arch.switch_overhead_delta * arch.peak_flops_per_cycle
+    return [
+        (eff.numerator * work, eff.denominator * work + eff.numerator * switch * tile.rho)
+        for tile, eff in zip(tiles, effs)
+    ]
+
+
 def eff_core(
     tile: TileConfig,
     eff_micro,
@@ -134,11 +149,7 @@ def eff_core(
     and its switch cost ``S = delta·rho·peak`` flops, that is
     ``1 / (q/p + S/W) = p·W / (q·W + p·S)``: an exact rational built once
     from integer numerator and denominator."""
-    eff = _coerce_eff(eff_micro)
-    work = 2 * tile.t_mc * tile.t_n * tile.t_k
-    switch = arch.switch_overhead_delta * tile.rho * arch.peak_flops_per_cycle
-    p, q = eff.numerator, eff.denominator
-    return Fraction(p * work, q * work + p * switch)
+    return Fraction(*_eff_core_terms([tile], [_coerce_eff(eff_micro)], arch)[0])
 
 
 class PerfEstimate(NamedTuple):
@@ -170,44 +181,53 @@ def memory_side(
     t_mc_l2, t_k_l2, t_n_l2 = derive_l2_tiles(tile, arch)
     require_divides(problem, (t_mc_l2, t_k_l2, t_n_l2), "array-level tile")
     ai = ai_tile(t_mc_l2, t_n_l2, problem.k, prec).ai
-    return ai, float(ai) * arch.offchip_bw
+    return ai, ai.numerator / ai.denominator * arch.offchip_bw
 
 
 def compute_side(
-    tile: TileConfig,
-    eff: Fraction,
+    tiles: list[TileConfig],
+    effs: list[Fraction],
     memory: tuple[Fraction, float],
     prec: PrecisionSpec,
     arch: ArchSpec = DEFAULT_ARCH,
-) -> PerfEstimate:
-    """The estimate for ``tile`` at microkernel efficiency ``eff``, given the
-    ``memory`` side of its C tile (:func:`memory_side`): the footprint and
-    feasibility, ``eff_core`` and the compute bound, and the smaller bound.
-    A tile whose staging buffers exceed capacity comes back with
-    ``feasible=False`` and zeroed rates rather than a silent number. Ties
-    between the two sides are classified as memory-bound."""
+) -> list[PerfEstimate]:
+    """The estimates of ``tiles``, tiles of one C tile (``t_mc``, ``t_k``,
+    ``t_n``) that differ only in ``rho``, at microkernel efficiencies
+    ``effs``, given their shared ``memory`` side (:func:`memory_side`): each
+    tile's footprint and feasibility, ``eff_core`` and compute bound, and the
+    smaller bound.
+
+    The group shares one :func:`~asymtile.arch.c_tile_buffers`, so each tile
+    adds only its A term to the B and C numerators and compares its ``t_ma``
+    with ``max_t_ma``, and one step's work, so each tile adds only its
+    switch cost to :func:`eff_core`. The compute bound converts ``eff_core``
+    as the int true division of its numerator by its denominator, which
+    CPython rounds correctly, so it is the same double as
+    ``float(eff_core)``. A tile whose staging buffers exceed capacity comes
+    back with ``feasible=False`` and zeroed rates rather than a silent
+    number. Ties between the two sides are classified as memory-bound."""
     ai, memory_bound = memory
-    buffer_bytes = buffer_footprint(tile, prec, arch)
-    feasible = buffer_bytes <= arch.l1_capacity
-    ec = eff_core(tile, eff, arch)
-    if feasible:
-        compute_bound = float(ec) * arch.peak_array_flops
-        perf = min(memory_bound, compute_bound)
-        bound_kind = BOUND_MEMORY if memory_bound <= compute_bound else BOUND_COMPUTE
-    else:
-        memory_bound = compute_bound = perf = 0.0
-        bound_kind = BOUND_MEMORY
-    return PerfEstimate(
-        ai_array=ai,
-        memory_bound=memory_bound,
-        compute_bound=compute_bound,
-        eff_micro=eff,
-        eff_core=ec,
-        perf_array=perf,
-        bound_kind=bound_kind,
-        buffer_bytes=buffer_bytes,
-        feasible=feasible,
-    )
+    c_tile = tiles[0]
+    a_row, n_bc, den, max_t_ma = c_tile_buffers(c_tile.t_mc, c_tile.t_k, c_tile.t_n, prec, arch)
+    peak = arch.peak_array_flops
+    # tuple.__new__ on the field tuple makes the same PerfEstimate as the
+    # generated NamedTuple constructor, in about half the time.
+    new = tuple.__new__
+    out = []
+    for tile, eff, (ec_num, ec_den) in zip(tiles, effs, _eff_core_terms(tiles, effs, arch)):
+        ec = Fraction(ec_num, ec_den)
+        buffer_bytes = footprint_bytes(a_row, n_bc, den, tile.t_ma)
+        if tile.t_ma > max_t_ma:
+            fields = (ai, 0.0, 0.0, eff, ec, 0.0, BOUND_MEMORY, buffer_bytes, False)
+        else:
+            compute_bound = ec_num / ec_den * peak
+            if memory_bound <= compute_bound:
+                perf, bound_kind = memory_bound, BOUND_MEMORY
+            else:
+                perf, bound_kind = compute_bound, BOUND_COMPUTE
+            fields = (ai, memory_bound, compute_bound, eff, ec, perf, bound_kind, buffer_bytes, True)
+        out.append(new(PerfEstimate, fields))
+    return out
 
 
 def perf_array(
@@ -221,12 +241,12 @@ def perf_array(
     kernel: MicrokernelSpec = DEFAULT_MICROKERNEL,
 ) -> PerfEstimate:
     """Full two-sided estimate: min(intensity x bandwidth, derated compute),
-    the :func:`compute_side` of ``tile`` over its C tile's
-    :func:`memory_side`.
+    the :func:`compute_side` of the one-tile group ``[tile]`` over its C
+    tile's :func:`memory_side`.
 
     ``eff_micro`` may be given directly; otherwise it is resolved from
     ``eff_source``, with ``kernel`` as the base microkernel spec. The
     efficiency is resolved before the problem's divisibility is checked.
     """
     eff = resolve_eff_micro(tile, eff_source, kernel) if eff_micro is None else _coerce_eff(eff_micro)
-    return compute_side(tile, eff, memory_side(tile, problem, prec, arch), prec, arch)
+    return compute_side([tile], [eff], memory_side(tile, problem, prec, arch), prec, arch)[0]

@@ -7,18 +7,22 @@ results, surfacing the best overall configuration, the best symmetric
 ranking as CSV and as a markdown table in the reference-report column
 layout (problem, tile, rho, buffers, both bounds, the predicted bound).
 
-Enumeration prunes before it builds. Divisibility of the problem is tested
-one axis at a time, so no tile is built for a grid point that fails it. The
-buffer footprint strictly increases in ``t_ma``, ``t_k`` and ``t_n``, so the
-walk along each stops at the first tile that does not fit, and the capacity
-check runs only up to that point. When the efficiency source scores each
-tile's own microkernel, :func:`explore` drops the tiles the base kernel
-cannot be shaped to before it ranks.
+The search is worked out once per C tile (``t_mc``, ``t_k``, ``t_n``).
+Enumeration prunes before it builds: divisibility of the problem is tested
+one axis at a time, and the capacity rule
+(:func:`~asymtile.arch.c_tile_buffers`) gives each C tile the largest
+``t_ma`` that fits L1 in closed form, so a tile is built only if it is
+kept. Ranking prices each C tile's rho group in one
+:func:`~asymtile.perf.compute_side` call over one memory side, and the CSV
+emitter formats each group's shared values once. When the efficiency source
+scores each tile's own microkernel, :func:`explore` drops the tiles the base
+kernel cannot be shaped to before it ranks.
 """
 
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -32,7 +36,7 @@ from asymtile.arch import (
     ProblemSpec,
     TileConfig,
     buffer_footprint,
-    check_feasible,
+    c_tile_buffers,
     from_section,
     is_int,
     require_ints,
@@ -130,17 +134,18 @@ def enumerate_feasible(
     axis, so the ``t_mc``, ``t_k`` and ``t_n`` ranges are filtered on their
     own, each only up to ``dim // scale`` (a larger value cannot divide
     ``dim``), and the valid ``t_ma = t_mc / rho`` values (multiples of 8)
-    are worked out once per ``t_mc``. :func:`check_feasible` then runs on the
-    survivors only. The footprint strictly increases in ``t_ma``, ``t_mc``,
+    are listed once per ``t_mc``, ascending. Capacity is decided once per
+    C tile: :func:`~asymtile.arch.c_tile_buffers` gives the largest
+    ``t_ma`` that fits, in closed form, and a bisection keeps the valid
+    ``t_ma`` up to it, so a ``TileConfig`` is built only for a tile that is
+    returned. The footprint strictly increases in ``t_ma``, ``t_mc``,
     ``t_k`` and ``t_n`` (byte costs are positive and multipliers at least
-    1), so the rhos that fit at one ``(t_mc, t_k, t_n)`` are the largest
-    ones, the walk over ``t_n`` stops at the first ``t_n`` where the
-    smallest ``t_ma`` does not fit, and the walk over ``t_k`` stops at the
-    first ``t_k`` where nothing fits at the first ``t_n``. The walk over
-    ``t_mc`` stops after a ``t_mc`` that kept nothing if even ``t_ma`` =
-    ``MICROTILE`` at the smallest ``t_k`` and ``t_n`` does not fit: no
-    later ``t_mc`` has a smaller tile, so no range has to be walked to its
-    end.
+    1), so the walk over ``t_n`` stops at the first ``t_n`` that keeps
+    nothing, the walk over ``t_k`` at the first ``t_k`` that keeps nothing
+    at the first ``t_n``, and the walk over ``t_mc`` after a ``t_mc`` that
+    kept nothing if even ``t_ma`` = ``MICROTILE`` does not fit at the
+    smallest ``t_k`` and ``t_n``: no later ``t_mc`` has a smaller tile, so
+    no range has to be walked to its end.
     """
     problem = space.divisibility_problem
 
@@ -169,21 +174,14 @@ def enumerate_feasible(
         for t_k in t_ks:
             kept_any = False
             for t_n in t_ns:
-                fits = []
-                for t_ma in t_mas:
-                    tile = TileConfig(t_ma, t_mc, t_k, t_n)
-                    if not check_feasible(tile, prec, arch):
-                        break
-                    fits.append(tile)
+                fits = bisect_right(t_mas, c_tile_buffers(t_mc, t_k, t_n, prec, arch)[3])
                 if not fits:
                     break
                 kept_any = True
-                out.extend(reversed(fits))
+                out.extend(TileConfig(t_ma, t_mc, t_k, t_n) for t_ma in reversed(t_mas[:fits]))
             if not kept_any:
                 break
-        if len(out) == kept_before and not check_feasible(
-            TileConfig(MICROTILE, t_mc, t_ks[0], t_ns[0]), prec, arch
-        ):
+        if len(out) == kept_before and c_tile_buffers(t_mc, t_ks[0], t_ns[0], prec, arch)[3] < MICROTILE:
             break
     return out
 
@@ -217,22 +215,26 @@ def rank(
     from the best of each group.
 
     Each entry equals :func:`~asymtile.perf.perf_array` of its tile. The
-    memory side depends on the C tile alone, so it is worked out once per
-    (``t_mc``, ``t_k``, ``t_n``) and shared by the tiles that differ only in
-    ``rho``; configs may come in any order. Each tile's efficiency is still
-    resolved before its C tile's divisibility is checked, so the first
-    failing tile raises what ``perf_array`` would."""
+    memory side depends on the C tile alone, so the tiles are grouped by
+    (``t_mc``, ``t_k``, ``t_n``), in any input order: the memory side is
+    worked out once per group and :func:`~asymtile.perf.compute_side`
+    prices each group in one call. Each tile's efficiency is still resolved
+    before its C tile's divisibility is checked, so the first failing tile
+    raises what ``perf_array`` would."""
     if not configs:
         raise ConfigError("rank needs at least one tile config")
-    memory: dict[tuple[int, int, int], tuple[Fraction, float]] = {}
-    evaluated = []
+    groups: dict[tuple[int, int, int], tuple[tuple[Fraction, float], list, list]] = {}
     for tile in configs:
         eff = resolve_eff_micro(tile, eff_source, kernel)
         c_tile = (tile.t_mc, tile.t_k, tile.t_n)
-        side = memory.get(c_tile)
-        if side is None:
-            side = memory[c_tile] = memory_side(tile, problem, prec, arch)
-        evaluated.append((tile, compute_side(tile, eff, side, prec, arch)))
+        group = groups.get(c_tile)
+        if group is None:
+            group = groups[c_tile] = (memory_side(tile, problem, prec, arch), [], [])
+        group[1].append(tile)
+        group[2].append(eff)
+    evaluated = []
+    for memory, tiles, effs in groups.values():
+        evaluated.extend(zip(tiles, compute_side(tiles, effs, memory, prec, arch)))
     evaluated.sort(key=_rank_key)
     best = evaluated[0]
     symmetric = [item for item in evaluated if item[0].rho == 1]
@@ -297,28 +299,41 @@ def _kb1(value) -> str:
     return f"{float(value) / 1024:.1f}"
 
 
-def _fixed4(value, floats: dict[int, str]) -> str:
-    """``value`` to four decimals, converted once per distinct object.
-    ``floats`` maps the id of each value seen to its text, so it must not
-    outlive those values: a dead object's id can be reused."""
+def _cached(value, floats: dict[int, str], spec: str, scale: float = 1.0) -> str:
+    """``float(value) / scale`` in the format ``spec``, converted once per
+    distinct object. ``floats`` maps the id of each value seen to its text,
+    so it must not outlive those values (a dead object's id can be reused),
+    and each object must always be given the same ``spec`` and ``scale``."""
     text = floats.get(id(value))
     if text is None:
-        text = floats[id(value)] = f"{float(value):.4f}"
+        text = floats[id(value)] = format(float(value) / scale, spec)
     return text
 
 
 def estimate_csv_row(tile: TileConfig, est: PerfEstimate, floats: dict[int, str] | None = None) -> str:
     """One CSV row of ``RANK_CSV_COLUMNS``. Rows built with one ``floats``
-    dict (:func:`_fixed4`) convert a shared exact value once: the tiles of
-    one C tile share one ``ai_array``, and the tiles of one ``t_k`` the
-    cached calibration ``eff_micro``."""
+    dict (:func:`_cached`) convert a shared value once: the tiles of one C
+    tile share one ``ai_array`` and one memory bound, and the tiles of one
+    ``t_k`` the cached calibration ``eff_micro``. ``perf_array`` is one of
+    the two bound objects, so it reuses that bound's text; ``eff_core`` is
+    converted by the int division of its numerator by its denominator,
+    which rounds as ``float(eff_core)`` does."""
     floats = {} if floats is None else floats
+    memory = _cached(est.memory_bound, floats, ".3g", 1e12)
+    compute = f"{est.compute_bound / 1e12:.3g}"
+    perf = est.perf_array
+    if perf is est.memory_bound:
+        perf_text = memory
+    elif perf is est.compute_bound:
+        perf_text = compute
+    else:
+        perf_text = f"{perf / 1e12:.3g}"
+    eff_core = est.eff_core
     return (
         f"{tile.t_ma},{tile.t_mc},{tile.t_k},{tile.t_n},{tile.rho},"
-        f"{est.buffer_bytes},{est.feasible},{_fixed4(est.ai_array, floats)},"
-        f"{_fixed4(est.eff_micro, floats)},{float(est.eff_core):.4f},"
-        f"{_sig3(est.memory_bound / 1e12)},{_sig3(est.compute_bound / 1e12)},"
-        f"{_sig3(est.perf_array / 1e12)},{est.bound_kind}"
+        f"{est.buffer_bytes},{est.feasible},{_cached(est.ai_array, floats, '.4f')},"
+        f"{_cached(est.eff_micro, floats, '.4f')},{eff_core.numerator / eff_core.denominator:.4f},"
+        f"{memory},{compute},{perf_text},{est.bound_kind}"
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -116,8 +117,8 @@ def test_bench_pairs_summary():
     summary = summarise(runs)
     assert summary["parent"]["pass_norm_s"] == {"median": 0.75, "q1": 0.7, "q3": 0.8}
     assert summary["change"]["pass_norm_s"] == {"median": 0.6, "q1": 0.55, "q3": 0.61}
-    assert summary["parent"]["setup_s"] == {"median": 0.0671, "q1": 0.0671, "q3": 0.0671}
-    assert summary["change"]["setup_s"] == {"median": 0.062, "q1": 0.061, "q3": 0.0671}
+    assert summary["parent"]["setup_s"] == {"median": 0.06712, "q1": 0.06712, "q3": 0.06712}
+    assert summary["change"]["setup_s"] == {"median": 0.062, "q1": 0.061, "q3": 0.06712}
     # Wins are counted for every gated metric of BENCHMARK.json, lower being
     # better for both. pass_norm_s: seed 11 ties and seed 13 is a loss, three
     # wins of five. setup_s: seed 13 ties and seed 14 is a loss, three wins.
@@ -127,8 +128,8 @@ def test_bench_pairs_summary():
     assert summary["fingerprints_equal"] and summary["all_correct_zero_failed"]
     assert list(summary["runs"]) == ["11", "12", "13", "14", "15"]
     assert summary["runs"]["15"] == {
-        "parent": {"pass_norm_s": 0.8, "setup_s": 0.0671, "peak_rss_mb": 33.46},
-        "change": {"pass_norm_s": 0.6, "setup_s": 0.06, "peak_rss_mb": 33.46},
+        "parent": {"pass_norm_s": 0.8, "setup_s": 0.06712, "peak_rss_mb": 33.456},
+        "change": {"pass_norm_s": 0.6, "setup_s": 0.06, "peak_rss_mb": 33.456},
     }
 
     runs[12]["change"] = run_record(0.55, sha="0" * 64)
@@ -136,6 +137,31 @@ def test_bench_pairs_summary():
     summary = summarise(runs)
     assert not summary["fingerprints_equal"]
     assert not summary["all_correct_zero_failed"]
+
+
+def test_bench_pairs_verdicts_recompute_from_the_stored_runs(tmp_path):
+    # Runs near dse's pass_norm_s, where rounding to four decimals would
+    # leave two significant figures and move the parent's IQR.
+    module = load_script("bench_pairs.py")
+    parents = [0.0069 + i * 0.000037 for i in range(10)]
+    changes = [0.0052 + i * 0.000041 for i in range(10)]
+    runs = {
+        seed: {"parent": run_record(p, 0.06 + p), "change": run_record(c, 0.06 + c)}
+        for seed, p, c in zip(range(21, 31), parents, changes)
+    }
+    path = tmp_path / "BENCH_dse.json"
+    path.write_text(json.dumps(module.summarise(runs), indent=2) + "\n")
+    stored = json.loads(path.read_text())
+    seeds = sorted(stored["runs"], key=int)
+    for name, direction in module.GATED.items():
+        recomputed = module.verdict(
+            [stored["runs"][s]["parent"][name] for s in seeds],
+            [stored["runs"][s]["change"][name] for s in seeds],
+            direction,
+            module.BOUNDS[name],
+        )
+        assert recomputed == stored["verdicts"][name]
+    assert stored["verdicts"]["pass_norm_s"]["verdict"] == "gain"
 
 
 def test_bench_pairs_names_pinning_only_when_every_run_was_pinned():

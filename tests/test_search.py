@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,10 +15,12 @@ from asymtile.arch import (
     ProblemSpec,
     TileConfig,
     buffer_footprint,
+    buffer_terms,
+    c_tile_buffers,
     check_feasible,
     derive_l2_tiles,
 )
-from asymtile.perf import EFF_SOURCES, perf_array
+from asymtile.perf import EFF_SOURCE_CALIBRATION, EFF_SOURCE_CLOSED_FORM, EFF_SOURCES, perf_array
 from asymtile.pipeline import DEFAULT_MICROKERNEL
 from asymtile.schedule import derive_cluster_shape
 from asymtile.search import (
@@ -215,6 +218,82 @@ def test_kernel_sources_keep_the_buildable_full_grid_tiles(case, chains, source)
         return
     result = explore(space, problem, prec, arch, kernel, eff_source=source)
     assert sorted(t.as_tuple() for t, _ in result.entries) == sorted(t.as_tuple() for t in want)
+
+
+@settings(max_examples=100)
+@given(
+    case=search_cases(),
+    source=st.sampled_from([EFF_SOURCE_CALIBRATION, EFF_SOURCE_CLOSED_FORM]),
+    delta=st.integers(0, 800),
+    bandwidth=st.sampled_from([10e9, 65e9, 250e9, 4e12]),
+)
+def test_the_smallest_rho_that_fits_ranks_first_in_each_c_tile(case, source, delta, bandwidth):
+    # At a fixed C tile (t_mc, t_k, t_n) the intensity is the same for every
+    # rho, eff_core falls as rho grows and neither source's eff_micro rises
+    # with it, so the largest t_ma that fits L1 (and, under a kernel source,
+    # builds) ranks first. Fitting is judged here on the exact buffer terms;
+    # the closed-form bound max_t_ma must agree with it.
+    space, prec, arch = case
+    problem = space.divisibility_problem or ProblemSpec(*[2**12 * 3**3] * 3)
+    arch = replace(arch, switch_overhead_delta=delta, offchip_bw=bandwidth)
+    try:
+        result = explore(space, problem, prec, arch, eff_source=source)
+    except EmptySearchSpace:
+        return
+    first: dict[tuple[int, int, int], TileConfig] = {}
+    for tile, _ in result.entries:
+        first.setdefault((tile.t_mc, tile.t_k, tile.t_n), tile)
+    for (t_mc, t_k, t_n), tile in first.items():
+        max_t_ma = c_tile_buffers(t_mc, t_k, t_n, prec, arch)[3]
+        candidates = [
+            TileConfig(t_mc // rho, t_mc, t_k, t_n) for rho in set(space.rho_candidates)
+            if t_mc % rho == 0 and (t_mc // rho) % 8 == 0
+        ]
+        fitting = []
+        for candidate in candidates:
+            fits = math.ceil(sum(buffer_terms(candidate, prec, arch))) <= arch.l1_capacity
+            assert fits == (candidate.t_ma <= max_t_ma), candidate
+            if fits and (source == EFF_SOURCE_CALIBRATION or _builds_kernel(candidate, DEFAULT_MICROKERNEL, source)):
+                fitting.append(candidate.t_ma)
+        assert tile.t_ma == max(fitting), (tile, fitting)
+
+
+# A precision whose buffer terms sum to a fraction of a byte at the tile
+# below, so the ceiling of the footprint is exercised.
+THIRDS = PrecisionSpec(Fraction(5, 3), Fraction(5, 4), Fraction(7, 6))
+
+
+@pytest.mark.parametrize("prec", [CONFIG1, THIRDS], ids=["config1", "thirds"])
+def test_capacity_equal_to_the_footprint_keeps_the_tile(prec):
+    tile = TileConfig(32, 128, 64, 128)
+    exact = buffer_footprint(tile, prec)
+    assert exact == math.ceil(sum(buffer_terms(tile, prec)))
+    space = SearchSpace(
+        t_mc_min=128, t_mc_max=128, t_k_min=64, t_k_max=64, t_n_min=128, t_n_max=128,
+        rho_candidates=(4,),
+    )
+    for capacity, kept in ((exact, True), (exact - 1, False)):
+        arch = replace(DEFAULT_ARCH, l1_capacity=capacity)
+        assert check_feasible(tile, prec, arch) is kept
+        assert (c_tile_buffers(128, 64, 128, prec, arch)[3] >= tile.t_ma) is kept
+        assert enumerate_feasible(space, prec, arch) == ([tile] if kept else [])
+    assert sum(buffer_terms(tile, THIRDS)).denominator > 1
+
+
+def test_enumerate_builds_only_the_tiles_it_returns(monkeypatch):
+    # The closed-form bound decides every tile before one is built, so the
+    # reference space constructs one TileConfig per tile it returns.
+    built = []
+    validate = TileConfig.__post_init__
+
+    def counting(tile):
+        built.append(tile.as_tuple())
+        validate(tile)
+
+    monkeypatch.setattr(TileConfig, "__post_init__", counting)
+    tiles = enumerate_feasible(replace(SearchSpace(), divisibility_problem=PROBLEM), CONFIG1)
+    assert len(tiles) == 215
+    assert built == [tile.as_tuple() for tile in tiles]
 
 
 def test_ranges_past_the_problem_add_nothing():
