@@ -49,7 +49,7 @@ from asymtile.movement import (
     trace_to_csv,
     verify_movement_equivalence,
 )
-from asymtile.perf import EFF_SOURCE_CALIBRATION, EFF_SOURCES, perf_array, unknown_eff_source
+from asymtile.perf import EFF_SOURCE_CALIBRATION, eff_scorer, perf_array
 from asymtile.pipeline import (
     DEFAULT_MICROKERNEL,
     MicrokernelSpec,
@@ -172,8 +172,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     overrides["rho_candidates"] = resolve("rho", _parse_rho)
     space = replace(space, **{k: v for k, v in overrides.items() if v is not None})
     eff_source = resolve("eff_source", lambda value: value, EFF_SOURCE_CALIBRATION)
-    if eff_source not in EFF_SOURCES:
-        raise unknown_eff_source(eff_source)
+    eff_scorer(eff_source)  # an unknown source fails here, before any work
 
     return RunConfig(
         arch=resolve("arch", arch_from_dict, DEFAULT_ARCH),

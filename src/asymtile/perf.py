@@ -1,10 +1,11 @@
 """End-to-end performance model for asymmetric tile buffering.
 
-Combines the intensity closed form with microkernel efficiency into the
-two-sided bound: off-chip bandwidth times achieved intensity on one side,
-aggregate core throughput derated by kernel-switch overhead on the other.
-All internal arithmetic is exact (flops per cycle as rationals); the clock
-rate is applied exactly once when converting to flops per second.
+Combines the intensity closed form with microkernel efficiency, scored by
+one of the sources in :data:`EFF_SOURCES`, into the two-sided bound:
+off-chip bandwidth times achieved intensity on one side, aggregate core
+throughput derated by kernel-switch overhead on the other. All internal
+arithmetic is exact (flops per cycle as rationals); the clock rate is
+applied exactly once when converting to flops per second.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from asymtile.arch import (
     DEFAULT_ARCH,
@@ -40,9 +41,6 @@ BOUND_MEMORY = "memory"
 BOUND_COMPUTE = "compute"
 
 EFF_SOURCE_CALIBRATION = "calibration"
-EFF_SOURCE_CLOSED_FORM = "closed_form"
-EFF_SOURCE_SIMULATED = "simulated"
-EFF_SOURCES = (EFF_SOURCE_CALIBRATION, EFF_SOURCE_CLOSED_FORM, EFF_SOURCE_SIMULATED)
 
 # Measured microkernel efficiency by contraction tile depth, from the modeled
 # machine; linear interpolation between entries, clamped at the ends. The
@@ -74,12 +72,6 @@ def calibrated_eff_micro(t_k: int) -> Fraction:
     raise AssertionError("unreachable: calibration points cover the range")
 
 
-def unknown_eff_source(source) -> ConfigError:
-    """The error for an efficiency source that is not one of
-    :data:`EFF_SOURCES`."""
-    return ConfigError(f"unknown eff_source {source!r}; expected one of {EFF_SOURCES}")
-
-
 def _coerce_eff(value) -> Fraction:
     """``value`` as an efficiency in (0, 1]; a ``Fraction`` is used as given."""
     eff = value if type(value) is Fraction else Fraction(value)
@@ -89,32 +81,55 @@ def _coerce_eff(value) -> Fraction:
     return eff
 
 
+class KernelScorer(NamedTuple):
+    """An efficiency source scoring a tile's own microkernel: ``score`` of the
+    spec :func:`microkernel_for_tile` shapes the base kernel to (else a
+    :class:`~asymtile.pipeline.KernelShapeError`). A score above 1, from
+    ``u_vmac`` > 1, raises a ``ConfigError`` naming ``source``."""
+
+    source: str
+    score: Callable[[MicrokernelSpec], Fraction]
+
+    def __call__(self, tile: TileConfig, base: MicrokernelSpec) -> Fraction:
+        eff = self.score(microkernel_for_tile(tile, base))
+        if eff.numerator > eff.denominator:
+            raise ConfigError(
+                f"{self.source} eff_micro of tile {','.join(map(str, tile.as_tuple()))} is {eff}, "
+                f"above 1: its kernel issues up to u_vmac={base.u_vmac} VMACs per cycle, more than "
+                "the arch peak of one"
+            )
+        return eff
+
+
+# Each efficiency source's scorer (tile, base kernel) -> eff_micro: the
+# calibration table by t_k, the closed-form phase model of the tile's kernel,
+# or its scheduled VMAC issue rate (kernel_run schedules each kernel once).
+EFF_SOURCES = MappingProxyType({
+    EFF_SOURCE_CALIBRATION: lambda tile, base: calibrated_eff_micro(tile.t_k),
+    **{scorer.source: scorer for scorer in (
+        KernelScorer("closed_form", closed_form_eff_micro),
+        KernelScorer("simulated", lambda spec: kernel_run(spec).vmac_issue_rate),
+    )},
+})
+
+
+def eff_scorer(source) -> Callable[[TileConfig, MicrokernelSpec], Fraction]:
+    """The scorer of ``source`` in :data:`EFF_SOURCES`; any other value, a
+    string or not, raises the one unknown-source ``ConfigError``."""
+    scorer = EFF_SOURCES.get(source) if isinstance(source, str) else None
+    if scorer is None:
+        raise ConfigError(f"unknown eff_source {source!r}; expected one of {tuple(EFF_SOURCES)}")
+    return scorer
+
+
 def resolve_eff_micro(
     tile: TileConfig,
     source: str = EFF_SOURCE_CALIBRATION,
     base: MicrokernelSpec = DEFAULT_MICROKERNEL,
 ) -> Fraction:
-    """Microkernel efficiency for ``tile`` from the chosen source:
-    the measured calibration table, the closed-form phase model, or a
-    scheduled run of the constructed kernel DAG. The scheduled run is
-    memoised by :func:`asymtile.schedule.kernel_run`, so each distinct
-    kernel is built and scheduled once per process however many tiles
-    share it. A kernel source scoring above 1 (a kernel with ``u_vmac`` > 1)
-    raises a ``ConfigError`` naming the source, the tile and ``u_vmac``."""
-    if source == EFF_SOURCE_CALIBRATION:
-        return calibrated_eff_micro(tile.t_k)
-    if source == EFF_SOURCE_CLOSED_FORM:
-        eff = closed_form_eff_micro(microkernel_for_tile(tile, base))
-    elif source == EFF_SOURCE_SIMULATED:
-        eff = kernel_run(microkernel_for_tile(tile, base)).vmac_issue_rate
-    else:
-        raise unknown_eff_source(source)
-    if eff.numerator > eff.denominator:
-        raise ConfigError(
-            f"{source} eff_micro of tile {','.join(map(str, tile.as_tuple()))} is {eff}, above 1: "
-            f"its kernel issues up to u_vmac={base.u_vmac} VMACs per cycle, more than the arch peak of one"
-        )
-    return eff
+    """Microkernel efficiency for ``tile`` from ``source``'s scorer
+    (:func:`eff_scorer`), with ``base`` as the base microkernel spec."""
+    return eff_scorer(source)(tile, base)
 
 
 def _eff_core_terms(tiles: list[TileConfig], effs: list[Fraction], arch: ArchSpec) -> list[tuple[int, int]]:

@@ -95,6 +95,11 @@ class MicrokernelSpec:
 DEFAULT_MICROKERNEL = MicrokernelSpec()
 
 
+class KernelShapeError(ConfigError):
+    """:func:`microkernel_for_tile` cannot shape a kernel to a tile, or
+    :func:`asymtile.schedule.check_buildable` cannot build the result."""
+
+
 class LatencyBounds(NamedTuple):
     """All phase and total bounds for one microkernel spec, and the
     efficiency they imply."""
@@ -207,11 +212,12 @@ def microkernel_for_tile(tile: TileConfig, base: MicrokernelSpec = DEFAULT_MICRO
     Each accumulator update (one 8x8x8 VMAC) covers MICROTILE reduction
     elements, so n_accum = t_k / MICROTILE; each cluster produces
     MICROTILE_OUT * chains output elements, so
-    n_clusters = t_ma * t_n / (MICROTILE_OUT * chains).
+    n_clusters = t_ma * t_n / (MICROTILE_OUT * chains), which must be a
+    whole number (else a :class:`KernelShapeError`).
     """
     per_cluster = MICROTILE_OUT * base.chains
     if (tile.t_ma * tile.t_n) % per_cluster != 0:
-        raise ConfigError(
+        raise KernelShapeError(
             f"t_ma*t_n={tile.t_ma * tile.t_n} must be a multiple of {per_cluster}"
         )
     return replace(

@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 from asymtile.arch import ConfigError
 from asymtile.pipeline import (
+    KernelShapeError,
     LatencyBounds,
     LoadClass,
     MicrokernelSpec,
@@ -111,15 +112,15 @@ def _steady_round_load_count(spec: MicrokernelSpec, share_inputs: bool, shape: t
 
 
 def check_buildable(spec: MicrokernelSpec, *, share_inputs: bool = True) -> None:
-    """Raise ``ConfigError`` if :func:`build_microkernel_dag` cannot build
-    ``spec``: shared operands with fewer than two loads per VMAC, or, when
-    a chain runs more than one round, a prolog with fewer loads than a
-    steady round consumes."""
+    """Raise :class:`~asymtile.pipeline.KernelShapeError` if
+    :func:`build_microkernel_dag` cannot build ``spec``: shared operands
+    with fewer than two loads per VMAC, or, when a chain runs more than one
+    round, a prolog with fewer loads than a steady round consumes."""
     if share_inputs and spec.r_load < 2:
-        raise ConfigError("share_inputs needs r_load >= 2 (one row and one column operand)")
+        raise KernelShapeError("share_inputs needs r_load >= 2 (one row and one column operand)")
     per_round = _steady_round_load_count(spec, share_inputs, derive_cluster_shape(spec.chains))
     if spec.n_accum > spec.chains and spec.prolog_load_count < per_round:
-        raise ConfigError(
+        raise KernelShapeError(
             f"prolog supplies {spec.prolog_load_count} loads but a steady round "
             f"consumes {per_round}"
         )

@@ -12,11 +12,11 @@ Enumeration prunes before it builds: divisibility of the problem is tested
 one axis at a time, and the capacity rule
 (:func:`~asymtile.arch.c_tile_buffers`) gives each C tile the largest
 ``t_ma`` that fits L1 in closed form, so a tile is built only if it is
-kept. Ranking prices each C tile's rho group in one
-:func:`~asymtile.perf.compute_side` call over one memory side, and the CSV
-emitter formats each group's shared values once. When the efficiency source
-scores each tile's own microkernel, :func:`explore` drops the tiles the base
-kernel cannot be shaped to before it ranks.
+kept. Ranking looks the efficiency source's scorer up once, leaves out the
+tiles whose kernel it cannot shape, and prices each C tile's rho group in
+one :func:`~asymtile.perf.compute_side` call over one memory side; the CSV
+emitter formats each group's shared values once. :func:`explore` is
+enumeration followed by ranking.
 """
 
 from __future__ import annotations
@@ -42,21 +42,15 @@ from asymtile.arch import (
     require_ints,
 )
 from asymtile.perf import (
+    BOUND_MEMORY,
     EFF_SOURCE_CALIBRATION,
-    EFF_SOURCE_CLOSED_FORM,
-    EFF_SOURCE_SIMULATED,
+    KernelScorer,
     PerfEstimate,
     compute_side,
+    eff_scorer,
     memory_side,
-    resolve_eff_micro,
 )
-from asymtile.pipeline import DEFAULT_MICROKERNEL, MicrokernelSpec, microkernel_for_tile
-from asymtile.schedule import check_buildable
-
-# Efficiency sources that score a tile by its own microkernel, so they can
-# score only tiles that microkernel_for_tile can build a kernel for (and, for
-# the simulated source, that the DAG builder can build).
-KERNEL_EFF_SOURCES = (EFF_SOURCE_CLOSED_FORM, EFF_SOURCE_SIMULATED)
+from asymtile.pipeline import DEFAULT_MICROKERNEL, KernelShapeError, MicrokernelSpec
 
 
 @dataclass(frozen=True)
@@ -108,19 +102,7 @@ class SearchSpace:
 
 
 class EmptySearchSpace(ConfigError):
-    """No tile of the search space passed the enumeration filters."""
-
-
-def _builds_kernel(tile: TileConfig, kernel: MicrokernelSpec, eff_source: str) -> bool:
-    """Whether :func:`microkernel_for_tile` can shape ``kernel`` to ``tile``
-    and, for the simulated source, the DAG builder can build the result."""
-    try:
-        spec = microkernel_for_tile(tile, kernel)
-        if eff_source == EFF_SOURCE_SIMULATED:
-            check_buildable(spec)
-    except ConfigError:
-        return False
-    return True
+    """No tile is left to rank: the filters or the kernel shape removed all."""
 
 
 def enumerate_feasible(
@@ -214,24 +196,31 @@ def rank(
     microkernel spec; derive the symmetric-vs-asymmetric performance ratio
     from the best of each group.
 
-    Each entry equals :func:`~asymtile.perf.perf_array` of its tile. The
-    memory side depends on the C tile alone, so the tiles are grouped by
-    (``t_mc``, ``t_k``, ``t_n``), in any input order: the memory side is
-    worked out once per group and :func:`~asymtile.perf.compute_side`
-    prices each group in one call. Each tile's efficiency is still resolved
-    before its C tile's divisibility is checked, so the first failing tile
-    raises what ``perf_array`` would."""
-    if not configs:
-        raise ConfigError("rank needs at least one tile config")
+    The scorer of ``eff_source`` is looked up once. A tile whose kernel it
+    cannot shape (:class:`~asymtile.pipeline.KernelShapeError`) is left
+    out, and :class:`EmptySearchSpace` is raised if none is left. Each
+    entry equals :func:`~asymtile.perf.perf_array` of its tile. The memory
+    side depends on the C tile alone, so the tiles are grouped by (``t_mc``,
+    ``t_k``, ``t_n``), in any input order: the memory side is worked out
+    once per group and :func:`~asymtile.perf.compute_side` prices each
+    group in one call. Each tile is scored before its C tile's divisibility
+    is checked, so the first failing tile not left out raises what
+    ``perf_array`` would."""
+    scorer = eff_scorer(eff_source)
     groups: dict[tuple[int, int, int], tuple[tuple[Fraction, float], list, list]] = {}
     for tile in configs:
-        eff = resolve_eff_micro(tile, eff_source, kernel)
+        try:
+            eff = scorer(tile, kernel)
+        except KernelShapeError:
+            continue
         c_tile = (tile.t_mc, tile.t_k, tile.t_n)
         group = groups.get(c_tile)
         if group is None:
             group = groups[c_tile] = (memory_side(tile, problem, prec, arch), [], [])
         group[1].append(tile)
         group[2].append(eff)
+    if not groups:
+        raise EmptySearchSpace("rank needs at least one tile config it can score")
     evaluated = []
     for memory, tiles, effs in groups.values():
         evaluated.extend(zip(tiles, compute_side(tiles, effs, memory, prec, arch)))
@@ -261,26 +250,20 @@ def explore(
     *,
     eff_source: str = EFF_SOURCE_CALIBRATION,
 ) -> RankedResult:
-    """Enumerate, evaluate, and rank in one step over ``space``, constrained
-    to tiles that divide ``problem`` exactly, with ``kernel`` as the base
-    microkernel spec. When ``eff_source`` scores each tile's own
-    microkernel, only the tiles that :func:`microkernel_for_tile` can shape
-    ``kernel`` to, and that the simulated source's DAG builder can build,
-    are ranked. Whether a kernel builds is not monotone in any
-    axis, so that filter runs on the enumerated tiles and never ends a walk.
-    Raises :class:`EmptySearchSpace`, naming the filters that ran, when no
-    tile is left."""
+    """:func:`enumerate_feasible` over ``space``, constrained to tiles that
+    divide ``problem`` exactly, then :func:`rank` with ``kernel`` as the
+    base microkernel spec. Raises :class:`EmptySearchSpace`, naming the
+    filters that ran, when no tile is left."""
     configs = enumerate_feasible(replace(space, divisibility_problem=problem), prec, arch)
-    filters = "buffer capacity and divisibility"
-    if eff_source in KERNEL_EFF_SOURCES:
-        configs = [tile for tile in configs if _builds_kernel(tile, kernel, eff_source)]
-        filters = "buffer capacity, divisibility and kernel shape"
-    if not configs:
+    try:
+        return rank(configs, problem, prec, arch, eff_source, kernel)
+    except EmptySearchSpace:
+        filters = "buffer capacity and divisibility"
+        if isinstance(eff_scorer(eff_source), KernelScorer):
+            filters = "buffer capacity, divisibility and kernel shape"
         raise EmptySearchSpace(
-            "no feasible tile configuration in the search space "
-            f"({filters} filters removed everything)"
-        )
-    return rank(configs, problem, prec, arch, eff_source, kernel)
+            f"no feasible tile configuration in the search space ({filters} filters removed everything)"
+        ) from None
 
 
 # -- emitters ------------------------------------------------------------------
@@ -314,26 +297,20 @@ def estimate_csv_row(tile: TileConfig, est: PerfEstimate, floats: dict[int, str]
     """One CSV row of ``RANK_CSV_COLUMNS``. Rows built with one ``floats``
     dict (:func:`_cached`) convert a shared value once: the tiles of one C
     tile share one ``ai_array`` and one memory bound, and the tiles of one
-    ``t_k`` the cached calibration ``eff_micro``. ``perf_array`` is one of
-    the two bound objects, so it reuses that bound's text; ``eff_core`` is
-    converted by the int division of its numerator by its denominator,
+    ``t_k`` the cached calibration ``eff_micro``. ``perf_array`` is the
+    bound ``bound_kind`` names, so it reuses that bound's text; ``eff_core``
+    is converted by the int division of its numerator by its denominator,
     which rounds as ``float(eff_core)`` does."""
     floats = {} if floats is None else floats
     memory = _cached(est.memory_bound, floats, ".3g", 1e12)
     compute = f"{est.compute_bound / 1e12:.3g}"
-    perf = est.perf_array
-    if perf is est.memory_bound:
-        perf_text = memory
-    elif perf is est.compute_bound:
-        perf_text = compute
-    else:
-        perf_text = f"{perf / 1e12:.3g}"
+    perf = memory if est.bound_kind == BOUND_MEMORY else compute
     eff_core = est.eff_core
     return (
         f"{tile.t_ma},{tile.t_mc},{tile.t_k},{tile.t_n},{tile.rho},"
         f"{est.buffer_bytes},{est.feasible},{_cached(est.ai_array, floats, '.4f')},"
         f"{_cached(est.eff_micro, floats, '.4f')},{eff_core.numerator / eff_core.denominator:.4f},"
-        f"{memory},{compute},{perf_text},{est.bound_kind}"
+        f"{memory},{compute},{perf},{est.bound_kind}"
     )
 
 

@@ -119,16 +119,23 @@ def test_zero_cluster_kernel_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "error: n_clusters must be >= 1, got 0\n"
 
 
-@pytest.mark.parametrize("given", ["flag", "config"])
-def test_unknown_eff_source_exits_3(tmp_path, capsys, given):
+@pytest.mark.parametrize(
+    "given, value",
+    [("flag", "vibes"), ("config", "vibes"), ("config", ["calibration"]),
+     ("config", {"calibration": 1}), ("config", 3), ("config", None)],
+    ids=["flag", "config", "config-list", "config-object", "config-number", "config-null"],
+)
+def test_unknown_eff_source_exits_3(tmp_path, capsys, given, value):
+    # A config value of any JSON type, hashable or not, gets the one
+    # unknown-source message, with no traceback.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"eff_source": "vibes"} if given == "config" else {}))
-    flag = ("--eff-source", "vibes") if given == "flag" else ()
+    cfg.write_text(json.dumps({"eff_source": value} if given == "config" else {}))
+    flag = ("--eff-source", value) if given == "flag" else ()
     code, text = run_cli("search", "--problem", "4096x4096x2048", "--config", str(cfg), *flag)
     assert code == EXIT_CONFIG_ERROR
     assert text == ""
     assert capsys.readouterr().err == (
-        "error: unknown eff_source 'vibes'; expected one of "
+        f"error: unknown eff_source {value!r}; expected one of "
         "('calibration', 'closed_form', 'simulated')\n"
     )
 

@@ -18,8 +18,6 @@ from asymtile.perf import (
     BOUND_MEMORY,
     EFF_MICRO_CALIBRATION,
     EFF_SOURCE_CALIBRATION,
-    EFF_SOURCE_CLOSED_FORM,
-    EFF_SOURCE_SIMULATED,
     calibrated_eff_micro,
     eff_core,
     perf_array,
@@ -135,9 +133,9 @@ def test_calibration_table():
 
 def test_resolve_sources():
     assert resolve_eff_micro(REF_TILE, EFF_SOURCE_CALIBRATION) == Fraction(63, 100)
-    closed = resolve_eff_micro(REF_TILE, EFF_SOURCE_CLOSED_FORM)
+    closed = resolve_eff_micro(REF_TILE, "closed_form")
     assert closed == Fraction(8, 25)
-    simulated = resolve_eff_micro(REF_TILE, EFF_SOURCE_SIMULATED)
+    simulated = resolve_eff_micro(REF_TILE, "simulated")
     assert 0 < simulated <= closed
     message = "unknown eff_source 'guesswork'; expected one of ('calibration', 'closed_form', 'simulated')"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

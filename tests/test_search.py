@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,15 +22,13 @@ from asymtile.arch import (
     check_feasible,
     derive_l2_tiles,
 )
-from asymtile.perf import EFF_SOURCE_CALIBRATION, EFF_SOURCE_CLOSED_FORM, EFF_SOURCES, perf_array
-from asymtile.pipeline import DEFAULT_MICROKERNEL
-from asymtile.schedule import derive_cluster_shape
+from asymtile.perf import EFF_SOURCE_CALIBRATION, EFF_SOURCES, perf_array
+from asymtile.pipeline import DEFAULT_MICROKERNEL, KernelShapeError, microkernel_for_tile
+from asymtile.schedule import check_buildable, derive_cluster_shape
 from asymtile.search import (
-    KERNEL_EFF_SOURCES,
     EmptySearchSpace,
     RankedResult,
     SearchSpace,
-    _builds_kernel,
     enumerate_feasible,
     explore,
     rank,
@@ -223,7 +223,7 @@ def test_kernel_sources_keep_the_buildable_full_grid_tiles(case, chains, source)
 @settings(max_examples=100)
 @given(
     case=search_cases(),
-    source=st.sampled_from([EFF_SOURCE_CALIBRATION, EFF_SOURCE_CLOSED_FORM]),
+    source=st.sampled_from([EFF_SOURCE_CALIBRATION, "closed_form"]),
     delta=st.integers(0, 800),
     bandwidth=st.sampled_from([10e9, 65e9, 250e9, 4e12]),
 )
@@ -253,7 +253,7 @@ def test_the_smallest_rho_that_fits_ranks_first_in_each_c_tile(case, source, del
         for candidate in candidates:
             fits = math.ceil(sum(buffer_terms(candidate, prec, arch))) <= arch.l1_capacity
             assert fits == (candidate.t_ma <= max_t_ma), candidate
-            if fits and (source == EFF_SOURCE_CALIBRATION or _builds_kernel(candidate, DEFAULT_MICROKERNEL, source)):
+            if fits and (source == EFF_SOURCE_CALIBRATION or shape_error(candidate, source) is None):
                 fitting.append(candidate.t_ma)
         assert tile.t_ma == max(fitting), (tile, fitting)
 
@@ -377,6 +377,24 @@ def test_rank_single_symmetric_config():
     assert result.atb_gain == 1.0
 
 
+def test_closed_form_explore_shapes_each_tile_once(monkeypatch):
+    # The reference space keeps 215 tiles; the closed-form source can score
+    # the 167 whose kernel can be shaped. Each of the 215 is shaped once, by
+    # its scorer, and no filter shapes it again beforehand.
+    calls = []
+
+    def counting(tile, base):
+        calls.append(tile)
+        return microkernel_for_tile(tile, base)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("asymtile.") and getattr(module, "microkernel_for_tile", None) is microkernel_for_tile:
+            monkeypatch.setattr(module, "microkernel_for_tile", counting)
+    result = explore(SearchSpace(), PROBLEM, CONFIG1, eff_source="closed_form")
+    assert len(result.entries) == 167
+    assert len(calls) == 215
+
+
 def test_reference_search_outcome():
     result = explore(SearchSpace(), PROBLEM, CONFIG1)
     best_tile, best_est = result.best_overall
@@ -400,41 +418,64 @@ def test_rank_is_deterministic_and_sorted():
 
 # C tiles (t_mc, t_k, t_n) and the rhos each admits (t_ma = t_mc / rho a
 # multiple of 8). Every L2 tile divides PROBLEM; the larger ones overflow L1,
-# and no kernel can be shaped to t_n = 16.
+# and no kernel can be shaped to t_ma = 8 with t_n = 16.
 RANK_C_TILES = [
     (t_mc, t_k, t_n) for t_mc in (32, 64, 128, 256) for t_k in (64, 128) for t_n in (16, 32, 128, 256)
 ]
 RANK_RHOS = (1, 2, 4, 8)
 
 
+def shape_error(tile, source):
+    """The message of the error shaping the default kernel to ``tile`` under
+    a kernel ``source`` raises (building it too, under the simulated one),
+    or None when the source can score the tile."""
+    if source == EFF_SOURCE_CALIBRATION:
+        return None
+    try:
+        spec = microkernel_for_tile(tile, DEFAULT_MICROKERNEL)
+        if source == "simulated":
+            check_buildable(spec)
+    except KernelShapeError as exc:
+        return str(exc)
+    return None
+
+
 @st.composite
-def c_tile_lists(draw, c_tiles, source):
-    """A shuffled list of tiles over a few C tiles, several rhos each; under a
-    kernel source, only tiles whose kernel builds."""
+def c_tile_lists(draw, c_tiles):
+    """A shuffled list of tiles over a few C tiles, several rhos each, kernel
+    sources' unshapable tiles included."""
     tiles = []
     for t_mc, t_k, t_n in draw(st.lists(st.sampled_from(c_tiles), min_size=1, max_size=5, unique=True)):
         rhos = [r for r in RANK_RHOS if t_mc % r == 0 and (t_mc // r) % 8 == 0]
         for rho in draw(st.lists(st.sampled_from(rhos), min_size=1, max_size=len(rhos), unique=True)):
-            tile = TileConfig(t_mc // rho, t_mc, t_k, t_n)
-            if source not in KERNEL_EFF_SOURCES or _builds_kernel(tile, DEFAULT_MICROKERNEL, source):
-                tiles.append(tile)
-    assume(tiles)
+            tiles.append(TileConfig(t_mc // rho, t_mc, t_k, t_n))
     return draw(st.permutations(tiles))
 
 
 @st.composite
 def rank_inputs(draw):
-    source = draw(st.sampled_from(EFF_SOURCES))
+    source = draw(st.sampled_from(tuple(EFF_SOURCES)))
     prec = PRECISION_PRESETS[draw(st.sampled_from(sorted(PRECISION_PRESETS)))]
-    return draw(c_tile_lists(RANK_C_TILES, source)), prec, source
+    return draw(c_tile_lists(RANK_C_TILES)), prec, source
 
 
 @settings(max_examples=60)
 @given(rank_inputs())
 def test_rank_entries_equal_perf_array(case):
+    # rank leaves out exactly the tiles whose kernel the source cannot
+    # shape, and perf_array still raises the shaping error on those.
     tiles, prec, source = case
+    scored = [tile for tile in tiles if shape_error(tile, source) is None]
+    for tile in tiles:
+        if shape_error(tile, source) is not None:
+            with pytest.raises(KernelShapeError, match=f"^{re.escape(shape_error(tile, source))}$"):
+                perf_array(tile, PROBLEM, prec, eff_source=source)
+    if not scored:
+        with pytest.raises(EmptySearchSpace):
+            rank(tiles, PROBLEM, prec, eff_source=source)
+        return
     result = rank(tiles, PROBLEM, prec, eff_source=source)
-    assert sorted(tile.as_tuple() for tile, _ in result.entries) == sorted(t.as_tuple() for t in tiles)
+    assert sorted(tile.as_tuple() for tile, _ in result.entries) == sorted(t.as_tuple() for t in scored)
     for tile, est in result.entries:
         want = perf_array(tile, PROBLEM, prec, eff_source=source)
         for field in want._fields:
@@ -451,21 +492,23 @@ K_ONLY_PROBLEM = ProblemSpec(4096, 64 * 63, 2048)
 @settings(max_examples=60)
 @given(st.data())
 def test_rank_raises_perf_arrays_error_for_the_first_t_k_that_does_not_divide(data):
-    source = data.draw(st.sampled_from(EFF_SOURCES))
+    source = data.draw(st.sampled_from(tuple(EFF_SOURCES)))
     good = data.draw(c_tile_lists([(t_mc, t_k, t_n) for t_mc, t_k, t_n in RANK_C_TILES
-                                   if t_k == 64] + [(64, 192, 128)], source))
+                                   if t_k == 64] + [(64, 192, 128)]))
     tiles = list(good)
     # Each bad tile goes after a good tile of the same (t_mc, t_n), so a
     # memo that left t_k out of its key would serve it the good one's side.
     for _ in range(data.draw(st.integers(1, 3))):
         sibling = data.draw(st.sampled_from(good))
         bad = TileConfig(sibling.t_ma, sibling.t_mc, data.draw(st.sampled_from((128, 256))), sibling.t_n)
-        if source in KERNEL_EFF_SOURCES and not _builds_kernel(bad, DEFAULT_MICROKERNEL, source):
-            continue
         after = tiles.index(sibling) + 1
         tiles.insert(data.draw(st.integers(after, len(tiles))), bad)
+    # rank leaves out the tiles whose kernel cannot be shaped, so the first
+    # error it raises is that of the first other tile that fails.
     first_error = None
     for tile in tiles:
+        if shape_error(tile, source) is not None:
+            continue
         try:
             perf_array(tile, K_ONLY_PROBLEM, CONFIG1, eff_source=source)
         except ConfigError as exc:
