@@ -197,8 +197,9 @@ def rank(
     from the best of each group.
 
     The scorer of ``eff_source`` is looked up once. A tile whose kernel it
-    cannot shape (:class:`~asymtile.pipeline.KernelShapeError`) is left
-    out, and :class:`EmptySearchSpace` is raised if none is left. Each
+    cannot shape (:class:`~asymtile.pipeline.KernelShapeError`; not monotone
+    in any axis, so enumeration cannot prune on it) is left out, and
+    :class:`EmptySearchSpace` is raised if none is left. Each
     entry equals :func:`~asymtile.perf.perf_array` of its tile. The memory
     side depends on the C tile alone, so the tiles are grouped by (``t_mc``,
     ``t_k``, ``t_n``), in any input order: the memory side is worked out

@@ -465,11 +465,12 @@ def test_rank_entries_equal_perf_array(case):
     # rank leaves out exactly the tiles whose kernel the source cannot
     # shape, and perf_array still raises the shaping error on those.
     tiles, prec, source = case
-    scored = [tile for tile in tiles if shape_error(tile, source) is None]
-    for tile in tiles:
-        if shape_error(tile, source) is not None:
-            with pytest.raises(KernelShapeError, match=f"^{re.escape(shape_error(tile, source))}$"):
+    errors = [shape_error(tile, source) for tile in tiles]
+    for tile, error in zip(tiles, errors):
+        if error is not None:
+            with pytest.raises(KernelShapeError, match=f"^{re.escape(error)}$"):
                 perf_array(tile, PROBLEM, prec, eff_source=source)
+    scored = [tile for tile, error in zip(tiles, errors) if error is None]
     if not scored:
         with pytest.raises(EmptySearchSpace):
             rank(tiles, PROBLEM, prec, eff_source=source)
