@@ -10,14 +10,20 @@ of stdout and stderr as text. The cases cover ``search`` in text, csv and
 table2 form under each efficiency source, on the reference problem and on a
 config2 pair, plus spaces that nothing survives under each source; ``eval``
 in text and csv form under each source, plus an infeasible tile;
-``simulate movement`` at the core and the array, a verification sweep and
-an array walk the problem does not divide; ``simulate schedule`` plain, for
-a tile, a verification sweep and a ``--dump``; and one flag-only line of
-each class of configuration error.
+``simulate movement`` at the core and the array, a verification sweep, an
+array walk the problem does not divide and a tile over capacity at each
+boundary; ``simulate schedule`` plain, for a tile, a verification sweep and
+a ``--dump``; one flag-only line of each class of configuration error; and
+one config document per top-level key, plus an unknown top-level key and an
+unknown key inside a section.
 
-A ``--dump`` path in a case is the placeholder ``DUMP``: the run writes to a
-temporary file, its entry also holds the sha256 of what was written, and
-the temporary path reads as ``DUMP`` again in the recorded stdout.
+A case is an argv list, or a dict of ``argv`` and a JSON ``config``
+document (:func:`with_config`). A ``--dump`` path in a case is the
+placeholder ``DUMP`` and a ``--config`` path the placeholder ``CONFIG``:
+the run writes the dump to, or reads the document from, a temporary file,
+and the temporary path reads as the placeholder again in the recorded
+output. An entry also holds the document it ran with and the sha256 of a
+dump.
 
 Record the file from the code whose bytes it pins, and again only in a
 change that means to move a report; ``tests/test_cli.py`` replays it.
@@ -40,6 +46,13 @@ SOURCES = ("calibration", "closed_form", "simulated")
 PROBLEMS = (("4096x4096x2048", "config1"), ("2048x4096x2048", "config2"))
 REFERENCE = ("--problem", "4096x4096x2048", "--tile", "32,128,64,128")
 DUMP = "<dump>"
+CONFIG = "<config>"
+
+
+def with_config(config: dict, *argv: str) -> dict:
+    """A case that runs ``argv`` with ``config`` as its ``--config`` file."""
+    return {"argv": [*argv, "--config", CONFIG], "config": config}
+
 
 CASES = (
     *(
@@ -68,6 +81,12 @@ CASES = (
     # t_mc = 128 divides m = 4224; the array's 512-row L2 tile does not.
     ["simulate", "movement", "--problem", "4224x4096x2048", "--tile", "32,128,64,128",
      "--boundary", "array"],
+    # B and C alone take 80 KB of the 63 KB L1, at either boundary.
+    *(
+        ["simulate", "movement", "--problem", "4096x4096x2048", "--tile", "128,128,64,128",
+         "--boundary", boundary]
+        for boundary in ("core", "array")
+    ),
     ["simulate", "schedule"],
     ["simulate", "schedule", "--tile", "32,128,64,128"],
     ["simulate", "schedule", "--verify", "100", "--seed", "11"],
@@ -90,6 +109,21 @@ CASES = (
     ["search", "--problem", "4096x4096x2048", "--step", "12"],
     ["eval", *REFERENCE, "--config", "no-such-dir/config.json"],
     ["simulate", "schedule", "--dump", "no-such-dir/schedule.csv"],
+    # Config documents, one per top-level key, then the two unknown keys.
+    with_config({"arch": {"offchip_bw": 1.3e11, "switch_overhead_delta": 0}}, "eval", *REFERENCE),
+    with_config({"precision": {"byte_cost_a": "3/2", "byte_cost_b": 1, "byte_cost_c": 2}},
+                "eval", *REFERENCE),
+    with_config({"problem": {"m": 2048, "k": 4096, "n": 2048}},
+                "eval", "--tile", "32,128,64,128"),
+    with_config({"tile": {"t_ma": 16, "t_mc": 128, "t_k": 64, "t_n": 128}},
+                "eval", "--problem", "4096x4096x2048"),
+    with_config({"search": {"t_mc_max": 128, "t_n_max": 128, "rho_candidates": [1, 2]}},
+                "search", "--problem", "4096x4096x2048"),
+    with_config({"microkernel": {"l_store": 3}}, "eval", *REFERENCE, "--eff-source", "closed_form"),
+    with_config({"eff_source": "closed_form"}, "eval", *REFERENCE),
+    with_config({"eff_micro": 0.5}, "eval", *REFERENCE),
+    with_config({"tiles": [32, 128, 64, 128]}, "eval", *REFERENCE),
+    with_config({"arch": {"l1_size": 32768}}, "eval", *REFERENCE),
 )
 
 
@@ -100,30 +134,38 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_case(argv: list[str]) -> dict:
+def split_case(case) -> tuple[list[str], dict | None]:
+    """The argv and the config document (None without one) of a case."""
+    if isinstance(case, dict):
+        return list(case["argv"]), case["config"]
+    return list(case), None
+
+
+def run_case(argv: list[str], config: dict | None = None) -> dict:
     """One in-process CLI run as a golden entry."""
-    dump = None
-    if DUMP in argv:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = str(Path(tmp) / "schedule.csv")
-            code, out, err = _run([path if arg == DUMP else arg for arg in argv])
-            dump = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        out, err = out.replace(path, DUMP), err.replace(path, DUMP)
-    else:
-        code, out, err = _run(argv)
-    entry = {
-        "argv": list(argv),
-        "exit": code,
-        "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
-        "stderr": err,
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {DUMP: str(Path(tmp) / "schedule.csv"), CONFIG: str(Path(tmp) / "config.json")}
+        if config is not None:
+            Path(paths[CONFIG]).write_text(json.dumps(config))
+        code, out, err = _run([paths.get(arg, arg) for arg in argv])
+        dump = hashlib.sha256(Path(paths[DUMP]).read_bytes()).hexdigest() if DUMP in argv else None
+    for placeholder, path in paths.items():
+        out, err = out.replace(path, placeholder), err.replace(path, placeholder)
+    entry = {"argv": list(argv)}
+    if config is not None:
+        entry["config"] = config
+    entry.update(
+        exit=code,
+        stdout_sha256=hashlib.sha256(out.encode()).hexdigest(),
+        stderr=err,
+    )
     if dump is not None:
         entry["dump_sha256"] = dump
     return entry
 
 
 def main() -> int:
-    entries = [run_case(case) for case in CASES]
+    entries = [run_case(*split_case(case)) for case in CASES]
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {GOLDEN.name}")
     return 0

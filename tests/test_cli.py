@@ -186,12 +186,14 @@ def test_search_symmetric_only_gain_is_one():
 
 def test_search_and_eval_bytes_match_the_golden_file():
     # scripts/record_cli_golden.py recorded each case's exit code, stdout
-    # sha256 and stderr; every case must replay to the same bytes.
+    # sha256 and stderr; every case, with its config document if it has one,
+    # must replay to the same bytes.
     recorder = load_script("record_cli_golden.py")
     golden = json.loads(recorder.GOLDEN.read_text())
-    assert [entry["argv"] for entry in golden] == [list(case) for case in recorder.CASES]
+    cases = [recorder.split_case(case) for case in recorder.CASES]
+    assert [(entry["argv"], entry.get("config")) for entry in golden] == cases
     for entry in golden:
-        assert recorder.run_case(entry["argv"]) == entry
+        assert recorder.run_case(entry["argv"], entry.get("config")) == entry
 
 
 def test_search_empty_space_exits_2():
