@@ -15,14 +15,13 @@ The gated metrics are the ``end_to_end`` entries of ``BENCHMARK.json``
 (``pass_norm_s`` and ``setup_s``), each with the direction its ``better``
 names. The summary is written to ``BENCH_<W>.json`` at the repository root.
 Per side it holds the median and quartiles (inclusive method) of each gated
-metric and of ``peak_rss_mb``. For each gated metric it counts the seeds on
-which the change's value is better (ties count for neither), in
-``change_wins``. It also says whether both sides have the same fingerprint
-on every seed and whether every run was correct with no failed operation,
-and lists each seed's runs. Every figure is stored unrounded, so
-``verdict`` on the stored runs gives the stored verdicts. The script prints
-each seed's gated pairs as it goes, then one line per gated metric with both
-sides' medians, the change's wins and the metric's verdict.
+metric and of ``peak_rss_mb``. It also says whether both sides have the
+same fingerprint on every seed and whether every run was correct with no
+failed operation, and lists each seed's runs. Every figure is stored
+unrounded, so ``verdict`` on the stored runs gives the stored verdicts. The
+script prints each seed's gated pairs as it goes, then one line per gated
+metric with both sides' medians, the change's wins and the metric's
+verdict.
 
 The verdict rule, in ``verdicts`` of the summary. Per gated metric, a win is
 a seed on which the change is better and a loss one on which the parent is
@@ -159,13 +158,6 @@ def summarise(runs: dict[int, dict[str, dict]]) -> dict:
             name: quartiles([runs[s][side][name] for s in seeds])
             for name in METRICS
         }
-    summary["change_wins"] = {
-        name: sum(
-            better(runs[s]["change"][name], runs[s]["parent"][name], direction)
-            for s in seeds
-        )
-        for name, direction in GATED.items()
-    }
     summary["verdicts"] = {
         name: verdict(
             [runs[s]["parent"][name] for s in seeds],

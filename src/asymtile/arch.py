@@ -255,51 +255,26 @@ class TileConfig:
         return (self.t_ma, self.t_mc, self.t_k, self.t_n)
 
 
-def _buffer_numerators(
-    t_mc: int, t_k: int, t_n: int, prec: PrecisionSpec, arch: ArchSpec
-) -> tuple[int, int, int, int]:
-    """``(a_row, n_b, n_c, den)``: the numerators of :func:`buffer_terms`
-    for the C tile ``(t_mc, t_k, t_n)`` over the precision's common
-    denominator ``den``. The A term depends on ``t_ma`` as well: a tile that
-    stages ``t_ma`` rows of A has the A numerator ``a_row * t_ma``."""
-    a, b, c, den = prec.cost_numerators
-    return (
-        arch.buffer_multiplier_a * a * t_k,
-        arch.buffer_multiplier_b * b * t_k * t_n,
-        arch.buffer_multiplier_c * c * t_mc * t_n,
-        den,
-    )
-
-
 def c_tile_buffers(
     t_mc: int, t_k: int, t_n: int, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH
 ) -> tuple[int, int, int, int]:
     """``(a_row, n_bc, den, max_t_ma)`` for the C tile ``(t_mc, t_k, t_n)``,
     the capacity rule in one place.
 
-    A tile of this C tile that stages ``t_ma`` rows of A needs ``(a_row *
-    t_ma + n_bc) / den`` bytes of L1, with ``n_bc`` the B and C numerators
-    of :func:`_buffer_numerators`. Its footprint, the ceiling of that, is at
-    most ``l1_capacity`` exactly when the numerator is at most
-    ``l1_capacity * den``, i.e. when ``t_ma <= max_t_ma = (l1_capacity * den
-    - n_bc) // a_row``. ``max_t_ma`` is negative when B and C alone
-    overflow L1."""
-    a_row, n_b, n_c, den = _buffer_numerators(t_mc, t_k, t_n, prec, arch)
-    n_bc = n_b + n_c
+    L1 holds ``buffer_multiplier_a`` copies of the ``t_ma x t_k`` A slice,
+    ``buffer_multiplier_b`` copies of the ``t_k x t_n`` B slice and
+    ``buffer_multiplier_c`` copies of the ``t_mc x t_n`` C tile, each at
+    its operand's byte cost. Over the precision's common denominator
+    ``den`` that is ``(a_row * t_ma + n_bc) / den`` bytes, with ``a_row``
+    the A numerator per staged row and ``n_bc`` the B and C numerators.
+    The footprint, the ceiling of that, is at most ``l1_capacity`` exactly
+    when the numerator is at most ``l1_capacity * den``, i.e. when ``t_ma
+    <= max_t_ma = (l1_capacity * den - n_bc) // a_row``. ``max_t_ma`` is
+    negative when B and C alone overflow L1."""
+    a, b, c, den = prec.cost_numerators
+    a_row = arch.buffer_multiplier_a * a * t_k
+    n_bc = (arch.buffer_multiplier_b * b * t_k + arch.buffer_multiplier_c * c * t_mc) * t_n
     return a_row, n_bc, den, (arch.l1_capacity * den - n_bc) // a_row
-
-
-def buffer_terms(
-    tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact L1 bytes staged for each of A, B and C.
-
-    Counts multiplier_a copies of the a-cost t_ma x t_k A slice, multiplier_b
-    copies of the t_k x t_n B slice, and multiplier_c copies of the c-cost
-    t_mc x t_n C tile.
-    """
-    a_row, n_b, n_c, den = _buffer_numerators(tile.t_mc, tile.t_k, tile.t_n, prec, arch)
-    return Fraction(a_row * tile.t_ma, den), Fraction(n_b, den), Fraction(n_c, den)
 
 
 def footprint_bytes(a_row: int, n_bc: int, den: int, t_ma: int) -> int:
@@ -310,9 +285,9 @@ def footprint_bytes(a_row: int, n_bc: int, den: int, t_ma: int) -> int:
 
 
 def buffer_footprint(tile: TileConfig, prec: PrecisionSpec, arch: ArchSpec = DEFAULT_ARCH) -> int:
-    """Exact L1 bytes needed by the tile buffers (the sum of
-    :func:`buffer_terms`), rounded up to whole bytes. The sum and the
-    ceiling are taken on the integer numerators, so no Fraction is built."""
+    """Exact L1 bytes needed by the tile buffers (:func:`c_tile_buffers`),
+    rounded up to whole bytes. The sum and the ceiling are taken on the
+    integer numerators, so no Fraction is built."""
     a_row, n_bc, den, _ = c_tile_buffers(tile.t_mc, tile.t_k, tile.t_n, prec, arch)
     return footprint_bytes(a_row, n_bc, den, tile.t_ma)
 

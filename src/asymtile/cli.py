@@ -37,7 +37,6 @@ from asymtile.arch import (
     TileConfig,
     arch_from_dict,
     buffer_footprint,
-    check_feasible,
     precision_from_value,
     problem_from_value,
     tile_from_value,
@@ -296,8 +295,8 @@ def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
     problem = _require(cfg.problem, "a problem size (--problem or config)")
     # The per-core tile must fit L1 at either boundary; the array boundary
     # walks the grid's L2 tile built from it.
-    if not check_feasible(tile, cfg.prec, cfg.arch):
-        footprint = buffer_footprint(tile, cfg.prec, cfg.arch)
+    footprint = buffer_footprint(tile, cfg.prec, cfg.arch)
+    if footprint > cfg.arch.l1_capacity:
         return _report_infeasible(footprint, cfg.arch, out)
     trace = simulate_movement(
         problem, tile, cfg.prec, cfg.arch, boundary=args.boundary

@@ -13,7 +13,6 @@ must agree as exact rationals.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -27,7 +26,7 @@ from asymtile.arch import (
     PrecisionSpec,
     ProblemSpec,
     TileConfig,
-    buffer_terms,
+    buffer_footprint,
     derive_l2_tiles,
     require_divides,
 )
@@ -79,24 +78,18 @@ def walk_nest(
     row subtile ``r``, and ``write_c(i, j)`` once the tile's contraction is
     done.
 
-    Residency is :func:`buffer_terms` of ``arch``, the same at every step.
-    With ``capacity`` given, it is charged operand by operand before the
-    first step, and the first operand that takes it over capacity raises
-    :class:`BufferOverflowError`. The loop counts steps as integers; each
-    count meets its exact byte cost once, when the trace is built.
+    Residency is :func:`buffer_footprint` of ``arch``, the same at every
+    step. With ``capacity`` given, a footprint over it raises
+    :class:`BufferOverflowError` before the first step. The loop counts
+    steps as integers; each count meets its exact byte cost once, when the
+    trace is built.
     """
     m, k, n = problem.m, problem.k, problem.n
     t_ma, t_mc, t_k, t_n = tile.as_tuple()
     require_divides(problem, (t_mc, t_k, t_n), "tile")
-    occupancy = Fraction(0)
-    for operand, term in zip("ABC", buffer_terms(tile, prec, arch)):
-        occupancy += term
-        used = math.ceil(occupancy)
-        if capacity is not None and used > capacity:
-            raise BufferOverflowError(
-                f"step (i=0, j=0, kk=0): staging {operand} raises occupancy "
-                f"to {used} B over capacity {capacity} B"
-            )
+    used = buffer_footprint(tile, prec, arch)
+    if capacity is not None and used > capacity:
+        raise BufferOverflowError(f"tile buffers need {used} B, over capacity {capacity} B")
 
     rho = tile.rho
     steps_a = steps_b = steps_c = 0
@@ -119,7 +112,7 @@ def walk_nest(
         bytes_b=steps_b * prec.byte_cost_b * (t_k * t_n),
         bytes_c=steps_c * prec.byte_cost_c * (t_mc * t_n),
         flops=steps_a * 2 * t_ma * t_k * t_n,
-        peak_l1_occupancy=math.ceil(occupancy),
+        peak_l1_occupancy=used,
         evictions_a=steps_a,
     )
 

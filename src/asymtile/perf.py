@@ -122,16 +122,6 @@ def eff_scorer(source) -> Callable[[TileConfig, MicrokernelSpec], Fraction]:
     return scorer
 
 
-def resolve_eff_micro(
-    tile: TileConfig,
-    source: str = EFF_SOURCE_CALIBRATION,
-    base: MicrokernelSpec = DEFAULT_MICROKERNEL,
-) -> Fraction:
-    """Microkernel efficiency for ``tile`` from ``source``'s scorer
-    (:func:`eff_scorer`), with ``base`` as the base microkernel spec."""
-    return eff_scorer(source)(tile, base)
-
-
 def _eff_core_terms(tiles: list[TileConfig], effs: list[Fraction], arch: ArchSpec) -> list[tuple[int, int]]:
     """The numerator and denominator of :func:`eff_core`, ``p·W`` and
     ``q·W + p·S``, for each of ``tiles``, tiles of one C tile, at its
@@ -263,5 +253,5 @@ def perf_array(
     ``eff_source``, with ``kernel`` as the base microkernel spec. The
     efficiency is resolved before the problem's divisibility is checked.
     """
-    eff = resolve_eff_micro(tile, eff_source, kernel) if eff_micro is None else _coerce_eff(eff_micro)
+    eff = eff_scorer(eff_source)(tile, kernel) if eff_micro is None else _coerce_eff(eff_micro)
     return compute_side([tile], [eff], memory_side(tile, problem, prec, arch), prec, arch)[0]

@@ -24,3 +24,13 @@ def load_script(name: str):
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def reference_buffer_terms(tile, prec, arch):
+    """Exact L1 bytes staged for each of A, B and C, from the byte costs
+    directly: the specification ``arch.c_tile_buffers`` must meet."""
+    return (
+        arch.buffer_multiplier_a * prec.byte_cost_a * (tile.t_ma * tile.t_k),
+        arch.buffer_multiplier_b * prec.byte_cost_b * (tile.t_k * tile.t_n),
+        arch.buffer_multiplier_c * prec.byte_cost_c * (tile.t_mc * tile.t_n),
+    )

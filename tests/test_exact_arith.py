@@ -1,18 +1,20 @@
 """The integer closed forms equal the chained-Fraction formulas exactly.
 
-``buffer_terms``, ``buffer_footprint``, ``check_feasible``, ``ai_tile``,
-``ai_array``, ``eff_core`` and ``calibrated_eff_micro`` compute on integer
-numerators over the precision's common byte-cost denominator and build each
-rational once. The ``reference_*`` functions below are the Fraction formulas
-they replaced, kept as the specification the integer forms must equal for
-every architecture, precision and tile the config loader accepts;
-``reference_perf_array`` composes them into the whole estimate.
+``buffer_footprint``, ``check_feasible``, ``ai_tile``, ``ai_array``,
+``eff_core`` and ``calibrated_eff_micro`` compute on integer numerators over
+the precision's common byte-cost denominator and build each rational once.
+The ``reference_*`` functions below (and ``reference_buffer_terms`` in
+``conftest``) are the Fraction formulas they replaced, kept as the
+specification the integer forms must equal for every architecture,
+precision and tile the config loader accepts; ``reference_perf_array``
+composes them into the whole estimate.
 """
 
 import math
 from dataclasses import replace
 from fractions import Fraction
 
+from conftest import reference_buffer_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,6 @@ from asymtile.arch import (
     ProblemSpec,
     TileConfig,
     buffer_footprint,
-    buffer_terms,
     check_feasible,
 )
 from asymtile.intensity import ai_array, ai_tile
@@ -35,14 +36,6 @@ from asymtile.perf import (
     eff_core,
     perf_array,
 )
-
-
-def reference_buffer_terms(tile, prec, arch):
-    return (
-        arch.buffer_multiplier_a * prec.byte_cost_a * (tile.t_ma * tile.t_k),
-        arch.buffer_multiplier_b * prec.byte_cost_b * (tile.t_k * tile.t_n),
-        arch.buffer_multiplier_c * prec.byte_cost_c * (tile.t_mc * tile.t_n),
-    )
 
 
 def reference_buffer_footprint(tile, prec, arch):
@@ -157,9 +150,6 @@ def tiles(draw):
 @settings(max_examples=200)
 @given(tile=tiles(), prec=precisions, arch=archs())
 def test_buffer_forms_equal_reference(tile, prec, arch):
-    terms = buffer_terms(tile, prec, arch)
-    assert terms == reference_buffer_terms(tile, prec, arch)
-    assert all(type(term) is Fraction for term in terms)
     footprint = buffer_footprint(tile, prec, arch)
     assert type(footprint) is int
     assert footprint == reference_buffer_footprint(tile, prec, arch)

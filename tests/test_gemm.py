@@ -131,19 +131,19 @@ def test_trace_matches_movement_sim():
     assert trace == expected
 
 
-def test_capacity_one_under_footprint_names_c():
+def test_capacity_one_under_footprint_overflows():
     rng = random.Random(3)
     a = random_matrix(rng, 16, 16)
     b = random_matrix(rng, 16, 16)
     tile = TileConfig(8, 16, 8, 8)
     cap = buffer_footprint(tile, UNIT)
-    with pytest.raises(BufferOverflowError, match="staging C"):
+    with pytest.raises(BufferOverflowError, match="^tile buffers need 384 B, over capacity 383 B$"):
         tiled_gemm(a, b, tile, cap - 1, UNIT)
 
 
-def test_tiny_capacity_names_a():
+def test_tiny_capacity_overflows():
     tile = TileConfig(8, 16, 8, 8)
-    with pytest.raises(BufferOverflowError, match="staging A"):
+    with pytest.raises(BufferOverflowError, match="^tile buffers need 384 B, over capacity 1 B$"):
         tiled_gemm(ZERO16, ZERO16, tile, 1, UNIT)
 
 

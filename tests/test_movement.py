@@ -114,10 +114,10 @@ def test_one_footprint_decides_feasibility(seed, multipliers, slack):
         assert est.buffer_bytes == trace.peak_l1_occupancy
 
 
-def test_capacity_overflow_names_first_step():
+def test_capacity_overflow_gives_footprint_and_capacity():
     prec = PRECISION_PRESETS["config1"]
     tile = TileConfig(128, 128, 64, 128)
-    with pytest.raises(BufferOverflowError, match=r"i=0, j=0, kk=0"):
+    with pytest.raises(BufferOverflowError, match=r"^tile buffers need 86016 B, over capacity 64512 B$"):
         walk_nest(ProblemSpec(128, 64, 128), tile, prec, capacity=DEFAULT_ARCH.l1_capacity)
 
 

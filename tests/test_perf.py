@@ -20,9 +20,10 @@ from asymtile.perf import (
     EFF_SOURCE_CALIBRATION,
     calibrated_eff_micro,
     eff_core,
+    eff_scorer,
     perf_array,
-    resolve_eff_micro,
 )
+from asymtile.pipeline import DEFAULT_MICROKERNEL
 
 REF_TILE = TileConfig(32, 128, 64, 128)
 
@@ -132,14 +133,17 @@ def test_calibration_table():
 
 
 def test_resolve_sources():
-    assert resolve_eff_micro(REF_TILE, EFF_SOURCE_CALIBRATION) == Fraction(63, 100)
-    closed = resolve_eff_micro(REF_TILE, "closed_form")
+    def score(source):
+        return eff_scorer(source)(REF_TILE, DEFAULT_MICROKERNEL)
+
+    assert score(EFF_SOURCE_CALIBRATION) == Fraction(63, 100)
+    closed = score("closed_form")
     assert closed == Fraction(8, 25)
-    simulated = resolve_eff_micro(REF_TILE, "simulated")
+    simulated = score("simulated")
     assert 0 < simulated <= closed
     message = "unknown eff_source 'guesswork'; expected one of ('calibration', 'closed_form', 'simulated')"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        resolve_eff_micro(REF_TILE, "guesswork")
+        score("guesswork")
 
 
 def test_perf_reference_memory_bound_row():

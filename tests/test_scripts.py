@@ -122,7 +122,9 @@ def test_bench_pairs_summary():
     # Wins are counted for every gated metric of BENCHMARK.json, lower being
     # better for both. pass_norm_s: seed 11 ties and seed 13 is a loss, three
     # wins of five. setup_s: seed 13 ties and seed 14 is a loss, three wins.
-    assert summary["change_wins"] == {"pass_norm_s": 3, "setup_s": 3}
+    assert {name: v["wins"] for name, v in summary["verdicts"].items()} == {
+        "pass_norm_s": 3, "setup_s": 3,
+    }
     # A 0.15 gap over a 0.10 parent IQR, on three wins of five: unsettled.
     assert summary["verdicts"]["pass_norm_s"]["verdict"] == "unresolved"
     assert summary["fingerprints_equal"] and summary["all_correct_zero_failed"]

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import reference_buffer_terms
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from asymtile.arch import (
     ProblemSpec,
     TileConfig,
     buffer_footprint,
-    buffer_terms,
     c_tile_buffers,
     check_feasible,
     derive_l2_tiles,
@@ -251,7 +251,7 @@ def test_the_smallest_rho_that_fits_ranks_first_in_each_c_tile(case, source, del
         ]
         fitting = []
         for candidate in candidates:
-            fits = math.ceil(sum(buffer_terms(candidate, prec, arch))) <= arch.l1_capacity
+            fits = math.ceil(sum(reference_buffer_terms(candidate, prec, arch))) <= arch.l1_capacity
             assert fits == (candidate.t_ma <= max_t_ma), candidate
             if fits and (source == EFF_SOURCE_CALIBRATION or shape_error(candidate, source) is None):
                 fitting.append(candidate.t_ma)
@@ -267,7 +267,7 @@ THIRDS = PrecisionSpec(Fraction(5, 3), Fraction(5, 4), Fraction(7, 6))
 def test_capacity_equal_to_the_footprint_keeps_the_tile(prec):
     tile = TileConfig(32, 128, 64, 128)
     exact = buffer_footprint(tile, prec)
-    assert exact == math.ceil(sum(buffer_terms(tile, prec)))
+    assert exact == math.ceil(sum(reference_buffer_terms(tile, prec, DEFAULT_ARCH)))
     space = SearchSpace(
         t_mc_min=128, t_mc_max=128, t_k_min=64, t_k_max=64, t_n_min=128, t_n_max=128,
         rho_candidates=(4,),
@@ -277,7 +277,7 @@ def test_capacity_equal_to_the_footprint_keeps_the_tile(prec):
         assert check_feasible(tile, prec, arch) is kept
         assert (c_tile_buffers(128, 64, 128, prec, arch)[3] >= tile.t_ma) is kept
         assert enumerate_feasible(space, prec, arch) == ([tile] if kept else [])
-    assert sum(buffer_terms(tile, THIRDS)).denominator > 1
+    assert sum(reference_buffer_terms(tile, THIRDS, DEFAULT_ARCH)).denominator > 1
 
 
 def test_enumerate_builds_only_the_tiles_it_returns(monkeypatch):
