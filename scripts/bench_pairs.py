@@ -4,10 +4,14 @@
 Usage:
     python3 scripts/bench_pairs.py --workload W --parent REV --seeds S [S ...]
 
-The change is the source tree this script sits in, as it is on disk. The
-parent is ``git archive REV`` unpacked into a temporary directory: no
-worktree is made and nothing under ``.git`` changes. For each seed both
-trees run ``benchmarks/run.py --workload W --seed S --trace 0`` at the run
+Both sides run from copies unpacked under one temporary directory, so
+neither has the repository's location, file system or ``__pycache__`` to
+itself. The parent is ``git archive REV``. The change is the working tree
+this script sits in, as it is on disk: each file ``git ls-files --cached
+--others --exclude-standard`` lists (tracked, or untracked and not
+ignored), with its on-disk bytes, except a tracked file deleted on disk. No
+worktree, commit or stash is made and nothing under ``.git`` changes. For
+each seed both trees run ``benchmarks/run.py --workload W --seed S --trace 0`` at the run
 length ``BENCHMARK.json`` sets, the parent first on odd seeds and the change
 first on even ones.
 
@@ -53,6 +57,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -204,11 +209,27 @@ def machine(pinned: bool) -> dict:
 
 
 def export_tree(rev: str, dest: Path) -> None:
+    dest.mkdir(parents=True, exist_ok=True)
     archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
     archive.stdout.close()
     if archive.wait() != 0:
         raise RuntimeError(f"git archive {rev} failed")
+
+
+def export_working_tree(root: Path, dest: Path) -> None:
+    """Copy into ``dest`` each file of the git working tree at ``root`` that
+    ``git ls-files --cached --others --exclude-standard`` lists, with its
+    bytes on disk, leaving out the tracked files deleted on disk."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True,
+    ).stdout.decode()
+    for name in listed.split("\0"):
+        source = root / name
+        if name and source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(source, dest / name)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -228,8 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     ).stdout.strip()
     runs: dict[int, dict[str, dict]] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {side: Path(tmp) / side for side in SIDES}
         export_tree(commit, trees["parent"])
+        export_working_tree(ROOT, trees["change"])
         for seed in args.seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
             runs[seed] = {side: run_once(trees[side], args.workload, seed) for side in order}

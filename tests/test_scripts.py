@@ -1,5 +1,6 @@
 """Runs of ``scripts/reproduce_tables.py``, each in a fresh interpreter, and
-the summary of ``scripts/bench_pairs.py`` on synthetic run records.
+the summary of ``scripts/bench_pairs.py`` on synthetic run records, and its
+copy of a git working tree.
 
 ``reproduce_tables.py`` scores its reference rows and its efficiency sweep
 with ``calibrated_eff_micro`` and ``eff_core`` directly, so a change to
@@ -219,3 +220,41 @@ def test_bench_pairs_verdict_needs_the_sign_test_and_a_spread_within_the_bound()
     wide = [float(i) for i in range(1, 11)]
     v = module.verdict(wide, [p + 0.05 for p in wide], "lower", 0.2)
     assert (v["verdict"], v["losses"]) == ("unresolved", 10)
+
+
+def test_bench_pairs_copies_the_working_tree_as_git_lists_it(tmp_path):
+    export_working_tree = load_script("bench_pairs.py").export_working_tree
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "src").mkdir(parents=True)
+    files = {
+        ".gitignore": b"ignored.txt\n",
+        "src/edited.py": b"old = 1\n",
+        "deleted.py": b"gone = 1\n",
+        "kept.py": b"kept = 1\n",
+    }
+    for name, data in files.items():
+        (repo / name).write_bytes(data)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "src/edited.py").write_bytes(b"new = 2\n")
+    (repo / "deleted.py").unlink()
+    (repo / "src/untracked.py").write_bytes(b"fresh = 3\n")
+    (repo / "ignored.txt").write_bytes(b"build output\n")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True, check=True).stdout
+    export_working_tree(repo, dest)
+    copied = {str(p.relative_to(dest)): p.read_bytes() for p in dest.rglob("*") if p.is_file()}
+    assert copied == {
+        ".gitignore": b"ignored.txt\n",
+        "kept.py": b"kept = 1\n",
+        "src/edited.py": b"new = 2\n",
+        "src/untracked.py": b"fresh = 3\n",
+    }
+    # No commit or stash was made.
+    assert subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True, check=True).stdout == head
+    assert subprocess.run(["git", "stash", "list"], cwd=repo, capture_output=True, check=True).stdout == b""
