@@ -122,18 +122,11 @@ def eff_scorer(source) -> Callable[[TileConfig, MicrokernelSpec], Fraction]:
     return scorer
 
 
-def _eff_core_terms(tiles: list[TileConfig], effs: list[Fraction], arch: ArchSpec) -> list[tuple[int, int]]:
-    """The numerator and denominator of :func:`eff_core`, ``p·W`` and
-    ``q·W + p·S``, for each of ``tiles``, tiles of one C tile, at its
-    efficiency ``p/q`` in ``effs``. One step's work ``W`` is the group's;
-    each tile adds only its switch cost ``S``, which grows with its rho."""
-    c_tile = tiles[0]
-    work = 2 * c_tile.t_mc * c_tile.t_n * c_tile.t_k
-    switch = arch.switch_overhead_delta * arch.peak_flops_per_cycle
-    return [
-        (eff.numerator * work, eff.denominator * work + eff.numerator * switch * tile.rho)
-        for tile, eff in zip(tiles, effs)
-    ]
+def _eff_core_terms(eff: Fraction, work: int, arch: ArchSpec) -> tuple[int, int]:
+    """The numerator and denominator of :func:`eff_core`, ``p·w`` and
+    ``q·w + p·s``, at ``eff = p/q`` and one kernel launch's ``work``."""
+    p = eff.numerator
+    return p * work, eff.denominator * work + p * arch.switch_overhead_delta * arch.peak_flops_per_cycle
 
 
 def eff_core(
@@ -143,18 +136,15 @@ def eff_core(
 ) -> Fraction:
     """Core efficiency after kernel-switch overhead.
 
-    One core's t_mc x k x t_n slab takes 2*t_mc*k*t_n / (peak * eff_micro)
-    compute cycles plus one switch penalty ``delta`` per row-subtile kernel
-    launch, ``rho`` launches per contraction step of depth t_k. The result is
-    the compute cycles at peak over that total; k cancels, leaving the
-    harmonic combination of ``eff_micro`` with the per-launch penalty
-    amortized over one step's work.
-
-    With ``eff_micro = p/q``, one step's work ``W = 2·t_mc·t_n·t_k`` flops
-    and its switch cost ``S = delta·rho·peak`` flops, that is
-    ``1 / (q/p + S/W) = p·W / (q·W + p·S)``: an exact rational built once
-    from integer numerator and denominator."""
-    return Fraction(*_eff_core_terms([tile], [_coerce_eff(eff_micro)], arch)[0])
+    Each row-subtile kernel launch does ``w = 2·t_ma·t_n·t_k`` flops at
+    ``eff_micro = p/q`` and pays one switch penalty of ``delta`` cycles,
+    ``s = delta·peak`` flops. The result is the compute cycles at peak over
+    the total, ``1 / (q/p + s/w) = p·w / (q·w + p·s)``: an exact rational
+    built once from integer numerator and denominator. A t_mc x k x t_n
+    slab is ``rho`` launches per contraction step of depth t_k, so ``k``
+    and ``rho`` cancel and the value depends on ``eff_micro`` and
+    ``t_ma·t_n·t_k`` alone."""
+    return Fraction(*_eff_core_terms(_coerce_eff(eff_micro), 2 * tile.t_ma * tile.t_n * tile.t_k, arch))
 
 
 class PerfEstimate(NamedTuple):
@@ -176,17 +166,25 @@ def memory_side(
     problem: ProblemSpec,
     prec: PrecisionSpec,
     arch: ArchSpec = DEFAULT_ARCH,
+    sides: dict[tuple[int, int], tuple[Fraction, float]] | None = None,
 ) -> tuple[Fraction, float]:
     """The memory side of the roofline: the array intensity and intensity
     times off-chip bandwidth, in flop/s. Both depend on the C tile
     (``t_mc``, ``t_k``, ``t_n``) alone, never on ``rho``: the L2 tile of
     :func:`~asymtile.arch.derive_l2_tiles` must divide ``problem`` (else a
-    ``ConfigError``), and the intensity is that of its output tile reduced
-    over the whole ``k``."""
+    ``ConfigError``), and the intensity is that of its output tile
+    (``t_m``, ``t_n``) reduced over the whole ``k``. ``sides``, kept across
+    calls of one problem, precision and arch, maps each output tile to its
+    side, so each is worked out once; the divisibility check runs first on
+    every call."""
     t_mc_l2, t_k_l2, t_n_l2 = derive_l2_tiles(tile, arch)
     require_divides(problem, (t_mc_l2, t_k_l2, t_n_l2), "array-level tile")
-    ai = ai_tile(t_mc_l2, t_n_l2, problem.k, prec).ai
-    return ai, ai.numerator / ai.denominator * arch.offchip_bw
+    sides = {} if sides is None else sides
+    side = sides.get((t_mc_l2, t_n_l2))
+    if side is None:
+        ai = ai_tile(t_mc_l2, t_n_l2, problem.k, prec).ai
+        side = sides[t_mc_l2, t_n_l2] = (ai, ai.numerator / ai.denominator * arch.offchip_bw)
+    return side
 
 
 def compute_side(
@@ -195,6 +193,7 @@ def compute_side(
     memory: tuple[Fraction, float],
     prec: PrecisionSpec,
     arch: ArchSpec = DEFAULT_ARCH,
+    cores: dict[tuple[int, int, int], tuple[Fraction, float]] | None = None,
 ) -> list[PerfEstimate]:
     """The estimates of ``tiles``, tiles of one C tile (``t_mc``, ``t_k``,
     ``t_n``) that differ only in ``rho``, at microkernel efficiencies
@@ -204,8 +203,10 @@ def compute_side(
 
     The group shares one :func:`~asymtile.arch.c_tile_buffers`, so each tile
     adds only its A term to the B and C numerators and compares its ``t_ma``
-    with ``max_t_ma``, and one step's work, so each tile adds only its
-    switch cost to :func:`eff_core`. The compute bound converts ``eff_core``
+    with ``max_t_ma``. ``eff_core`` depends only on ``eff_micro = p/q`` and
+    one launch's work ``w`` (:func:`eff_core`), so ``cores``, kept across
+    calls of one arch, maps each ``(p, q, w)`` to its ``eff_core`` and
+    compute bound, worked out once. The compute bound converts ``eff_core``
     as the int true division of its numerator by its denominator, which
     CPython rounds correctly, so it is the same double as
     ``float(eff_core)``. A tile whose staging buffers exceed capacity comes
@@ -215,22 +216,26 @@ def compute_side(
     c_tile = tiles[0]
     a_row, n_bc, den, max_t_ma = c_tile_buffers(c_tile.t_mc, c_tile.t_k, c_tile.t_n, prec, arch)
     peak = arch.peak_array_flops
+    cores = {} if cores is None else cores
     # tuple.__new__ on the field tuple makes the same PerfEstimate as the
     # generated NamedTuple constructor, in about half the time.
     new = tuple.__new__
     out = []
-    for tile, eff, (ec_num, ec_den) in zip(tiles, effs, _eff_core_terms(tiles, effs, arch)):
-        ec = Fraction(ec_num, ec_den)
+    for tile, eff in zip(tiles, effs):
+        work = 2 * tile.t_ma * tile.t_n * tile.t_k
+        key = (eff.numerator, eff.denominator, work)
+        core = cores.get(key)
+        if core is None:
+            ec_num, ec_den = _eff_core_terms(eff, work, arch)
+            core = cores[key] = (Fraction(ec_num, ec_den), ec_num / ec_den * peak)
+        ec, compute_bound = core
         buffer_bytes = footprint_bytes(a_row, n_bc, den, tile.t_ma)
         if tile.t_ma > max_t_ma:
             fields = (ai, 0.0, 0.0, eff, ec, 0.0, BOUND_MEMORY, buffer_bytes, False)
+        elif memory_bound <= compute_bound:
+            fields = (ai, memory_bound, compute_bound, eff, ec, memory_bound, BOUND_MEMORY, buffer_bytes, True)
         else:
-            compute_bound = ec_num / ec_den * peak
-            if memory_bound <= compute_bound:
-                perf, bound_kind = memory_bound, BOUND_MEMORY
-            else:
-                perf, bound_kind = compute_bound, BOUND_COMPUTE
-            fields = (ai, memory_bound, compute_bound, eff, ec, perf, bound_kind, buffer_bytes, True)
+            fields = (ai, memory_bound, compute_bound, eff, ec, compute_bound, BOUND_COMPUTE, buffer_bytes, True)
         out.append(new(PerfEstimate, fields))
     return out
 

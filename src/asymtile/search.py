@@ -7,16 +7,18 @@ results, surfacing the best overall configuration, the best symmetric
 ranking as CSV and as a markdown table in the reference-report column
 layout (problem, tile, rho, buffers, both bounds, the predicted bound).
 
-The search is worked out once per C tile (``t_mc``, ``t_k``, ``t_n``).
-Enumeration prunes before it builds: divisibility of the problem is tested
-one axis at a time, and the capacity rule
-(:func:`~asymtile.arch.c_tile_buffers`) gives each C tile the largest
-``t_ma`` that fits L1 in closed form, so a tile is built only if it is
-kept. Ranking looks the efficiency source's scorer up once, leaves out the
-tiles whose kernel it cannot shape, and prices each C tile's rho group in
-one :func:`~asymtile.perf.compute_side` call over one memory side; the CSV
-emitter formats each group's shared values once. :func:`explore` is
-enumeration followed by ranking.
+The search works out each distinct value once. Enumeration prunes before
+it builds: divisibility of the problem is tested one axis at a time, and
+the capacity rule (:func:`~asymtile.arch.c_tile_buffers`) gives each C tile
+(``t_mc``, ``t_k``, ``t_n``) the largest ``t_ma`` that fits L1 in closed
+form, so a tile is built only if it is kept. Ranking looks the efficiency
+source's scorer up once, leaves out the tiles whose kernel it cannot
+shape, and prices each C tile's rho group in one
+:func:`~asymtile.perf.compute_side` call: each distinct output tile's
+intensity, and each distinct ``eff_core`` (one switch ``delta`` per kernel
+launch, so ``rho`` cancels), is worked out once, and the CSV emitter
+formats each distinct value once. :func:`explore` is enumeration followed
+by ranking.
 """
 
 from __future__ import annotations
@@ -202,12 +204,14 @@ def rank(
     :class:`EmptySearchSpace` is raised if none is left. Each
     entry equals :func:`~asymtile.perf.perf_array` of its tile. The memory
     side depends on the C tile alone, so the tiles are grouped by (``t_mc``,
-    ``t_k``, ``t_n``), in any input order: the memory side is worked out
+    ``t_k``, ``t_n``), in any input order: the memory side is looked up
     once per group and :func:`~asymtile.perf.compute_side` prices each
-    group in one call. Each tile is scored before its C tile's divisibility
-    is checked, so the first failing tile not left out raises what
-    ``perf_array`` would."""
+    group in one call, both through memos that live for this call, so each
+    distinct intensity and ``eff_core`` is one object. Each tile is scored
+    before its C tile's divisibility is checked, so the first failing tile
+    not left out raises what ``perf_array`` would."""
     scorer = eff_scorer(eff_source)
+    sides, cores = {}, {}
     groups: dict[tuple[int, int, int], tuple[tuple[Fraction, float], list, list]] = {}
     for tile in configs:
         try:
@@ -217,14 +221,14 @@ def rank(
         c_tile = (tile.t_mc, tile.t_k, tile.t_n)
         group = groups.get(c_tile)
         if group is None:
-            group = groups[c_tile] = (memory_side(tile, problem, prec, arch), [], [])
+            group = groups[c_tile] = (memory_side(tile, problem, prec, arch, sides), [], [])
         group[1].append(tile)
         group[2].append(eff)
     if not groups:
         raise EmptySearchSpace("rank needs at least one tile config it can score")
     evaluated = []
     for memory, tiles, effs in groups.values():
-        evaluated.extend(zip(tiles, compute_side(tiles, effs, memory, prec, arch)))
+        evaluated.extend(zip(tiles, compute_side(tiles, effs, memory, prec, arch, cores)))
     evaluated.sort(key=_rank_key)
     best = evaluated[0]
     symmetric = [item for item in evaluated if item[0].rho == 1]
@@ -287,7 +291,12 @@ def _cached(value, floats: dict[int, str], spec: str, scale: float = 1.0) -> str
     """``float(value) / scale`` in the format ``spec``, converted once per
     distinct object. ``floats`` maps the id of each value seen to its text,
     so it must not outlive those values (a dead object's id can be reused),
-    and each object must always be given the same ``spec`` and ``scale``."""
+    and each object must always be given the same ``spec`` and ``scale``.
+    :func:`estimate_csv_row` gives it the exact values ``ai_array``,
+    ``eff_micro`` and ``eff_core`` at ``.4f`` and scale 1, and the floats
+    ``memory_bound`` and ``compute_bound`` at ``.3g`` and scale 1e12; the
+    ``0.0`` an infeasible row shares between its two bounds is one object
+    that gets the same spec and scale both times."""
     text = floats.get(id(value))
     if text is None:
         text = floats[id(value)] = format(float(value) / scale, spec)
@@ -296,21 +305,20 @@ def _cached(value, floats: dict[int, str], spec: str, scale: float = 1.0) -> str
 
 def estimate_csv_row(tile: TileConfig, est: PerfEstimate, floats: dict[int, str] | None = None) -> str:
     """One CSV row of ``RANK_CSV_COLUMNS``. Rows built with one ``floats``
-    dict (:func:`_cached`) convert a shared value once: the tiles of one C
-    tile share one ``ai_array`` and one memory bound, and the tiles of one
-    ``t_k`` the cached calibration ``eff_micro``. ``perf_array`` is the
-    bound ``bound_kind`` names, so it reuses that bound's text; ``eff_core``
-    is converted by the int division of its numerator by its denominator,
-    which rounds as ``float(eff_core)`` does."""
+    dict (:func:`_cached`) format a shared value once: :func:`rank` works
+    out each distinct intensity and memory bound, and each distinct
+    ``eff_core`` and compute bound, once and shares the object, and the
+    tiles of one ``t_k`` share the cached calibration ``eff_micro``.
+    ``perf_array`` is the bound ``bound_kind`` names, so it reuses that
+    bound's text."""
     floats = {} if floats is None else floats
     memory = _cached(est.memory_bound, floats, ".3g", 1e12)
-    compute = f"{est.compute_bound / 1e12:.3g}"
+    compute = _cached(est.compute_bound, floats, ".3g", 1e12)
     perf = memory if est.bound_kind == BOUND_MEMORY else compute
-    eff_core = est.eff_core
     return (
         f"{tile.t_ma},{tile.t_mc},{tile.t_k},{tile.t_n},{tile.rho},"
         f"{est.buffer_bytes},{est.feasible},{_cached(est.ai_array, floats, '.4f')},"
-        f"{_cached(est.eff_micro, floats, '.4f')},{eff_core.numerator / eff_core.denominator:.4f},"
+        f"{_cached(est.eff_micro, floats, '.4f')},{_cached(est.eff_core, floats, '.4f')},"
         f"{memory},{compute},{perf},{est.bound_kind}"
     )
 

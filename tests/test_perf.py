@@ -105,6 +105,31 @@ def test_eff_core_never_exceeds_eff_micro(t_ma, rho, t_k, t_n, eff_num):
     assert 0 < val <= eff
 
 
+@settings(max_examples=100)
+@given(
+    t_ma=st.sampled_from([8, 16, 32, 64]),
+    rhos=st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]), min_size=2, max_size=2),
+    t_k=st.sampled_from([8, 16, 32, 64, 128]),
+    t_n=st.sampled_from([8, 64, 128, 256]),
+    eff=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda f: f > 0),
+    delta=st.integers(0, 10_000),
+    peak_macs=st.integers(1, 4096),
+)
+def test_eff_core_is_one_launch_form_free_of_t_mc(t_ma, rhos, t_k, t_n, eff, delta, peak_macs):
+    # Per launch: w = 2·t_ma·t_n·t_k flops at eff = p/q plus one switch of
+    # s = delta·peak flops. Per step (rho launches): rho·w flops and rho·s
+    # flops of switching. Both give the same rational, so t_mc = rho·t_ma
+    # may change with t_ma, t_k and t_n fixed and eff_core must not.
+    arch = replace(DEFAULT_ARCH, switch_overhead_delta=delta, peak_macs_per_cycle=peak_macs)
+    p, q = eff.numerator, eff.denominator
+    w = 2 * t_ma * t_n * t_k
+    s = delta * arch.peak_flops_per_cycle
+    want = Fraction(p * w, q * w + p * s)
+    for rho in rhos:
+        assert Fraction(p * rho * w, q * rho * w + p * rho * s) == want
+        assert eff_core(TileConfig(t_ma, rho * t_ma, t_k, t_n), eff, arch) == want
+
+
 def test_rho_degradation_amortized_by_t_k():
     def drop(t_k: int) -> Fraction:
         eff = calibrated_eff_micro(t_k)

@@ -22,6 +22,7 @@ from asymtile.arch import (
     check_feasible,
     derive_l2_tiles,
 )
+from asymtile import perf
 from asymtile.perf import EFF_SOURCE_CALIBRATION, EFF_SOURCES, perf_array
 from asymtile.pipeline import DEFAULT_MICROKERNEL, KernelShapeError, microkernel_for_tile
 from asymtile.schedule import check_buildable, derive_cluster_shape
@@ -393,6 +394,44 @@ def test_closed_form_explore_shapes_each_tile_once(monkeypatch):
     result = explore(SearchSpace(), PROBLEM, CONFIG1, eff_source="closed_form")
     assert len(result.entries) == 167
     assert len(calls) == 215
+
+
+def test_rank_prices_each_distinct_intensity_and_eff_core_once(monkeypatch):
+    # The reference search ranks 215 tiles in 99 C tiles, but intensity
+    # reads only the output tile (t_mc, t_n) and eff_core only eff_micro and
+    # one launch's work t_ma·t_n·t_k, so rank works out each distinct one once.
+    calls = []
+    ai_tile = perf.ai_tile
+
+    def counting(t_m, t_n, k, prec):
+        calls.append((t_m, t_n))
+        return ai_tile(t_m, t_n, k, prec)
+
+    monkeypatch.setattr(perf, "ai_tile", counting)
+    result = explore(SearchSpace(), PROBLEM, CONFIG1)
+    output_tiles = {(tile.t_mc, tile.t_n) for tile, _ in result.entries}
+    assert len(calls) == len(set(calls)) == len(output_tiles) == 35
+    # The CSV emitter formats a value once per object, so equal eff_cores of
+    # equal (eff_micro, launch work) must be one object.
+    shared = {}
+    for tile, est in result.entries:
+        key = (est.eff_micro, tile.t_ma * tile.t_n * tile.t_k)
+        assert shared.setdefault(key, est.eff_core) is est.eff_core
+    assert len(shared) == 8
+
+
+def test_rank_tells_equal_launch_work_at_unequal_eff_micro_apart():
+    # Both tiles launch 2·16·32·64 = 2·32·32·32 flops, at calibrated
+    # efficiencies 63/100 (t_k = 64) and 41/100 (t_k = 32).
+    tiles = [TileConfig(16, 32, 64, 32), TileConfig(32, 32, 32, 32)]
+    result = rank(tiles, PROBLEM, CONFIG1)
+    assert {est.eff_micro for _, est in result.entries} == {Fraction(63, 100), Fraction(41, 100)}
+    for tile, est in result.entries:
+        want = perf_array(tile, PROBLEM, CONFIG1)
+        for field in want._fields:
+            assert type(getattr(est, field)) is type(getattr(want, field)), field
+            assert getattr(est, field) == getattr(want, field), (tile, field)
+    assert result.entries[0][1].eff_core != result.entries[1][1].eff_core
 
 
 def test_reference_search_outcome():
