@@ -11,9 +11,9 @@ this script sits in, as it is on disk: each file ``git ls-files --cached
 --others --exclude-standard`` lists (tracked, or untracked and not
 ignored), with its on-disk bytes, except a tracked file deleted on disk. No
 worktree, commit or stash is made and nothing under ``.git`` changes. For
-each seed both trees run ``benchmarks/run.py --workload W --seed S --trace 0`` at the run
-length ``BENCHMARK.json`` sets, the parent first on odd seeds and the change
-first on even ones.
+each seed both trees run ``benchmarks/run.py --workload W --seed S --trace
+0`` at the run length ``BENCHMARK.json`` sets, the parent first on odd
+seeds and the change first on even ones.
 
 The gated metrics are the ``end_to_end`` entries of ``BENCHMARK.json``
 (``pass_norm_s`` and ``setup_s``), each with the direction its ``better``
