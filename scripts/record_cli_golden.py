@@ -10,10 +10,11 @@ of stdout and stderr as text. The cases cover ``search`` in text, csv and
 table2 form under each efficiency source, on the reference problem and on a
 config2 pair, plus spaces that nothing survives under each source; ``eval``
 in text and csv form under each source, plus an infeasible tile;
-``simulate movement`` at the core and the array, a verification sweep, an
-array walk the problem does not divide and a tile over capacity at each
-boundary; ``simulate schedule`` plain, for a tile, a verification sweep and
-a ``--dump``; one flag-only line of each class of configuration error; and
+``simulate movement`` at the core and the array in text and csv form, a
+verification sweep, an array walk the problem does not divide and a tile
+over capacity at each boundary; ``simulate schedule`` plain, for a tile, a
+verification sweep, a ``--dump`` and with load classes in both config
+forms; one flag-only line of each class of configuration error; and
 one config document per top-level key, plus an unknown top-level key and an
 unknown key inside a section.
 
@@ -77,6 +78,10 @@ CASES = (
      "--t-mc-max", "16", "--t-n-max", "8"],
     ["simulate", "movement", *REFERENCE],
     ["simulate", "movement", *REFERENCE, "--boundary", "array"],
+    *(
+        ["simulate", "movement", *REFERENCE, "--boundary", boundary, "--format", "csv"]
+        for boundary in ("core", "array")
+    ),
     ["simulate", "movement", "--verify", "50"],
     # t_mc = 128 divides m = 4224; the array's 512-row L2 tile does not.
     ["simulate", "movement", "--problem", "4224x4096x2048", "--tile", "32,128,64,128",
@@ -120,6 +125,9 @@ CASES = (
     with_config({"search": {"t_mc_max": 128, "t_n_max": 128, "rho_candidates": [1, 2]}},
                 "search", "--problem", "4096x4096x2048"),
     with_config({"microkernel": {"l_store": 3}}, "eval", *REFERENCE, "--eff-source", "closed_form"),
+    # Load classes as a [latency, count] list and as an object, unaligned.
+    with_config({"microkernel": {"load_classes": [[8, 4], {"latency": 2, "count": 1, "unaligned": True}]}},
+                "simulate", "schedule"),
     with_config({"eff_source": "closed_form"}, "eval", *REFERENCE),
     with_config({"eff_micro": 0.5}, "eval", *REFERENCE),
     with_config({"tiles": [32, 128, 64, 128]}, "eval", *REFERENCE),
