@@ -84,21 +84,20 @@ def _coerce_eff(value) -> Fraction:
 class KernelScorer(NamedTuple):
     """An efficiency source scoring a tile's own microkernel: ``score`` of the
     spec :func:`microkernel_for_tile` shapes the base kernel to (else a
-    :class:`~asymtile.pipeline.KernelShapeError`). A score above 1, from
-    ``u_vmac`` > 1, raises a ``ConfigError`` naming ``source``."""
+    :class:`~asymtile.pipeline.KernelShapeError`).
+
+    Neither kernel source can reach 1, so a score needs no check against
+    the arch peak. The closed form is below 1
+    (:func:`~asymtile.pipeline.eff_micro`). The scheduled kernel issues at
+    most one VMAC per cycle on its one VMAC slot, and its last VMAC's
+    stores issue at least one cycle later and take at least one cycle, so
+    n VMACs take at least n + 1 cycles."""
 
     source: str
     score: Callable[[MicrokernelSpec], Fraction]
 
     def __call__(self, tile: TileConfig, base: MicrokernelSpec) -> Fraction:
-        eff = self.score(microkernel_for_tile(tile, base))
-        if eff.numerator > eff.denominator:
-            raise ConfigError(
-                f"{self.source} eff_micro of tile {','.join(map(str, tile.as_tuple()))} is {eff}, "
-                f"above 1: its kernel issues up to u_vmac={base.u_vmac} VMACs per cycle, more than "
-                "the arch peak of one"
-            )
-        return eff
+        return self.score(microkernel_for_tile(tile, base))
 
 
 # Each efficiency source's scorer (tile, base kernel) -> eff_micro: the

@@ -52,17 +52,17 @@ class MicrokernelSpec:
     """Microkernel shape and machine parameters.
 
     Defaults describe the target core's block-FP kernel: a 3-deep MAC
-    pipeline, two load slots, one store slot, one VMAC slot, four interleaved
-    accumulation chains sharing operands in a 2x2 cluster (two loads per VMAC
-    before sharing), 8-cycle operand loads, and a two-instruction store path.
+    pipeline, two load slots, one store slot, four interleaved accumulation
+    chains sharing operands in a 2x2 cluster (two loads per VMAC before
+    sharing), 8-cycle operand loads, and a two-instruction store path.
     Every field except ``load_classes`` must be an int, at least 1
-    (``l_vmac_to_store`` at least 0).
+    (``l_vmac_to_store`` at least 0). The core has one VMAC slot, the arch's
+    per-core peak of one 8x8x8 VMAC per cycle, so no field sets it.
     """
 
     pipeline_depth: int = 3
     u_ld: int = 2
     u_st: int = 1
-    u_vmac: int = 1
     load_classes: tuple[LoadClass, ...] = (LoadClass(latency=8, count=4),)
     r_load: int = 2
     chains: int = 4
@@ -79,8 +79,8 @@ class MicrokernelSpec:
             isinstance(c, LoadClass) for c in self.load_classes
         ):
             raise ConfigError("load_classes must be a nonempty list of load classes")
-        require_ints(self, ("pipeline_depth", "u_ld", "u_st", "u_vmac", "r_load", "chains",
-                            "n_accum", "n_clusters", "l_store", "n_store", "accum_regs"), 1)
+        require_ints(self, ("pipeline_depth", "u_ld", "u_st", "r_load", "chains", "n_accum",
+                            "n_clusters", "l_store", "n_store", "accum_regs"), 1)
         require_ints(self, ("l_vmac_to_store",), 0)
         if self.chains > self.accum_regs:
             raise ConfigError(
@@ -133,29 +133,19 @@ def prolog_bound(classes: Iterable[LoadClass], u_ld: int) -> int:
     return best
 
 
-def ii_parallel_raw(spec: MicrokernelSpec) -> Fraction:
-    """Unclamped per-VMAC initiation interval with chained interleaving.
+def initiation_interval(spec: MicrokernelSpec) -> Fraction:
+    """Parallel-chain initiation interval in cycles per VMAC.
 
     Interleaving C chains hides up to C-1 cycles of the accumulator RAW
     distance, and the cluster's per-step loads amortize over C VMACs:
-    max(P + 1 - C, ceil(r_load / u_ld)) / C. Can drop below one cycle per
-    VMAC; see initiation_interval for the issue-slot clamp.
+    max(P + 1 - C, ceil(r_load / u_ld)) / C, floored at one cycle since the
+    one VMAC slot issues at most one VMAC per cycle.
     """
     raw = max(
         spec.pipeline_depth + 1 - spec.chains,
         math.ceil(spec.r_load / spec.u_ld),
     )
-    return Fraction(raw, spec.chains)
-
-
-def initiation_interval(spec: MicrokernelSpec) -> Fraction:
-    """Parallel-chain initiation interval in cycles per VMAC.
-
-    :func:`ii_parallel_raw` divides across C chains; the result is floored
-    at 1/u_vmac since the VMAC slots cannot issue more than u_vmac VMACs per
-    cycle.
-    """
-    return max(ii_parallel_raw(spec), Fraction(1, spec.u_vmac))
+    return max(Fraction(raw, spec.chains), Fraction(1))
 
 
 def epilog_bound(spec: MicrokernelSpec) -> int:
@@ -202,7 +192,13 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
 
 def eff_micro(spec: MicrokernelSpec) -> Fraction:
     """Modeled VMAC issue efficiency of the microkernel, from the phases of
-    :func:`total_latency`; above 1 only when ``u_vmac`` is."""
+    :func:`total_latency`, below 1.
+
+    The prolog is at least one cycle (a load's latency), the II at least
+    one, and the epilog at least one cycle per live chain (each chain's
+    drain pipelines one cycle behind the one before, the first taking
+    ``l_store + n_store - 1`` of at least 1), so a cluster of n updates
+    takes at least n + 1 cycles."""
     return total_latency(spec).eff_micro
 
 

@@ -94,7 +94,9 @@ class ScheduleResult(NamedTuple):
 
 
 def slots_for(spec: MicrokernelSpec) -> dict[str, int]:
-    return {SLOT_LOAD: spec.u_ld, SLOT_STORE: spec.u_st, SLOT_VMAC: spec.u_vmac}
+    """Slots per class: ``spec``'s load and store slots, and the core's one
+    VMAC slot."""
+    return {SLOT_LOAD: spec.u_ld, SLOT_STORE: spec.u_st, SLOT_VMAC: 1}
 
 
 def derive_cluster_shape(chains: int) -> tuple[int, int]:
@@ -535,7 +537,6 @@ def random_microkernel_spec(rng: random.Random) -> tuple[MicrokernelSpec, dict]:
         pipeline_depth=pipeline_depth,
         u_ld=u_ld,
         u_st=1,
-        u_vmac=1,
         load_classes=tuple(classes),
         r_load=r_load,
         chains=chains,

@@ -93,11 +93,13 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "section, key",
-    [("microkernel", "clamp_ii"), ("arch", "n_cores"), ("search", "eff_source")],
+    [("microkernel", "clamp_ii"), ("microkernel", "u_vmac"), ("arch", "n_cores"),
+     ("search", "eff_source")],
 )
 def test_removed_config_keys_exit_3(tmp_path, capsys, section, key):
-    # The initiation interval always floors at 1/u_vmac, and the core count
-    # is n_rows * n_cols, so neither is a config key. The efficiency source
+    # The core issues one VMAC per cycle, so the initiation interval always
+    # floors at one cycle, and the core count is n_rows * n_cols: none of
+    # the three is a config key. The efficiency source
     # is a top-level key, read by eval as well as search, so the search
     # section has none.
     cfg = tmp_path / "cfg.json"
@@ -538,36 +540,6 @@ def test_microkernel_section_reaches_every_command(tmp_path):
     code, text = run_cli("simulate", "schedule", "--tile", "32,128,64,128", "--config", str(cfg))
     assert code == EXIT_OK
     assert "bound_sequential: 2496\n" in text
-
-
-@pytest.mark.parametrize(
-    "source, microkernel, eff, u_vmac",
-    [
-        ("closed_form", {"u_vmac": 2}, "64/51", 2),
-        ("simulated", {"u_vmac": 4, "u_ld": 4, "load_classes": [[1, 4]]}, "64/61", 4),
-    ],
-)
-@pytest.mark.parametrize("command", ["search", "eval"])
-def test_kernel_efficiency_above_one_names_source_tile_and_u_vmac(
-    tmp_path, capsys, source, microkernel, eff, u_vmac, command
-):
-    # A kernel issuing up to u_vmac VMACs per cycle can score above the arch
-    # peak. That stays a configuration error, but the message must not blame
-    # an eff_micro the user never gave. The tile is the first one the search
-    # scores above 1.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"microkernel": microkernel}))
-    tile = ("--tile", "8,8,512,32") if command == "eval" else ()
-    code, text = run_cli(
-        command, *tile, "--problem", "4096x4096x2048", "--eff-source", source,
-        "--config", str(cfg),
-    )
-    assert code == EXIT_CONFIG_ERROR
-    assert text == ""
-    assert capsys.readouterr().err == (
-        f"error: {source} eff_micro of tile 8,8,512,32 is {eff}, above 1: its kernel "
-        f"issues up to u_vmac={u_vmac} VMACs per cycle, more than the arch peak of one\n"
-    )
 
 
 def test_repeated_main_calls_match_single_runs(tmp_path):

@@ -11,7 +11,6 @@ from asymtile.pipeline import (
     MicrokernelSpec,
     eff_micro,
     epilog_bound,
-    ii_parallel_raw,
     initiation_interval,
     microkernel_for_tile,
     microkernel_from_dict,
@@ -72,14 +71,14 @@ def test_ii_single_chain():
 
 
 def test_ii_three_chains_clamped():
+    # max(3 + 1 - 3, ceil(2 / 2)) / 3 = 1/3, floored at one cycle.
     spec = mk(pipeline_depth=3, r_load=2, u_ld=2, chains=3)
-    assert ii_parallel_raw(spec) == Fraction(1, 3)
     assert initiation_interval(spec) == 1
 
 
 def test_ii_four_chains_clamped():
+    # max(3 + 1 - 4, ceil(4 / 2)) / 4 = 1/2, floored at one cycle.
     spec = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=4)
-    assert ii_parallel_raw(spec) == Fraction(1, 2)
     assert initiation_interval(spec) == 1
 
 
@@ -91,11 +90,12 @@ def test_ii_four_chains_clamped():
 )
 def test_ii_raw_monotonicity(p, r, u, c):
     spec = mk(pipeline_depth=p, r_load=r, u_ld=u, chains=c)
-    raw = ii_parallel_raw(spec)
+    ii = initiation_interval(spec)
+    assert ii >= 1
     if c > 1:
-        assert ii_parallel_raw(mk(pipeline_depth=p, r_load=r, u_ld=u, chains=c - 1)) >= raw
-    assert ii_parallel_raw(mk(pipeline_depth=p + 1, r_load=r, u_ld=u, chains=c)) >= raw
-    assert ii_parallel_raw(mk(pipeline_depth=p, r_load=r + 1, u_ld=u, chains=c)) >= raw
+        assert initiation_interval(mk(pipeline_depth=p, r_load=r, u_ld=u, chains=c - 1)) >= ii
+    assert initiation_interval(mk(pipeline_depth=p + 1, r_load=r, u_ld=u, chains=c)) >= ii
+    assert initiation_interval(mk(pipeline_depth=p, r_load=r + 1, u_ld=u, chains=c)) >= ii
 
 
 # -- steady and epilog -------------------------------------------------------
@@ -103,7 +103,7 @@ def test_ii_raw_monotonicity(p, r, u, c):
 def test_steady_examples():
     assert total_latency(mk(n_accum=8, chains=4)).t_steady == 4
     assert total_latency(mk(n_accum=4, chains=4)).t_steady == 0
-    # raw II max(9 + 1 - 4, ceil(2/2)) / 4 = 3/2, above the 1/u_vmac clamp
+    # II max(9 + 1 - 4, ceil(2/2)) / 4 = 3/2, above the one-cycle floor
     b = total_latency(mk(pipeline_depth=9, n_accum=16, chains=4))
     assert b.ii_parallel == Fraction(3, 2)
     assert b.t_steady == 18
@@ -119,7 +119,7 @@ def test_epilog_examples():
 
 def eight_cluster_spec() -> MicrokernelSpec:
     # prolog 8 + ceil(6/2) - 1 = 10; epilog (6+2+2-1) + 3 = 12; raw II
-    # max(3+1-4, ceil(4/2))/4 = 1/2 clamps to 1.
+    # max(3+1-4, ceil(4/2))/4 = 1/2 floors at 1.
     return mk(
         pipeline_depth=3,
         u_ld=2,
@@ -187,12 +187,13 @@ def test_eff_micro_reference_phases():
     # 8 updates per cluster over prolog 10 + steady 4 + epilog 12 cycles.
     spec = eight_cluster_spec()
     assert eff_micro(spec) == total_latency(spec).eff_micro == Fraction(8, 26)
-    # The steady term is exact, not rounded up: two VMAC slots make the II
-    # 1/2, so 7 updates take 10 + 3/2 + 12 cycles.
-    half = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=4, n_accum=7,
-              u_vmac=2, load_classes=(LoadClass(8, 6),))
-    assert total_latency(half).t_steady == 2
-    assert eff_micro(half) == Fraction(7) / (10 + Fraction(3, 2) + 12)
+    # The steady term is exact, not rounded up: a 9-deep pipeline makes the
+    # II 3/2, so 7 updates take prolog 9 + steady 9/2 + epilog 12 cycles,
+    # 14/51 where rounding the steady term would give 7/26.
+    deep = mk(pipeline_depth=9, chains=4, n_accum=7)
+    b = total_latency(deep)
+    assert (b.t_prolog, b.ii_parallel, b.t_steady, b.t_epilog) == (9, Fraction(3, 2), 5, 12)
+    assert eff_micro(deep) == Fraction(7) / (9 + Fraction(9, 2) + 12) == Fraction(14, 51)
 
 
 def test_eff_micro_saturates():

@@ -579,7 +579,7 @@ def test_bounds_sound_hypothesis(seed):
 def adversarial_microkernel_spec(rng: random.Random) -> tuple[MicrokernelSpec, dict]:
     """A buildable spec from outside ``random_microkernel_spec``'s envelope:
     store forwarding from 0 cycles (often shorter than the MAC pipeline),
-    deeper pipelines, two VMAC or store slots, partial last rounds, unaligned
+    deeper pipelines, two store slots, partial last rounds, unaligned
     loads with pop companions, and always at least two clusters."""
     chains = rng.randint(1, 5)
     r_load = rng.randint(1, 4)
@@ -598,7 +598,6 @@ def adversarial_microkernel_spec(rng: random.Random) -> tuple[MicrokernelSpec, d
         pipeline_depth=rng.randint(1, 8),
         u_ld=rng.choice([1, 2, 4]),
         u_st=rng.randint(1, 2),
-        u_vmac=rng.randint(1, 2),
         load_classes=tuple(classes),
         r_load=r_load,
         chains=chains,
