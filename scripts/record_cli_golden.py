@@ -9,14 +9,14 @@ entry in ``tests/cli_golden.json`` holds the argv, the exit code, the sha256
 of stdout and stderr as text. The cases cover ``search`` in text, csv and
 table2 form under each efficiency source, on the reference problem and on a
 config2 pair, plus spaces that nothing survives under each source; ``eval``
-in text and csv form under each source, plus an infeasible tile;
-``simulate movement`` at the core and the array in text and csv form, a
-verification sweep, an array walk the problem does not divide and a tile
-over capacity at each boundary; ``simulate schedule`` plain, for a tile, a
-verification sweep, a ``--dump`` and with load classes in both config
-forms; one flag-only line of each class of configuration error; and
-one config document per top-level key, plus an unknown top-level key and an
-unknown key inside a section.
+in text and csv form under each source, plus an infeasible tile and a
+closed-form tile at ``t_k`` 8; ``simulate movement`` at the core and the
+array in text and csv form, a verification sweep, an array walk the problem
+does not divide and a tile over capacity at each boundary; ``simulate
+schedule`` plain, for a tile at ``t_k`` 64 and at 8, a verification sweep, a
+``--dump`` and with load classes in both config forms; one flag-only line
+of each class of configuration error; and one config document per top-level
+key, plus an unknown top-level key and an unknown key inside a section.
 
 A case is an argv list, or a dict of ``argv`` and a JSON ``config``
 document (:func:`with_config`). A ``--dump`` path in a case is the
@@ -71,6 +71,8 @@ CASES = (
         for fmt in ("text", "csv")
     ),
     ["eval", "--problem", "4096x4096x2048", "--tile", "128,128,64,128"],
+    # One update per cluster: fewer live chains than the kernel's four.
+    ["eval", "--problem", "4096x4096x2048", "--tile", "32,128,8,128", "--eff-source", "closed_form"],
     # Empty spaces under the kernel sources; the last only by kernel shape.
     ["search", "--problem", "100x100x100", "--eff-source", "closed_form"],
     ["search", "--problem", "100x100x100", "--eff-source", "simulated"],
@@ -94,6 +96,7 @@ CASES = (
     ),
     ["simulate", "schedule"],
     ["simulate", "schedule", "--tile", "32,128,64,128"],
+    ["simulate", "schedule", "--tile", "32,128,8,128"],
     ["simulate", "schedule", "--verify", "100", "--seed", "11"],
     ["simulate", "schedule", "--tile", "32,128,64,128", "--dump", DUMP],
     # Configuration errors, one line of each class, from flags alone.

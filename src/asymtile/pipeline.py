@@ -152,10 +152,11 @@ def epilog_bound(spec: MicrokernelSpec) -> int:
     """Cycles to drain one cluster after its last accumulator update.
 
     One chain needs the VMAC-to-store forwarding latency plus its store
-    sequence; the remaining C - 1 chains' drains pipeline one cycle apart.
+    sequence; the other live chains' drains pipeline one cycle apart. A
+    cluster of n_accum < C updates leaves only n_accum chains live.
     """
     one_chain = spec.l_vmac_to_store + spec.l_store + spec.n_store - 1
-    return one_chain + (spec.chains - 1)
+    return one_chain + min(spec.chains, spec.n_accum) - 1
 
 
 def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
@@ -164,8 +165,8 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
     One cluster issues n_accum updates in prolog + II * (n_accum - chains) +
     epilog cycles, the steady term clamped at zero. Sequential clusters pay
     all three phases each. Overlapped clusters hide each inner cluster's
-    prolog and epilog behind its neighbors' steady states, paying II * C per
-    cluster boundary instead; the overlapped figure is capped at the
+    prolog and epilog behind its neighbors' steady states, paying II per
+    live chain, II * min(C, n_accum), per cluster boundary instead; the overlapped figure is capped at the
     sequential one, which any execution can fall back to. ``eff_micro`` is
     n_accum over one cluster's exact phase total: clusters repeat the
     pattern, so the cluster count cancels.
@@ -177,7 +178,7 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
     cluster = t_prolog + steady_exact + t_epilog
     n_c = spec.n_clusters
     seq = math.ceil(cluster * n_c)
-    ovl_exact = t_prolog + (steady_exact + ii_par * spec.chains) * n_c + t_epilog
+    ovl_exact = t_prolog + (steady_exact + ii_par * min(spec.chains, spec.n_accum)) * n_c + t_epilog
     ovl = min(math.ceil(ovl_exact), seq)
     return LatencyBounds(
         t_prolog=t_prolog,

@@ -113,6 +113,8 @@ def test_epilog_examples():
     assert epilog_bound(mk(l_vmac_to_store=6, l_store=2, n_store=2, chains=1)) == 9
     assert epilog_bound(mk(l_vmac_to_store=6, l_store=2, n_store=2, chains=4)) == 12
     assert epilog_bound(mk(l_vmac_to_store=0, l_store=1, n_store=1, chains=1)) == 1
+    # Two updates over four chains leave two chains to drain.
+    assert epilog_bound(mk(l_vmac_to_store=6, l_store=2, n_store=2, chains=4, n_accum=2)) == 10
 
 
 # -- totals ------------------------------------------------------------------
