@@ -36,17 +36,20 @@ the parent's interquartile range (q3 - q1); the bound is the metric's
 ``sign_p`` is the exact two-sided sign test of the wins against the losses
 under a fair coin. The first of these that holds is the verdict:
 
-1. "regression": the change's median is worse than the parent's by more
+1. "too few pairs": there are fewer than ten pairs. Six A/A pairs can lose
+   six of six by chance (sign test p = 1/32), so no verdict rests on fewer
+   than ten.
+2. "regression": the change's median is worse than the parent's by more
    than the bound.
-2. "gain": the change wins at least nine tenths of the pairs, the gap is
+3. "gain": the change wins at least nine tenths of the pairs, the gap is
    larger than the spread, and ``sign_p`` is below 0.05.
-3. "regression": the same with the sides swapped (losses and a negative
+4. "regression": the same with the sides swapped (losses and a negative
    gap).
-4. "unresolved": the spread is wider than the bound and not every change
+5. "unresolved": the spread is wider than the bound and not every change
    run is better than every parent run, so the runs cannot show that the
    metric stayed within its bound.
-5. "within spread": the gap, either way, is no larger than the spread.
-6. "unresolved": otherwise (the medians differ by more than the spread, but
+6. "within spread": the gap, either way, is no larger than the spread.
+7. "unresolved": otherwise (the medians differ by more than the spread, but
    the counts or the sign test do not settle which side is better).
 """
 
@@ -71,6 +74,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 GATED = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
 BOUNDS = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
 SIGN_TEST_ALPHA = 0.05
+MIN_PAIRS = 10
 METRICS = (*GATED, "peak_rss_mb")
 SIDES = ("parent", "change")
 ORDER = "alternated: parent first on odd seeds, change first on even seeds"
@@ -135,7 +139,9 @@ def verdict(parent: list[float], change: list[float], direction: str, bound: flo
     allowed = bound * abs(parent_median)
     p_value = sign_test_p(wins, losses)
     every_run_better = all(better(c, q, direction) for c in change for q in parent)
-    if -gap > allowed:
+    if n < MIN_PAIRS:
+        name = "too few pairs"
+    elif -gap > allowed:
         name = "regression"
     elif 10 * wins >= 9 * n and gap > spread and p_value < SIGN_TEST_ALPHA:
         name = "gain"

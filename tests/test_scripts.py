@@ -126,8 +126,10 @@ def test_bench_pairs_summary():
     assert {name: v["wins"] for name, v in summary["verdicts"].items()} == {
         "pass_norm_s": 3, "setup_s": 3,
     }
-    # A 0.15 gap over a 0.10 parent IQR, on three wins of five: unsettled.
-    assert summary["verdicts"]["pass_norm_s"]["verdict"] == "unresolved"
+    # Five pairs are too few for any verdict.
+    assert {name: v["verdict"] for name, v in summary["verdicts"].items()} == {
+        "pass_norm_s": "too few pairs", "setup_s": "too few pairs",
+    }
     assert summary["fingerprints_equal"] and summary["all_correct_zero_failed"]
     assert list(summary["runs"]) == ["11", "12", "13", "14", "15"]
     assert summary["runs"]["15"] == {
@@ -212,14 +214,27 @@ def test_bench_pairs_verdict_needs_the_sign_test_and_a_spread_within_the_bound()
     assert module.sign_test_p(10, 0) == 2 / 1024
     assert module.sign_test_p(5, 5) == module.sign_test_p(0, 0) == 1.0
     # Four wins of four by 0.2 clear the share and the IQR, not the sign
-    # test (p = 2/16).
+    # test (p = 2/16), and four pairs are too few for a verdict.
     v = module.verdict(PARENT_RUNS[:4], [p - 0.2 for p in PARENT_RUNS[:4]], "lower", 0.2)
-    assert (v["verdict"], v["wins"], v["sign_p"]) == ("unresolved", 4, 0.125)
+    assert (v["verdict"], v["wins"], v["sign_p"]) == ("too few pairs", 4, 0.125)
     # Parent runs 1..10 spread wider (IQR 4.5) than the bound allows (1.1):
     # a small steady loss cannot be told from noise.
     wide = [float(i) for i in range(1, 11)]
     v = module.verdict(wide, [p + 0.05 for p in wide], "lower", 0.2)
     assert (v["verdict"], v["losses"]) == ("unresolved", 10)
+
+
+def test_bench_pairs_gives_no_verdict_from_fewer_than_ten_pairs():
+    # Six losses of six by 3.4%, outside the parent's 0.025 IQR and with
+    # sign test p = 2/64, would read "regression" under the other rules;
+    # A/A runs on identical code have lost six of six like this.
+    module = load_script("bench_pairs.py")
+    parent = PARENT_RUNS[:6]
+    v = module.verdict(parent, [p * 1.034 for p in parent], "lower", 0.2)
+    assert v["parent_iqr"] < -v["gap"]
+    assert (v["verdict"], v["losses"], v["pairs"], v["sign_p"]) == (
+        "too few pairs", 6, 6, 2 / 64,
+    )
 
 
 def test_bench_pairs_copies_the_working_tree_as_git_lists_it(tmp_path):
