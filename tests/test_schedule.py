@@ -7,11 +7,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asymtile.arch import PRECISION_PRESETS, ConfigError, ProblemSpec
-from asymtile.pipeline import LoadClass, MicrokernelSpec, microkernel_for_tile, total_latency
+from asymtile.arch import PRECISION_PRESETS, ConfigError, ProblemSpec, TileConfig
+from asymtile.pipeline import LoadClass, MicrokernelSpec, eff_micro, microkernel_for_tile, total_latency
 from asymtile.schedule import (
     Instruction,
     KernelRun,
@@ -631,6 +631,66 @@ def adversarial_microkernel_spec(rng: random.Random) -> tuple[MicrokernelSpec, d
 
 
 SPEC_DRAWS = [random_microkernel_spec, adversarial_microkernel_spec]
+
+
+@st.composite
+def tile_shaped_spec(draw) -> tuple[MicrokernelSpec, dict]:
+    """A buildable spec with every field drawn, shaped by
+    ``microkernel_for_tile`` to a tile with ``t_k`` from 8 to 512 and one to
+    four clusters (the tile sets ``n_accum`` and ``n_clusters``). The
+    prolog holds at least one unshared steady round's loads."""
+    chains = draw(st.integers(1, 5))
+    r_load = draw(st.integers(1, 4))
+    classes = [LoadClass(draw(st.integers(1, 10)), r_load * chains + draw(st.integers(0, 2)),
+                         draw(st.booleans()))]
+    if draw(st.booleans()):
+        classes.append(LoadClass(draw(st.integers(1, 10)), draw(st.integers(1, 3)), draw(st.booleans())))
+    base = MicrokernelSpec(
+        pipeline_depth=draw(st.integers(1, 8)),
+        u_ld=draw(st.integers(1, 4)),
+        u_st=draw(st.integers(1, 2)),
+        load_classes=tuple(classes),
+        r_load=r_load,
+        chains=chains,
+        l_vmac_to_store=draw(st.integers(0, 8)),
+        l_store=draw(st.integers(1, 3)),
+        n_store=draw(st.integers(1, 4)),
+        accum_regs=chains + draw(st.integers(0, 3)),
+    )
+    t_ma = 8 * draw(st.integers(1, 2))
+    tile = TileConfig(t_ma, t_ma * draw(st.sampled_from([1, 2, 4])), 8 * draw(st.integers(1, 64)),
+                      8 * chains * draw(st.integers(1, 2)))
+    options = {
+        "share_inputs": r_load >= 2 and draw(st.booleans()),
+        "double_buffer": draw(st.booleans()),
+    }
+    return microkernel_for_tile(tile, base), options
+
+
+# 64 updates over two chains with a one-cycle MAC pipeline, one-cycle loads
+# and one store per chain: loads and recurrences leave room for two VMACs a
+# cycle, so the one VMAC slot alone keeps the schedule below the peak.
+SLOT_BOUND_KERNEL = microkernel_for_tile(
+    TileConfig(8, 8, 512, 16),
+    MicrokernelSpec(pipeline_depth=1, u_ld=2, u_st=2, load_classes=(LoadClass(1, 2),),
+                    r_load=1, chains=2, l_vmac_to_store=0, l_store=1, n_store=1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.one_of(
+    *(st.randoms(use_true_random=False).map(spec_draw) for spec_draw in SPEC_DRAWS),
+    tile_shaped_spec(),
+))
+@example(drawn=(SLOT_BOUND_KERNEL, {"share_inputs": False, "double_buffer": True}))
+def test_kernel_scores_lie_strictly_between_zero_and_one(drawn):
+    # The core issues at most one VMAC per cycle, so neither kernel source
+    # reaches the arch peak: the closed form's cluster takes at least
+    # n_accum + 1 cycles, and a schedule's last VMAC still has its stores.
+    spec, options = drawn
+    assert 0 < eff_micro(spec) < 1
+    for overlap in (False, True):
+        assert 0 < kernel_run(spec, overlap, **options).vmac_issue_rate < 1
 
 
 @settings(max_examples=80, deadline=None)
