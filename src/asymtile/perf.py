@@ -84,14 +84,10 @@ def _coerce_eff(value) -> Fraction:
 class KernelScorer(NamedTuple):
     """An efficiency source scoring a tile's own microkernel: ``score`` of the
     spec :func:`microkernel_for_tile` shapes the base kernel to (else a
-    :class:`~asymtile.pipeline.KernelShapeError`).
-
-    Neither kernel source can reach 1, so a score needs no check against
-    the arch peak. The closed form is below 1
-    (:func:`~asymtile.pipeline.eff_micro`). The scheduled kernel issues at
-    most one VMAC per cycle on its one VMAC slot, and its last VMAC's
-    stores issue at least one cycle later and take at least one cycle, so
-    n VMACs take at least n + 1 cycles."""
+    :class:`~asymtile.pipeline.KernelShapeError`). Neither kernel source
+    reaches 1, the one-VMAC-per-cycle peak: the closed form is below 1
+    (:func:`~asymtile.pipeline.eff_micro`), and a schedule issues at most
+    one VMAC per cycle, its last VMAC's stores adding at least one cycle."""
 
     source: str
     score: Callable[[MicrokernelSpec], Fraction]

@@ -141,10 +141,7 @@ def initiation_interval(spec: MicrokernelSpec) -> Fraction:
     max(P + 1 - C, ceil(r_load / u_ld)) / C, floored at one cycle since the
     one VMAC slot issues at most one VMAC per cycle.
     """
-    raw = max(
-        spec.pipeline_depth + 1 - spec.chains,
-        math.ceil(spec.r_load / spec.u_ld),
-    )
+    raw = max(spec.pipeline_depth + 1 - spec.chains, math.ceil(spec.r_load / spec.u_ld))
     return max(Fraction(raw, spec.chains), Fraction(1))
 
 
@@ -166,8 +163,9 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
     epilog cycles, the steady term clamped at zero. Sequential clusters pay
     all three phases each. Overlapped clusters hide each inner cluster's
     prolog and epilog behind its neighbors' steady states, paying II per
-    live chain, II * min(C, n_accum), per cluster boundary instead; the overlapped figure is capped at the
-    sequential one, which any execution can fall back to. ``eff_micro`` is
+    live chain, II * min(C, n_accum), per cluster boundary instead; the
+    overlapped figure is capped at the sequential one, which any execution
+    can fall back to. ``eff_micro`` is
     n_accum over one cluster's exact phase total: clusters repeat the
     pattern, so the cluster count cancels.
     """
@@ -178,7 +176,8 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
     cluster = t_prolog + steady_exact + t_epilog
     n_c = spec.n_clusters
     seq = math.ceil(cluster * n_c)
-    ovl_exact = t_prolog + (steady_exact + ii_par * min(spec.chains, spec.n_accum)) * n_c + t_epilog
+    live = min(spec.chains, spec.n_accum)
+    ovl_exact = t_prolog + (steady_exact + ii_par * live) * n_c + t_epilog
     ovl = min(math.ceil(ovl_exact), seq)
     return LatencyBounds(
         t_prolog=t_prolog,
@@ -193,13 +192,9 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
 
 def eff_micro(spec: MicrokernelSpec) -> Fraction:
     """Modeled VMAC issue efficiency of the microkernel, from the phases of
-    :func:`total_latency`, below 1.
-
-    The prolog is at least one cycle (a load's latency), the II at least
-    one, and the epilog at least one cycle per live chain (each chain's
-    drain pipelines one cycle behind the one before, the first taking
-    ``l_store + n_store - 1`` of at least 1), so a cluster of n updates
-    takes at least n + 1 cycles."""
+    :func:`total_latency`. It is below 1: a cluster of n updates takes at
+    least n + 1 cycles, as the prolog is at least one cycle, the II at least
+    one and the epilog at least one cycle per live chain."""
     return total_latency(spec).eff_micro
 
 

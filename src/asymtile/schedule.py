@@ -94,8 +94,7 @@ class ScheduleResult(NamedTuple):
 
 
 def slots_for(spec: MicrokernelSpec) -> dict[str, int]:
-    """Slots per class: ``spec``'s load and store slots, and the core's one
-    VMAC slot."""
+    """Slots per class; the core has one VMAC slot."""
     return {SLOT_LOAD: spec.u_ld, SLOT_STORE: spec.u_st, SLOT_VMAC: 1}
 
 
@@ -511,10 +510,10 @@ def dump_schedule_csv(dag: list[Instruction], result: ScheduleResult) -> str:
 def random_microkernel_spec(rng: random.Random) -> tuple[MicrokernelSpec, dict]:
     """Draw a machine-plausible spec plus build options for soundness runs.
 
-    The draw is constrained to kernels a real VLIW core could run: one VMAC
-    and one store slot, store forwarding at least as long as the MAC pipeline
-    drain, per-round load pressure at most twice the load bandwidth, full
-    rounds, and a prolog that covers one steady round's operands. Outside
+    The draw is constrained to kernels a real VLIW core could run: one store
+    slot, store forwarding at least as long as the MAC pipeline drain,
+    per-round load pressure at most twice the load bandwidth, full rounds,
+    and a prolog that covers one steady round's operands. Outside
     this envelope the closed forms stop being lower bounds (they assume
     exactly these resource relations), so samples there would not test
     anything meaningful.
