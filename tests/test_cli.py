@@ -99,9 +99,8 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
 def test_removed_config_keys_exit_3(tmp_path, capsys, section, key):
     # The core issues one VMAC per cycle, so the initiation interval always
     # floors at one cycle, and the core count is n_rows * n_cols: none of
-    # the three is a config key. The efficiency source
-    # is a top-level key, read by eval as well as search, so the search
-    # section has none.
+    # the three is a config key. The efficiency source is a top-level key,
+    # read by eval as well as search, so the search section has none.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: 32 if key == "n_cores" else True}}))
     code, text = run_cli("eval", "--config", str(cfg), "--tile", "32,128,64,128")
