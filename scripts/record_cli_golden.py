@@ -8,15 +8,18 @@ Each case in ``CASES`` runs in-process through ``asymtile.cli.main``. Its
 entry in ``tests/cli_golden.json`` holds the argv, the exit code, the sha256
 of stdout and stderr as text. The cases cover ``search`` in text, csv and
 table2 form under each efficiency source, on the reference problem and on a
-config2 pair, plus spaces that nothing survives under each source; ``eval``
-in text and csv form under each source, plus an infeasible tile and a
-closed-form tile at ``t_k`` 8; ``simulate movement`` at the core and the
-array in text and csv form, a verification sweep, an array walk the problem
-does not divide and a tile over capacity at each boundary; ``simulate
-schedule`` plain, for a tile at ``t_k`` 64 and at 8, a verification sweep, a
-``--dump`` and with load classes in both config forms; one flag-only line
-of each class of configuration error; and one config document per top-level
-key, plus an unknown top-level key and an unknown key inside a section.
+config2 pair, plus a ``--rho`` space with no symmetric tile and spaces that
+nothing survives under each source; ``eval`` in text and csv form under each
+source, plus an infeasible tile, a closed-form tile at ``t_k`` 8 and a
+precision given as inline JSON, valid and malformed; ``simulate movement``
+at the core and the array in text and csv form, a verification sweep, an
+array walk the problem does not divide, a tile over capacity at each
+boundary, and an L1 capacity at the tile's footprint and one byte under it;
+``simulate schedule`` plain, for a tile at ``t_k`` 64 and at 8, a
+verification sweep, a ``--dump`` and with load classes in both config forms;
+one flag-only line of each class of configuration error; and one config
+document per top-level key, plus an unknown top-level key and an unknown key
+inside a section.
 
 A case is an argv list, or a dict of ``argv`` and a JSON ``config``
 document (:func:`with_config`). A ``--dump`` path in a case is the
@@ -64,6 +67,8 @@ CASES = (
         for emit in ("text", "csv", "table2")
     ),
     ["search", "--problem", "100x100x100"],
+    # A valid --rho whose space holds no symmetric tile.
+    ["search", "--problem", "4096x4096x2048", "--rho", "2,4", "--limit", "2"],
     *(
         ["eval", "--problem", "4096x4096x2048", "--tile", "32,128,64,128",
          "--eff-source", source, "--format", fmt]
@@ -108,6 +113,10 @@ CASES = (
     ["eval", "--problem", "4096x4096x2048", "--tile", "32,128,64"],
     ["eval", "--problem", "4096x4096x2048", "--tile", "32,16,64,128"],
     ["eval", *REFERENCE, "--precision", "fp64"],
+    # Precision as inline JSON, then as inline JSON that does not parse.
+    ["eval", *REFERENCE, "--precision",
+     '{"byte_cost_a": 1, "byte_cost_b": 1, "byte_cost_c": 2, "accum_label": "fp16"}'],
+    ["eval", *REFERENCE, "--precision", '{"byte_cost_a": 1,'],
     ["eval", *REFERENCE, "--eff-source", "vibes"],
     ["eval", *REFERENCE, "--eff-micro", "1.5"],
     ["eval", "--problem", "4000x4096x2048", "--tile", "32,128,64,128"],
@@ -135,6 +144,14 @@ CASES = (
     with_config({"eff_micro": 0.5}, "eval", *REFERENCE),
     with_config({"tiles": [32, 128, 64, 128]}, "eval", *REFERENCE),
     with_config({"arch": {"l1_size": 32768}}, "eval", *REFERENCE),
+    # L1 capacity at the reference tile's footprint (61,440 B), then one byte
+    # under it, at each boundary.
+    *(
+        with_config({"arch": {"l1_capacity": capacity}},
+                    "simulate", "movement", *REFERENCE, "--boundary", boundary)
+        for capacity in (61440, 61439)
+        for boundary in ("core", "array")
+    ),
 )
 
 
