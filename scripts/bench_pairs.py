@@ -33,16 +33,18 @@ a seed on which the change is better and a loss one on which the parent is
 change's, signed so that a positive gap favours the change; the spread is
 the parent's interquartile range (q3 - q1); the bound is the metric's
 ``bound`` in ``BENCHMARK.json``, read as a share of the parent's median;
-``sign_p`` is the exact two-sided sign test of the wins against the losses
-under a fair coin. The first of these that holds is the verdict:
+``sign_p``, reported but not tested, is the exact two-sided sign test of
+the wins against the losses under a fair coin (nine tenths of ten or more
+pairs hold it at or below 22/1024). The first of these that holds is the
+verdict:
 
 1. "too few pairs": there are fewer than ten pairs. Six A/A pairs can lose
    six of six by chance (sign test p = 1/32), so no verdict rests on fewer
    than ten.
 2. "regression": the change's median is worse than the parent's by more
    than the bound.
-3. "gain": the change wins at least nine tenths of the pairs, the gap is
-   larger than the spread, and ``sign_p`` is below 0.05.
+3. "gain": the change wins at least nine tenths of the pairs and the gap
+   is larger than the spread.
 4. "regression": the same with the sides swapped (losses and a negative
    gap).
 5. "unresolved": the spread is wider than the bound and not every change
@@ -50,7 +52,7 @@ under a fair coin. The first of these that holds is the verdict:
    metric stayed within its bound.
 6. "within spread": the gap, either way, is no larger than the spread.
 7. "unresolved": otherwise (the medians differ by more than the spread, but
-   the counts or the sign test do not settle which side is better).
+   the counts do not settle which side is better).
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 # bound on how far it may worsen, as a share of the parent's median.
 GATED = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
 BOUNDS = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
-SIGN_TEST_ALPHA = 0.05
 MIN_PAIRS = 10
 METRICS = (*GATED, "peak_rss_mb")
 SIDES = ("parent", "change")
@@ -137,15 +138,14 @@ def verdict(parent: list[float], change: list[float], direction: str, bound: flo
     gap = parent_median - change_median if direction == "lower" else change_median - parent_median
     spread = q3 - q1
     allowed = bound * abs(parent_median)
-    p_value = sign_test_p(wins, losses)
     every_run_better = all(better(c, q, direction) for c in change for q in parent)
     if n < MIN_PAIRS:
         name = "too few pairs"
     elif -gap > allowed:
         name = "regression"
-    elif 10 * wins >= 9 * n and gap > spread and p_value < SIGN_TEST_ALPHA:
+    elif 10 * wins >= 9 * n and gap > spread:
         name = "gain"
-    elif 10 * losses >= 9 * n and -gap > spread and p_value < SIGN_TEST_ALPHA:
+    elif 10 * losses >= 9 * n and -gap > spread:
         name = "regression"
     elif spread > allowed and not every_run_better:
         name = "unresolved"
@@ -155,7 +155,7 @@ def verdict(parent: list[float], change: list[float], direction: str, bound: flo
         name = "unresolved"
     return {
         "verdict": name, "wins": wins, "losses": losses, "pairs": n,
-        "gap": gap, "parent_iqr": spread, "sign_p": p_value,
+        "gap": gap, "parent_iqr": spread, "sign_p": sign_test_p(wins, losses),
     }
 
 
@@ -224,9 +224,8 @@ def export_tree(rev: str, dest: Path) -> None:
 
 
 def export_working_tree(root: Path, dest: Path) -> None:
-    """Copy into ``dest`` each file of the git working tree at ``root`` that
-    ``git ls-files --cached --others --exclude-standard`` lists, with its
-    bytes on disk, leaving out the tracked files deleted on disk."""
+    """Copy the git working tree at ``root`` into ``dest`` as the module
+    docstring says: the files git lists, with their bytes on disk."""
     listed = subprocess.run(
         ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
         cwd=root, capture_output=True, check=True,

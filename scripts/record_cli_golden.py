@@ -6,20 +6,11 @@ Usage:
 
 Each case in ``CASES`` runs in-process through ``asymtile.cli.main``. Its
 entry in ``tests/cli_golden.json`` holds the argv, the exit code, the sha256
-of stdout and stderr as text. The cases cover ``search`` in text, csv and
-table2 form under each efficiency source, on the reference problem and on a
-config2 pair, plus a ``--rho`` space with no symmetric tile and spaces that
-nothing survives under each source; ``eval`` in text and csv form under each
-source, plus an infeasible tile, a closed-form tile at ``t_k`` 8 and a
-precision given as inline JSON, valid and malformed; ``simulate movement``
-at the core and the array in text and csv form, a verification sweep, an
-array walk the problem does not divide, a tile over capacity at each
-boundary, and an L1 capacity at the tile's footprint and one byte under it;
-``simulate schedule`` plain, for a tile at ``t_k`` 64 and at 8, a
-verification sweep, a ``--dump`` and with load classes in both config forms;
-one flag-only line of each class of configuration error; and one config
-document per top-level key, plus an unknown top-level key and an unknown key
-inside a section.
+of stdout and stderr as text. The cases cover each report form of each
+subcommand, each efficiency source, empty spaces, tiles over capacity and
+at it, verification sweeps, one line of each class of configuration error
+and one config document per top-level key; the comments in ``CASES`` say
+what a group reaches that no other does.
 
 A case is an argv list, or a dict of ``argv`` and a JSON ``config``
 document (:func:`with_config`). A ``--dump`` path in a case is the
@@ -155,13 +146,6 @@ CASES = (
 )
 
 
-def _run(argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli_main(list(argv), out=out)
-    return code, out.getvalue(), err.getvalue()
-
-
 def split_case(case) -> tuple[list[str], dict | None]:
     """The argv and the config document (None without one) of a case."""
     if isinstance(case, dict):
@@ -175,18 +159,15 @@ def run_case(argv: list[str], config: dict | None = None) -> dict:
         paths = {DUMP: str(Path(tmp) / "schedule.csv"), CONFIG: str(Path(tmp) / "config.json")}
         if config is not None:
             Path(paths[CONFIG]).write_text(json.dumps(config))
-        code, out, err = _run([paths.get(arg, arg) for arg in argv])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli_main([paths.get(arg, arg) for arg in argv], out=out)
+        out, err = out.getvalue(), err.getvalue()
         dump = hashlib.sha256(Path(paths[DUMP]).read_bytes()).hexdigest() if DUMP in argv else None
     for placeholder, path in paths.items():
         out, err = out.replace(path, placeholder), err.replace(path, placeholder)
-    entry = {"argv": list(argv)}
-    if config is not None:
-        entry["config"] = config
-    entry.update(
-        exit=code,
-        stdout_sha256=hashlib.sha256(out.encode()).hexdigest(),
-        stderr=err,
-    )
+    entry = {"argv": list(argv)} if config is None else {"argv": list(argv), "config": config}
+    entry.update(exit=code, stdout_sha256=hashlib.sha256(out.encode()).hexdigest(), stderr=err)
     if dump is not None:
         entry["dump_sha256"] = dump
     return entry

@@ -37,6 +37,7 @@ from asymtile.arch import (
     TileConfig,
     arch_from_dict,
     buffer_footprint,
+    check_feasible,
     precision_from_value,
     problem_from_value,
     tile_from_value,
@@ -81,17 +82,6 @@ EXIT_INFEASIBLE = 2
 EXIT_CONFIG_ERROR = 3
 EXIT_VERIFY_FAILURE = 4
 
-_CONFIG_KEYS = {
-    "arch",
-    "precision",
-    "problem",
-    "tile",
-    "search",
-    "microkernel",
-    "eff_source",
-    "eff_micro",
-}
-
 
 def _count(text: str) -> int:
     """argparse type for a nonnegative count."""
@@ -110,11 +100,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 class RunConfig(NamedTuple):
+    """Resolved inputs of one command; the fields are the config's top-level keys."""
+
     arch: ArchSpec
-    prec: PrecisionSpec
+    precision: PrecisionSpec
     problem: ProblemSpec | None
     tile: TileConfig | None
-    space: SearchSpace
+    search: SearchSpace
     microkernel: MicrokernelSpec
     eff_source: str
     eff_micro: Fraction | None
@@ -130,7 +122,7 @@ def _load_json_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(RunConfig._fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return raw
@@ -168,17 +160,18 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         name: getattr(args, name, None)
         for name in ("t_mc_max", "t_k_min", "t_k_max", "t_n_max", "step")
     }
-    overrides["rho_candidates"] = resolve("rho", _parse_rho)
+    rho = getattr(args, "rho", None)
+    overrides["rho_candidates"] = None if rho is None else _parse_rho(rho)
     space = replace(space, **{k: v for k, v in overrides.items() if v is not None})
     eff_source = resolve("eff_source", lambda value: value, EFF_SOURCE_CALIBRATION)
     eff_scorer(eff_source)  # an unknown source fails here, before any work
 
     return RunConfig(
         arch=resolve("arch", arch_from_dict, DEFAULT_ARCH),
-        prec=resolve("precision", precision_from_value, PRECISION_PRESETS["config1"]),
+        precision=resolve("precision", precision_from_value, PRECISION_PRESETS["config1"]),
         problem=resolve("problem", problem_from_value),
         tile=resolve("tile", tile_from_value),
-        space=space,
+        search=space,
         microkernel=resolve("microkernel", microkernel_from_dict, DEFAULT_MICROKERNEL),
         eff_source=eff_source,
         eff_micro=resolve("eff_micro", _parse_eff_micro),
@@ -197,7 +190,7 @@ def cmd_eval(cfg: RunConfig, fmt: str, out) -> int:
     est = perf_array(
         tile,
         problem,
-        cfg.prec,
+        cfg.precision,
         cfg.arch,
         eff_micro=cfg.eff_micro,
         eff_source=cfg.eff_source,
@@ -209,9 +202,9 @@ def cmd_eval(cfg: RunConfig, fmt: str, out) -> int:
     else:
         out.write(
             f"tile: {tile.t_mc}x{tile.t_k}x{tile.t_n} (t_ma={tile.t_ma}, rho={tile.rho})\n"
-            f"precision: {cfg.prec.accum_label} accumulate, byte costs "
-            f"a={float(cfg.prec.byte_cost_a)} b={float(cfg.prec.byte_cost_b)} "
-            f"c={float(cfg.prec.byte_cost_c)}\n"
+            f"precision: {cfg.precision.accum_label} accumulate, byte costs "
+            f"a={float(cfg.precision.byte_cost_a)} b={float(cfg.precision.byte_cost_b)} "
+            f"c={float(cfg.precision.byte_cost_c)}\n"
             f"buffer: {_kb1(est.buffer_bytes)} KB of {_kb1(cfg.arch.l1_capacity)} KB\n"
             f"feasible: {'yes' if est.feasible else 'no'}\n"
         )
@@ -242,7 +235,7 @@ def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
     problem = _require(cfg.problem, "a problem size (--problem or config)")
     try:
         result = explore(
-            cfg.space, problem, cfg.prec, cfg.arch, cfg.microkernel, eff_source=cfg.eff_source
+            cfg.search, problem, cfg.precision, cfg.arch, cfg.microkernel, eff_source=cfg.eff_source
         )
     except EmptySearchSpace as exc:
         out.write(f"{exc}\n")
@@ -250,7 +243,7 @@ def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
     if emit == "csv":
         out.write(ranked_to_csv(result))
     elif emit == "table2":
-        out.write(ranked_to_markdown(result, problem, cfg.prec, cfg.arch, limit=limit))
+        out.write(ranked_to_markdown(result, problem, cfg.precision, cfg.arch, limit=limit))
     else:
         out.write(f"evaluated {len(result.entries)} feasible configurations\n")
         for tile, est in result.entries[:limit]:
@@ -295,11 +288,10 @@ def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
     problem = _require(cfg.problem, "a problem size (--problem or config)")
     # The per-core tile must fit L1 at either boundary; the array boundary
     # walks the grid's L2 tile built from it.
-    footprint = buffer_footprint(tile, cfg.prec, cfg.arch)
-    if footprint > cfg.arch.l1_capacity:
-        return _report_infeasible(footprint, cfg.arch, out)
+    if not check_feasible(tile, cfg.precision, cfg.arch):
+        return _report_infeasible(buffer_footprint(tile, cfg.precision, cfg.arch), cfg.arch, out)
     trace = simulate_movement(
-        problem, tile, cfg.prec, cfg.arch, boundary=args.boundary
+        problem, tile, cfg.precision, cfg.arch, boundary=args.boundary
     )
     if args.format == "csv":
         out.write(trace_to_csv(trace, args.boundary))

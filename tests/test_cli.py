@@ -617,7 +617,7 @@ SECTION_TYPES = {
 # Every field of every section, then every top-level key as a whole value.
 FUZZED_KEYS = [
     (section, f.name) for section, cls in SECTION_TYPES.items() for f in fields(cls)
-] + [(section, None) for section in sorted(cli._CONFIG_KEYS | {"bogus"})]
+] + [(section, None) for section in sorted({*cli.RunConfig._fields, "bogus"})]
 # Values that size a loop (search ranges, the L1 capacity, the core grid and
 # the kernel shape) are drawn small, so that one run takes milliseconds. The
 # sections and fields below size no loop and draw ints of any size.

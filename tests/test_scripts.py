@@ -208,13 +208,13 @@ def test_bench_pairs_verdict(change, direction, want):
     assert verdict(PARENT_RUNS, change, direction, 0.2)["verdict"] == want
 
 
-def test_bench_pairs_verdict_needs_the_sign_test_and_a_spread_within_the_bound():
+def test_bench_pairs_verdict_reports_sign_p_and_needs_a_spread_within_the_bound():
     module = load_script("bench_pairs.py")
     assert module.sign_test_p(9, 1) == 22 / 1024
     assert module.sign_test_p(10, 0) == 2 / 1024
     assert module.sign_test_p(5, 5) == module.sign_test_p(0, 0) == 1.0
-    # Four wins of four by 0.2 clear the share and the IQR, not the sign
-    # test (p = 2/16), and four pairs are too few for a verdict.
+    # Four wins of four by 0.2 clear the share and the IQR, but four pairs
+    # are too few for a verdict; sign_p is still reported.
     v = module.verdict(PARENT_RUNS[:4], [p - 0.2 for p in PARENT_RUNS[:4]], "lower", 0.2)
     assert (v["verdict"], v["wins"], v["sign_p"]) == ("too few pairs", 4, 0.125)
     # Parent runs 1..10 spread wider (IQR 4.5) than the bound allows (1.1):
@@ -222,6 +222,21 @@ def test_bench_pairs_verdict_needs_the_sign_test_and_a_spread_within_the_bound()
     wide = [float(i) for i in range(1, 11)]
     v = module.verdict(wide, [p + 0.05 for p in wide], "lower", 0.2)
     assert (v["verdict"], v["losses"]) == ("unresolved", 10)
+
+
+def test_nine_tenths_of_enough_pairs_always_clear_the_sign_test():
+    # Why the rule tests no sign_p: from MIN_PAIRS pairs on, any win (or,
+    # by symmetry, loss) count a verdict accepts, with any loss count that
+    # fits beside it, gives a sign test of at most 22/1024 (nine wins, one
+    # loss). Five wins of five would give 2/32.
+    module = load_script("bench_pairs.py")
+    worst = max(
+        module.sign_test_p(wins, losses)
+        for n in range(module.MIN_PAIRS, 201)
+        for wins in range(-(-9 * n // 10), n + 1)
+        for losses in range(n - wins + 1)
+    )
+    assert worst == 22 / 1024 < 0.05
 
 
 def test_bench_pairs_gives_no_verdict_from_fewer_than_ten_pairs():
