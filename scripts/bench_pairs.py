@@ -3,6 +3,7 @@
 
 Usage:
     python3 scripts/bench_pairs.py --workload W --parent REV --seeds S [S ...]
+    python3 scripts/bench_pairs.py --pool BENCH_W.json [BENCH_W.json ...]
 
 Both sides run from copies unpacked under one temporary directory, so
 neither has the repository's location, file system or ``__pycache__`` to
@@ -19,13 +20,23 @@ The gated metrics are the ``end_to_end`` entries of ``BENCHMARK.json``
 (``pass_norm_s`` and ``setup_s``), each with the direction its ``better``
 names. The summary is written to ``BENCH_<W>.json`` at the repository root.
 Per side it holds the median and quartiles (inclusive method) of each gated
-metric and of ``peak_rss_mb``. It also says whether both sides have the
+metric and of ``peak_rss_mb``, with the parent's short commit and the
+``tree`` digest of the change (sha256 over the sorted paths and bytes of
+the exported copy, taken before any run, leaving out the ``BENCH_*.json``
+reports at its root). It also says whether both sides have the
 same fingerprint on every seed and whether every run was correct with no
 failed operation, and lists each seed's runs. Every figure is stored
 unrounded, so ``verdict`` on the stored runs gives the stored verdicts. The
 script prints each seed's gated pairs as it goes, then one line per gated
 metric with both sides' medians, the change's wins and the metric's
 verdict.
+
+``--pool`` runs nothing. It reads several ``BENCH_<W>.json`` files of one
+workload, one parent commit and one change tree, each with its own seeds,
+and writes the summary and verdicts of all their runs together to
+``BENCH_<W>.json``, as if one run had taken every seed. It refuses files
+that differ in workload, parent, tree or machine, files without a tree
+digest, and a seed found in two files.
 
 The verdict rule, in ``verdicts`` of the summary. Per gated metric, a win is
 a seed on which the change is better and a loss one on which the parent is
@@ -58,6 +69,7 @@ verdict:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -159,9 +171,10 @@ def verdict(parent: list[float], change: list[float], direction: str, bound: flo
     }
 
 
-def summarise(runs: dict[int, dict[str, dict]]) -> dict:
-    """Summary of per-seed run records, each ``{"parent": rec, "change": rec}``
-    with the records :func:`run_once` returns."""
+def side_summary(runs: dict[int, dict[str, dict]]) -> dict:
+    """Each side's quartiles and each gated metric's verdict, from per-seed
+    records ``{"parent": rec, "change": rec}`` holding at least
+    :data:`METRICS`."""
     seeds = sorted(runs)
     summary: dict = {}
     for side in SIDES:
@@ -178,6 +191,14 @@ def summarise(runs: dict[int, dict[str, dict]]) -> dict:
         )
         for name, direction in GATED.items()
     }
+    return summary
+
+
+def summarise(runs: dict[int, dict[str, dict]]) -> dict:
+    """Summary of per-seed run records, each ``{"parent": rec, "change": rec}``
+    with the records :func:`run_once` returns."""
+    seeds = sorted(runs)
+    summary = side_summary(runs)
     summary["fingerprints_equal"] = all(
         runs[s]["parent"]["sha256"] == runs[s]["change"]["sha256"] for s in seeds
     )
@@ -192,6 +213,40 @@ def summarise(runs: dict[int, dict[str, dict]]) -> dict:
         for s in seeds
     }
     return summary
+
+
+def pool(reports: list[dict]) -> dict:
+    """One report of the runs of several stored reports, as the module
+    docstring's ``--pool`` says; :class:`ValueError` names what differs."""
+    for report in reports:
+        if "tree" not in report["change"]:
+            raise ValueError(
+                f"the {report['workload']} report against {report['parent']['commit']} "
+                "has no change tree digest"
+            )
+    for key, of in (("workload", lambda r: r["workload"]),
+                    ("parent", lambda r: r["parent"]["commit"]),
+                    ("tree", lambda r: r["change"]["tree"]),
+                    ("machine", lambda r: r["machine"])):
+        if any(of(r) != of(reports[0]) for r in reports):
+            raise ValueError(f"the reports differ in {key}")
+    stored = {int(s): rs for r in reports for s, rs in r["runs"].items()}
+    if len(stored) != sum(len(r["runs"]) for r in reports):
+        raise ValueError("a seed is in more than one report")
+    summary = side_summary(stored)
+    first = reports[0]
+    return {
+        **{key: first[key] for key in ("workload", "command", "seconds_per_run")},
+        "seeds": sorted(stored),
+        "order": first["order"],
+        "parent": {"commit": first["parent"]["commit"], **summary["parent"]},
+        "change": {"tree": first["change"]["tree"], **summary["change"]},
+        "verdicts": summary["verdicts"],
+        "fingerprints_equal": all(r["fingerprints_equal"] for r in reports),
+        "all_correct_zero_failed": all(r["all_correct_zero_failed"] for r in reports),
+        "runs": {str(s): stored[s] for s in sorted(stored)},
+        "machine": first["machine"],
+    }
 
 
 def machine(pinned: bool) -> dict:
@@ -223,6 +278,20 @@ def export_tree(rev: str, dest: Path) -> None:
         raise RuntimeError(f"git archive {rev} failed")
 
 
+def tree_digest(tree: Path) -> str:
+    """sha256 over the sorted relative paths and bytes of every file under
+    ``tree`` except the ``BENCH_*.json`` reports at its root, which this
+    script rewrites between the runs it may pool."""
+    digest = hashlib.sha256()
+    reports = set(tree.glob("BENCH_*.json"))
+    for path in sorted(p for p in tree.rglob("*") if p.is_file() and p not in reports):
+        name = path.relative_to(tree).as_posix()
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def export_working_tree(root: Path, dest: Path) -> None:
     """Copy the git working tree at ``root`` into ``dest`` as the module
     docstring says: the files git lists, with their bytes on disk."""
@@ -239,47 +308,28 @@ def export_working_tree(root: Path, dest: Path) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=[w["name"] for w in BENCHMARK["workloads"]])
+    parser.add_argument("--parent", help="git revision of the parent")
+    parser.add_argument("--seeds", type=int, nargs="+")
     parser.add_argument(
-        "--workload", required=True, choices=[w["name"] for w in BENCHMARK["workloads"]]
+        "--pool", type=Path, nargs="+", metavar="BENCH_JSON",
+        help="pool stored reports of one workload, parent and tree instead of running",
     )
-    parser.add_argument("--parent", required=True, help="git revision of the parent")
-    parser.add_argument("--seeds", required=True, type=int, nargs="+")
     args = parser.parse_args(argv)
-    if len(args.seeds) < 2:
+    if args.pool:
+        if args.workload or args.parent or args.seeds:
+            parser.error("--pool takes no --workload, --parent or --seeds")
+        try:
+            report = pool([json.loads(path.read_text()) for path in args.pool])
+        except ValueError as exc:
+            parser.error(str(exc))
+    elif not (args.workload and args.parent and args.seeds):
+        parser.error("--workload, --parent and --seeds are required without --pool")
+    elif len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
-
-    commit = subprocess.run(
-        ["git", "rev-parse", "--short", args.parent],
-        cwd=ROOT, capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    runs: dict[int, dict[str, dict]] = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = {side: Path(tmp) / side for side in SIDES}
-        export_tree(commit, trees["parent"])
-        export_working_tree(ROOT, trees["change"])
-        for seed in args.seeds:
-            order = SIDES if seed % 2 else SIDES[::-1]
-            runs[seed] = {side: run_once(trees[side], args.workload, seed) for side in order}
-            pairs = "; ".join(
-                name + " " + "  ".join(f"{side} {runs[seed][side][name]:.4f}" for side in SIDES)
-                for name in GATED
-            )
-            print(f"seed {seed}: {pairs}", flush=True)
-
-    summary = summarise(runs)
-    summary["parent"] = {"commit": commit, **summary["parent"]}
-    report = {
-        "workload": args.workload,
-        "command": f"python3 benchmarks/run.py --workload {args.workload} --seed SEED --trace 0",
-        "seconds_per_run": BENCHMARK["run_seconds"],
-        "seeds": sorted(runs),
-        "order": ORDER,
-        **summary,
-        "machine": machine(
-            all(runs[s][side]["pinned"] for s in runs for side in SIDES)
-        ),
-    }
-    out = ROOT / f"BENCH_{args.workload}.json"
+    else:
+        report = run_pairs(args.workload, args.parent, args.seeds)
+    out = ROOT / f"BENCH_{report['workload']}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"{out.name}:")
     for name in GATED:
@@ -291,6 +341,44 @@ def main(argv: list[str] | None = None) -> int:
             f"{v['parent_iqr']:.4g}; sign test p {v['sign_p']:.3g}): {v['verdict']}"
         )
     return 0
+
+
+def run_pairs(workload: str, parent: str, seeds: list[int]) -> dict:
+    """Run the alternated pairs of the module docstring and return their
+    report."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", parent],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    runs: dict[int, dict[str, dict]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        export_tree(commit, trees["parent"])
+        export_working_tree(ROOT, trees["change"])
+        tree = tree_digest(trees["change"])
+        for seed in seeds:
+            order = SIDES if seed % 2 else SIDES[::-1]
+            runs[seed] = {side: run_once(trees[side], workload, seed) for side in order}
+            pairs = "; ".join(
+                name + " " + "  ".join(f"{side} {runs[seed][side][name]:.4f}" for side in SIDES)
+                for name in GATED
+            )
+            print(f"seed {seed}: {pairs}", flush=True)
+
+    summary = summarise(runs)
+    summary["parent"] = {"commit": commit, **summary["parent"]}
+    summary["change"] = {"tree": tree, **summary["change"]}
+    return {
+        "workload": workload,
+        "command": f"python3 benchmarks/run.py --workload {workload} --seed SEED --trace 0",
+        "seconds_per_run": BENCHMARK["run_seconds"],
+        "seeds": sorted(runs),
+        "order": ORDER,
+        **summary,
+        "machine": machine(
+            all(runs[s][side]["pinned"] for s in runs for side in SIDES)
+        ),
+    }
 
 
 if __name__ == "__main__":

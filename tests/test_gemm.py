@@ -66,15 +66,17 @@ def reference_row_update_gemm(a: Matrix, b: Matrix) -> list[float]:
 
 @settings(max_examples=60)
 @given(
-    shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 20)),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 6), st.integers(1, 20)),
     data=st.data(),
 )
 def test_naive_dot_products_equal_row_updates_bitwise(shape, data):
     # Same terms in the same order, so every float is identical, even with
     # magnitudes far enough apart that the order of the additions matters.
-    # n up to 20 is zero to two full 8-lane groups plus zero to seven
-    # remainder columns. Zeros of both signs, drawn about one time in four so
-    # most terms stay nonzero, show an accumulator that does not start at 0.0.
+    # m up to 9 gives a 4-row block padded with one to three zero rows, one
+    # full block and two full blocks. n up to 20 is zero to two full 8-lane
+    # groups plus zero to seven remainder columns. Zeros of both signs, drawn
+    # about one time in four so most terms stay nonzero, show an accumulator
+    # that does not start at 0.0.
     m, k, n = shape
     floats = st.floats(-1e16, 1e16, allow_nan=False, allow_infinity=False)
     values = st.one_of(floats, floats, floats, st.sampled_from((0.0, -0.0)))
@@ -84,6 +86,15 @@ def test_naive_dot_products_equal_row_updates_bitwise(shape, data):
     want = reference_row_update_gemm(a, b)
     assert signs(got) == signs(want)
     assert list(got) == want
+
+
+def test_naive_padding_rows_never_reach_the_result():
+    # The zero rows that pad m = 1 to a 4-row block meet inf in b, so their
+    # outputs are NaN (0.0 * inf); they must be dropped, not returned.
+    inf = math.inf
+    b = Matrix(2, 9, (1.0, inf, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, inf) + (1.0,) * 9)
+    got = naive_gemm(Matrix(1, 2, (2.0, -1.0)), b).data
+    assert got == (1.0, inf, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0, inf)
 
 
 def test_naive_one_by_one():
@@ -192,6 +203,22 @@ def test_tiled_equivalence_randomized():
         assert signs(got.data) == signs(want.data)
         assert trace.peak_l1_occupancy == buffer_footprint(tile, UNIT)
         assert trace == simulate_movement(ProblemSpec(m, k, n), tile, UNIT)
+
+
+def test_tiled_four_row_blocks_across_subtiles_match_naive():
+    # t_ma 16 is four 4-row blocks per A slice and rho 8 is eight slices per
+    # output tile; two output tiles per dim and two contraction steps make
+    # every block's accumulators carry over stages and be reset per tile.
+    rng = random.Random(6)
+    tile = TileConfig(16, 128, 8, 16)
+    m, k, n = 2 * tile.t_mc, 2 * tile.t_k, 2 * tile.t_n
+    a = Matrix(m, k, tuple(wide_value(rng) for _ in range(m * k)))
+    b = Matrix(k, n, tuple(wide_value(rng) for _ in range(k * n)))
+    got, trace = tiled_gemm(a, b, tile, 10**9, UNIT)
+    want = naive_gemm(a, b)
+    assert got.data == want.data
+    assert signs(got.data) == signs(want.data)
+    assert trace == simulate_movement(ProblemSpec(m, k, n), tile, UNIT)
 
 
 def test_tiled_non_finite_matches_naive():

@@ -252,6 +252,99 @@ def test_bench_pairs_gives_no_verdict_from_fewer_than_ten_pairs():
     )
 
 
+def stored_report(module, runs, workload="oracles", commit="abc1234", tree="d" * 64):
+    # What run_pairs returns and main stores, for synthetic runs.
+    summary = module.summarise(runs)
+    summary["parent"] = {"commit": commit, **summary["parent"]}
+    summary["change"] = {"tree": tree, **summary["change"]}
+    report = {"workload": workload, "command": "run", "seconds_per_run": 15,
+              "seeds": sorted(runs), "order": module.ORDER, **summary,
+              "machine": module.machine(True)}
+    return json.loads(json.dumps(report))
+
+
+def test_bench_pairs_pools_reports_of_one_parent_and_tree(tmp_path):
+    module = load_script("bench_pairs.py")
+    # Two five-pair runs: each alone is too few pairs; pooled they are ten,
+    # and the change wins nine by about 0.1, far outside the parent's IQR.
+    parents = [0.60 + i * 0.003 for i in range(10)]
+    changes = [p - 0.1 for p in parents[:9]] + [0.7]
+    runs = {
+        seed: {"parent": run_record(p, 0.06 + p / 100), "change": run_record(c)}
+        for seed, p, c in zip(range(41, 51), parents, changes)
+    }
+    first = stored_report(module, {s: runs[s] for s in range(41, 46)})
+    second = stored_report(module, {s: runs[s] for s in range(46, 51)})
+    assert first["verdicts"]["pass_norm_s"]["verdict"] == "too few pairs"
+    pooled = module.pool([second, first])
+    for name, direction in module.GATED.items():
+        assert pooled["verdicts"][name] == module.verdict(
+            [runs[s]["parent"][name] for s in range(41, 51)],
+            [runs[s]["change"][name] for s in range(41, 51)],
+            direction,
+            module.BOUNDS[name],
+        )
+    assert pooled["verdicts"]["pass_norm_s"]["verdict"] == "gain"
+    assert pooled["seeds"] == list(range(41, 51))
+    assert pooled["parent"]["commit"] == "abc1234" and pooled["change"]["tree"] == "d" * 64
+    assert pooled["fingerprints_equal"] and pooled["all_correct_zero_failed"]
+    # Pooling gives what one ten-pair run would store.
+    assert pooled == stored_report(module, runs)
+
+    # Through the command line the pooled report is written to
+    # BENCH_<W>.json at the root (here a temporary one).
+    paths = []
+    for i, report in enumerate((first, second)):
+        paths.append(tmp_path / f"run{i}.json")
+        paths[-1].write_text(json.dumps(report))
+    module.ROOT = tmp_path
+    assert module.main(["--pool", *map(str, paths)]) == 0
+    written = json.loads((tmp_path / "BENCH_oracles.json").read_text())
+    assert written["verdicts"] == pooled["verdicts"]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"workload": "dse"}, "the reports differ in workload"),
+        ({"commit": "fff0000"}, "the reports differ in parent"),
+        ({"tree": "e" * 64}, "the reports differ in tree"),
+        ({"seeds": range(45, 50)}, "a seed is in more than one report"),
+    ],
+)
+def test_bench_pairs_refuses_to_pool_mixed_reports(change, message):
+    module = load_script("bench_pairs.py")
+    seeds = change.pop("seeds", range(51, 56))
+    first = stored_report(module, {s: {"parent": run_record(1.0), "change": run_record(0.9)}
+                                   for s in range(41, 46)})
+    second = stored_report(module, {s: {"parent": run_record(1.0), "change": run_record(0.9)}
+                                    for s in seeds}, **change)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        module.pool([first, second])
+    del first["change"]["tree"]
+    with pytest.raises(ValueError, match="has no change tree digest$"):
+        module.pool([first, first])
+
+
+def test_bench_pairs_tree_digest_covers_paths_and_bytes(tmp_path):
+    tree_digest = load_script("bench_pairs.py").tree_digest
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_bytes(b"x = 1\n")
+    before = tree_digest(tmp_path)
+    # The reports at the root are the script's own output, so rewriting one
+    # between two runs leaves the tree the same; one elsewhere is a file.
+    (tmp_path / "BENCH_oracles.json").write_text("{}")
+    assert tree_digest(tmp_path) == before
+    (tmp_path / "src" / "BENCH_oracles.json").write_text("{}")
+    assert tree_digest(tmp_path) != before
+    (tmp_path / "src" / "BENCH_oracles.json").unlink()
+    (tmp_path / "src" / "a.py").write_bytes(b"x = 2\n")
+    assert tree_digest(tmp_path) != before
+    (tmp_path / "src" / "a.py").write_bytes(b"x = 1\n")
+    (tmp_path / "src" / "a.py").rename(tmp_path / "src" / "b.py")
+    assert tree_digest(tmp_path) != before
+
+
 def test_bench_pairs_copies_the_working_tree_as_git_lists_it(tmp_path):
     export_working_tree = load_script("bench_pairs.py").export_working_tree
     repo, dest = tmp_path / "repo", tmp_path / "copy"
