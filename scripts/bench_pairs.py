@@ -18,27 +18,31 @@ seeds and the change first on even ones.
 
 The gated metrics are the ``end_to_end`` entries of ``BENCHMARK.json``
 (``pass_norm_s`` and ``setup_s``), each with the direction its ``better``
-names. The summary is written to ``BENCH_<W>.json`` at the repository root.
-Per side it holds the median and quartiles (inclusive method) of each gated
-metric and of ``peak_rss_mb``, with the parent's short commit and the
-``tree`` digest of the change (sha256 over the sorted paths and bytes of
-the exported copy, taken before any run, leaving out the ``BENCH_*.json``
-reports at its root). It also says whether both sides have the
-same fingerprint on every seed and whether every run was correct with no
-failed operation, and lists each seed's runs. Every figure is stored
-unrounded, so ``verdict`` on the stored runs gives the stored verdicts. The
-script prints each seed's gated pairs as it goes, then one line per gated
-metric with both sides' medians, the change's wins and the metric's
-verdict.
+names. The report is written to ``BENCH_<W>.json`` at the repository root.
+Each seed's run of each side is stored whole, as ``run_once`` returns it:
+the gated metrics and ``peak_rss_mb``, unrounded, the ``sha256`` of its
+fingerprint, whether it was ``correct`` (exit 0, no failed operation) and
+whether it was ``pinned`` to one CPU. Besides the parent's short commit,
+the change's ``tree`` digest (sha256 over the sorted paths and bytes of the
+exported copy, taken before any run, leaving out the ``BENCH_*.json``
+reports at its root) and the machine, the report is one function of those
+runs, ``report``: per side the median and quartiles (inclusive method) of
+each gated metric and of ``peak_rss_mb``, the verdicts, whether both sides
+have the same fingerprint on every seed and whether every run was correct.
+So ``report`` on the stored runs gives the stored report back. The script
+prints each seed's gated pairs as it goes, then one line per gated metric
+with both sides' medians, the change's wins and the metric's verdict. A
+SIGTERM stops the running benchmark and removes both copies.
 
 ``--pool`` runs nothing. It reads several ``BENCH_<W>.json`` files of one
 workload, one parent commit and one change tree, each with its own seeds,
-and writes the summary and verdicts of all their runs together to
-``BENCH_<W>.json``, as if one run had taken every seed. It refuses files
-that differ in workload, parent, tree or machine, files without a tree
-digest, and a seed found in two files.
+and writes ``report`` of all their runs together to ``BENCH_<W>.json``, as
+if one run had taken every seed. It refuses files that differ in workload,
+parent, tree or machine, files run at another length than
+``BENCHMARK.json`` sets, files without a tree digest or whose runs are not
+stored whole, and a seed found in two files.
 
-The verdict rule, in ``verdicts`` of the summary. Per gated metric, a win is
+The verdict rule, in ``verdicts`` of the report. Per gated metric, a win is
 a seed on which the change is better and a loss one on which the parent is
 (ties count for neither). The gap is the parent's median minus the
 change's, signed so that a positive gap favours the change; the spread is
@@ -75,6 +79,7 @@ import math
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -89,6 +94,8 @@ GATED = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
 BOUNDS = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
 MIN_PAIRS = 10
 METRICS = (*GATED, "peak_rss_mb")
+# The keys of a run_once record, each stored per seed and side.
+RECORD = (*METRICS, "sha256", "correct", "pinned")
 SIDES = ("parent", "change")
 ORDER = "alternated: parent first on odd seeds, change first on even seeds"
 
@@ -171,82 +178,64 @@ def verdict(parent: list[float], change: list[float], direction: str, bound: flo
     }
 
 
-def side_summary(runs: dict[int, dict[str, dict]]) -> dict:
-    """Each side's quartiles and each gated metric's verdict, from per-seed
-    records ``{"parent": rec, "change": rec}`` holding at least
-    :data:`METRICS`."""
+def report(workload: str, commit: str, tree: str, runs: dict[int, dict[str, dict]],
+           machine: dict) -> dict:
+    """The report of per-seed runs ``{seed: {"parent": rec, "change": rec}}``,
+    each ``rec`` a :func:`run_once` record: everything in it but the parent's
+    ``commit``, the change's ``tree`` and the ``machine`` comes from the
+    runs."""
     seeds = sorted(runs)
-    summary: dict = {}
-    for side in SIDES:
-        summary[side] = {
-            name: quartiles([runs[s][side][name] for s in seeds])
-            for name in METRICS
-        }
-    summary["verdicts"] = {
-        name: verdict(
-            [runs[s]["parent"][name] for s in seeds],
-            [runs[s]["change"][name] for s in seeds],
-            direction,
-            BOUNDS[name],
-        )
-        for name, direction in GATED.items()
-    }
-    return summary
 
+    def values(side: str, name: str) -> list:
+        return [runs[s][side][name] for s in seeds]
 
-def summarise(runs: dict[int, dict[str, dict]]) -> dict:
-    """Summary of per-seed run records, each ``{"parent": rec, "change": rec}``
-    with the records :func:`run_once` returns."""
-    seeds = sorted(runs)
-    summary = side_summary(runs)
-    summary["fingerprints_equal"] = all(
-        runs[s]["parent"]["sha256"] == runs[s]["change"]["sha256"] for s in seeds
-    )
-    summary["all_correct_zero_failed"] = all(
-        runs[s][side]["correct"] for s in seeds for side in SIDES
-    )
-    summary["runs"] = {
-        str(s): {
-            side: {name: runs[s][side][name] for name in METRICS}
-            for side in SIDES
-        }
-        for s in seeds
+    def quartiles_of(side: str) -> dict:
+        return {name: quartiles(values(side, name)) for name in METRICS}
+
+    return {
+        "workload": workload,
+        "command": f"python3 benchmarks/run.py --workload {workload} --seed SEED --trace 0",
+        "seconds_per_run": BENCHMARK["run_seconds"],
+        "seeds": seeds,
+        "order": ORDER,
+        "parent": {"commit": commit, **quartiles_of("parent")},
+        "change": {"tree": tree, **quartiles_of("change")},
+        "verdicts": {
+            name: verdict(values("parent", name), values("change", name), direction, BOUNDS[name])
+            for name, direction in GATED.items()
+        },
+        "fingerprints_equal": values("parent", "sha256") == values("change", "sha256"),
+        "all_correct_zero_failed": all(values("parent", "correct") + values("change", "correct")),
+        "runs": {str(s): {side: runs[s][side] for side in SIDES} for s in seeds},
+        "machine": machine,
     }
-    return summary
 
 
 def pool(reports: list[dict]) -> dict:
     """One report of the runs of several stored reports, as the module
     docstring's ``--pool`` says; :class:`ValueError` names what differs."""
-    for report in reports:
-        if "tree" not in report["change"]:
-            raise ValueError(
-                f"the {report['workload']} report against {report['parent']['commit']} "
-                "has no change tree digest"
-            )
+    for r in reports:
+        name = f"the {r['workload']} report against {r['parent']['commit']}"
+        if "tree" not in r["change"]:
+            raise ValueError(f"{name} has no change tree digest")
+        records = [rec for pair in r["runs"].values() for rec in pair.values()]
+        missing = [key for key in RECORD if any(key not in rec for rec in records)]
+        if missing:
+            raise ValueError(f"{name} stores runs without {', '.join(missing)}")
+    first = reports[0]
     for key, of in (("workload", lambda r: r["workload"]),
                     ("parent", lambda r: r["parent"]["commit"]),
                     ("tree", lambda r: r["change"]["tree"]),
                     ("machine", lambda r: r["machine"])):
-        if any(of(r) != of(reports[0]) for r in reports):
+        if any(of(r) != of(first) for r in reports):
             raise ValueError(f"the reports differ in {key}")
-    stored = {int(s): rs for r in reports for s, rs in r["runs"].items()}
-    if len(stored) != sum(len(r["runs"]) for r in reports):
+    if any(r["seconds_per_run"] != BENCHMARK["run_seconds"] for r in reports):
+        raise ValueError(f"a report ran other than {BENCHMARK['run_seconds']} s per run")
+    runs = {int(s): pair for r in reports for s, pair in r["runs"].items()}
+    if len(runs) != sum(len(r["runs"]) for r in reports):
         raise ValueError("a seed is in more than one report")
-    summary = side_summary(stored)
-    first = reports[0]
-    return {
-        **{key: first[key] for key in ("workload", "command", "seconds_per_run")},
-        "seeds": sorted(stored),
-        "order": first["order"],
-        "parent": {"commit": first["parent"]["commit"], **summary["parent"]},
-        "change": {"tree": first["change"]["tree"], **summary["change"]},
-        "verdicts": summary["verdicts"],
-        "fingerprints_equal": all(r["fingerprints_equal"] for r in reports),
-        "all_correct_zero_failed": all(r["all_correct_zero_failed"] for r in reports),
-        "runs": {str(s): stored[s] for s in sorted(stored)},
-        "machine": first["machine"],
-    }
+    return report(first["workload"], first["parent"]["commit"], first["change"]["tree"],
+                  runs, first["machine"])
 
 
 def machine(pinned: bool) -> dict:
@@ -320,23 +309,28 @@ def main(argv: list[str] | None = None) -> int:
         if args.workload or args.parent or args.seeds:
             parser.error("--pool takes no --workload, --parent or --seeds")
         try:
-            report = pool([json.loads(path.read_text()) for path in args.pool])
+            result = pool([json.loads(path.read_text()) for path in args.pool])
         except ValueError as exc:
             parser.error(str(exc))
     elif not (args.workload and args.parent and args.seeds):
         parser.error("--workload, --parent and --seeds are required without --pool")
+    elif len(set(args.seeds)) < len(args.seeds):
+        parser.error("each seed may be given only once")
     elif len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
     else:
-        report = run_pairs(args.workload, args.parent, args.seeds)
-    out = ROOT / f"BENCH_{report['workload']}.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
+        # A stop unwinds like an error: subprocess.run kills the running
+        # benchmark and the temporary directory of both copies is removed.
+        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+        result = run_pairs(args.workload, args.parent, args.seeds)
+    out = ROOT / f"BENCH_{result['workload']}.json"
+    out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"{out.name}:")
     for name in GATED:
-        v = report["verdicts"][name]
+        v = result["verdicts"][name]
         print(
-            f"  {name} median {report['parent'][name]['median']:.4g} -> "
-            f"{report['change'][name]['median']:.4g} (change wins {v['wins']}, loses "
+            f"  {name} median {result['parent'][name]['median']:.4g} -> "
+            f"{result['change'][name]['median']:.4g} (change wins {v['wins']}, loses "
             f"{v['losses']} of {v['pairs']}; gap {v['gap']:.4g} against parent IQR "
             f"{v['parent_iqr']:.4g}; sign test p {v['sign_p']:.3g}): {v['verdict']}"
         )
@@ -365,20 +359,8 @@ def run_pairs(workload: str, parent: str, seeds: list[int]) -> dict:
             )
             print(f"seed {seed}: {pairs}", flush=True)
 
-    summary = summarise(runs)
-    summary["parent"] = {"commit": commit, **summary["parent"]}
-    summary["change"] = {"tree": tree, **summary["change"]}
-    return {
-        "workload": workload,
-        "command": f"python3 benchmarks/run.py --workload {workload} --seed SEED --trace 0",
-        "seconds_per_run": BENCHMARK["run_seconds"],
-        "seeds": sorted(runs),
-        "order": ORDER,
-        **summary,
-        "machine": machine(
-            all(runs[s][side]["pinned"] for s in runs for side in SIDES)
-        ),
-    }
+    pinned = all(runs[s][side]["pinned"] for s in runs for side in SIDES)
+    return report(workload, commit, tree, runs, machine(pinned))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Runs of ``scripts/reproduce_tables.py``, each in a fresh interpreter, and
-the summary of ``scripts/bench_pairs.py`` on synthetic run records, and its
-copy of a git working tree.
+the report of ``scripts/bench_pairs.py`` on synthetic run records, its
+checks of its input, its stop on SIGTERM and its copy of a git working tree.
 
 ``reproduce_tables.py`` scores its reference rows and its efficiency sweep
 with ``calibrated_eff_micro`` and ``eff_core`` directly, so a change to
@@ -15,12 +15,16 @@ the benchmark.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,11 +107,17 @@ def test_reproduce_tables_closed_stdout_exits_3_without_traceback():
 
 def run_record(pass_norm_s, setup_s=0.06712, sha="f" * 64, correct=True):
     return {"pass_norm_s": pass_norm_s, "setup_s": setup_s, "peak_rss_mb": 33.456,
-            "sha256": sha, "correct": correct}
+            "sha256": sha, "correct": correct, "pinned": True}
+
+
+def build_report(module, runs, workload="oracles", commit="abc1234", tree="d" * 64):
+    # The script's own report of synthetic runs, as main stores it.
+    report = module.report(workload, commit, tree, runs, module.machine(True))
+    return json.loads(json.dumps(report))
 
 
 def test_bench_pairs_summary():
-    summarise = load_script("bench_pairs.py").summarise
+    module = load_script("bench_pairs.py")
     parents = (0.80, 0.70, 0.75, 0.60, 0.90)
     changes = (0.60, 0.70, 0.55, 0.61, 0.50)
     setup_changes = (0.06, 0.061, 0.062, 0.06712, 0.07)
@@ -115,7 +125,7 @@ def test_bench_pairs_summary():
         seed: {"parent": run_record(p), "change": run_record(c, setup)}
         for seed, p, c, setup in zip((15, 11, 12, 13, 14), parents, changes, setup_changes)
     }
-    summary = summarise(runs)
+    summary = build_report(module, runs)
     assert summary["parent"]["pass_norm_s"] == {"median": 0.75, "q1": 0.7, "q3": 0.8}
     assert summary["change"]["pass_norm_s"] == {"median": 0.6, "q1": 0.55, "q3": 0.61}
     assert summary["parent"]["setup_s"] == {"median": 0.06712, "q1": 0.06712, "q3": 0.06712}
@@ -131,15 +141,14 @@ def test_bench_pairs_summary():
         "pass_norm_s": "too few pairs", "setup_s": "too few pairs",
     }
     assert summary["fingerprints_equal"] and summary["all_correct_zero_failed"]
+    assert summary["seeds"] == [11, 12, 13, 14, 15]
     assert list(summary["runs"]) == ["11", "12", "13", "14", "15"]
-    assert summary["runs"]["15"] == {
-        "parent": {"pass_norm_s": 0.8, "setup_s": 0.06712, "peak_rss_mb": 33.456},
-        "change": {"pass_norm_s": 0.6, "setup_s": 0.06, "peak_rss_mb": 33.456},
-    }
+    # Each run is stored whole, as run_once returns it.
+    assert summary["runs"]["15"] == {"parent": run_record(0.8), "change": run_record(0.6, 0.06)}
 
     runs[12]["change"] = run_record(0.55, sha="0" * 64)
     runs[14]["parent"] = run_record(0.90, correct=False)
-    summary = summarise(runs)
+    summary = build_report(module, runs)
     assert not summary["fingerprints_equal"]
     assert not summary["all_correct_zero_failed"]
 
@@ -155,7 +164,7 @@ def test_bench_pairs_verdicts_recompute_from_the_stored_runs(tmp_path):
         for seed, p, c in zip(range(21, 31), parents, changes)
     }
     path = tmp_path / "BENCH_dse.json"
-    path.write_text(json.dumps(module.summarise(runs), indent=2) + "\n")
+    path.write_text(json.dumps(build_report(module, runs, workload="dse"), indent=2) + "\n")
     stored = json.loads(path.read_text())
     seeds = sorted(stored["runs"], key=int)
     for name, direction in module.GATED.items():
@@ -167,6 +176,14 @@ def test_bench_pairs_verdicts_recompute_from_the_stored_runs(tmp_path):
         )
         assert recomputed == stored["verdicts"][name]
     assert stored["verdicts"]["pass_norm_s"]["verdict"] == "gain"
+    # The whole report, not only its verdicts, is a function of the stored
+    # runs and the parent, tree and machine it names.
+    assert module.report(
+        stored["workload"], stored["parent"]["commit"], stored["change"]["tree"],
+        {int(s): pair for s, pair in stored["runs"].items()}, stored["machine"],
+    ) == stored
+    # So pooling one report gives it back.
+    assert module.pool([stored]) == stored
 
 
 def test_bench_pairs_names_pinning_only_when_every_run_was_pinned():
@@ -252,17 +269,6 @@ def test_bench_pairs_gives_no_verdict_from_fewer_than_ten_pairs():
     )
 
 
-def stored_report(module, runs, workload="oracles", commit="abc1234", tree="d" * 64):
-    # What run_pairs returns and main stores, for synthetic runs.
-    summary = module.summarise(runs)
-    summary["parent"] = {"commit": commit, **summary["parent"]}
-    summary["change"] = {"tree": tree, **summary["change"]}
-    report = {"workload": workload, "command": "run", "seconds_per_run": 15,
-              "seeds": sorted(runs), "order": module.ORDER, **summary,
-              "machine": module.machine(True)}
-    return json.loads(json.dumps(report))
-
-
 def test_bench_pairs_pools_reports_of_one_parent_and_tree(tmp_path):
     module = load_script("bench_pairs.py")
     # Two five-pair runs: each alone is too few pairs; pooled they are ten,
@@ -273,8 +279,8 @@ def test_bench_pairs_pools_reports_of_one_parent_and_tree(tmp_path):
         seed: {"parent": run_record(p, 0.06 + p / 100), "change": run_record(c)}
         for seed, p, c in zip(range(41, 51), parents, changes)
     }
-    first = stored_report(module, {s: runs[s] for s in range(41, 46)})
-    second = stored_report(module, {s: runs[s] for s in range(46, 51)})
+    first = build_report(module, {s: runs[s] for s in range(41, 46)})
+    second = build_report(module, {s: runs[s] for s in range(46, 51)})
     assert first["verdicts"]["pass_norm_s"]["verdict"] == "too few pairs"
     pooled = module.pool([second, first])
     for name, direction in module.GATED.items():
@@ -289,7 +295,7 @@ def test_bench_pairs_pools_reports_of_one_parent_and_tree(tmp_path):
     assert pooled["parent"]["commit"] == "abc1234" and pooled["change"]["tree"] == "d" * 64
     assert pooled["fingerprints_equal"] and pooled["all_correct_zero_failed"]
     # Pooling gives what one ten-pair run would store.
-    assert pooled == stored_report(module, runs)
+    assert pooled == build_report(module, runs)
 
     # Through the command line the pooled report is written to
     # BENCH_<W>.json at the root (here a temporary one).
@@ -315,15 +321,99 @@ def test_bench_pairs_pools_reports_of_one_parent_and_tree(tmp_path):
 def test_bench_pairs_refuses_to_pool_mixed_reports(change, message):
     module = load_script("bench_pairs.py")
     seeds = change.pop("seeds", range(51, 56))
-    first = stored_report(module, {s: {"parent": run_record(1.0), "change": run_record(0.9)}
-                                   for s in range(41, 46)})
-    second = stored_report(module, {s: {"parent": run_record(1.0), "change": run_record(0.9)}
-                                    for s in seeds}, **change)
+    first = build_report(module, {s: {"parent": run_record(1.0), "change": run_record(0.9)}
+                                  for s in range(41, 46)})
+    second = build_report(module, {s: {"parent": run_record(1.0), "change": run_record(0.9)}
+                                   for s in seeds}, **change)
     with pytest.raises(ValueError, match=f"^{message}$"):
         module.pool([first, second])
     del first["change"]["tree"]
     with pytest.raises(ValueError, match="has no change tree digest$"):
         module.pool([first, first])
+
+
+def test_bench_pairs_pools_only_reports_it_can_rebuild(tmp_path, capsys):
+    module = load_script("bench_pairs.py")
+    stored = build_report(module, {s: {"parent": run_record(1.0), "change": run_record(0.9)}
+                                   for s in range(41, 46)})
+    longer = dict(stored, seconds_per_run=module.BENCHMARK["run_seconds"] + 1)
+    with pytest.raises(ValueError, match=r"^a report ran other than \d+ s per run$"):
+        module.pool([longer])
+    # A report written before each run was stored whole keeps only the
+    # metrics of each run, so its fingerprints, correctness and pinning
+    # cannot be recomputed; --pool says so in one line.
+    for pair in stored["runs"].values():
+        for record in pair.values():
+            del record["sha256"], record["correct"], record["pinned"]
+    path = tmp_path / "BENCH_oracles.json"
+    path.write_text(json.dumps(stored))
+    module.ROOT = tmp_path
+    with pytest.raises(SystemExit) as stop:
+        module.main(["--pool", str(path)])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the oracles report against abc1234 stores runs without sha256, correct, pinned\n"
+    )
+
+
+@pytest.mark.parametrize("seeds", [["5", "5"], ["1", "2", "2", "3"]])
+def test_bench_pairs_refuses_repeated_seeds(seeds, capsys):
+    module = load_script("bench_pairs.py")
+    module.run_pairs = lambda *args: pytest.fail("run_pairs was called")
+    with pytest.raises(SystemExit) as stop:
+        module.main(["--workload", "dse", "--parent", "HEAD", "--seeds", *seeds])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.endswith("error: each seed may be given only once\n")
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+def test_bench_pairs_stopped_leaves_no_run_or_copy_behind(tmp_path):
+    # A repository whose benchmark writes its PID and sleeps, so the script
+    # is stopped while the parent's run of seed 1 is going.
+    repo, tmp, pid_file = tmp_path / "repo", tmp_path / "tmp", tmp_path / "pid"
+    (repo / "scripts").mkdir(parents=True)
+    (repo / "benchmarks").mkdir()
+    tmp.mkdir()
+    shutil.copy(ROOT / "scripts" / "bench_pairs.py", repo / "scripts")
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "pass_norm_s", "better": "lower", "bound": 0.2}],
+    }))
+    (repo / "benchmarks" / "run.py").write_text(
+        "import os, pathlib, time\n"
+        f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()) + '\\n')\n"
+        "time.sleep(120)\n"
+    )
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "base")
+    proc = subprocess.Popen(
+        [sys.executable, "scripts/bench_pairs.py", "--workload", "w", "--parent", "HEAD",
+         "--seeds", "1", "2"],
+        cwd=repo, env={**os.environ, "TMPDIR": str(tmp)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not (pid_file.exists() and pid_file.read_text().endswith("\n")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+        assert list(tmp.iterdir()) == []
+    finally:
+        proc.kill()
+        if child is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(child, signal.SIGKILL)
 
 
 def test_bench_pairs_tree_digest_covers_paths_and_bytes(tmp_path):
@@ -357,14 +447,9 @@ def test_bench_pairs_copies_the_working_tree_as_git_lists_it(tmp_path):
     }
     for name, data in files.items():
         (repo / name).write_bytes(data)
-
-    def git(*args):
-        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
-                       cwd=repo, check=True, capture_output=True)
-
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "base")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "base")
     (repo / "src/edited.py").write_bytes(b"new = 2\n")
     (repo / "deleted.py").unlink()
     (repo / "src/untracked.py").write_bytes(b"fresh = 3\n")
