@@ -143,6 +143,17 @@ CASES = (
         for capacity in (61440, 61439)
         for boundary in ("core", "array")
     ),
+    # The document is parsed whole before flags replace its values: four
+    # bad values under four valid flags, and an eff_micro out of (0, 1]
+    # under a subcommand that scores no single tile.
+    with_config({"problem": "garbage", "tile": "nope", "eff_source": 3, "precision": "fp64"},
+                "eval", *REFERENCE, "--eff-source", "closed_form", "--precision", "config1"),
+    with_config({"eff_micro": 1.5}, "search", "--problem", "4096x4096x2048"),
+    # The accumulator register count is the core's, not a key.
+    with_config({"microkernel": {"accum_regs": 5}}, "simulate", "schedule"),
+    # A sweep of zero cases on each target.
+    ["simulate", "movement", "--verify", "0"],
+    ["simulate", "schedule", "--verify", "0"],
 )
 
 

@@ -9,8 +9,9 @@ Subcommands
               one configuration or as a randomized verification sweep against
               the closed forms.
 
-Configuration comes from an optional JSON file (``--config``) plus flags:
-each value is the flag if given, else the config file's, else the default.
+Configuration comes from an optional JSON file (``--config``) plus flags.
+The whole document is parsed and checked first; then each given flag
+replaces its value, and a value neither sets takes its default.
 Reports are deterministic: identical inputs produce identical bytes. Exit
 codes: 0 success, 2 infeasible/empty result, 3 configuration error or
 unwritable output, 4 verification failure.
@@ -49,7 +50,7 @@ from asymtile.movement import (
     trace_to_csv,
     verify_movement_equivalence,
 )
-from asymtile.perf import EFF_SOURCE_CALIBRATION, eff_scorer, perf_array
+from asymtile.perf import EFF_SOURCE_CALIBRATION, _coerce_eff, eff_scorer, perf_array
 from asymtile.pipeline import (
     DEFAULT_MICROKERNEL,
     MicrokernelSpec,
@@ -130,9 +131,15 @@ def _load_json_config(path: str) -> dict:
 
 def _parse_eff_micro(value) -> Fraction:
     try:
-        return Fraction(str(value))
+        eff = Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad eff_micro {value!r}: not a finite number") from exc
+    return _coerce_eff(eff)
+
+
+def _parse_eff_source(value) -> str:
+    eff_scorer(value)  # an unknown source fails here, before any work
+    return value
 
 
 def _parse_rho(value: str) -> tuple[int, ...]:
@@ -146,14 +153,11 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     raw = _load_json_config(args.config) if args.config else {}
 
     def resolve(key: str, parse, default=None):
-        """The flag if given, else the config document's value, else
-        ``default``; a given value goes through ``parse``."""
-        value = getattr(args, key, None)
-        if value is None:
-            if key not in raw:
-                return default
-            value = raw[key]
-        return parse(value)
+        """The flag if given, else the document's value, else ``default``.
+        Both given values go through ``parse``, the document's first."""
+        value = parse(raw[key]) if key in raw else default
+        flag = getattr(args, key, None)
+        return value if flag is None else parse(flag)
 
     space = resolve("search", search_space_from_dict, SearchSpace())
     overrides = {
@@ -163,8 +167,6 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     rho = getattr(args, "rho", None)
     overrides["rho_candidates"] = None if rho is None else _parse_rho(rho)
     space = replace(space, **{k: v for k, v in overrides.items() if v is not None})
-    eff_source = resolve("eff_source", lambda value: value, EFF_SOURCE_CALIBRATION)
-    eff_scorer(eff_source)  # an unknown source fails here, before any work
 
     return RunConfig(
         arch=resolve("arch", arch_from_dict, DEFAULT_ARCH),
@@ -173,7 +175,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         tile=resolve("tile", tile_from_value),
         search=space,
         microkernel=resolve("microkernel", microkernel_from_dict, DEFAULT_MICROKERNEL),
-        eff_source=eff_source,
+        eff_source=resolve("eff_source", _parse_eff_source, EFF_SOURCE_CALIBRATION),
         eff_micro=resolve("eff_micro", _parse_eff_micro),
     )
 
@@ -272,7 +274,7 @@ def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
 
 
 def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
-    if args.verify:
+    if args.verify is not None:
         failures = verify_movement_equivalence(args.verify, seed=args.seed, arch=cfg.arch)
         if failures:
             first = failures[0]
@@ -311,7 +313,7 @@ def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
 
 
 def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
-    if args.verify:
+    if args.verify is not None:
         failures = verify_random_specs(args.verify, seed=args.seed)
         if failures:
             first = failures[0]

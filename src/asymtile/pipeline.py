@@ -27,6 +27,8 @@ from asymtile.arch import MICROTILE, ConfigError, TileConfig, from_section, requ
 # Output elements produced per chain cluster (an 8x8 register tile per chain,
 # C chains per cluster).
 MICROTILE_OUT = MICROTILE * MICROTILE
+# Accumulator registers of the core: no kernel interleaves more chains.
+ACCUM_REGS = 5
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,8 @@ class MicrokernelSpec:
     chains sharing operands in a 2x2 cluster (two loads per VMAC before
     sharing), 8-cycle operand loads, and a two-instruction store path.
     Every field except ``load_classes`` must be an int, at least 1
-    (``l_vmac_to_store`` at least 0). The core has one VMAC slot, the arch's
-    per-core peak of one 8x8x8 VMAC per cycle, so no field sets it.
+    (``l_vmac_to_store`` at least 0), and ``chains`` at most ACCUM_REGS. The
+    core's one VMAC slot (the arch's peak of one 8x8x8 VMAC a cycle) has no field.
     """
 
     pipeline_depth: int = 3
@@ -71,7 +73,6 @@ class MicrokernelSpec:
     l_vmac_to_store: int = 6
     l_store: int = 2
     n_store: int = 2
-    accum_regs: int = 5
 
     def __post_init__(self):
         object.__setattr__(self, "load_classes", tuple(self.load_classes))
@@ -80,12 +81,10 @@ class MicrokernelSpec:
         ):
             raise ConfigError("load_classes must be a nonempty list of load classes")
         require_ints(self, ("pipeline_depth", "u_ld", "u_st", "r_load", "chains", "n_accum",
-                            "n_clusters", "l_store", "n_store", "accum_regs"), 1)
+                            "n_clusters", "l_store", "n_store"), 1)
         require_ints(self, ("l_vmac_to_store",), 0)
-        if self.chains > self.accum_regs:
-            raise ConfigError(
-                f"chains={self.chains} exceeds accum_regs={self.accum_regs}"
-            )
+        if self.chains > ACCUM_REGS:
+            raise ConfigError(f"chains={self.chains} exceeds accum_regs={ACCUM_REGS}")
 
     @property
     def prolog_load_count(self) -> int:

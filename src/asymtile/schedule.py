@@ -544,7 +544,6 @@ def random_microkernel_spec(rng: random.Random) -> tuple[MicrokernelSpec, dict]:
         l_vmac_to_store=2 * pipeline_depth + rng.randint(0, 6),
         l_store=rng.randint(1, 3),
         n_store=rng.randint(3, 5),
-        accum_regs=5,
     )
     options = {
         "share_inputs": share,

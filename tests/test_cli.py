@@ -94,15 +94,16 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, key",
     [("microkernel", "clamp_ii"), ("microkernel", "u_vmac"), ("arch", "n_cores"),
-     ("search", "eff_source")],
+     ("search", "eff_source"), ("microkernel", "accum_regs")],
 )
 def test_removed_config_keys_exit_3(tmp_path, capsys, section, key):
     # The core issues one VMAC per cycle, so the initiation interval always
-    # floors at one cycle, and the core count is n_rows * n_cols: none of
-    # the three is a config key. The efficiency source is a top-level key,
-    # read by eval as well as search, so the search section has none.
+    # floors at one cycle; the core count is n_rows * n_cols; and the core
+    # has five accumulator registers: none of the four is a config key. The
+    # efficiency source is a top-level key, read by eval as well as search,
+    # so the search section has none.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({section: {key: 32 if key == "n_cores" else True}}))
+    cfg.write_text(json.dumps({section: {key: {"n_cores": 32, "accum_regs": 5}.get(key, True)}}))
     code, text = run_cli("eval", "--config", str(cfg), "--tile", "32,128,64,128")
     assert code == EXIT_CONFIG_ERROR
     assert text == ""
@@ -270,6 +271,18 @@ def test_simulate_schedule_verify_passes():
     code, text = run_cli("simulate", "schedule", "--verify", "10", "--seed", "5")
     assert code == EXIT_OK
     assert text.startswith("PASS: 10 random microkernel specs")
+
+
+@pytest.mark.parametrize(
+    "target, line",
+    [("movement", "PASS: 0 random configs, 0 discrepancies\n"),
+     ("schedule", "PASS: 0 random microkernel specs, all schedule cycle counts within the "
+                  "analytic bounds\n")],
+    ids=["movement", "schedule"],
+)
+def test_simulate_verify_zero_runs_the_empty_sweep(target, line):
+    # --verify 0 is a sweep of no cases, not the one-case report.
+    assert run_cli("simulate", target, "--verify", "0") == (EXIT_OK, line)
 
 
 @pytest.fixture
@@ -477,11 +490,7 @@ def test_bad_search_and_efficiency_input_exits_3(tmp_path, capsys, config, argv)
 def test_non_integer_kernel_and_arch_counts_exit_3(tmp_path, capsys, config, argv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    # A --problem flag would win over the config's problem section, and
-    # simulate schedule reads no problem.
-    reads_problem = "problem" not in config and argv[:2] != ("simulate", "schedule")
-    problem = ("--problem", "4096x4096x2048") if reads_problem else ()
-    code, text = run_cli(*argv, "--config", str(cfg), *problem)
+    code, text = run_cli(*argv, "--config", str(cfg))
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG_ERROR
     assert text == ""
@@ -491,6 +500,50 @@ def test_non_integer_kernel_and_arch_counts_exit_3(tmp_path, capsys, config, arg
         r"error: \w+ must be (an integer|true or false|a finite positive number), got .+\n",
         err,
     )
+
+
+REFERENCE_FLAGS = ("--problem", "4096x4096x2048", "--tile", "32,128,64,128")
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({"problem": "garbage"}, ("--problem", "4096x4096x2048")),
+        ({"tile": "nope"}, ("--tile", "32,128,64,128")),
+        ({"precision": "fp64"}, ("--precision", "config1")),
+        ({"eff_source": 3}, ("--eff-source", "closed_form")),
+        ({"eff_micro": 1.5}, ("--eff-micro", "0.5")),
+        (
+            {"problem": "garbage", "tile": "nope", "eff_source": 3, "precision": "fp64"},
+            ("--eff-source", "closed_form", "--precision", "config1"),
+        ),
+    ],
+    ids=["problem", "tile", "precision", "eff_source", "eff_micro", "four-keys"],
+)
+def test_flag_does_not_hide_a_bad_config_value(tmp_path, capsys, config, flags):
+    # The whole document is parsed before a flag replaces one of its values,
+    # so a valid flag leaves the document's error, and only that line.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("eval", "--config", str(cfg)) == (EXIT_CONFIG_ERROR, "")
+    alone = capsys.readouterr().err
+    code, text = run_cli("eval", "--config", str(cfg), *REFERENCE_FLAGS, *flags)
+    assert (code, text) == (EXIT_CONFIG_ERROR, "")
+    assert capsys.readouterr().err == alone
+    assert alone.startswith("error: ") and alone.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", *REFERENCE_FLAGS), ("search", "--problem", "4096x4096x2048"),
+     ("simulate", "movement", *REFERENCE_FLAGS), ("simulate", "schedule")],
+    ids=["eval", "search", "simulate-movement", "simulate-schedule"],
+)
+def test_eff_micro_range_holds_in_every_subcommand(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eff_micro": 1.5}))
+    assert run_cli(*argv, "--config", str(cfg)) == (EXIT_CONFIG_ERROR, "")
+    assert capsys.readouterr().err == "error: eff_micro must lie in (0, 1], got 3/2\n"
 
 
 @pytest.mark.parametrize(

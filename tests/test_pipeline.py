@@ -66,7 +66,7 @@ def test_prolog_permutation_invariant_and_monotone(classes, u_ld, seed):
 
 def test_ii_single_chain():
     # One chain hides no RAW cycles: max(3 + 1 - 1, ceil(4 / 2)) / 1 = 3.
-    spec = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=1, accum_regs=5)
+    spec = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=1)
     assert initiation_interval(spec) == 3
 
 
@@ -238,7 +238,6 @@ def test_eff_micro_bounded_by_ii(params):
         chains=chains,
         n_accum=n_accum,
         load_classes=(LoadClass(lat, max(1, r_load * chains)),),
-        accum_regs=5,
     )
     ii = initiation_interval(spec)
     assert 0 < eff_micro(spec) * ii <= 1
@@ -273,8 +272,8 @@ def test_microkernel_from_dict():
     assert spec.load_classes == (LoadClass(8, 4), LoadClass(2, 1))
     with pytest.raises(ConfigError):
         microkernel_from_dict({"pipeline": 4})
-    with pytest.raises(ConfigError):
-        microkernel_from_dict({"chains": 6})  # exceeds default accum_regs=5
+    with pytest.raises(ConfigError, match="^chains=6 exceeds accum_regs=5$"):
+        microkernel_from_dict({"chains": 6})
 
 
 def test_spec_validation():

@@ -621,7 +621,6 @@ def adversarial_microkernel_spec(rng: random.Random) -> tuple[MicrokernelSpec, d
         l_vmac_to_store=rng.randint(0, 8),
         l_store=rng.randint(1, 3),
         n_store=rng.randint(1, 4),
-        accum_regs=5,
     )
     options = {
         "share_inputs": r_load >= 2 and rng.random() < 0.5,
@@ -655,7 +654,6 @@ def tile_shaped_spec(draw) -> tuple[MicrokernelSpec, dict]:
         l_vmac_to_store=draw(st.integers(0, 8)),
         l_store=draw(st.integers(1, 3)),
         n_store=draw(st.integers(1, 4)),
-        accum_regs=chains + draw(st.integers(0, 3)),
     )
     t_ma = 8 * draw(st.integers(1, 2))
     tile = TileConfig(t_ma, t_ma * draw(st.sampled_from([1, 2, 4])), 8 * draw(st.integers(1, 64)),
