@@ -18,7 +18,7 @@ placeholder ``DUMP`` and a ``--config`` path the placeholder ``CONFIG``:
 the run writes the dump to, or reads the document from, a temporary file,
 and the temporary path reads as the placeholder again in the recorded
 output. An entry also holds the document it ran with and the sha256 of a
-dump.
+dump (null for a case given ``DUMP`` whose run wrote no dump).
 
 Record the file from the code whose bytes it pins, and again only in a
 change that means to move a report; ``tests/test_cli.py`` replays it.
@@ -154,6 +154,18 @@ CASES = (
     # A sweep of zero cases on each target.
     ["simulate", "movement", "--verify", "0"],
     ["simulate", "schedule", "--verify", "0"],
+    # A flag the run's mode does not read is refused: each one-case flag
+    # under a sweep, and --seed in a one-case report.
+    *(
+        ["simulate", "movement", "--verify", "2", flag, value]
+        for flag, value in (("--tile", "32,128,64,128"), ("--problem", "4096x4096x2048"),
+                            ("--precision", "config2"), ("--format", "csv"),
+                            ("--boundary", "array"))
+    ),
+    ["simulate", "movement", *REFERENCE, "--seed", "3"],
+    ["simulate", "schedule", "--verify", "2", "--tile", "32,128,64,128"],
+    ["simulate", "schedule", "--verify", "2", "--dump", DUMP],
+    ["simulate", "schedule", "--seed", "3"],
 )
 
 
@@ -174,12 +186,13 @@ def run_case(argv: list[str], config: dict | None = None) -> dict:
         with contextlib.redirect_stderr(err):
             code = cli_main([paths.get(arg, arg) for arg in argv], out=out)
         out, err = out.getvalue(), err.getvalue()
-        dump = hashlib.sha256(Path(paths[DUMP]).read_bytes()).hexdigest() if DUMP in argv else None
+        dump_path = Path(paths[DUMP])
+        dump = hashlib.sha256(dump_path.read_bytes()).hexdigest() if dump_path.exists() else None
     for placeholder, path in paths.items():
         out, err = out.replace(path, placeholder), err.replace(path, placeholder)
     entry = {"argv": list(argv)} if config is None else {"argv": list(argv), "config": config}
     entry.update(exit=code, stdout_sha256=hashlib.sha256(out.encode()).hexdigest(), stderr=err)
-    if dump is not None:
+    if DUMP in argv:
         entry["dump_sha256"] = dump
     return entry
 

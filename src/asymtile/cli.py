@@ -11,7 +11,10 @@ Subcommands
 
 Configuration comes from an optional JSON file (``--config``) plus flags.
 The whole document is parsed and checked first; then each given flag
-replaces its value, and a value neither sets takes its default.
+replaces its value, and a value neither sets takes its default. A flag
+given on the command line is read by the run or refused: a ``simulate``
+sweep (``--verify``) reads no one-case flag, and a one-case report reads
+no ``--seed``.
 Reports are deterministic: identical inputs produce identical bytes. Exit
 codes: 0 success, 2 infeasible/empty result, 3 configuration error or
 unwritable output, 4 verification failure.
@@ -180,6 +183,25 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+# The flags each simulate mode does not read, by (target, --verify given).
+# Given to that mode, such a flag is refused rather than dropped.
+_UNREAD_FLAGS = {
+    ("movement", True): ("tile", "problem", "precision", "format", "boundary"),
+    ("movement", False): ("seed",),
+    ("schedule", True): ("tile", "dump"),
+    ("schedule", False): ("seed",),
+}
+
+
+def _refuse_unread_flags(args: argparse.Namespace) -> None:
+    sweep = args.verify is not None
+    for name in _UNREAD_FLAGS[args.which, sweep]:
+        if getattr(args, name) is not None:
+            if sweep:
+                raise ConfigError(f"--{name} is not read by a --verify sweep")
+            raise ConfigError(f"--{name} is read only with --verify")
+
+
 def _require(value, what: str):
     if value is None:
         raise ConfigError(f"{what} is required for this command")
@@ -275,7 +297,7 @@ def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
 
 def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
     if args.verify is not None:
-        failures = verify_movement_equivalence(args.verify, seed=args.seed, arch=cfg.arch)
+        failures = verify_movement_equivalence(args.verify, seed=args.seed or 0, arch=cfg.arch)
         if failures:
             first = failures[0]
             out.write(
@@ -292,14 +314,13 @@ def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
     # walks the grid's L2 tile built from it.
     if not check_feasible(tile, cfg.precision, cfg.arch):
         return _report_infeasible(buffer_footprint(tile, cfg.precision, cfg.arch), cfg.arch, out)
-    trace = simulate_movement(
-        problem, tile, cfg.precision, cfg.arch, boundary=args.boundary
-    )
+    boundary = args.boundary or "core"
+    trace = simulate_movement(problem, tile, cfg.precision, cfg.arch, boundary=boundary)
     if args.format == "csv":
-        out.write(trace_to_csv(trace, args.boundary))
+        out.write(trace_to_csv(trace, boundary))
     else:
         out.write(
-            f"boundary: {args.boundary}\n"
+            f"boundary: {boundary}\n"
             f"bytes_a: {float(trace.bytes_a):.0f}\n"
             f"bytes_b: {float(trace.bytes_b):.0f}\n"
             f"bytes_c: {float(trace.bytes_c):.0f}\n"
@@ -314,7 +335,7 @@ def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
 
 def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
     if args.verify is not None:
-        failures = verify_random_specs(args.verify, seed=args.seed)
+        failures = verify_random_specs(args.verify, seed=args.seed or 0)
         if failures:
             first = failures[0]
             out.write(
@@ -390,17 +411,20 @@ def _make_parser() -> _Parser:
     p_move = sim_sub.add_parser("movement", help="byte-count the tiled loop nest")
     add_common(p_move, eff_source=False)
     p_move.add_argument("--tile", help="tile as t_ma,t_mc,t_k,t_n")
-    p_move.add_argument("--boundary", choices=BOUNDARIES, default="core")
-    p_move.add_argument("--format", choices=("text", "csv"), default="text")
+    # No simulate flag has a parser default: a flag left unset reads None,
+    # so _refuse_unread_flags sees which were given (the defaults are core,
+    # text and seed 0).
+    p_move.add_argument("--boundary", choices=BOUNDARIES)
+    p_move.add_argument("--format", choices=("text", "csv"))
     p_move.add_argument("--verify", type=_count, metavar="N", help="random equivalence sweep")
-    p_move.add_argument("--seed", type=int, default=0)
+    p_move.add_argument("--seed", type=int)
 
     p_sched = sim_sub.add_parser("schedule", help="schedule the microkernel DAG")
     p_sched.add_argument("--config", help="JSON config file")
     p_sched.add_argument("--tile", help="derive the kernel from this tile")
     p_sched.add_argument("--dump", metavar="FILE", help="write schedule CSV here")
     p_sched.add_argument("--verify", type=_count, metavar="N", help="random soundness sweep")
-    p_sched.add_argument("--seed", type=int, default=0)
+    p_sched.add_argument("--seed", type=int)
 
     return parser
 
@@ -408,8 +432,10 @@ def _make_parser() -> _Parser:
 def _run(args: argparse.Namespace, out) -> int:
     if args.command is None:
         raise ConfigError("a subcommand is required (eval, search, simulate)")
-    if args.command == "simulate" and args.which is None:
-        raise ConfigError("simulate needs a target: movement or schedule")
+    if args.command == "simulate":
+        if args.which is None:
+            raise ConfigError("simulate needs a target: movement or schedule")
+        _refuse_unread_flags(args)
     cfg = _build_run_config(args)
     if args.command == "eval":
         return cmd_eval(cfg, args.format, out)

@@ -10,14 +10,18 @@ modeled efficiency from them; :func:`eff_micro` reads that efficiency. Every
 bound is a lower bound on the cycles a real schedule needs; the constructive
 scheduler in ``asymtile.schedule`` supplies the matching upper side.
 
-Cycle quantities stay exact: integers where integral, Fraction for the
-initiation interval, with rounding up applied once at the end of a bound,
-never per term (rounding per term could overshoot a real schedule).
+Cycle quantities stay exact. The initiation interval is a rational with
+denominator ``chains``, so every bound is worked out on integer numerators
+over ``chains``, and rounding up is applied once at the end of a bound,
+never per term (rounding per term could overshoot a real schedule). Every
+ceiling is an integer ceiling division, ``-(-a // b)``, never a float
+division, so the bounds are exact for counts of any size; a ``Fraction`` is
+built only for the two rational results, the initiation interval and the
+efficiency.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -128,8 +132,17 @@ def prolog_bound(classes: Iterable[LoadClass], u_ld: int) -> int:
     cum = 0
     for cls in ordered:
         cum += cls.count
-        best = max(best, cls.latency + math.ceil(cum / u_ld) - 1)
+        ready = cls.latency - (-cum // u_ld) - 1
+        if ready > best:
+            best = ready
     return best
+
+
+def _ii_numerator(spec: MicrokernelSpec) -> int:
+    """The initiation interval times ``chains``: max(raw, chains) with
+    raw = max(P + 1 - C, ceil(r_load / u_ld))."""
+    raw = max(spec.pipeline_depth + 1 - spec.chains, -(-spec.r_load // spec.u_ld))
+    return max(raw, spec.chains)
 
 
 def initiation_interval(spec: MicrokernelSpec) -> Fraction:
@@ -140,8 +153,7 @@ def initiation_interval(spec: MicrokernelSpec) -> Fraction:
     max(P + 1 - C, ceil(r_load / u_ld)) / C, floored at one cycle since the
     one VMAC slot issues at most one VMAC per cycle.
     """
-    raw = max(spec.pipeline_depth + 1 - spec.chains, math.ceil(spec.r_load / spec.u_ld))
-    return max(Fraction(raw, spec.chains), Fraction(1))
+    return Fraction(_ii_numerator(spec), spec.chains)
 
 
 def epilog_bound(spec: MicrokernelSpec) -> int:
@@ -167,25 +179,31 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
     can fall back to. ``eff_micro`` is
     n_accum over one cluster's exact phase total: clusters repeat the
     pattern, so the cluster count cancels.
+
+    The II is ``ii / chains`` for an integer ``ii``, so each total is an
+    integer numerator over ``chains``, rounded up once by an integer
+    ceiling division; only ``ii_parallel`` and ``eff_micro`` are Fractions.
     """
-    t_prolog = prolog_bound(spec.load_classes, spec.u_ld)
-    ii_par = initiation_interval(spec)
-    steady_exact = ii_par * max(0, spec.n_accum - spec.chains)
-    t_epilog = epilog_bound(spec)
-    cluster = t_prolog + steady_exact + t_epilog
+    chains = spec.chains
+    n_accum = spec.n_accum
     n_c = spec.n_clusters
-    seq = math.ceil(cluster * n_c)
-    live = min(spec.chains, spec.n_accum)
-    ovl_exact = t_prolog + (steady_exact + ii_par * live) * n_c + t_epilog
-    ovl = min(math.ceil(ovl_exact), seq)
+    t_prolog = prolog_bound(spec.load_classes, spec.u_ld)
+    ii = _ii_numerator(spec)
+    t_epilog = epilog_bound(spec)
+    steady = ii * (n_accum - chains) if n_accum > chains else 0
+    ends = (t_prolog + t_epilog) * chains
+    cluster = ends + steady  # one cluster's cycles, times chains
+    seq = -(-cluster * n_c // chains)
+    live = chains if chains < n_accum else n_accum
+    ovl = -(-(ends + (steady + ii * live) * n_c) // chains)
     return LatencyBounds(
         t_prolog=t_prolog,
-        ii_parallel=ii_par,
-        t_steady=math.ceil(steady_exact),
+        ii_parallel=Fraction(ii, chains),
+        t_steady=-(-steady // chains),
         t_epilog=t_epilog,
         l_total_sequential=seq,
-        l_total_overlapped=ovl,
-        eff_micro=Fraction(spec.n_accum) / cluster,
+        l_total_overlapped=ovl if ovl < seq else seq,
+        eff_micro=Fraction(n_accum * chains, cluster),
     )
 
 

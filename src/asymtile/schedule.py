@@ -12,12 +12,13 @@ kernel has thousands of instructions. ``Instruction`` is a NamedTuple whose
 id is its position in the builder's list, and each of its preds comes
 earlier in that list. The scheduler takes the DAG on exactly that contract,
 checked once: ids index its priority, pool and cycle lists directly, and the
-list order is the topological order. Its per-edge work is done once per
-distinct pred tuple, not per instruction: instructions with equal preds (a
-round's steady loads, say) form a group with one ready cycle. Its pool heaps
-hold plain int keys, rank(priority)·n + id, so ties break by ascending id,
-and instructions not yet ready wait in a dict of due cycle -> ids beside a
-small heap of the distinct due cycles.
+list order is the topological order. It reads the DAG once into columns
+(ids, kinds, slots, latencies, preds, clusters) and sets up from those. Its
+per-edge work is done once per distinct pred tuple, not per instruction:
+instructions with equal preds (a round's steady loads, say) form a group
+with one ready cycle. Its pool heaps hold plain int keys, rank(priority)·n
++ id, so ties break by ascending id, and instructions not yet ready wait in
+a dict of due cycle -> ids beside a small heap of the distinct due cycles.
 
 :func:`kernel_run`, which the efficiency model and the soundness check
 read, schedules each distinct (spec, build options) kernel once per process:
@@ -163,7 +164,7 @@ def build_microkernel_dag(
     cols = shape[1]
     chains = spec.chains
     n_accum = spec.n_accum
-    n_rounds = math.ceil(n_accum / chains)
+    n_rounds = -(-n_accum // chains)
     steady_latency = max(c.latency for c in spec.load_classes)
     depth = spec.pipeline_depth
     extra = spec.r_load - 2 if share_inputs else spec.r_load
@@ -274,9 +275,17 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
 
     ``dag`` must be dense, as :func:`build_microkernel_dag` emits it: the
     instruction at position i has id i, and each of its preds names an
-    earlier position. Anything else raises ConfigError. The list order is
-    then a topological order, so priorities come from one backward sweep,
-    and the id is the list index everywhere.
+    earlier position. Anything else raises ConfigError, for the first fault
+    in list order (at one position the id is checked first, then the slot
+    class, then the preds). The list order is then a topological order, so
+    priorities come from one backward sweep, and the id is the list index
+    everywhere.
+
+    The setup reads the DAG once, into columns (``zip(*dag)``), and works
+    on those: one comprehension over ``dict.setdefault`` numbers the
+    distinct pred tuples in the order they first appear, each group's
+    successor edges are added once, in that order, and the summary reads
+    the kind, cycle, latency and cluster columns.
 
     Per-edge work is done once per group, the instructions with equal pred
     tuples (a round's steady loads share one): a group keeps one
@@ -290,55 +299,66 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     while at most the current cycle, which may step past a fractional one.
     """
     n = len(dag)
+    if not n:
+        return ScheduleResult(
+            cycle_of=[], total_cycles=0, vmac_issue_rate=Fraction(0),
+            phase_times=(0, 0, 0), ii_observed=None,
+        )
+    ids, kinds, slot_names, latencies, pred_col, cluster_of = zip(*dag)
     classes = sorted(slots)
     pools: list[list[int]] = [[] for _ in classes]
     pool_for = {name: pool for name, pool in zip(classes, pools) if slots[name] >= 1}
-    group_of_preds: dict[tuple, int] = {}
-    members: list[list[int]] = []  # group -> ids, ascending
+    pool_of = list(map(pool_for.get, slot_names))
+    group_index: dict[tuple, int] = {}  # pred tuple -> group, by first appearance
+    group_of = [group_index.setdefault(preds, len(group_index)) for preds in pred_col]
+    members: list[list[int]] = [[] for _ in group_index]  # group -> ids, ascending
+    for i, g in enumerate(group_of):
+        members[g].append(i)
+
+    # Each check finds its first fault; the earliest position is raised, and
+    # at one position the id comes before the slot and the slot before the
+    # preds, as a pass over the list checking each instruction in turn would.
+    faults: list[tuple[int, int, str]] = []
+    if ids != tuple(range(n)):
+        i = next(i for i, vid in enumerate(ids) if vid != i)
+        faults.append((i, 0, f"instruction at position {i} has id {ids[i]}"))
+    if None in pool_of:
+        i = pool_of.index(None)
+        faults.append((i, 1, f"no slots for class {slot_names[i]!r}"))
+    # A group's preds are checked at its first member, so for every later one.
     succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # id -> (group, delay)
-    group_of = [0] * n
-    pool_of: list[list[int] | None] = [None] * n
-    for i, (vid, _, slot, _, preds, _) in enumerate(dag):
-        if vid != i:
-            raise ConfigError(f"instruction at position {i} has id {vid}")
-        pool = pool_for.get(slot)
-        if pool is None:
-            raise ConfigError(f"no slots for class {slot!r}")
-        pool_of[i] = pool
-        g = group_of_preds.get(preds)
-        if g is None:
-            # Checked at the group's first member, so for every later one.
-            g = group_of_preds[preds] = len(members)
-            members.append([i])
-            for pid, delay in preds:
-                if not 0 <= pid < i:
-                    raise ConfigError(f"instruction {i} depends on id {pid}, not an earlier one")
-                succs[pid].append((g, delay))
-        else:
-            members[g].append(i)
-        group_of[i] = g
+    for g, preds in enumerate(group_index):
+        first = members[g][0]
+        for pid, delay in preds:
+            if not 0 <= pid < first:
+                # Groups come in list order, so this is the earliest bad pred.
+                message = f"instruction {first} depends on id {pid}, not an earlier one"
+                faults.append((first, 2, message))
+                raise ConfigError(min(faults)[2])
+            succs[pid].append((g, delay))
+    if faults:
+        raise ConfigError(min(faults)[2])
 
     # A group's members all come after its preds, so the sweep has seen them.
-    prio = [0] * n
+    prio: list = []  # built last position first
     group_prio = [-math.inf] * len(members)
-    for i in reversed(range(n)):
-        best = dag[i].latency
-        for g, delay in succs[i]:
+    for best, out, own in zip(reversed(latencies), reversed(succs), reversed(group_of)):
+        for g, delay in out:
             if delay + group_prio[g] > best:
                 best = delay + group_prio[g]
-        prio[i] = best
-        g = group_of[i]
-        if best > group_prio[g]:
-            group_prio[g] = best
+        prio.append(best)
+        if best > group_prio[own]:
+            group_prio[own] = best
+    prio.reverse()
     rank = {p: r * n for r, p in enumerate(sorted(set(prio), reverse=True))}
     key = [rank[p] + i for i, p in enumerate(prio)]
 
-    remaining = [len(preds) for preds in group_of_preds]  # unissued preds
+    remaining = [len(preds) for preds in group_index]  # unissued preds
     ready_bound = [0] * len(members)
     # Each group falls due once, so its member list becomes the due list.
     due: dict[int, list[int]] = {}
     due_cycles: list[int] = []
-    g = group_of_preds.get(())
+    g = group_index.get(())
     if g is not None:
         due[0] = members[g]
         due_cycles.append(0)
@@ -381,15 +401,14 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
 
     total = 0
     vmac_cycles: dict[int, list[int]] = {}  # cluster -> [first, last, count]
-    for ins, c in zip(dag, cycle_of):
-        kind = ins.kind
-        end = c + ins.latency if kind == "vstore" else c + 1
+    for kind, c, latency, cluster in zip(kinds, cycle_of, latencies, cluster_of):
+        end = c + latency if kind == "vstore" else c + 1
         if end > total:
             total = end
         if kind == "vmac":
-            seen = vmac_cycles.get(ins.group)
+            seen = vmac_cycles.get(cluster)
             if seen is None:
-                vmac_cycles[ins.group] = [c, c, 1]
+                vmac_cycles[cluster] = [c, c, 1]
             else:
                 if c < seen[0]:
                     seen[0] = c

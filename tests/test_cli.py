@@ -285,6 +285,45 @@ def test_simulate_verify_zero_runs_the_empty_sweep(target, line):
     assert run_cli("simulate", target, "--verify", "0") == (EXIT_OK, line)
 
 
+REFUSED_FLAGS = [
+    ("movement", "--verify", "--tile", "32,128,64,128"),
+    ("movement", "--verify", "--problem", "4096x4096x2048"),
+    ("movement", "--verify", "--precision", "config2"),
+    ("movement", "--verify", "--format", "text"),
+    ("movement", "--verify", "--boundary", "core"),
+    ("movement", None, "--seed", "3"),
+    ("schedule", "--verify", "--tile", "32,128,64,128"),
+    ("schedule", "--verify", "--dump", "DUMP"),
+    ("schedule", None, "--seed", "3"),
+]
+
+
+@pytest.mark.parametrize(
+    "target, verify, flag, value", REFUSED_FLAGS,
+    ids=[f"{t}-{'verify' if v else 'one_case'}-{f[2:]}" for t, v, f, _ in REFUSED_FLAGS],
+)
+def test_simulate_refuses_a_flag_its_mode_does_not_read(
+    target, verify, flag, value, tmp_path, capsys
+):
+    # A one-case flag under a --verify sweep, or --seed without one, was
+    # dropped without a word; it is refused, naming both flags. Each given
+    # value is the one the mode would have used, so nothing else fails.
+    dump = tmp_path / "schedule.csv"
+    value = str(dump) if value == "DUMP" else value
+    argv = ["simulate", target, flag, value]
+    if target == "movement" and verify is None:
+        argv += ["--problem", "4096x4096x2048", "--tile", "32,128,64,128"]
+    if verify:
+        argv += [verify, "2"]
+    assert run_cli(*argv) == (EXIT_CONFIG_ERROR, "")
+    if verify:
+        line = f"error: {flag} is not read by a --verify sweep\n"
+    else:
+        line = f"error: {flag} is read only with --verify\n"
+    assert capsys.readouterr().err == line
+    assert not dump.exists()
+
+
 @pytest.fixture
 def reference_kernel_config(tmp_path):
     cfg = tmp_path / "kernel.json"

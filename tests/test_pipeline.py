@@ -1,12 +1,14 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymtile.arch import ConfigError, TileConfig
 from asymtile.pipeline import (
+    LatencyBounds,
     LoadClass,
     MicrokernelSpec,
     eff_micro,
@@ -17,6 +19,8 @@ from asymtile.pipeline import (
     prolog_bound,
     total_latency,
 )
+from asymtile.schedule import random_microkernel_spec
+from conftest import adversarial_microkernel_spec
 
 
 def mk(**kw) -> MicrokernelSpec:
@@ -37,6 +41,16 @@ def test_prolog_single_load_latency_bound():
 def test_prolog_mixed_latencies():
     # max(8 + ceil(4/2) - 1, 2 + ceil(8/2) - 1) = max(9, 5)
     assert prolog_bound([LoadClass(8, 4), LoadClass(2, 4)], u_ld=2) == 9
+
+
+def test_ceilings_are_exact_above_two_to_the_53():
+    # 2**53 + 3 and 2**53 + 1 are not floats: a float division rounds the
+    # first up and the second down, one cycle off either way.
+    for exact in (2**53 + 3, 2**53 + 1):
+        assert prolog_bound([LoadClass(1, 3 * exact)], 3) == exact
+        spec = mk(r_load=3 * exact, u_ld=3, chains=1)
+        assert initiation_interval(spec) == exact
+        assert total_latency(spec).ii_parallel == exact
 
 
 def test_prolog_empty_rejected():
@@ -181,6 +195,66 @@ def test_overlapped_never_exceeds_sequential(p, lat, n_loads, r, chains, n_accum
     )
     b = total_latency(spec)
     assert 0 < b.l_total_overlapped <= b.l_total_sequential
+
+
+def reference_total_latency(spec: MicrokernelSpec) -> LatencyBounds:
+    """The Fraction formula ``total_latency`` replaced, with each ceiling
+    taken exactly (``math.ceil`` of a Fraction): the specification the
+    integer version must meet."""
+    t_prolog = 0
+    cum = 0
+    for cls in sorted(spec.load_classes, key=lambda c: c.latency, reverse=True):
+        cum += cls.count
+        t_prolog = max(t_prolog, cls.latency + math.ceil(Fraction(cum, spec.u_ld)) - 1)
+    raw = max(spec.pipeline_depth + 1 - spec.chains, math.ceil(Fraction(spec.r_load, spec.u_ld)))
+    ii_par = max(Fraction(raw, spec.chains), Fraction(1))
+    steady_exact = ii_par * max(0, spec.n_accum - spec.chains)
+    live = min(spec.chains, spec.n_accum)
+    t_epilog = spec.l_vmac_to_store + spec.l_store + spec.n_store - 1 + live - 1
+    cluster = t_prolog + steady_exact + t_epilog
+    seq = math.ceil(cluster * spec.n_clusters)
+    ovl_exact = t_prolog + (steady_exact + ii_par * live) * spec.n_clusters + t_epilog
+    return LatencyBounds(
+        t_prolog=t_prolog,
+        ii_parallel=ii_par,
+        t_steady=math.ceil(steady_exact),
+        t_epilog=t_epilog,
+        l_total_sequential=seq,
+        l_total_overlapped=min(math.ceil(ovl_exact), seq),
+        eff_micro=Fraction(spec.n_accum) / cluster,
+    )
+
+
+# Small counts, and counts no float holds exactly.
+COUNTS = st.integers(1, 16) | st.integers(2**53, 2**64)
+
+
+@st.composite
+def huge_count_spec(draw) -> MicrokernelSpec:
+    classes = tuple(
+        LoadClass(draw(COUNTS), draw(COUNTS), draw(st.booleans()))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    fields = ("pipeline_depth", "u_ld", "u_st", "r_load", "n_accum", "n_clusters",
+              "l_store", "n_store")
+    return mk(
+        load_classes=classes,
+        chains=draw(st.integers(1, 5)),
+        l_vmac_to_store=draw(st.just(0) | COUNTS),
+        **{name: draw(COUNTS) for name in fields},
+    )
+
+
+@settings(max_examples=300)
+@given(spec=st.one_of(
+    *(st.randoms(use_true_random=False).map(lambda rng, d=spec_draw: d(rng)[0])
+      for spec_draw in (random_microkernel_spec, adversarial_microkernel_spec)),
+    huge_count_spec(),
+))
+def test_total_latency_equals_the_fraction_formula(spec):
+    got, want = total_latency(spec), reference_total_latency(spec)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
 
 
 # -- efficiency --------------------------------------------------------------

@@ -27,6 +27,7 @@ from asymtile.schedule import (
     verify_random_specs,
 )
 from asymtile.search import SearchSpace, explore, rank
+from conftest import adversarial_microkernel_spec
 
 # The package exports the function ``schedule``, which hides the module.
 schedule_module = importlib.import_module("asymtile.schedule")
@@ -419,6 +420,68 @@ def test_cycle_rejected():
     assert_same_schedule(valid, slots_for(spec))
 
 
+def first_fault(dag, slots):
+    """The message for the first fault of a DAG that is not dense, checked
+    instruction by instruction in list order: its id, then its slot class,
+    then its preds. The order the scheduler's column checks must keep."""
+    for i, ins in enumerate(dag):
+        if ins.id != i:
+            return f"instruction at position {i} has id {ins.id}"
+        if slots.get(ins.slot, 0) < 1:
+            return f"no slots for class {ins.slot!r}"
+        for pid, _ in ins.preds:
+            if not 0 <= pid < i:
+                return f"instruction {i} depends on id {pid}, not an earlier one"
+    return None
+
+
+def test_first_fault_in_list_order_is_raised():
+    ld = ("vload", "ld", 1)
+    cases = [
+        ([Instruction(0, *ld), Instruction(1, *ld, ((5, 1),)), Instruction(7, *ld)],
+         "instruction 1 depends on id 5, not an earlier one"),
+        ([Instruction(0, *ld), Instruction(3, "x", "nope", 1)],
+         "instruction at position 1 has id 3"),
+        ([Instruction(0, "vload", "nope", 1, ((0, 1),))], "no slots for class 'nope'"),
+        ([Instruction(0, *ld), Instruction(1, *ld, ((1, 2),)), Instruction(2, "x", "nope", 1)],
+         "instruction 1 depends on id 1, not an earlier one"),
+        ([Instruction(0, *ld), Instruction(1, "x", "nope", 1), Instruction(2, *ld, ((4, 2),))],
+         "no slots for class 'nope'"),
+        ([Instruction(0, *ld, ((-1, 1),)), Instruction(1, *ld, ((-1, 1),))],
+         "instruction 0 depends on id -1, not an earlier one"),
+        ([Instruction(0, "vstore", "st", 1)], "no slots for class 'st'"),
+    ]
+    slots = {"ld": 1, "st": 0, "vmac": 1}
+    for dag, message in cases:
+        assert first_fault(dag, slots) == message
+        with pytest.raises(ConfigError) as err:
+            schedule(dag, slots)
+        assert str(err.value) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_malformed_dense_dags_raise_their_first_fault(seed):
+    # One to three faults at random positions: a wrong id, a slot class
+    # with no slots, or a pred that is not earlier.
+    rng = random.Random(seed)
+    dag, slots = random_dense_dag(rng)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(dag))
+        fault = rng.randrange(3)
+        if fault == 0:
+            dag[i] = dag[i]._replace(id=rng.choice([i + 1, i + 7, -1]))
+        elif fault == 1:
+            dag[i] = dag[i]._replace(slot="none")
+        else:
+            bad = (rng.choice([i, i + 2, -1]), 1)
+            dag[i] = dag[i]._replace(preds=dag[i].preds + (bad,))
+    message = first_fault(dag, slots)
+    with pytest.raises(ConfigError) as err:
+        schedule(dag, slots)
+    assert str(err.value) == message
+
+
 def test_fractional_latencies_match_reference():
     # Latencies and delays need only be ordered numbers: halve all of them.
     spec = MicrokernelSpec(n_accum=8, n_clusters=2)
@@ -589,44 +652,6 @@ def test_bounds_hold_when_a_cluster_has_fewer_updates_than_chains():
         if check_bounds_hold(MicrokernelSpec(n_accum=n_accum, n_clusters=n_clusters), {})
     ]
     assert beaten == []
-
-
-def adversarial_microkernel_spec(rng: random.Random) -> tuple[MicrokernelSpec, dict]:
-    """A buildable spec from outside ``random_microkernel_spec``'s envelope:
-    store forwarding from 0 cycles (often shorter than the MAC pipeline),
-    deeper pipelines, two store slots, partial last rounds, unaligned
-    loads with pop companions, and always at least two clusters."""
-    chains = rng.randint(1, 5)
-    r_load = rng.randint(1, 4)
-    classes = [
-        LoadClass(
-            latency=rng.randint(1, 10),
-            count=r_load * chains + rng.randint(0, 2),
-            unaligned=rng.random() < 0.3,
-        )
-    ]
-    if rng.random() < 0.5:
-        classes.append(
-            LoadClass(latency=rng.randint(1, 10), count=rng.randint(1, 3), unaligned=rng.random() < 0.5)
-        )
-    spec = MicrokernelSpec(
-        pipeline_depth=rng.randint(1, 8),
-        u_ld=rng.choice([1, 2, 4]),
-        u_st=rng.randint(1, 2),
-        load_classes=tuple(classes),
-        r_load=r_load,
-        chains=chains,
-        n_accum=rng.randint(1, 4 * chains),
-        n_clusters=rng.randint(2, 6),
-        l_vmac_to_store=rng.randint(0, 8),
-        l_store=rng.randint(1, 3),
-        n_store=rng.randint(1, 4),
-    )
-    options = {
-        "share_inputs": r_load >= 2 and rng.random() < 0.5,
-        "double_buffer": rng.random() < 0.5,
-    }
-    return spec, options
 
 
 SPEC_DRAWS = [random_microkernel_spec, adversarial_microkernel_spec]
@@ -819,3 +844,37 @@ def test_total_includes_store_drain():
     last_store = max(res.cycle_of[i.id] for i in dag if i.kind == "vstore")
     assert res.total_cycles == last_store + spec.l_store
     assert res.total_cycles >= total_latency(spec).l_total_sequential
+
+
+def test_overlapped_period_need_not_settle_at_two_clusters():
+    # Draws 150 and 1052 of random_microkernel_spec(random.Random(5)),
+    # scheduled overlapped at 1-6 clusters. Draw 150 repeats a two-cluster
+    # period (72, then 71 cycles); draw 1052 steps 9 once, then 8. So
+    # total_cycles(n) = total_cycles(1) + (n - 1)·P does not hold on every
+    # kernel, and two clusters do not fix the period.
+    draw_150 = MicrokernelSpec(
+        pipeline_depth=1, u_ld=4, u_st=1,
+        load_classes=(LoadClass(9, 40), LoadClass(7, 3, unaligned=True)),
+        r_load=8, chains=5, n_accum=35, l_vmac_to_store=4, l_store=1, n_store=3,
+    )
+    draw_1052 = MicrokernelSpec(
+        pipeline_depth=1, u_ld=1, u_st=1, load_classes=(LoadClass(2, 4), LoadClass(8, 4)),
+        r_load=2, chains=2, n_accum=2, l_vmac_to_store=2, l_store=3, n_store=3,
+    )
+    rng = random.Random(5)
+    draws = [random_microkernel_spec(rng) for _ in range(1053)]
+    cases = [
+        (draw_150, {"share_inputs": False, "double_buffer": True}, 150,
+         [92, 164, 235, 307, 378, 450]),
+        (draw_1052, {"share_inputs": False, "double_buffer": False}, 1052,
+         [21, 30, 38, 46, 54, 62]),
+    ]
+    for spec, options, index, totals in cases:
+        drawn, drawn_options = draws[index]
+        assert (replace(drawn, n_clusters=1), drawn_options) == (spec, options)
+        got = []
+        for n in range(1, 7):
+            spec_n = replace(spec, n_clusters=n)
+            dag = build_microkernel_dag(spec_n, overlap_clusters=True, **options)
+            got.append(schedule(dag, slots_for(spec_n)).total_cycles)
+        assert got == totals
