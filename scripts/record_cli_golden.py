@@ -35,9 +35,10 @@ import tempfile
 from pathlib import Path
 
 from asymtile.cli import main as cli_main
+from asymtile.perf import EFF_SOURCES
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "cli_golden.json"
-SOURCES = ("calibration", "closed_form", "simulated")
+SOURCES = tuple(EFF_SOURCES)
 PROBLEMS = (("4096x4096x2048", "config1"), ("2048x4096x2048", "config2"))
 REFERENCE = ("--problem", "4096x4096x2048", "--tile", "32,128,64,128")
 DUMP = "<dump>"

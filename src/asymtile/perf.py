@@ -1,11 +1,13 @@
 """End-to-end performance model for asymmetric tile buffering.
 
-Combines the intensity closed form with microkernel efficiency, scored by
-one of the sources in :data:`EFF_SOURCES`, into the two-sided bound:
-off-chip bandwidth times achieved intensity on one side, aggregate core
-throughput derated by kernel-switch overhead on the other. All internal
-arithmetic is exact (flops per cycle as rationals); the clock rate is
-applied exactly once when converting to flops per second.
+Combines the intensity closed form with microkernel efficiency into the
+two-sided bound: off-chip bandwidth times achieved intensity on one side,
+aggregate core throughput derated by kernel-switch overhead on the other.
+The efficiency comes from one of the sources in :data:`EFF_SOURCES`, each a
+plain function of the tile and the base kernel: the calibration table by
+``t_k``, or the tile's own kernel scored by the closed form or by its
+schedule. All internal arithmetic is exact (flops per cycle as rationals);
+the clock rate is applied exactly once when converting to flops per second.
 """
 
 from __future__ import annotations
@@ -81,30 +83,17 @@ def _coerce_eff(value) -> Fraction:
     return eff
 
 
-class KernelScorer(NamedTuple):
-    """An efficiency source scoring a tile's own microkernel: ``score`` of the
-    spec :func:`microkernel_for_tile` shapes the base kernel to (else a
-    :class:`~asymtile.pipeline.KernelShapeError`). Neither kernel source
-    reaches 1, the one-VMAC-per-cycle peak: the closed form is below 1
-    (:func:`~asymtile.pipeline.eff_micro`), and a schedule issues at most
-    one VMAC per cycle, its last VMAC's stores adding at least one cycle."""
-
-    source: str
-    score: Callable[[MicrokernelSpec], Fraction]
-
-    def __call__(self, tile: TileConfig, base: MicrokernelSpec) -> Fraction:
-        return self.score(microkernel_for_tile(tile, base))
-
-
 # Each efficiency source's scorer (tile, base kernel) -> eff_micro: the
-# calibration table by t_k, the closed-form phase model of the tile's kernel,
-# or its scheduled VMAC issue rate (kernel_run schedules each kernel once).
+# calibration table by t_k, or the tile's own kernel, shaped by
+# microkernel_for_tile (else a KernelShapeError) and scored by the closed-form
+# phase model or by its scheduled VMAC issue rate (kernel_run schedules each
+# kernel once). Neither kernel source reaches 1, the one-VMAC-per-cycle peak:
+# the closed form is below 1 (pipeline.eff_micro), and a schedule issues at
+# most one VMAC per cycle, its last VMAC's stores adding at least one cycle.
 EFF_SOURCES = MappingProxyType({
     EFF_SOURCE_CALIBRATION: lambda tile, base: calibrated_eff_micro(tile.t_k),
-    **{scorer.source: scorer for scorer in (
-        KernelScorer("closed_form", closed_form_eff_micro),
-        KernelScorer("simulated", lambda spec: kernel_run(spec).vmac_issue_rate),
-    )},
+    "closed_form": lambda tile, base: closed_form_eff_micro(microkernel_for_tile(tile, base)),
+    "simulated": lambda tile, base: kernel_run(microkernel_for_tile(tile, base)).vmac_issue_rate,
 })
 
 

@@ -139,21 +139,17 @@ def prolog_bound(classes: Iterable[LoadClass], u_ld: int) -> int:
 
 
 def _ii_numerator(spec: MicrokernelSpec) -> int:
-    """The initiation interval times ``chains``: max(raw, chains) with
-    raw = max(P + 1 - C, ceil(r_load / u_ld))."""
-    raw = max(spec.pipeline_depth + 1 - spec.chains, -(-spec.r_load // spec.u_ld))
-    return max(raw, spec.chains)
-
-
-def initiation_interval(spec: MicrokernelSpec) -> Fraction:
-    """Parallel-chain initiation interval in cycles per VMAC.
+    """The parallel-chain initiation interval, in cycles per VMAC, times C.
 
     Interleaving C chains hides up to C-1 cycles of the accumulator RAW
-    distance, and the cluster's per-step loads amortize over C VMACs:
-    max(P + 1 - C, ceil(r_load / u_ld)) / C, floored at one cycle since the
-    one VMAC slot issues at most one VMAC per cycle.
+    distance, and the cluster's per-step loads amortize over C VMACs: the
+    II is raw / C with raw = max(P + 1 - C, ceil(r_load / u_ld)), floored at
+    one cycle since the one VMAC slot issues at most one VMAC per cycle, so
+    this returns max(raw, C). :func:`total_latency` reports the II as
+    ``ii_parallel``.
     """
-    return Fraction(_ii_numerator(spec), spec.chains)
+    raw = max(spec.pipeline_depth + 1 - spec.chains, -(-spec.r_load // spec.u_ld))
+    return max(raw, spec.chains)
 
 
 def epilog_bound(spec: MicrokernelSpec) -> int:

@@ -46,7 +46,6 @@ from asymtile.arch import (
 from asymtile.perf import (
     BOUND_MEMORY,
     EFF_SOURCE_CALIBRATION,
-    KernelScorer,
     PerfEstimate,
     compute_side,
     eff_scorer,
@@ -263,9 +262,10 @@ def explore(
     try:
         return rank(configs, problem, prec, arch, eff_source, kernel)
     except EmptySearchSpace:
-        filters = "buffer capacity and divisibility"
-        if isinstance(eff_scorer(eff_source), KernelScorer):
-            filters = "buffer capacity, divisibility and kernel shape"
+        # rank accepted eff_source; every source but calibration shapes a kernel.
+        filters = "buffer capacity, divisibility and kernel shape"
+        if eff_source == EFF_SOURCE_CALIBRATION:
+            filters = "buffer capacity and divisibility"
         raise EmptySearchSpace(
             f"no feasible tile configuration in the search space ({filters} filters removed everything)"
         ) from None

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,32 @@ def test_simulate_schedule_verify_passes():
 def test_simulate_verify_zero_runs_the_empty_sweep(target, line):
     # --verify 0 is a sweep of no cases, not the one-case report.
     assert run_cli("simulate", target, "--verify", "0") == (EXIT_OK, line)
+
+
+@pytest.mark.parametrize(
+    "target, sweep, record, line",
+    [("movement", "verify_movement_equivalence",
+      {"index": 1, "boundary": "core", "problem": ProblemSpec(4096, 4096, 2048),
+       "tile": TileConfig(32, 128, 64, 128), "prec": PrecisionSpec(1, 1, 2, "test"),
+       "measured": Fraction(2047, 5), "closed_form": Fraction(2048, 5)},
+      "FAIL: 1 discrepancies in 3 configs; first: boundary=core "
+      "tile=TileConfig(t_ma=32, t_mc=128, t_k=64, t_n=128) measured=2047/5 closed_form=2048/5\n"),
+     ("schedule", "verify_random_specs",
+      {"index": 2, "spec": MicrokernelSpec(), "options": {"share_inputs": True, "double_buffer": False},
+       "violations": [("l_total_overlapped", 253, 252)]},
+      "FAIL: 1 specs beat a bound out of 3; first violations: [('l_total_overlapped', 253, 252)]\n")],
+    ids=["movement", "schedule"],
+)
+def test_simulate_verify_failure_exits_4(monkeypatch, target, sweep, record, line):
+    calls = []
+
+    def failing_sweep(n, seed=0, **kwargs):
+        calls.append((n, seed))
+        return [record]
+
+    monkeypatch.setattr(cli, sweep, failing_sweep)
+    assert run_cli("simulate", target, "--verify", "3", "--seed", "7") == (EXIT_VERIFY_FAILURE, line)
+    assert calls == [(3, 7)]
 
 
 REFUSED_FLAGS = [

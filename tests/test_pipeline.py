@@ -13,7 +13,6 @@ from asymtile.pipeline import (
     MicrokernelSpec,
     eff_micro,
     epilog_bound,
-    initiation_interval,
     microkernel_for_tile,
     microkernel_from_dict,
     prolog_bound,
@@ -48,9 +47,7 @@ def test_ceilings_are_exact_above_two_to_the_53():
     # first up and the second down, one cycle off either way.
     for exact in (2**53 + 3, 2**53 + 1):
         assert prolog_bound([LoadClass(1, 3 * exact)], 3) == exact
-        spec = mk(r_load=3 * exact, u_ld=3, chains=1)
-        assert initiation_interval(spec) == exact
-        assert total_latency(spec).ii_parallel == exact
+        assert total_latency(mk(r_load=3 * exact, u_ld=3, chains=1)).ii_parallel == exact
 
 
 def test_prolog_empty_rejected():
@@ -78,22 +75,26 @@ def test_prolog_permutation_invariant_and_monotone(classes, u_ld, seed):
 
 # -- initiation intervals ----------------------------------------------------
 
+def ii(spec: MicrokernelSpec) -> Fraction:
+    return total_latency(spec).ii_parallel
+
+
 def test_ii_single_chain():
     # One chain hides no RAW cycles: max(3 + 1 - 1, ceil(4 / 2)) / 1 = 3.
     spec = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=1)
-    assert initiation_interval(spec) == 3
+    assert ii(spec) == 3
 
 
 def test_ii_three_chains_clamped():
     # max(3 + 1 - 3, ceil(2 / 2)) / 3 = 1/3, floored at one cycle.
     spec = mk(pipeline_depth=3, r_load=2, u_ld=2, chains=3)
-    assert initiation_interval(spec) == 1
+    assert ii(spec) == 1
 
 
 def test_ii_four_chains_clamped():
     # max(3 + 1 - 4, ceil(4 / 2)) / 4 = 1/2, floored at one cycle.
     spec = mk(pipeline_depth=3, r_load=4, u_ld=2, chains=4)
-    assert initiation_interval(spec) == 1
+    assert ii(spec) == 1
 
 
 @given(
@@ -104,12 +105,12 @@ def test_ii_four_chains_clamped():
 )
 def test_ii_raw_monotonicity(p, r, u, c):
     spec = mk(pipeline_depth=p, r_load=r, u_ld=u, chains=c)
-    ii = initiation_interval(spec)
-    assert ii >= 1
+    base = ii(spec)
+    assert base >= 1
     if c > 1:
-        assert initiation_interval(mk(pipeline_depth=p, r_load=r, u_ld=u, chains=c - 1)) >= ii
-    assert initiation_interval(mk(pipeline_depth=p + 1, r_load=r, u_ld=u, chains=c)) >= ii
-    assert initiation_interval(mk(pipeline_depth=p, r_load=r + 1, u_ld=u, chains=c)) >= ii
+        assert ii(mk(pipeline_depth=p, r_load=r, u_ld=u, chains=c - 1)) >= base
+    assert ii(mk(pipeline_depth=p + 1, r_load=r, u_ld=u, chains=c)) >= base
+    assert ii(mk(pipeline_depth=p, r_load=r + 1, u_ld=u, chains=c)) >= base
 
 
 # -- steady and epilog -------------------------------------------------------
@@ -274,7 +275,7 @@ def test_eff_micro_reference_phases():
 
 def test_eff_micro_saturates():
     spec = mk(n_accum=4096, chains=4, r_load=2)
-    assert initiation_interval(spec) == 1
+    assert ii(spec) == 1
     assert eff_micro(spec) > Fraction(99, 100)
 
 
@@ -313,8 +314,7 @@ def test_eff_micro_bounded_by_ii(params):
         n_accum=n_accum,
         load_classes=(LoadClass(lat, max(1, r_load * chains)),),
     )
-    ii = initiation_interval(spec)
-    assert 0 < eff_micro(spec) * ii <= 1
+    assert 0 < eff_micro(spec) * ii(spec) <= 1
 
 
 @given(n_accum=st.integers(1, 64))

@@ -657,6 +657,17 @@ def test_bounds_hold_when_a_cluster_has_fewer_updates_than_chains():
 SPEC_DRAWS = [random_microkernel_spec, adversarial_microkernel_spec]
 
 
+@settings(max_examples=200)
+@given(seed=st.integers(0, 10**9), draw=st.sampled_from(SPEC_DRAWS))
+def test_each_total_bound_covers_the_phase_bounds(seed, draw):
+    # So a schedule beats t_steady or t_epilog only if it beats the total
+    # bound of its mode too: check_bounds_hold's phase checks never fire alone.
+    b = total_latency(draw(random.Random(seed))[0])
+    assert b.t_prolog >= 1 and b.t_epilog >= 1
+    phases = b.t_prolog + b.t_steady + b.t_epilog
+    assert b.l_total_sequential >= phases and b.l_total_overlapped >= phases
+
+
 @st.composite
 def tile_shaped_spec(draw) -> tuple[MicrokernelSpec, dict]:
     """A buildable spec with every field drawn, shaped by
