@@ -167,6 +167,8 @@ CASES = (
     ["simulate", "schedule", "--verify", "2", "--tile", "32,128,64,128"],
     ["simulate", "schedule", "--verify", "2", "--dump", DUMP],
     ["simulate", "schedule", "--seed", "3"],
+    # An explicit efficiency is not scored, so no source is read beside it.
+    ["eval", *REFERENCE, "--eff-micro", "0.5", "--eff-source", "simulated"],
 )
 
 

@@ -436,6 +436,8 @@ def _run(args: argparse.Namespace, out) -> int:
         if args.which is None:
             raise ConfigError("simulate needs a target: movement or schedule")
         _refuse_unread_flags(args)
+    elif args.command == "eval" and args.eff_micro is not None and args.eff_source is not None:
+        raise ConfigError("--eff-source is not read with --eff-micro")
     cfg = _build_run_config(args)
     if args.command == "eval":
         return cmd_eval(cfg, args.format, out)

@@ -100,7 +100,7 @@ DEFAULT_MICROKERNEL = MicrokernelSpec()
 
 class KernelShapeError(ConfigError):
     """:func:`microkernel_for_tile` cannot shape a kernel to a tile, or
-    :func:`asymtile.schedule.check_buildable` cannot build the result."""
+    :func:`asymtile.schedule.build_microkernel_dag` cannot build the result."""
 
 
 class LatencyBounds(NamedTuple):

@@ -8,17 +8,18 @@ bounds in ``asymtile.pipeline``: for matched parameters the schedule can only
 be slower, never faster.
 
 Both halves work on dense lists, because they run once per kernel and a
-kernel has thousands of instructions. ``Instruction`` is a NamedTuple whose
-id is its position in the builder's list, and each of its preds comes
-earlier in that list. The scheduler takes the DAG on exactly that contract,
-checked once: ids index its priority, pool and cycle lists directly, and the
-list order is the topological order. It reads the DAG once into columns
-(ids, kinds, slots, latencies, preds, clusters) and sets up from those. Its
-per-edge work is done once per distinct pred tuple, not per instruction:
-instructions with equal preds (a round's steady loads, say) form a group
-with one ready cycle. Its pool heaps hold plain int keys, rank(priority)·n
-+ id, so ties break by ascending id, and instructions not yet ready wait in
-a dict of due cycle -> ids beside a small heap of the distinct due cycles.
+kernel has thousands of instructions. A DAG is a list of ``Instruction``
+NamedTuples, and an instruction's id is its position in that list: each of
+its preds names an earlier position. The scheduler takes the DAG on exactly
+that contract, checked once: ids index its priority, pool and cycle lists
+directly, and the list order is the topological order. It reads the DAG
+once into columns (kinds, slots, latencies, preds, clusters) and sets up
+from those. Its per-edge work is done once per distinct pred tuple, not per
+instruction: instructions with equal preds (a round's steady loads, say)
+form a group with one ready cycle. Its pool heaps hold plain int keys,
+rank(priority)·n + id, so ties break by ascending id, and instructions not
+yet ready wait in a dict of due cycle -> ids beside a small heap of the
+distinct due cycles.
 
 :func:`kernel_run`, which the efficiency model and the soundness check
 read, schedules each distinct (spec, build options) kernel once per process:
@@ -60,16 +61,15 @@ KERNEL_RUN_CACHE_SIZE = 1024
 class Instruction(NamedTuple):
     """One VLIW operation: issued on ``slot``, result ready after ``latency``.
 
-    ``id`` is the instruction's position in its DAG's list. ``preds`` is a
-    tuple of (predecessor id, required issue delay) pairs, each naming an
-    earlier position: this instruction may not issue before pred_issue +
-    delay. The scheduler groups equal pred tuples, so they must be hashable.
-    ``group`` is the owning chain cluster, for phase measurements. A
-    NamedTuple, as every unvalidated record is (see the ``asymtile``
-    package docstring); a kernel DAG holds thousands of them.
+    An instruction's id is its position in its DAG's list; it stores none.
+    ``preds`` is a tuple of (predecessor id, required issue delay) pairs,
+    each naming an earlier position: this instruction may not issue before
+    pred_issue + delay. The scheduler groups equal pred tuples, so they must
+    be hashable. ``group`` is the owning chain cluster, for phase
+    measurements. A NamedTuple, as every unvalidated record is (see the
+    ``asymtile`` package docstring); a kernel DAG holds thousands of them.
     """
 
-    id: int
     kind: str
     slot: str
     latency: int
@@ -105,28 +105,6 @@ def derive_cluster_shape(chains: int) -> tuple[int, int]:
     return rows, chains // rows
 
 
-def _steady_round_load_count(spec: MicrokernelSpec, share_inputs: bool, shape: tuple[int, int]) -> int:
-    if share_inputs:
-        rows, cols = shape
-        return rows + cols + (spec.r_load - 2) * spec.chains
-    return spec.r_load * spec.chains
-
-
-def check_buildable(spec: MicrokernelSpec, *, share_inputs: bool = True) -> None:
-    """Raise :class:`~asymtile.pipeline.KernelShapeError` if
-    :func:`build_microkernel_dag` cannot build ``spec``: shared operands
-    with fewer than two loads per VMAC, or, when a chain runs more than one
-    round, a prolog with fewer loads than a steady round consumes."""
-    if share_inputs and spec.r_load < 2:
-        raise KernelShapeError("share_inputs needs r_load >= 2 (one row and one column operand)")
-    per_round = _steady_round_load_count(spec, share_inputs, derive_cluster_shape(spec.chains))
-    if spec.n_accum > spec.chains and spec.prolog_load_count < per_round:
-        raise KernelShapeError(
-            f"prolog supplies {spec.prolog_load_count} loads but a steady round "
-            f"consumes {per_round}"
-        )
-
-
 def build_microkernel_dag(
     spec: MicrokernelSpec,
     *,
@@ -153,20 +131,32 @@ def build_microkernel_dag(
     VMACs overlap the neighbor's epilog; without it the next cluster's prolog
     waits for the previous cluster's final stores to complete.
 
-    Instruction ids are list positions, and every pred precedes its
-    instruction in the list. Round t holds the chains j with
-    t * chains + j < n_accum, a prefix of the chains, so chain j's last
-    VMAC is in round (n_accum - 1 - j) // chains.
+    Every pred precedes its instruction in the list. Round t holds the
+    chains j with t * chains + j < n_accum, a prefix of the chains, so chain
+    j's last VMAC is in round (n_accum - 1 - j) // chains.
+
+    Raises :class:`~asymtile.pipeline.KernelShapeError`, before emitting
+    anything, for a kernel it cannot build: shared operands with fewer than
+    two loads per VMAC, or, when a chain runs more than one round, a prolog
+    with fewer loads than a steady round consumes.
     """
-    check_buildable(spec, share_inputs=share_inputs)
-    shape = derive_cluster_shape(spec.chains)
-    cols = shape[1]
+    if share_inputs and spec.r_load < 2:
+        raise KernelShapeError("share_inputs needs r_load >= 2 (one row and one column operand)")
     chains = spec.chains
+    rows, cols = derive_cluster_shape(chains)
     n_accum = spec.n_accum
     n_rounds = -(-n_accum // chains)
+    # A steady round loads, per chain, the operands it does not share, and
+    # with share_inputs one operand per cluster row and one per column.
+    extra = spec.r_load - 2 if share_inputs else spec.r_load
+    per_round = extra * chains + (rows + cols if share_inputs else 0)
+    if n_rounds > 1 and spec.prolog_load_count < per_round:
+        raise KernelShapeError(
+            f"prolog supplies {spec.prolog_load_count} loads but a steady round "
+            f"consumes {per_round}"
+        )
     steady_latency = max(c.latency for c in spec.load_classes)
     depth = spec.pipeline_depth
-    extra = spec.r_load - 2 if share_inputs else spec.r_load
     rounds = [range(min(chains, n_accum - t * chains)) for t in range(n_rounds)]
     live_chains = rounds[0]
     last_round = [(n_accum - 1 - j) // chains for j in live_chains]
@@ -187,12 +177,12 @@ def build_microkernel_dag(
             for _ in range(cls.count):
                 if cls.unaligned:
                     pop = len(instrs)
-                    emit(new(Instruction, (pop, "vload_pop", SLOT_LOAD, 1, gate, cl)))
+                    emit(new(Instruction, ("vload_pop", SLOT_LOAD, 1, gate, cl)))
                     preds = ((pop, 1),)
                 else:
                     preds = gate
                 vid = len(instrs)
-                emit(new(Instruction, (vid, "vload", SLOT_LOAD, latency, preds, cl)))
+                emit(new(Instruction, ("vload", SLOT_LOAD, latency, preds, cl)))
                 prolog_preds.append((vid, latency))
         round0_preds = tuple(prolog_preds)
 
@@ -203,7 +193,7 @@ def build_microkernel_dag(
             if overlap_clusters and cl > 0:
                 preds += ((prev_last_store[j], 1), (prev_last_vmac[j], depth))
             vid = len(instrs)
-            emit(new(Instruction, (vid, "vmac", SLOT_VMAC, depth, preds, cl)))
+            emit(new(Instruction, ("vmac", SLOT_VMAC, depth, preds, cl)))
             vmacs.append(vid)
         round_vmacs.append(vmacs)
 
@@ -220,7 +210,7 @@ def build_microkernel_dag(
                 # The row operands' loads, then the column operands'.
                 for _ in range(n_row_loads + min(len(in_round), cols)):
                     vid = len(instrs)
-                    emit(new(Instruction, (vid, "vload", SLOT_LOAD, steady_latency, war, cl)))
+                    emit(new(Instruction, ("vload", SLOT_LOAD, steady_latency, war, cl)))
                     shared.append((vid, steady_latency))
                 load_preds = [
                     [shared[j // cols], shared[n_row_loads + j % cols]] for j in in_round
@@ -231,7 +221,7 @@ def build_microkernel_dag(
                 own = load_preds[j]
                 for _ in range(extra):
                     vid = len(instrs)
-                    emit(new(Instruction, (vid, "vload", SLOT_LOAD, steady_latency, war, cl)))
+                    emit(new(Instruction, ("vload", SLOT_LOAD, steady_latency, war, cl)))
                     own.append((vid, steady_latency))
             prev = round_vmacs[t - 1]
             vmacs = []
@@ -239,7 +229,7 @@ def build_microkernel_dag(
                 own = load_preds[j]
                 own.append((prev[j], depth))
                 vid = len(instrs)
-                emit(new(Instruction, (vid, "vmac", SLOT_VMAC, depth, tuple(own), cl)))
+                emit(new(Instruction, ("vmac", SLOT_VMAC, depth, tuple(own), cl)))
                 vmacs.append(vid)
             round_vmacs.append(vmacs)
 
@@ -252,7 +242,7 @@ def build_microkernel_dag(
             link = (last_vmac, spec.l_vmac_to_store)
             for _ in range(spec.n_store):
                 sid = len(instrs)
-                emit(new(Instruction, (sid, "vstore", SLOT_STORE, spec.l_store, (link,), cl)))
+                emit(new(Instruction, ("vstore", SLOT_STORE, spec.l_store, (link,), cl)))
                 link = (sid, 1)
             last_store_of.append(sid)
             gate_of.append((sid, spec.l_store))
@@ -272,13 +262,12 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     count of their class, the classes taken in sorted order. Deterministic
     for identical inputs.
 
-    ``dag`` must be dense, as :func:`build_microkernel_dag` emits it: the
-    instruction at position i has id i, and each of its preds names an
-    earlier position. Anything else raises ConfigError, for the first fault
-    in list order (at one position the id is checked first, then the slot
-    class, then the preds). The list order is then a topological order, so
-    priorities come from one backward sweep, and the id is the list index
-    everywhere.
+    ``dag`` must be dense, as :func:`build_microkernel_dag` emits it: each
+    pred of the instruction at position i names a position below i, and
+    each instruction's slot class has a slot. Anything else raises
+    ConfigError, for the first fault in list order (at one position the slot
+    class is checked before the preds). The list order is then a
+    topological order, so priorities come from one backward sweep.
 
     The setup reads the DAG once, into columns (``zip(*dag)``), and works
     on those: one comprehension over ``dict.setdefault`` numbers the
@@ -303,7 +292,7 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
             cycle_of=[], total_cycles=0, vmac_issue_rate=Fraction(0),
             phase_times=(0, 0, 0), ii_observed=None,
         )
-    ids, kinds, slot_names, latencies, pred_col, cluster_of = zip(*dag)
+    kinds, slot_names, latencies, pred_col, cluster_of = zip(*dag)
     classes = sorted(slots)
     pools: list[list[int]] = [[] for _ in classes]
     pool_for = {name: pool for name, pool in zip(classes, pools) if slots[name] >= 1}
@@ -314,29 +303,23 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     for i, g in enumerate(group_of):
         members[g].append(i)
 
-    # Each check finds its first fault; the earliest position is raised, and
-    # at one position the id comes before the slot and the slot before the
-    # preds, as a pass over the list checking each instruction in turn would.
-    faults: list[tuple[int, int, str]] = []
-    if ids != tuple(range(n)):
-        i = next(i for i, vid in enumerate(ids) if vid != i)
-        faults.append((i, 0, f"instruction at position {i} has id {ids[i]}"))
-    if None in pool_of:
-        i = pool_of.index(None)
-        faults.append((i, 1, f"no slots for class {slot_names[i]!r}"))
-    # A group's preds are checked at its first member, so for every later one.
+    # The first fault in list order is raised, the slot class before the
+    # preds at one position, as a pass checking each instruction would. A
+    # group's preds are checked at its first member, so for every later one,
+    # and groups come in list order: the first bad pred found is the
+    # earliest, and only groups before the first bad slot are checked.
+    bad_slot = pool_of.index(None) if None in pool_of else n
     succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # id -> (group, delay)
     for g, preds in enumerate(group_index):
         first = members[g][0]
+        if first >= bad_slot:
+            break
         for pid, delay in preds:
             if not 0 <= pid < first:
-                # Groups come in list order, so this is the earliest bad pred.
-                message = f"instruction {first} depends on id {pid}, not an earlier one"
-                faults.append((first, 2, message))
-                raise ConfigError(min(faults)[2])
+                raise ConfigError(f"instruction {first} depends on id {pid}, not an earlier one")
             succs[pid].append((g, delay))
-    if faults:
-        raise ConfigError(min(faults)[2])
+    if bad_slot < n:
+        raise ConfigError(f"no slots for class {slot_names[bad_slot]!r}")
 
     # A group's members all come after its preds, so the sweep has seen them.
     prio: list = []  # built last position first
@@ -516,7 +499,8 @@ def dump_schedule_csv(dag: list[Instruction], result: ScheduleResult) -> str:
     out = io.StringIO()
     out.write("cycle,slot,id,kind\n")
     rows = sorted(
-        (result.cycle_of[ins.id], ins.slot, ins.id, ins.kind) for ins in dag
+        (cycle, ins.slot, i, ins.kind)
+        for i, (cycle, ins) in enumerate(zip(result.cycle_of, dag))
     )
     for cycle, slot, vid, kind in rows:
         out.write(f"{cycle},{slot},{vid},{kind}\n")

@@ -19,6 +19,7 @@ import tempfile
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import load_script
@@ -349,6 +350,15 @@ def test_simulate_refuses_a_flag_its_mode_does_not_read(
         line = f"error: {flag} is read only with --verify\n"
     assert capsys.readouterr().err == line
     assert not dump.exists()
+
+
+def test_eval_refuses_eff_source_beside_eff_micro(capsys):
+    # An explicit --eff-micro is the efficiency, so --eff-source was dropped
+    # without a word (exit 0); it is refused, naming both flags.
+    argv = ["eval", "--problem", "4096x4096x2048", "--tile", "32,128,64,128",
+            "--eff-micro", "0.5", "--eff-source", "simulated"]
+    assert run_cli(*argv) == (EXIT_CONFIG_ERROR, "")
+    assert capsys.readouterr().err == "error: --eff-source is not read with --eff-micro\n"
 
 
 @pytest.fixture
@@ -754,6 +764,8 @@ SPECIALS = st.sampled_from(
 BAD_COUNTS = st.sampled_from(["x", "1.5", ""])
 LIMITS = st.integers(-5, 300).map(str) | BAD_COUNTS
 VERIFY_COUNTS = st.integers(-5, 2).map(str) | BAD_COUNTS
+SEEDS = st.integers(0, 3).map(str)
+FORMATS = st.sampled_from(["text", "csv"])
 
 
 def json_values(ints):
@@ -771,21 +783,39 @@ def json_values(ints):
 VALUES = {False: json_values(SMALL_INTS), True: json_values(WIDE_INTS)}
 
 
+def command(head, *optional):
+    """``head``, then each ``(flag, values)`` of ``optional`` as the flag and
+    a drawn value, or left out."""
+    drawn = [st.just(()) | values.map(lambda value, flag=flag: (flag, value))
+             for flag, values in optional]
+    return st.tuples(*drawn).map(lambda parts: [*head, *(arg for part in parts for arg in part)])
+
+
 def fuzzed_argv(section):
     """Commands that read ``section``. Flags win over the config, so each
-    gives only what the config leaves out."""
+    gives only what the config leaves out. Each mode may also get flags it
+    reads, and one flag beside them that it refuses: ``--eff-source``
+    beside ``--eff-micro``, a one-case flag under ``--verify`` or ``--seed``
+    without it."""
     # A small problem keeps the search space and the movement walk short.
     problem = [] if section == "problem" else ["--problem", "512x64x1024"]
     tile = [] if section == "tile" else ["--tile", "32,128,64,128"]
+    sources = ("--eff-source", st.sampled_from(["closed_form", "simulated"]))
     return st.one_of(
-        st.just(["eval", *tile, *problem]),
-        LIMITS.map(lambda limit: ["search", *problem, "--limit", limit]),
-        LIMITS.map(lambda limit: ["search", *problem, "--emit", "table2", "--limit", limit]),
-        st.just(["simulate", "movement", "--tile", "32,128,64,128", "--problem", "512x64x1024"]),
-        VERIFY_COUNTS.map(lambda n: ["simulate", "movement", "--verify", n]),
+        command(["eval", *tile, *problem], ("--eff-micro", st.sampled_from(["1/2", "0.3"])),
+                sources, ("--format", FORMATS)),
+        command(["search", *problem], ("--emit", st.sampled_from(["text", "csv", "table2"])),
+                ("--limit", LIMITS), sources),
+        command(["simulate", "movement", "--tile", "32,128,64,128", "--problem", "512x64x1024"],
+                ("--boundary", st.sampled_from(["core", "array"])), ("--format", FORMATS),
+                ("--seed", SEEDS)),
+        VERIFY_COUNTS.flatmap(lambda n: command(
+            ["simulate", "movement", "--verify", n], ("--seed", SEEDS), ("--format", FORMATS))),
         # A config tile would size the scheduled kernel; the flag keeps it small.
-        st.just(["simulate", "schedule", "--tile", "32,128,64,128"]),
-        VERIFY_COUNTS.map(lambda n: ["simulate", "schedule", "--verify", n]),
+        command(["simulate", "schedule", "--tile", "32,128,64,128"], ("--seed", SEEDS)),
+        VERIFY_COUNTS.flatmap(lambda n: command(
+            ["simulate", "schedule", "--verify", n], ("--seed", SEEDS),
+            ("--tile", st.just("32,128,64,128")))),
     )
 
 
@@ -813,6 +843,42 @@ def test_fuzzed_input_keeps_exit_code_contract(data):
             assert "Traceback" not in err.getvalue()
             if code == EXIT_CONFIG_ERROR:
                 assert re.fullmatch(r"error: [^\n]+\n", err.getvalue())
+
+
+class ReadRecorder:
+    """Stands in for a parsed namespace and records the attributes read."""
+
+    def __init__(self, namespace):
+        self.namespace = namespace
+        self.read = set()
+
+    def __getattr__(self, name):  # every name but namespace and read
+        self.read.add(name)
+        return getattr(self.namespace, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=st.sampled_from(sorted({section for section, _ in FUZZED_KEYS})).flatmap(fuzzed_argv))
+def test_every_given_flag_is_read_or_refused(argv):
+    # A run that exits 3, a refusal among them, stops at its first error,
+    # so the flags after it go unread. Every other run reads every flag it
+    # was given. A flag of the config's fields counts as read once
+    # _build_run_config reads it, even where the command then drops it.
+    recorders = []
+    run = cli._run
+
+    def recording_run(args, out):
+        recorders.append(ReadRecorder(args))
+        return run(recorders[-1], out)
+
+    err = io.StringIO()
+    with mock.patch.object(cli, "_run", recording_run), contextlib.redirect_stderr(err):
+        code, _ = run_cli(*argv)
+    if code == EXIT_CONFIG_ERROR:
+        return
+    [recorder] = recorders
+    given = [arg for arg in argv if arg.startswith("--")]
+    assert [flag for flag in given if flag[2:].replace("-", "_") not in recorder.read] == []
 
 
 def test_search_csv_matches_every_recorded_digest():

@@ -63,10 +63,7 @@ def reference_build(
     def add(kind, slot, latency, preds, group):
         vid = len(instrs)
         instrs.append(
-            Instruction(
-                id=vid, kind=kind, slot=slot, latency=latency,
-                preds=tuple(preds), group=group,
-            )
+            Instruction(kind=kind, slot=slot, latency=latency, preds=tuple(preds), group=group)
         )
         return vid
 
@@ -153,22 +150,21 @@ def reference_build(
 
 
 def reference_schedule(dag, slots):
-    # Takes ids in any order and returns cycle_of as a dict keyed by id.
+    # Takes preds to any position, earlier or later, and returns cycle_of as
+    # a dict keyed by position.
     if not dag:
         return ScheduleResult({}, 0, Fraction(0), (0, 0, 0), None)
-    instrs = {ins.id: ins for ins in dag}
-    if len(instrs) != len(dag):
-        raise ConfigError("duplicate instruction ids")
+    instrs = dict(enumerate(dag))
     succs = defaultdict(list)
-    indeg = {ins.id: 0 for ins in dag}
-    for ins in dag:
+    indeg = {vid: 0 for vid in instrs}
+    for vid, ins in instrs.items():
         if ins.slot not in slots or slots[ins.slot] < 1:
             raise ConfigError(f"no slots for class {ins.slot!r}")
         for pid, delay in ins.preds:
             if pid not in instrs:
-                raise ConfigError(f"instruction {ins.id} depends on unknown id {pid}")
-            succs[pid].append((ins.id, delay))
-            indeg[ins.id] += 1
+                raise ConfigError(f"instruction {vid} depends on unknown id {pid}")
+            succs[pid].append((vid, delay))
+            indeg[vid] += 1
 
     order = [vid for vid, d in indeg.items() if d == 0]
     remaining = dict(indeg)
@@ -190,13 +186,13 @@ def reference_schedule(dag, slots):
             best = max(best, delay + prio[sid])
         prio[vid] = best
 
-    ready_bound = {ins.id: 0 for ins in dag}
+    ready_bound = {vid: 0 for vid in instrs}
     remaining = dict(indeg)
     future = []
     pool = {s: [] for s in slots}
-    for ins in dag:
-        if indeg[ins.id] == 0:
-            heapq.heappush(future, (0, -prio[ins.id], ins.id))
+    for vid in instrs:
+        if indeg[vid] == 0:
+            heapq.heappush(future, (0, -prio[vid], vid))
 
     cycle_of = {}
     cycle = 0
@@ -229,9 +225,9 @@ def reference_schedule(dag, slots):
             raise ConfigError("scheduler stalled with unissued instructions")
 
     total = 0
-    for ins in dag:
-        total = max(total, cycle_of[ins.id] + (ins.latency if ins.kind == "vstore" else 1))
-    vmacs = sorted((cycle_of[ins.id], ins.group) for ins in dag if ins.kind == "vmac")
+    for vid, ins in instrs.items():
+        total = max(total, cycle_of[vid] + (ins.latency if ins.kind == "vstore" else 1))
+    vmacs = sorted((cycle_of[vid], ins.group) for vid, ins in instrs.items() if ins.kind == "vmac")
     if vmacs:
         first_v = vmacs[0][0]
         last_v = vmacs[-1][0]
@@ -249,18 +245,16 @@ def reference_schedule(dag, slots):
     return ScheduleResult(cycle_of, total, rate, phases, ii_observed)
 
 
-def relabel_and_shuffle(dag, rng):
-    """The same DAG under fresh non-contiguous ids, in shuffled list order."""
-    new_ids = rng.sample(range(3 * len(dag) + 5), len(dag))
-    relabel = {ins.id: new for ins, new in zip(dag, new_ids)}
-    out = [
-        ins._replace(
-            id=relabel[ins.id], preds=tuple((relabel[p], d) for p, d in ins.preds)
-        )
-        for ins in dag
+def shuffle_positions(dag, rng):
+    """The same DAG in shuffled list order, each pred renumbered to its
+    instruction's new position, so some preds point forward."""
+    order = list(range(len(dag)))  # new position -> old position
+    rng.shuffle(order)
+    new_of = {old: new for new, old in enumerate(order)}
+    return [
+        dag[old]._replace(preds=tuple((new_of[p], d) for p, d in dag[old].preds))
+        for old in order
     ]
-    rng.shuffle(out)
-    return out
 
 
 def assert_same_schedule(dag, slots):
@@ -315,7 +309,7 @@ def random_dense_dag(rng: random.Random) -> tuple[list[Instruction], dict[str, i
             if preds and i % 9 == 3:
                 preds.append(rng.choice(preds))
             preds = tuple(preds)
-        dag.append(Instruction(i, kind_of[slot], slot, latency, preds, rng.randint(0, 2)))
+        dag.append(Instruction(kind_of[slot], slot, latency, preds, rng.randint(0, 2)))
     return dag, slots
 
 
@@ -356,13 +350,13 @@ def test_single_vmac_rate():
 
 def test_independent_loads_bandwidth_bound():
     for n in (1, 2, 5, 8):
-        dag = [Instruction(id=i, kind="vload", slot="ld", latency=1) for i in range(n)]
+        dag = [Instruction(kind="vload", slot="ld", latency=1)] * n
         res = schedule(dag, {"ld": 2})
         assert res.total_cycles == -(-n // 2)
 
 
 def test_saturated_vmacs_full_rate():
-    dag = [Instruction(id=i, kind="vmac", slot="vmac", latency=3) for i in range(6)]
+    dag = [Instruction(kind="vmac", slot="vmac", latency=3)] * 6
     res = schedule(dag, {"vmac": 1})
     assert res.total_cycles == 6
     assert res.vmac_issue_rate == 1
@@ -381,52 +375,44 @@ def test_empty_dag():
 
 
 def test_cycle_rejected():
-    # Also every other DAG that is not dense: a duplicate id, an unknown pred
-    # id, a self-loop whose other preds all come earlier in the list, a pred
-    # listed later but acyclic, and a builder DAG under fresh ids in
-    # shuffled order. The last cases repeat pred tuples, as one object and
-    # as equal copies: an earlier valid one, beside one that is invalid where
-    # it first occurs and valid where it recurs, or beside a duplicate id.
+    # Also every other DAG that is not dense: an unknown pred, a self-loop
+    # whose other preds all come earlier in the list, a pred listed later
+    # but acyclic, and a builder DAG in shuffled order, whose preds point
+    # forward too. The last cases repeat pred tuples, as one object and as
+    # equal copies: an earlier valid one beside one that is invalid where it
+    # first occurs and valid where it recurs.
     spec = MicrokernelSpec(n_accum=8, n_clusters=2)
     shared = ((0, 1),)
     late = ((3, 1),)
     dags = [
-        [Instruction(0, "vload", "ld", 1, ((1, 1),)), Instruction(1, "vload", "ld", 1, ((0, 1),))],
-        [Instruction(0, "vload", "ld", 1), Instruction(0, "vload", "ld", 1)],
-        [Instruction(0, "vload", "ld", 1), Instruction(1, "vload", "ld", 1, ((7, 1),))],
-        [Instruction(0, "vload", "ld", 1, ((0, 1),)), Instruction(1, "vload", "ld", 1, ((0, 1),))],
-        [Instruction(0, "vload", "ld", 1, ((1, 1),)), Instruction(1, "vload", "ld", 1)],
-        relabel_and_shuffle(build_microkernel_dag(spec), random.Random(3)),
+        [Instruction("vload", "ld", 1, ((1, 1),)), Instruction("vload", "ld", 1, ((0, 1),))],
+        [Instruction("vload", "ld", 1), Instruction("vload", "ld", 1, ((7, 1),))],
+        [Instruction("vload", "ld", 1, ((0, 1),)), Instruction("vload", "ld", 1, ((0, 1),))],
+        [Instruction("vload", "ld", 1, ((1, 1),)), Instruction("vload", "ld", 1)],
+        shuffle_positions(build_microkernel_dag(spec), random.Random(3)),
     ]
     for recur in (late, tuple(list(late))):
         dags.append([
-            Instruction(0, "vload", "ld", 1),
-            Instruction(1, "vmac", "vmac", 1, shared),
-            Instruction(2, "vload", "ld", 1, late),
-            Instruction(3, "vmac", "vmac", 1, tuple(list(shared))),
-            Instruction(4, "vload", "ld", 1, recur),
+            Instruction("vload", "ld", 1),
+            Instruction("vmac", "vmac", 1, shared),
+            Instruction("vload", "ld", 1, late),
+            Instruction("vmac", "vmac", 1, tuple(list(shared))),
+            Instruction("vload", "ld", 1, recur),
         ])
-    dags.append([
-        Instruction(0, "vload", "ld", 1),
-        Instruction(1, "vmac", "vmac", 1, shared),
-        Instruction(1, "vmac", "vmac", 1, shared),
-    ])
     for dag in dags:
         with pytest.raises(ConfigError):
             schedule(dag, slots_for(spec))
     # With the invalid first occurrence made valid, the repeats schedule.
-    valid = list(dags[-3])
+    valid = list(dags[-2])
     valid[2] = valid[2]._replace(preds=shared)
     assert_same_schedule(valid, slots_for(spec))
 
 
 def first_fault(dag, slots):
     """The message for the first fault of a DAG that is not dense, checked
-    instruction by instruction in list order: its id, then its slot class,
-    then its preds. The order the scheduler's column checks must keep."""
+    instruction by instruction in list order: its slot class, then its
+    preds. The order the scheduler's column checks must keep."""
     for i, ins in enumerate(dag):
-        if ins.id != i:
-            return f"instruction at position {i} has id {ins.id}"
         if slots.get(ins.slot, 0) < 1:
             return f"no slots for class {ins.slot!r}"
         for pid, _ in ins.preds:
@@ -438,18 +424,16 @@ def first_fault(dag, slots):
 def test_first_fault_in_list_order_is_raised():
     ld = ("vload", "ld", 1)
     cases = [
-        ([Instruction(0, *ld), Instruction(1, *ld, ((5, 1),)), Instruction(7, *ld)],
+        ([Instruction(*ld), Instruction(*ld, ((5, 1),)), Instruction(*ld)],
          "instruction 1 depends on id 5, not an earlier one"),
-        ([Instruction(0, *ld), Instruction(3, "x", "nope", 1)],
-         "instruction at position 1 has id 3"),
-        ([Instruction(0, "vload", "nope", 1, ((0, 1),))], "no slots for class 'nope'"),
-        ([Instruction(0, *ld), Instruction(1, *ld, ((1, 2),)), Instruction(2, "x", "nope", 1)],
+        ([Instruction("vload", "nope", 1, ((0, 1),))], "no slots for class 'nope'"),
+        ([Instruction(*ld), Instruction(*ld, ((1, 2),)), Instruction("x", "nope", 1)],
          "instruction 1 depends on id 1, not an earlier one"),
-        ([Instruction(0, *ld), Instruction(1, "x", "nope", 1), Instruction(2, *ld, ((4, 2),))],
+        ([Instruction(*ld), Instruction("x", "nope", 1), Instruction(*ld, ((4, 2),))],
          "no slots for class 'nope'"),
-        ([Instruction(0, *ld, ((-1, 1),)), Instruction(1, *ld, ((-1, 1),))],
+        ([Instruction(*ld, ((-1, 1),)), Instruction(*ld, ((-1, 1),))],
          "instruction 0 depends on id -1, not an earlier one"),
-        ([Instruction(0, "vstore", "st", 1)], "no slots for class 'st'"),
+        ([Instruction("vstore", "st", 1)], "no slots for class 'st'"),
     ]
     slots = {"ld": 1, "st": 0, "vmac": 1}
     for dag, message in cases:
@@ -462,16 +446,13 @@ def test_first_fault_in_list_order_is_raised():
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_malformed_dense_dags_raise_their_first_fault(seed):
-    # One to three faults at random positions: a wrong id, a slot class
-    # with no slots, or a pred that is not earlier.
+    # One to three faults at random positions: a slot class with no slots,
+    # or a pred that is not earlier.
     rng = random.Random(seed)
     dag, slots = random_dense_dag(rng)
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(dag))
-        fault = rng.randrange(3)
-        if fault == 0:
-            dag[i] = dag[i]._replace(id=rng.choice([i + 1, i + 7, -1]))
-        elif fault == 1:
+        if rng.randrange(2):
             dag[i] = dag[i]._replace(slot="none")
         else:
             bad = (rng.choice([i, i + 2, -1]), 1)
@@ -496,7 +477,7 @@ def test_fractional_latencies_match_reference():
 
 
 def test_missing_slot_rejected():
-    dag = [Instruction(id=0, kind="vstore", slot="st", latency=1)]
+    dag = [Instruction(kind="vstore", slot="st", latency=1)]
     with pytest.raises(ConfigError):
         schedule(dag, {"ld": 1})
     with pytest.raises(ConfigError):
@@ -519,13 +500,13 @@ def test_resource_legality():
         dag = build_microkernel_dag(spec, **options)
         res = schedule(dag, slots)
         used = {}
-        for ins in dag:
-            key = (res.cycle_of[ins.id], ins.slot)
+        for cycle, ins in zip(res.cycle_of, dag):
+            key = (cycle, ins.slot)
             used[key] = used.get(key, 0) + 1
         assert all(count <= slots[slot] for (_, slot), count in used.items())
-        for ins in dag:
+        for cycle, ins in zip(res.cycle_of, dag):
             for pid, delay in ins.preds:
-                assert res.cycle_of[ins.id] >= res.cycle_of[pid] + delay
+                assert cycle >= res.cycle_of[pid] + delay
 
 
 def test_derive_cluster_shape():
@@ -550,14 +531,14 @@ def test_share_halves_steady_loads():
 
 
 def test_double_buffer_edges_are_subset():
-    # Both builds emit the same instructions in the same order, so an id
-    # names the same instruction in each.
+    # Both builds emit the same instructions in the same order, so a
+    # position names the same instruction in each.
     spec = MicrokernelSpec(n_accum=24, n_clusters=2)
     single = build_microkernel_dag(spec, double_buffer=False)
     double = build_microkernel_dag(spec, double_buffer=True)
     assert [i._replace(preds=()) for i in single] == [i._replace(preds=()) for i in double]
-    edges_single = {(pid, ins.id, delay) for ins in single for pid, delay in ins.preds}
-    edges_double = {(pid, ins.id, delay) for ins in double for pid, delay in ins.preds}
+    edges_single = {(pid, i, delay) for i, ins in enumerate(single) for pid, delay in ins.preds}
+    edges_double = {(pid, i, delay) for i, ins in enumerate(double) for pid, delay in ins.preds}
     assert edges_double < edges_single
 
 
@@ -566,10 +547,10 @@ def test_sequential_cluster_serialization():
     dag = build_microkernel_dag(spec, overlap_clusters=False)
     res = schedule(dag, slots_for(spec))
     last_store_c0 = max(
-        res.cycle_of[i.id] for i in dag if i.kind == "vstore" and i.group == 0
+        c for c, i in zip(res.cycle_of, dag) if i.kind == "vstore" and i.group == 0
     )
     first_load_c1 = min(
-        res.cycle_of[i.id] for i in dag if i.kind == "vload" and i.group == 1
+        c for c, i in zip(res.cycle_of, dag) if i.kind == "vload" and i.group == 1
     )
     assert first_load_c1 >= last_store_c0 + spec.l_store
 
@@ -581,10 +562,10 @@ def test_overlap_allows_prefetch():
     ovl = schedule(ovl_dag, slots_for(spec))
     assert ovl.total_cycles <= seq.total_cycles
     last_vmac_c0 = max(
-        ovl.cycle_of[i.id] for i in ovl_dag if i.kind == "vmac" and i.group == 0
+        c for c, i in zip(ovl.cycle_of, ovl_dag) if i.kind == "vmac" and i.group == 0
     )
     first_load_c1 = min(
-        ovl.cycle_of[i.id] for i in ovl_dag if i.kind == "vload" and i.group == 1
+        c for c, i in zip(ovl.cycle_of, ovl_dag) if i.kind == "vload" and i.group == 1
     )
     assert first_load_c1 < last_vmac_c0
 
@@ -597,12 +578,12 @@ def test_unaligned_loads_get_pop_companions():
     pops = [i for i in dag if i.kind == "vload_pop"]
     assert len(pops) == 2
     res = schedule(dag, slots_for(spec))
-    for ins in dag:
+    for cycle, ins in zip(res.cycle_of, dag):
         if ins.kind == "vload" and any(
             dag[pid].kind == "vload_pop" for pid, _ in ins.preds
         ):
             pop_id = next(pid for pid, _ in ins.preds if dag[pid].kind == "vload_pop")
-            assert res.cycle_of[ins.id] > res.cycle_of[pop_id]
+            assert cycle > res.cycle_of[pop_id]
 
 
 def test_builder_validation():
@@ -759,11 +740,11 @@ def test_sequential_clusters_repeat_one_cluster_schedule(seed, draw):
     m, period = len(one_dag), one.total_cycles
     assert len(dag) == n * m
     assert full.total_cycles == n * period
-    for ins in dag:
-        c, twin = divmod(ins.id, m)
+    for i, ins in enumerate(dag):
+        c, twin = divmod(i, m)
         assert ins.group == c
         assert ins.kind == one_dag[twin].kind
-        assert full.cycle_of[ins.id] == one.cycle_of[twin] + c * period
+        assert full.cycle_of[i] == one.cycle_of[twin] + c * period
 
 
 def test_one_cluster_modes_share_a_cache_entry():
@@ -852,7 +833,7 @@ def test_total_includes_store_drain():
     spec = MicrokernelSpec(n_accum=4, n_clusters=1)
     dag = build_microkernel_dag(spec)
     res = schedule(dag, slots_for(spec))
-    last_store = max(res.cycle_of[i.id] for i in dag if i.kind == "vstore")
+    last_store = max(c for c, i in zip(res.cycle_of, dag) if i.kind == "vstore")
     assert res.total_cycles == last_store + spec.l_store
     assert res.total_cycles >= total_latency(spec).l_total_sequential
 

@@ -25,7 +25,7 @@ from asymtile.arch import (
 from asymtile import perf
 from asymtile.perf import EFF_SOURCE_CALIBRATION, EFF_SOURCES, perf_array
 from asymtile.pipeline import DEFAULT_MICROKERNEL, KernelShapeError, microkernel_for_tile
-from asymtile.schedule import check_buildable, derive_cluster_shape
+from asymtile.schedule import build_microkernel_dag, derive_cluster_shape
 from asymtile.search import (
     EmptySearchSpace,
     RankedResult,
@@ -473,7 +473,7 @@ def shape_error(tile, source):
     try:
         spec = microkernel_for_tile(tile, DEFAULT_MICROKERNEL)
         if source == "simulated":
-            check_buildable(spec)
+            build_microkernel_dag(spec)
     except KernelShapeError as exc:
         return str(exc)
     return None
