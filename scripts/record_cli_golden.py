@@ -169,6 +169,8 @@ CASES = (
     ["simulate", "schedule", "--seed", "3"],
     # An explicit efficiency is not scored, so no source is read beside it.
     ["eval", *REFERENCE, "--eff-micro", "0.5", "--eff-source", "simulated"],
+    # Nor beside a config document's eff_micro.
+    with_config({"eff_micro": 0.5}, "eval", *REFERENCE, "--eff-source", "simulated"),
 )
 
 

@@ -13,8 +13,9 @@ Configuration comes from an optional JSON file (``--config``) plus flags.
 The whole document is parsed and checked first; then each given flag
 replaces its value, and a value neither sets takes its default. A flag
 given on the command line is read by the run or refused: a ``simulate``
-sweep (``--verify``) reads no one-case flag, and a one-case report reads
-no ``--seed``.
+sweep (``--verify``) reads no one-case flag, a one-case report reads no
+``--seed``, and ``eval`` reads no ``--eff-source`` beside an efficiency
+given by ``--eff-micro`` or the document.
 Reports are deterministic: identical inputs produce identical bytes. Exit
 codes: 0 success, 2 infeasible/empty result, 3 configuration error or
 unwritable output, 4 verification failure.
@@ -440,6 +441,8 @@ def _run(args: argparse.Namespace, out) -> int:
         raise ConfigError("--eff-source is not read with --eff-micro")
     cfg = _build_run_config(args)
     if args.command == "eval":
+        if args.eff_source is not None and cfg.eff_micro is not None:
+            raise ConfigError("--eff-source is not read with the config document's eff_micro")
         return cmd_eval(cfg, args.format, out)
     if args.command == "search":
         return cmd_search(cfg, args.emit, args.limit, out)

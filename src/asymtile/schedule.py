@@ -16,10 +16,10 @@ directly, and the list order is the topological order. It reads the DAG
 once into columns (kinds, slots, latencies, preds, clusters) and sets up
 from those. Its per-edge work is done once per distinct pred tuple, not per
 instruction: instructions with equal preds (a round's steady loads, say)
-form a group with one ready cycle. Its pool heaps hold plain int keys,
-rank(priority)·n + id, so ties break by ascending id, and instructions not
-yet ready wait in a dict of due cycle -> ids beside a small heap of the
-distinct due cycles.
+form a group with one ready cycle. Latencies and delays are whole cycles,
+so its pool heaps hold plain int keys, (top − priority)·n + id, ties
+breaking by ascending id, and instructions not yet ready wait in a dict of
+due cycle -> ids.
 
 :func:`kernel_run`, which the efficiency model and the soundness check
 read, schedules each distinct (spec, build options) kernel once per process:
@@ -64,10 +64,11 @@ class Instruction(NamedTuple):
     An instruction's id is its position in its DAG's list; it stores none.
     ``preds`` is a tuple of (predecessor id, required issue delay) pairs,
     each naming an earlier position: this instruction may not issue before
-    pred_issue + delay. The scheduler groups equal pred tuples, so they must
-    be hashable. ``group`` is the owning chain cluster, for phase
-    measurements. A NamedTuple, as every unvalidated record is (see the
-    ``asymtile`` package docstring); a kernel DAG holds thousands of them.
+    pred_issue + delay. Latencies and delays are whole cycles, ints >= 0.
+    The scheduler groups equal pred tuples, so they must be hashable.
+    ``group`` is the owning chain cluster, for phase measurements. A
+    NamedTuple, as every unvalidated record is (see the ``asymtile``
+    package docstring); a kernel DAG holds thousands of them.
     """
 
     kind: str
@@ -280,11 +281,13 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     unissued-pred count and one ready cycle, successor lists map a pred to
     (group, delay), and priorities read each group's largest member
     priority. A group's members fall due together, into a dict of due
-    cycle -> ids beside a heap of the distinct due cycles. Pool heaps hold
-    ints rank(priority)·n + id, ranking the distinct priorities in
-    descending order. Latencies and delays need only be ordered numbers:
-    hence ranks rather than differences of priorities, and due cycles taken
-    while at most the current cycle, which may step past a fractional one.
+    cycle -> ids. Pool heaps hold ints (top − priority)·n + id, top being
+    the largest priority.
+
+    Latencies and delays are whole cycles, ints >= 0, as the builder emits
+    them. A ready cycle is then always above the cycle it is set in, so
+    each cycle takes only its own due list, and an idle gap jumps to the
+    earliest due cycle without passing another.
     """
     n = len(dag)
     if not n:
@@ -322,8 +325,8 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
         raise ConfigError(f"no slots for class {slot_names[bad_slot]!r}")
 
     # A group's members all come after its preds, so the sweep has seen them.
-    prio: list = []  # built last position first
-    group_prio = [-math.inf] * len(members)
+    prio: list[int] = []  # built last position first
+    group_prio = [0] * len(members)
     for best, out, own in zip(reversed(latencies), reversed(succs), reversed(group_of)):
         for g, delay in out:
             if delay + group_prio[g] > best:
@@ -332,18 +335,14 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
         if best > group_prio[own]:
             group_prio[own] = best
     prio.reverse()
-    rank = {p: r * n for r, p in enumerate(sorted(set(prio), reverse=True))}
-    key = [rank[p] + i for i, p in enumerate(prio)]
+    top = max(prio)
+    key = [(top - p) * n + i for i, p in enumerate(prio)]
 
     remaining = [len(preds) for preds in group_index]  # unissued preds
     ready_bound = [0] * len(members)
     # Each group falls due once, so its member list becomes the due list.
-    due: dict[int, list[int]] = {}
-    due_cycles: list[int] = []
-    g = group_index.get(())
-    if g is not None:
-        due[0] = members[g]
-        due_cycles.append(0)
+    # Position 0 passed the pred check, so group 0 holds every root.
+    due: dict[int, list[int]] = {0: members[0]}
     issue_classes = [(pool, slots[name]) for name, pool in zip(classes, pools)]
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -353,9 +352,8 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     cycle_of = [0] * n
     cycle = 0
     while True:
-        while due_cycles and due_cycles[0] <= cycle:
-            for i in due.pop(heappop(due_cycles)):
-                heappush(pool_of[i], key[i])
+        for i in due.pop(cycle, ()):
+            heappush(pool_of[i], key[i])
         for bucket, cap in issue_classes:
             n_issued = 0
             while bucket and n_issued < cap:
@@ -371,13 +369,12 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
                         ids = due.get(ready)
                         if ids is None:
                             due[ready] = members[g]
-                            heappush(due_cycles, ready)
                         else:
                             ids += members[g]
         if any(pools):
             cycle += 1
-        elif due_cycles:
-            cycle = max(cycle + 1, due_cycles[0])
+        elif due:
+            cycle = min(due)
         else:
             break
 

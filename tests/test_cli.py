@@ -361,6 +361,21 @@ def test_eval_refuses_eff_source_beside_eff_micro(capsys):
     assert capsys.readouterr().err == "error: --eff-source is not read with --eff-micro\n"
 
 
+def test_eval_refuses_eff_source_beside_a_documents_eff_micro(tmp_path, capsys):
+    # The document's eff_micro is the efficiency, so a given --eff-source was
+    # dropped without a word (exit 0). It is refused once the whole document
+    # has parsed, so a bad key in it is reported first.
+    argv = ["eval", "--problem", "4096x4096x2048", "--tile", "32,128,64,128",
+            "--eff-source", "simulated", "--config", str(tmp_path / "c.json")]
+    for doc, line in (
+        ({"eff_micro": 0.5}, "error: --eff-source is not read with the config document's eff_micro\n"),
+        ({"eff_micro": 0.5, "arch": 3}, "error: 'arch' section must be an object\n"),
+    ):
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert run_cli(*argv) == (EXIT_CONFIG_ERROR, "")
+        assert capsys.readouterr().err == line
+
+
 @pytest.fixture
 def reference_kernel_config(tmp_path):
     cfg = tmp_path / "kernel.json"
