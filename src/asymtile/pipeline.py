@@ -4,9 +4,10 @@ efficiency they imply.
 The microkernel accumulates an output register tile through chains of
 multiply-accumulate (VMAC) instructions. Its latency decomposes into a prolog
 (first operand loads), a steady state paced by an initiation interval, and an
-epilog (drain accumulators to stores). :func:`total_latency` works these
-phases out once per spec and derives both the whole-kernel bounds and the
-modeled efficiency from them; :func:`eff_micro` reads that efficiency. Every
+epilog (drain accumulators to stores). One helper works these phases out
+once per spec, with one cluster's cycle total; :func:`total_latency`
+derives the whole-kernel bounds and the modeled efficiency from them, and
+:func:`eff_micro` the efficiency alone, from the same total. Every
 bound is a lower bound on the cycles a real schedule needs; the constructive
 scheduler in ``asymtile.schedule`` supplies the matching upper side.
 
@@ -163,35 +164,44 @@ def epilog_bound(spec: MicrokernelSpec) -> int:
     return one_chain + min(spec.chains, spec.n_accum) - 1
 
 
-def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
-    """Work out the phase bounds of ``spec`` once and aggregate them.
+def _cluster_phases(spec: MicrokernelSpec) -> tuple[int, int, int, int, int]:
+    """One cluster's phases: the prolog bound, the II numerator, the epilog
+    bound, and the steady state and the whole cluster in cycles times
+    ``chains``.
 
-    One cluster issues n_accum updates in prolog + II * (n_accum - chains) +
-    epilog cycles, the steady term clamped at zero. Sequential clusters pay
-    all three phases each. Overlapped clusters hide each inner cluster's
-    prolog and epilog behind its neighbors' steady states, paying II per
-    live chain, II * min(C, n_accum), per cluster boundary instead; the
-    overlapped figure is capped at the sequential one, which any execution
-    can fall back to. ``eff_micro`` is
-    n_accum over one cluster's exact phase total: clusters repeat the
-    pattern, so the cluster count cancels.
-
-    The II is ``ii / chains`` for an integer ``ii``, so each total is an
-    integer numerator over ``chains``, rounded up once by an integer
-    ceiling division; only ``ii_parallel`` and ``eff_micro`` are Fractions.
+    One cluster issues n_accum updates in prolog + II * (n_accum - chains)
+    + epilog cycles, the steady term clamped at zero. The II is ``ii /
+    chains`` for an integer ``ii``, so the steady state and the cluster
+    total are integer numerators over ``chains``.
     """
-    chains = spec.chains
-    n_accum = spec.n_accum
-    n_c = spec.n_clusters
+    chains, n_accum = spec.chains, spec.n_accum
     t_prolog = prolog_bound(spec.load_classes, spec.u_ld)
     ii = _ii_numerator(spec)
     t_epilog = epilog_bound(spec)
     steady = ii * (n_accum - chains) if n_accum > chains else 0
-    ends = (t_prolog + t_epilog) * chains
-    cluster = ends + steady  # one cluster's cycles, times chains
+    return t_prolog, ii, t_epilog, steady, (t_prolog + t_epilog) * chains + steady
+
+
+def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
+    """Work out the phase bounds of ``spec`` once and aggregate them.
+
+    Sequential clusters pay all three phases of :func:`_cluster_phases`
+    each. Overlapped clusters hide each inner cluster's prolog and epilog
+    behind its neighbors' steady states, paying II per live chain, II *
+    min(C, n_accum), per cluster boundary instead; the overlapped figure is
+    capped at the sequential one, which any execution can fall back to.
+    ``eff_micro`` is n_accum over one cluster's exact phase total: clusters
+    repeat the pattern, so the cluster count cancels.
+
+    Each total is an integer numerator over ``chains``, rounded up once by
+    an integer ceiling division; only ``ii_parallel`` and ``eff_micro`` are
+    Fractions.
+    """
+    chains, n_accum, n_c = spec.chains, spec.n_accum, spec.n_clusters
+    t_prolog, ii, t_epilog, steady, cluster = _cluster_phases(spec)
     seq = -(-cluster * n_c // chains)
     live = chains if chains < n_accum else n_accum
-    ovl = -(-(ends + (steady + ii * live) * n_c) // chains)
+    ovl = -(-(cluster - steady + (steady + ii * live) * n_c) // chains)
     return LatencyBounds(
         t_prolog=t_prolog,
         ii_parallel=Fraction(ii, chains),
@@ -204,11 +214,12 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
 
 
 def eff_micro(spec: MicrokernelSpec) -> Fraction:
-    """Modeled VMAC issue efficiency of the microkernel, from the phases of
-    :func:`total_latency`. It is below 1: a cluster of n updates takes at
-    least n + 1 cycles, as the prolog is at least one cycle, the II at least
-    one and the epilog at least one cycle per live chain."""
-    return total_latency(spec).eff_micro
+    """Modeled VMAC issue efficiency of the microkernel, the ``eff_micro``
+    of :func:`total_latency`, worked out from the one-cluster total of
+    :func:`_cluster_phases` alone. It is below 1: a cluster of n updates
+    takes at least n + 1 cycles, as the prolog is at least one cycle, the II
+    at least one and the epilog at least one cycle per live chain."""
+    return Fraction(spec.n_accum * spec.chains, _cluster_phases(spec)[4])
 
 
 def microkernel_for_tile(tile: TileConfig, base: MicrokernelSpec = DEFAULT_MICROKERNEL) -> MicrokernelSpec:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asymtile.gemm
 from asymtile.arch import (
     DEFAULT_ARCH,
     PRECISION_PRESETS,
@@ -26,7 +27,7 @@ from asymtile.gemm import (
     naive_gemm,
     tiled_gemm,
 )
-from asymtile.movement import BufferOverflowError, simulate_movement
+from asymtile.movement import BufferOverflowError, simulate_movement, walk_nest
 
 UNIT = PrecisionSpec(1, 1, 1, "unit")
 ZERO16 = Matrix(16, 16, (0.0,) * 256)
@@ -66,17 +67,18 @@ def reference_row_update_gemm(a: Matrix, b: Matrix) -> list[float]:
 
 @settings(max_examples=60)
 @given(
-    shape=st.tuples(st.integers(1, 9), st.integers(1, 6), st.integers(1, 20)),
+    shape=st.tuples(st.integers(1, 17), st.integers(1, 6), st.integers(1, 20)),
     data=st.data(),
 )
 def test_naive_dot_products_equal_row_updates_bitwise(shape, data):
     # Same terms in the same order, so every float is identical, even with
     # magnitudes far enough apart that the order of the additions matters.
-    # m up to 9 gives a 4-row block padded with one to three zero rows, one
-    # full block and two full blocks. n up to 20 is zero to two full 8-lane
-    # groups plus zero to seven remainder columns. Zeros of both signs, drawn
-    # about one time in four so most terms stay nonzero, show an accumulator
-    # that does not start at 0.0.
+    # m up to 17 gives an 8-row block padded with one to seven zero rows,
+    # one full block, two full blocks and two full blocks plus a padded
+    # one. n up to 20 is zero to two full 8-lane groups plus zero to seven
+    # remainder columns. Zeros of both signs, drawn about one time in four
+    # so most terms stay nonzero, show an accumulator that does not start
+    # at 0.0.
     m, k, n = shape
     floats = st.floats(-1e16, 1e16, allow_nan=False, allow_infinity=False)
     values = st.one_of(floats, floats, floats, st.sampled_from((0.0, -0.0)))
@@ -89,12 +91,14 @@ def test_naive_dot_products_equal_row_updates_bitwise(shape, data):
 
 
 def test_naive_padding_rows_never_reach_the_result():
-    # The zero rows that pad m = 1 to a 4-row block meet inf in b, so their
-    # outputs are NaN (0.0 * inf); they must be dropped, not returned.
+    # The seven zero rows that pad m = 1 or m = 9 to a whole number of 8-row
+    # blocks meet inf in b, so their outputs are NaN (0.0 * inf); they must
+    # be dropped, not returned.
     inf = math.inf
     b = Matrix(2, 9, (1.0, inf, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, inf) + (1.0,) * 9)
-    got = naive_gemm(Matrix(1, 2, (2.0, -1.0)), b).data
-    assert got == (1.0, inf, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0, inf)
+    for m in (1, 9):
+        got = naive_gemm(Matrix(m, 2, (2.0, -1.0) * m), b).data
+        assert got == (1.0, inf, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0, inf) * m
 
 
 def test_naive_one_by_one():
@@ -205,8 +209,8 @@ def test_tiled_equivalence_randomized():
         assert trace == simulate_movement(ProblemSpec(m, k, n), tile, UNIT)
 
 
-def test_tiled_four_row_blocks_across_subtiles_match_naive():
-    # t_ma 16 is four 4-row blocks per A slice and rho 8 is eight slices per
+def test_tiled_eight_row_blocks_across_subtiles_match_naive():
+    # t_ma 16 is two 8-row blocks per A slice and rho 8 is eight slices per
     # output tile; two output tiles per dim and two contraction steps make
     # every block's accumulators carry over stages and be reset per tile.
     rng = random.Random(6)
@@ -246,6 +250,52 @@ def test_tiled_non_finite_matches_naive():
     assert any(math.isnan(v) for v in want.data)
     assert any(math.isinf(v) for v in want.data)
     assert any(math.isfinite(v) for v in want.data)
+
+
+class FaultyEvents:
+    """Payload proxy that hands the walker's events to the executor, but
+    drops one ``stage_a`` or one ``stage_b`` event, or repeats one whole
+    contraction step, all in output tile (0, 0) at step 1."""
+
+    def __init__(self, executor, fault, rho):
+        self.executor, self.fault, self.rho = executor, fault, rho
+
+    def stage_b(self, i, j, kk):
+        if self.fault != "drop stage_b" or (i, j, kk) != (0, 0, 1):
+            self.executor.stage_b(i, j, kk)
+
+    def stage_a(self, i, j, kk, r):
+        if self.fault == "drop stage_a" and (i, j, kk, r) == (0, 0, 1, 0):
+            return
+        self.executor.stage_a(i, j, kk, r)
+        if self.fault == "repeat step" and (i, j, kk, r) == (0, 0, 1, self.rho - 1):
+            self.executor.stage_b(i, j, kk)
+            for again in range(self.rho):
+                self.executor.stage_a(i, j, kk, again)
+
+    def write_c(self, i, j):
+        self.executor.write_c(i, j)
+
+
+@pytest.mark.parametrize("fault", [None, "drop stage_a", "drop stage_b", "repeat step"])
+def test_tiled_computes_from_the_walks_events(monkeypatch, fault):
+    # The executor cuts its operand panels before the walk, but it must
+    # multiply what the walker stages, when it stages it: one event dropped
+    # or one contraction step repeated must change the product. An executor
+    # that worked each output tile out from its panels in write_c would
+    # still match naive_gemm here. With no fault the proxy changes nothing.
+    rng = random.Random(7)
+    a = random_matrix(rng, 32, 16)
+    b = random_matrix(rng, 16, 16)
+    tile = TileConfig(8, 16, 8, 8)
+
+    def faulty_walk(problem, tile, prec, *, capacity, payload):
+        proxy = FaultyEvents(payload, fault, tile.rho)
+        return walk_nest(problem, tile, prec, capacity=capacity, payload=proxy)
+
+    monkeypatch.setattr(asymtile.gemm, "walk_nest", faulty_walk)
+    got, _ = tiled_gemm(a, b, tile, 10**9, UNIT)
+    assert (got.data == naive_gemm(a, b).data) is (fault is None)
 
 
 # -- block floating point ------------------------------------------------------

@@ -273,6 +273,18 @@ def test_eff_micro_reference_phases():
     assert eff_micro(deep) == Fraction(7) / (9 + Fraction(9, 2) + 12) == Fraction(14, 51)
 
 
+@settings(max_examples=200)
+@given(spec=st.one_of(
+    *(st.randoms(use_true_random=False).map(lambda rng, d=spec_draw: d(rng)[0])
+      for spec_draw in (random_microkernel_spec, adversarial_microkernel_spec)),
+))
+def test_eff_micro_is_total_latencys_efficiency(spec):
+    # eff_micro skips the whole-kernel bounds; the efficiency must not move.
+    got = eff_micro(spec)
+    assert type(got) is Fraction
+    assert got == total_latency(spec).eff_micro
+
+
 def test_eff_micro_saturates():
     spec = mk(n_accum=4096, chains=4, r_load=2)
     assert ii(spec) == 1
