@@ -3,7 +3,7 @@
 
 Usage:
     python3 scripts/bench_pairs.py --workload W --parent REV --seeds S [S ...]
-    python3 scripts/bench_pairs.py --pool BENCH_W.json [BENCH_W.json ...]
+    python3 scripts/bench_pairs.py --pool BENCH_JSON [BENCH_JSON ...]
 
 Both sides run from copies unpacked under one temporary directory, so
 neither has the repository's location, file system or ``__pycache__`` to
@@ -35,12 +35,16 @@ with both sides' medians, the change's wins and the metric's verdict. A
 SIGTERM stops the running benchmark and removes both copies.
 
 ``--pool`` runs nothing. It reads several ``BENCH_<W>.json`` files of one
-workload, one parent commit and one change tree, each with its own seeds,
-and writes ``report`` of all their runs together to ``BENCH_<W>.json``, as
-if one run had taken every seed. It refuses files that differ in workload,
-parent, tree or machine, files run at another length than
-``BENCHMARK.json`` sets, files without a tree digest or whose runs are not
-stored whole, and a seed found in two files.
+parent commit and one change tree, each with its own seeds. Files of one
+workload pool into ``report`` of all their runs together, written to
+``BENCH_<W>.json`` as if one run had taken every seed. Files of several
+workloads pool into ``setup_report``, written to ``BENCH_setup_s.json``:
+one ``setup_s`` verdict over every cold-start pair, since each workload
+times the same cold start, and no pooled ``pass_norm_s``, which times
+different work in each. It refuses files that differ in parent, tree or
+machine, files run at another length than ``BENCHMARK.json`` sets, files
+without a tree digest or whose runs are not stored whole, a seed of one
+workload found in two files, and a ``BENCH_setup_s.json``.
 
 The verdict rule, in ``verdicts`` of the report. Per gated metric, a win is
 a seed on which the change is better and a loss one on which the parent is
@@ -94,6 +98,8 @@ GATED = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
 BOUNDS = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
 MIN_PAIRS = 10
 METRICS = (*GATED, "peak_rss_mb")
+# The gated metric that times the same work, a cold start, in every workload.
+SHARED = "setup_s"
 # The keys of a run_once record, each stored per seed and side.
 RECORD = (*METRICS, "sha256", "correct", "pinned")
 SIDES = ("parent", "change")
@@ -178,6 +184,31 @@ def verdict(parent: list[float], change: list[float], direction: str, bound: flo
     }
 
 
+def compare(pairs: list[dict], commit: str, tree: str, metrics: tuple[str, ...]) -> dict:
+    """Both sides' quartiles of ``metrics`` over ``pairs``, each a
+    ``{"parent": rec, "change": rec}`` of :func:`run_once` records, the
+    verdict of each gated one, and whether every pair had equal fingerprints
+    and every run was correct."""
+
+    def values(side: str, name: str) -> list:
+        return [pair[side][name] for pair in pairs]
+
+    def quartiles_of(side: str) -> dict:
+        return {name: quartiles(values(side, name)) for name in metrics}
+
+    return {
+        "parent": {"commit": commit, **quartiles_of("parent")},
+        "change": {"tree": tree, **quartiles_of("change")},
+        "verdicts": {
+            name: verdict(values("parent", name), values("change", name), GATED[name],
+                          BOUNDS[name])
+            for name in metrics if name in GATED
+        },
+        "fingerprints_equal": values("parent", "sha256") == values("change", "sha256"),
+        "all_correct_zero_failed": all(values("parent", "correct") + values("change", "correct")),
+    }
+
+
 def report(workload: str, commit: str, tree: str, runs: dict[int, dict[str, dict]],
            machine: dict) -> dict:
     """The report of per-seed runs ``{seed: {"parent": rec, "change": rec}}``,
@@ -185,36 +216,45 @@ def report(workload: str, commit: str, tree: str, runs: dict[int, dict[str, dict
     ``commit``, the change's ``tree`` and the ``machine`` comes from the
     runs."""
     seeds = sorted(runs)
-
-    def values(side: str, name: str) -> list:
-        return [runs[s][side][name] for s in seeds]
-
-    def quartiles_of(side: str) -> dict:
-        return {name: quartiles(values(side, name)) for name in METRICS}
-
     return {
         "workload": workload,
         "command": f"python3 benchmarks/run.py --workload {workload} --seed SEED --trace 0",
         "seconds_per_run": BENCHMARK["run_seconds"],
         "seeds": seeds,
         "order": ORDER,
-        "parent": {"commit": commit, **quartiles_of("parent")},
-        "change": {"tree": tree, **quartiles_of("change")},
-        "verdicts": {
-            name: verdict(values("parent", name), values("change", name), direction, BOUNDS[name])
-            for name, direction in GATED.items()
-        },
-        "fingerprints_equal": values("parent", "sha256") == values("change", "sha256"),
-        "all_correct_zero_failed": all(values("parent", "correct") + values("change", "correct")),
+        **compare([runs[s] for s in seeds], commit, tree, METRICS),
         "runs": {str(s): {side: runs[s][side] for side in SIDES} for s in seeds},
+        "machine": machine,
+    }
+
+
+def setup_report(commit: str, tree: str, runs: dict[str, dict[int, dict[str, dict]]],
+                 machine: dict) -> dict:
+    """The report of several workloads' runs ``{workload: {seed: {"parent":
+    rec, "change": rec}}}`` on the ``SHARED`` metric alone: one verdict
+    over every pair, taken in workload then seed order."""
+    workloads = sorted(runs)
+    seeds = {w: sorted(runs[w]) for w in workloads}
+    return {
+        "workloads": workloads,
+        "command": "python3 benchmarks/run.py --workload W --seed SEED --trace 0",
+        "seconds_per_run": BENCHMARK["run_seconds"],
+        "seeds": seeds,
+        "order": ORDER,
+        **compare([runs[w][s] for w in workloads for s in seeds[w]], commit, tree, (SHARED,)),
+        "runs": {w: {str(s): runs[w][s] for s in seeds[w]} for w in workloads},
         "machine": machine,
     }
 
 
 def pool(reports: list[dict]) -> dict:
     """One report of the runs of several stored reports, as the module
-    docstring's ``--pool`` says; :class:`ValueError` names what differs."""
+    docstring's ``--pool`` says: :func:`report` of one workload's runs, or
+    :func:`setup_report` of several workloads'. :class:`ValueError` names
+    what differs."""
     for r in reports:
+        if "workload" not in r:
+            raise ValueError(f"a pooled {SHARED} report cannot be pooled again")
         name = f"the {r['workload']} report against {r['parent']['commit']}"
         if "tree" not in r["change"]:
             raise ValueError(f"{name} has no change tree digest")
@@ -223,19 +263,24 @@ def pool(reports: list[dict]) -> dict:
         if missing:
             raise ValueError(f"{name} stores runs without {', '.join(missing)}")
     first = reports[0]
-    for key, of in (("workload", lambda r: r["workload"]),
-                    ("parent", lambda r: r["parent"]["commit"]),
+    for key, of in (("parent", lambda r: r["parent"]["commit"]),
                     ("tree", lambda r: r["change"]["tree"]),
                     ("machine", lambda r: r["machine"])):
         if any(of(r) != of(first) for r in reports):
             raise ValueError(f"the reports differ in {key}")
     if any(r["seconds_per_run"] != BENCHMARK["run_seconds"] for r in reports):
         raise ValueError(f"a report ran other than {BENCHMARK['run_seconds']} s per run")
-    runs = {int(s): pair for r in reports for s, pair in r["runs"].items()}
-    if len(runs) != sum(len(r["runs"]) for r in reports):
-        raise ValueError("a seed is in more than one report")
-    return report(first["workload"], first["parent"]["commit"], first["change"]["tree"],
-                  runs, first["machine"])
+    runs: dict[str, dict[int, dict]] = {}
+    for r in reports:
+        of_workload = runs.setdefault(r["workload"], {})
+        for s, pair in r["runs"].items():
+            if int(s) in of_workload:
+                raise ValueError("a seed is in more than one report")
+            of_workload[int(s)] = pair
+    commit, tree, host = first["parent"]["commit"], first["change"]["tree"], first["machine"]
+    if len(runs) > 1:
+        return setup_report(commit, tree, runs, host)
+    return report(first["workload"], commit, tree, runs[first["workload"]], host)
 
 
 def machine(pinned: bool) -> dict:
@@ -302,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+")
     parser.add_argument(
         "--pool", type=Path, nargs="+", metavar="BENCH_JSON",
-        help="pool stored reports of one workload, parent and tree instead of running",
+        help="pool stored reports of one parent and tree instead of running",
     )
     args = parser.parse_args(argv)
     if args.pool:
@@ -323,11 +368,10 @@ def main(argv: list[str] | None = None) -> int:
         # benchmark and the temporary directory of both copies is removed.
         signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
         result = run_pairs(args.workload, args.parent, args.seeds)
-    out = ROOT / f"BENCH_{result['workload']}.json"
+    out = ROOT / f"BENCH_{result.get('workload', SHARED)}.json"
     out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"{out.name}:")
-    for name in GATED:
-        v = result["verdicts"][name]
+    for name, v in result["verdicts"].items():
         print(
             f"  {name} median {result['parent'][name]['median']:.4g} -> "
             f"{result['change'][name]['median']:.4g} (change wins {v['wins']}, loses "

@@ -6,10 +6,10 @@ multiply-accumulate (VMAC) instructions. Its latency decomposes into a prolog
 (first operand loads), a steady state paced by an initiation interval, and an
 epilog (drain accumulators to stores). One helper works these phases out
 once per spec, with one cluster's cycle total; :func:`total_latency`
-derives the whole-kernel bounds and the modeled efficiency from them, and
-:func:`eff_micro` the efficiency alone, from the same total. Every
-bound is a lower bound on the cycles a real schedule needs; the constructive
-scheduler in ``asymtile.schedule`` supplies the matching upper side.
+derives the whole-kernel bounds from them, and :func:`eff_micro` the
+modeled efficiency from the same total. Every bound is a lower bound on
+the cycles a real schedule needs; the constructive scheduler in
+``asymtile.schedule`` supplies the matching upper side.
 
 Cycle quantities stay exact. The initiation interval is a rational with
 denominator ``chains``, so every bound is worked out on integer numerators
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from asymtile.arch import MICROTILE, ConfigError, TileConfig, from_section, require_bools, require_ints
@@ -34,6 +35,9 @@ from asymtile.arch import MICROTILE, ConfigError, TileConfig, from_section, requ
 MICROTILE_OUT = MICROTILE * MICROTILE
 # Accumulator registers of the core: no kernel interleaves more chains.
 ACCUM_REGS = 5
+# Distinct (base, n_accum, n_clusters) shapes kept by shaped_spec. A search
+# of the full grid shapes a few hundred; random soundness specs never repeat.
+SHAPED_SPEC_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,7 @@ class KernelShapeError(ConfigError):
 
 
 class LatencyBounds(NamedTuple):
-    """All phase and total bounds for one microkernel spec, and the
-    efficiency they imply."""
+    """All phase and total bounds for one microkernel spec."""
 
     t_prolog: int
     ii_parallel: Fraction
@@ -114,7 +117,6 @@ class LatencyBounds(NamedTuple):
     t_epilog: int
     l_total_sequential: int
     l_total_overlapped: int
-    eff_micro: Fraction
 
 
 def prolog_bound(classes: Iterable[LoadClass], u_ld: int) -> int:
@@ -190,12 +192,9 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
     behind its neighbors' steady states, paying II per live chain, II *
     min(C, n_accum), per cluster boundary instead; the overlapped figure is
     capped at the sequential one, which any execution can fall back to.
-    ``eff_micro`` is n_accum over one cluster's exact phase total: clusters
-    repeat the pattern, so the cluster count cancels.
 
     Each total is an integer numerator over ``chains``, rounded up once by
-    an integer ceiling division; only ``ii_parallel`` and ``eff_micro`` are
-    Fractions.
+    an integer ceiling division; only ``ii_parallel`` is a Fraction.
     """
     chains, n_accum, n_c = spec.chains, spec.n_accum, spec.n_clusters
     t_prolog, ii, t_epilog, steady, cluster = _cluster_phases(spec)
@@ -209,16 +208,16 @@ def total_latency(spec: MicrokernelSpec) -> LatencyBounds:
         t_epilog=t_epilog,
         l_total_sequential=seq,
         l_total_overlapped=ovl if ovl < seq else seq,
-        eff_micro=Fraction(n_accum * chains, cluster),
     )
 
 
 def eff_micro(spec: MicrokernelSpec) -> Fraction:
-    """Modeled VMAC issue efficiency of the microkernel, the ``eff_micro``
-    of :func:`total_latency`, worked out from the one-cluster total of
-    :func:`_cluster_phases` alone. It is below 1: a cluster of n updates
-    takes at least n + 1 cycles, as the prolog is at least one cycle, the II
-    at least one and the epilog at least one cycle per live chain."""
+    """Modeled VMAC issue efficiency of the microkernel: n_accum over one
+    cluster's exact phase total from :func:`_cluster_phases`. Clusters
+    repeat the pattern, so the cluster count cancels. It is below 1: a
+    cluster of n updates takes at least n + 1 cycles, as the prolog is at
+    least one cycle, the II at least one and the epilog at least one cycle
+    per live chain."""
     return Fraction(spec.n_accum * spec.chains, _cluster_phases(spec)[4])
 
 
@@ -229,18 +228,29 @@ def microkernel_for_tile(tile: TileConfig, base: MicrokernelSpec = DEFAULT_MICRO
     elements, so n_accum = t_k / MICROTILE; each cluster produces
     MICROTILE_OUT * chains output elements, so
     n_clusters = t_ma * t_n / (MICROTILE_OUT * chains), which must be a
-    whole number (else a :class:`KernelShapeError`).
+    whole number (else a :class:`KernelShapeError`, checked before the
+    memo of :func:`shaped_spec` is read). A repeated call returns the
+    memoised spec object.
     """
     per_cluster = MICROTILE_OUT * base.chains
     if (tile.t_ma * tile.t_n) % per_cluster != 0:
         raise KernelShapeError(
             f"t_ma*t_n={tile.t_ma * tile.t_n} must be a multiple of {per_cluster}"
         )
-    return replace(
-        base,
-        n_accum=tile.t_k // MICROTILE,
-        n_clusters=(tile.t_ma * tile.t_n) // per_cluster,
-    )
+    return shaped_spec(base, tile.t_k // MICROTILE, (tile.t_ma * tile.t_n) // per_cluster)
+
+
+@lru_cache(maxsize=SHAPED_SPEC_CACHE_SIZE)
+def shaped_spec(base: MicrokernelSpec, n_accum: int, n_clusters: int) -> MicrokernelSpec:
+    """``base`` with its ``n_accum`` and ``n_clusters`` replaced, validated
+    as any spec is.
+
+    Memoised per process on its arguments: specs are frozen, so equal
+    arguments give equal specs, and each shape is validated once however
+    many tiles or schedules ask for it. An invalid shape raises on every
+    call; nothing is cached for it.
+    """
+    return replace(base, n_accum=n_accum, n_clusters=n_clusters)
 
 
 # -- config-document loading -------------------------------------------------

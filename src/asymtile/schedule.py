@@ -34,9 +34,9 @@ import heapq
 import io
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 from asymtile.arch import ConfigError
@@ -44,6 +44,7 @@ from asymtile.pipeline import (
     KernelShapeError,
     LoadClass,
     MicrokernelSpec,
+    shaped_spec,
     total_latency,
 )
 
@@ -62,10 +63,13 @@ class Instruction(NamedTuple):
     """One VLIW operation: issued on ``slot``, result ready after ``latency``.
 
     An instruction's id is its position in its DAG's list; it stores none.
-    ``preds`` is a tuple of (predecessor id, required issue delay) pairs,
-    each naming an earlier position: this instruction may not issue before
-    pred_issue + delay. Latencies and delays are whole cycles, ints >= 0.
-    The scheduler groups equal pred tuples, so they must be hashable.
+    So a DAG may hold one Instruction object at several positions, as the
+    builder does for each run of identical loads, and each position is
+    still its own instruction. ``preds`` is a tuple of (predecessor id,
+    required issue delay) pairs, each naming an earlier position: this
+    instruction may not issue before pred_issue + delay. Latencies and
+    delays are whole cycles, ints >= 0. The scheduler groups equal pred
+    tuples, so they must be hashable.
     ``group`` is the owning chain cluster, for phase measurements. A
     NamedTuple, as every unvalidated record is (see the ``asymtile``
     package docstring); a kernel DAG holds thousands of them.
@@ -136,6 +140,11 @@ def build_microkernel_dag(
     chains j with t * chains + j < n_accum, a prefix of the chains, so chain
     j's last VMAC is in round (n_accum - 1 - j) // chains.
 
+    Each run of identical loads is emitted in one step, one Instruction
+    object repeated: an aligned prolog class, a steady round's shared row
+    and column loads, and its chains' unshared loads. Their (id, latency)
+    pred pairs are zipped from the run's positions.
+
     Raises :class:`~asymtile.pipeline.KernelShapeError`, before emitting
     anything, for a kernel it cannot build: shared operands with fewer than
     two loads per VMAC, or, when a chain runs more than one round, a prolog
@@ -175,16 +184,15 @@ def build_microkernel_dag(
         prolog_preds: list[tuple[int, int]] = []
         for cls in spec.load_classes:
             latency = cls.latency
-            for _ in range(cls.count):
-                if cls.unaligned:
-                    pop = len(instrs)
+            start = len(instrs)
+            if cls.unaligned:
+                for pop in range(start, start + 2 * cls.count, 2):
                     emit(new(Instruction, ("vload_pop", SLOT_LOAD, 1, gate, cl)))
-                    preds = ((pop, 1),)
-                else:
-                    preds = gate
-                vid = len(instrs)
-                emit(new(Instruction, ("vload", SLOT_LOAD, latency, preds, cl)))
-                prolog_preds.append((vid, latency))
+                    emit(new(Instruction, ("vload", SLOT_LOAD, latency, ((pop, 1),), cl)))
+                prolog_preds += zip(range(start + 1, len(instrs), 2), repeat(latency))
+            else:
+                instrs += [new(Instruction, ("vload", SLOT_LOAD, latency, gate, cl))] * cls.count
+                prolog_preds += zip(range(start, len(instrs)), repeat(latency))
         round0_preds = tuple(prolog_preds)
 
         round_vmacs: list[list[int]] = []  # round -> VMAC id of each chain
@@ -205,25 +213,25 @@ def build_microkernel_dag(
             war = tuple((v, 1) for v in round_vmacs[t - 2]) if t >= 2 else gate
             if not double_buffer:
                 war += tuple((v, 1) for v in round_vmacs[t - 1])
+            load = new(Instruction, ("vload", SLOT_LOAD, steady_latency, war, cl))
             if share_inputs:
-                shared: list[tuple[int, int]] = []
                 n_row_loads = (len(in_round) - 1) // cols + 1
                 # The row operands' loads, then the column operands'.
-                for _ in range(n_row_loads + min(len(in_round), cols)):
-                    vid = len(instrs)
-                    emit(new(Instruction, ("vload", SLOT_LOAD, steady_latency, war, cl)))
-                    shared.append((vid, steady_latency))
+                start = len(instrs)
+                instrs += [load] * (n_row_loads + min(len(in_round), cols))
+                shared = list(zip(range(start, len(instrs)), repeat(steady_latency)))
                 load_preds = [
                     [shared[j // cols], shared[n_row_loads + j % cols]] for j in in_round
                 ]
             else:
                 load_preds = [[] for _ in in_round]
-            for j in in_round:
-                own = load_preds[j]
-                for _ in range(extra):
-                    vid = len(instrs)
-                    emit(new(Instruction, ("vload", SLOT_LOAD, steady_latency, war, cl)))
-                    own.append((vid, steady_latency))
+            if extra:
+                # Each chain's unshared loads, chain by chain.
+                start = len(instrs)
+                instrs += [load] * (extra * len(in_round))
+                own_loads = list(zip(range(start, len(instrs)), repeat(steady_latency)))
+                for j in in_round:
+                    load_preds[j] += own_loads[j * extra:(j + 1) * extra]
             prev = round_vmacs[t - 1]
             vmacs = []
             for j in in_round:
@@ -475,7 +483,7 @@ def _kernel_run(
 ) -> KernelRun:
     n = spec.n_clusters
     if not overlap_clusters and n > 1:
-        one = _kernel_run(replace(spec, n_clusters=1), False, share_inputs, double_buffer)
+        one = _kernel_run(shaped_spec(spec, spec.n_accum, 1), False, share_inputs, double_buffer)
         return KernelRun(one.total_cycles * n, one.first_vmac_cycle, one.vmac_issue_rate)
     dag = build_microkernel_dag(
         spec,

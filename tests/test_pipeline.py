@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from asymtile.arch import ConfigError, TileConfig
 from asymtile.pipeline import (
+    MICROTILE_OUT,
+    KernelShapeError,
     LatencyBounds,
     LoadClass,
     MicrokernelSpec,
@@ -16,6 +18,7 @@ from asymtile.pipeline import (
     microkernel_for_tile,
     microkernel_from_dict,
     prolog_bound,
+    shaped_spec,
     total_latency,
 )
 from asymtile.schedule import random_microkernel_spec
@@ -198,10 +201,10 @@ def test_overlapped_never_exceeds_sequential(p, lat, n_loads, r, chains, n_accum
     assert 0 < b.l_total_overlapped <= b.l_total_sequential
 
 
-def reference_total_latency(spec: MicrokernelSpec) -> LatencyBounds:
-    """The Fraction formula ``total_latency`` replaced, with each ceiling
-    taken exactly (``math.ceil`` of a Fraction): the specification the
-    integer version must meet."""
+def reference_phases(spec: MicrokernelSpec) -> tuple[int, Fraction, Fraction, int]:
+    """One cluster's prolog, II, exact steady state and epilog by the
+    Fraction formula, each ceiling taken exactly (``math.ceil`` of a
+    Fraction)."""
     t_prolog = 0
     cum = 0
     for cls in sorted(spec.load_classes, key=lambda c: c.latency, reverse=True):
@@ -212,6 +215,14 @@ def reference_total_latency(spec: MicrokernelSpec) -> LatencyBounds:
     steady_exact = ii_par * max(0, spec.n_accum - spec.chains)
     live = min(spec.chains, spec.n_accum)
     t_epilog = spec.l_vmac_to_store + spec.l_store + spec.n_store - 1 + live - 1
+    return t_prolog, ii_par, steady_exact, t_epilog
+
+
+def reference_total_latency(spec: MicrokernelSpec) -> LatencyBounds:
+    """The Fraction formula ``total_latency`` replaced: the specification
+    the integer version must meet."""
+    t_prolog, ii_par, steady_exact, t_epilog = reference_phases(spec)
+    live = min(spec.chains, spec.n_accum)
     cluster = t_prolog + steady_exact + t_epilog
     seq = math.ceil(cluster * spec.n_clusters)
     ovl_exact = t_prolog + (steady_exact + ii_par * live) * spec.n_clusters + t_epilog
@@ -222,8 +233,13 @@ def reference_total_latency(spec: MicrokernelSpec) -> LatencyBounds:
         t_epilog=t_epilog,
         l_total_sequential=seq,
         l_total_overlapped=min(math.ceil(ovl_exact), seq),
-        eff_micro=Fraction(spec.n_accum) / cluster,
     )
+
+
+def reference_eff_micro(spec: MicrokernelSpec) -> Fraction:
+    """n_accum over one cluster's exact cycles by the Fraction formula."""
+    t_prolog, _, steady_exact, t_epilog = reference_phases(spec)
+    return Fraction(spec.n_accum) / (t_prolog + steady_exact + t_epilog)
 
 
 # Small counts, and counts no float holds exactly.
@@ -263,7 +279,7 @@ def test_total_latency_equals_the_fraction_formula(spec):
 def test_eff_micro_reference_phases():
     # 8 updates per cluster over prolog 10 + steady 4 + epilog 12 cycles.
     spec = eight_cluster_spec()
-    assert eff_micro(spec) == total_latency(spec).eff_micro == Fraction(8, 26)
+    assert eff_micro(spec) == Fraction(8, 26)
     # The steady term is exact, not rounded up: a 9-deep pipeline makes the
     # II 3/2, so 7 updates take prolog 9 + steady 9/2 + epilog 12 cycles,
     # 14/51 where rounding the steady term would give 7/26.
@@ -277,12 +293,12 @@ def test_eff_micro_reference_phases():
 @given(spec=st.one_of(
     *(st.randoms(use_true_random=False).map(lambda rng, d=spec_draw: d(rng)[0])
       for spec_draw in (random_microkernel_spec, adversarial_microkernel_spec)),
+    huge_count_spec(),
 ))
-def test_eff_micro_is_total_latencys_efficiency(spec):
-    # eff_micro skips the whole-kernel bounds; the efficiency must not move.
+def test_eff_micro_equals_the_fraction_formula(spec):
     got = eff_micro(spec)
     assert type(got) is Fraction
-    assert got == total_latency(spec).eff_micro
+    assert got == reference_eff_micro(spec)
 
 
 def test_eff_micro_saturates():
@@ -348,6 +364,32 @@ def test_microkernel_for_tile():
 def test_microkernel_for_tile_rejects_nondivisible():
     with pytest.raises(ConfigError):
         microkernel_for_tile(TileConfig(8, 8, 8, 8))  # 64 outputs, needs 256
+
+
+@settings(max_examples=150)
+@given(
+    base=st.randoms(use_true_random=False).map(lambda rng: random_microkernel_spec(rng)[0]),
+    t_ma=st.integers(1, 4).map(lambda m: 8 * m),
+    rho=st.sampled_from([1, 2, 4]),
+    t_k=st.integers(1, 64).map(lambda m: 8 * m),
+    t_n=st.integers(1, 10).map(lambda m: 8 * m),
+)
+def test_microkernel_for_tile_memoises_the_shaped_spec(base, t_ma, rho, t_k, t_n):
+    # The shaped spec is the base with two fields replaced, one object per
+    # shape; a tile the base's clusters do not divide never reaches the memo.
+    tile = TileConfig(t_ma, t_ma * rho, t_k, t_n)
+    per_cluster = MICROTILE_OUT * base.chains
+    if t_ma * t_n % per_cluster:
+        before = shaped_spec.cache_info()
+        for _ in range(2):
+            with pytest.raises(KernelShapeError, match="must be a multiple of"):
+                microkernel_for_tile(tile, base)
+        assert shaped_spec.cache_info() == before
+    else:
+        spec = microkernel_for_tile(tile, base)
+        want = replace(base, n_accum=t_k // 8, n_clusters=t_ma * t_n // per_cluster)
+        assert spec == want
+        assert microkernel_for_tile(tile, base) is spec
 
 
 def test_microkernel_from_dict():

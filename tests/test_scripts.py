@@ -110,9 +110,10 @@ def run_record(pass_norm_s, setup_s=0.06712, sha="f" * 64, correct=True):
             "sha256": sha, "correct": correct, "pinned": True}
 
 
-def build_report(module, runs, workload="oracles", commit="abc1234", tree="d" * 64):
+def build_report(module, runs, workload="oracles", commit="abc1234", tree="d" * 64,
+                 pinned=True):
     # The script's own report of synthetic runs, as main stores it.
-    report = module.report(workload, commit, tree, runs, module.machine(True))
+    report = module.report(workload, commit, tree, runs, module.machine(pinned))
     return json.loads(json.dumps(report))
 
 
@@ -312,7 +313,7 @@ def test_bench_pairs_pools_reports_of_one_parent_and_tree(tmp_path):
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"workload": "dse"}, "the reports differ in workload"),
+        ({"pinned": False}, "the reports differ in machine"),
         ({"commit": "fff0000"}, "the reports differ in parent"),
         ({"tree": "e" * 64}, "the reports differ in tree"),
         ({"seeds": range(45, 50)}, "a seed is in more than one report"),
@@ -330,6 +331,60 @@ def test_bench_pairs_refuses_to_pool_mixed_reports(change, message):
     del first["change"]["tree"]
     with pytest.raises(ValueError, match="has no change tree digest$"):
         module.pool([first, first])
+
+
+def test_bench_pairs_pools_setup_s_over_workloads(tmp_path, capsys):
+    module = load_script("bench_pairs.py")
+    # Five pairs of each workload: each alone is too few pairs. The cold
+    # start is the same in every workload, so its fifteen pairs pool into one
+    # setup_s verdict; a seed may recur in another workload.
+    seeds = {"dse": range(41, 46), "kernels": range(46, 51), "oracles": range(41, 46)}
+    runs = {
+        w: {s: {"parent": run_record(0.5, 0.060 + s % 5 / 1e4), "change": run_record(0.4, 0.0602)}
+            for s in seeds[w]}
+        for w in seeds
+    }
+    reports = [build_report(module, runs[w], workload=w) for w in ("oracles", "kernels", "dse")]
+    assert {r["verdicts"]["setup_s"]["verdict"] for r in reports} == {"too few pairs"}
+    pooled = module.pool(reports)
+    order = [(w, s) for w in ("dse", "kernels", "oracles") for s in seeds[w]]
+    assert pooled["verdicts"] == {"setup_s": module.verdict(
+        [runs[w][s]["parent"]["setup_s"] for w, s in order],
+        [runs[w][s]["change"]["setup_s"] for w, s in order],
+        "lower", module.BOUNDS["setup_s"],
+    )}
+    assert pooled["verdicts"]["setup_s"]["pairs"] == 15
+    assert pooled["verdicts"]["setup_s"]["verdict"] == "within spread"
+    # pass_norm_s times different work in each workload: nothing pools it.
+    assert set(pooled["parent"]) == {"commit", "setup_s"}
+    assert set(pooled["change"]) == {"tree", "setup_s"}
+    assert pooled["workloads"] == ["dse", "kernels", "oracles"]
+    assert pooled["seeds"] == {w: list(seeds[w]) for w in ("dse", "kernels", "oracles")}
+    assert pooled["fingerprints_equal"] and pooled["all_correct_zero_failed"]
+    assert pooled == json.loads(json.dumps(
+        module.setup_report("abc1234", "d" * 64, runs, module.machine(True))
+    ))
+    # A seed repeated within one workload is refused, as is another host.
+    with pytest.raises(ValueError, match="^a seed is in more than one report$"):
+        module.pool([*reports, build_report(module, runs["dse"], workload="dse")])
+    with pytest.raises(ValueError, match="^the reports differ in machine$"):
+        module.pool([reports[0], build_report(module, runs["dse"], workload="dse", pinned=False)])
+
+    # The command line writes the pooled verdict to BENCH_setup_s.json and
+    # prints its one line.
+    paths = []
+    for report in reports:
+        paths.append(tmp_path / f"BENCH_{report['workload']}.json")
+        paths[-1].write_text(json.dumps(report))
+    module.ROOT = tmp_path
+    assert module.main(["--pool", *map(str, paths)]) == 0
+    assert json.loads((tmp_path / "BENCH_setup_s.json").read_text()) == pooled
+    with pytest.raises(ValueError, match="^a pooled setup_s report cannot be pooled again$"):
+        module.pool([*reports, pooled])
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "BENCH_setup_s.json:"
+    assert len(printed) == 2 and printed[1].startswith("  setup_s median ")
+    assert printed[1].endswith(": within spread")
 
 
 def test_bench_pairs_pools_only_reports_it_can_rebuild(tmp_path, capsys):
