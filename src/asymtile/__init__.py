@@ -17,11 +17,15 @@ Module map:
 The package root re-exports nothing, so each name is imported from the module
 that defines it: ``from asymtile.perf import perf_array``.
 
-A dataclass only where construction validates. Each input (``TileConfig``,
-for one) is a frozen dataclass whose ``__post_init__`` checks every field.
-Each record a function returns (``PerfEstimate``, for one) is a
-``typing.NamedTuple``: nothing checks it, it is as immutable, it is several
-times cheaper to build, and it costs no generated code at import. Copy one
-with a field changed by ``record._replace(field=...)``; it compares equal to
-a plain tuple of the same values.
+Inputs and records are ``typing.NamedTuple``s: immutable, cheap to build,
+and free of the generated code a dataclass ``exec``s at import. Each record
+a function returns (``PerfEstimate``, for one) is a bare NamedTuple that
+nothing checks. Each input (``TileConfig``, for one) is a NamedTuple of its
+fields under a :class:`~asymtile.arch.CheckedTuple` subclass whose
+``__new__`` checks every field. Copy either with a field changed by
+``value._replace(field=...)``; an input's copy is checked like a new one.
+Both compare equal to a plain tuple of the same values. The dataclasses
+left also check on construction: ``search.SearchSpace``, which callers copy
+with ``dataclasses.replace``, and ``gemm``'s ``Matrix`` and ``Bfp16Block``,
+which the CLI never imports.
 """

@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 KIB = 1024
 
@@ -79,24 +79,47 @@ def as_byte_cost(value: Any) -> Fraction:
     return cost
 
 
-@dataclass(frozen=True)
-class PrecisionSpec:
-    """Per-element byte costs for the A, B, and C operands.
+class CheckedTuple:
+    """Base of an input type: list it before the ``typing.NamedTuple`` of the
+    type's fields, and give the type a ``__new__`` that checks them. Copies
+    are checked too: ``_make``, and so ``_replace``, build through the
+    type. A ``__new__`` may name each field, or pass ``*args, **kwargs`` on
+    to the NamedTuple's constructor, which takes the defaults declared
+    there; either way an argument error names the type."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The NamedTuple's generated constructor reports a missing, extra or
+        # unknown argument under its own qualified name.
+        cls.__bases__[-1].__new__.__qualname__ = f"{cls.__name__}.__new__"
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _PrecisionFields(NamedTuple):
+    byte_cost_a: Fraction
+    byte_cost_b: Fraction
+    byte_cost_c: Fraction
+    accum_label: str
+
+
+class PrecisionSpec(CheckedTuple, _PrecisionFields):
+    """Per-element byte costs for the A, B, and C operands, each coerced by
+    :func:`as_byte_cost`.
 
     ``accum_label`` records the accumulation format for reporting only; it does
     not affect any arithmetic.
     """
 
-    byte_cost_a: Fraction
-    byte_cost_b: Fraction
-    byte_cost_c: Fraction
-    accum_label: str = ""
-
-    def __post_init__(self):
-        for name in ("byte_cost_a", "byte_cost_b", "byte_cost_c"):
-            object.__setattr__(self, name, as_byte_cost(getattr(self, name)))
-        if not isinstance(self.accum_label, str):
-            raise ConfigError(f"accum_label must be a string, got {self.accum_label!r}")
+    def __new__(cls, byte_cost_a, byte_cost_b, byte_cost_c, accum_label=""):
+        costs = (as_byte_cost(byte_cost_a), as_byte_cost(byte_cost_b), as_byte_cost(byte_cost_c))
+        if not isinstance(accum_label, str):
+            raise ConfigError(f"accum_label must be a string, got {accum_label!r}")
+        return tuple.__new__(cls, (*costs, accum_label))
 
     @cached_property
     def cost_numerators(self) -> tuple[int, int, int, int]:
@@ -129,8 +152,20 @@ PRECISION_PRESETS: dict[str, PrecisionSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class ArchSpec:
+class _ArchFields(NamedTuple):
+    l1_capacity: int = 63 * KIB
+    n_rows: int = 4
+    n_cols: int = 8
+    peak_macs_per_cycle: int = 512
+    clock_hz: float = 1.8e9
+    offchip_bw: float = 65e9
+    switch_overhead_delta: int = 50
+    buffer_multiplier_a: int = 2
+    buffer_multiplier_b: int = 2
+    buffer_multiplier_c: int = 1
+
+
+class ArchSpec(CheckedTuple, _ArchFields):
     """Fixed parameters of the target core array.
 
     Defaults describe a 4x8 grid of VLIW vector cores, each with a 64 KiB L1
@@ -146,18 +181,8 @@ class ArchSpec:
     are rates and must be finite positive numbers.
     """
 
-    l1_capacity: int = 63 * KIB
-    n_rows: int = 4
-    n_cols: int = 8
-    peak_macs_per_cycle: int = 512
-    clock_hz: float = 1.8e9
-    offchip_bw: float = 65e9
-    switch_overhead_delta: int = 50
-    buffer_multiplier_a: int = 2
-    buffer_multiplier_b: int = 2
-    buffer_multiplier_c: int = 1
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_ints(self, (
             "l1_capacity", "n_rows", "n_cols", "peak_macs_per_cycle",
             "buffer_multiplier_a", "buffer_multiplier_b", "buffer_multiplier_c",
@@ -171,6 +196,7 @@ class ArchSpec:
                 or not 0 < value <= sys.float_info.max
             ):
                 raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+        return self
 
     @property
     def n_cores(self) -> int:
@@ -203,56 +229,67 @@ class ArchSpec:
 DEFAULT_ARCH = ArchSpec()
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """GEMM problem shape: C[m, n] += A[m, k] * B[k, n]."""
-
+class _ProblemFields(NamedTuple):
     m: int
     k: int
     n: int
 
-    def __post_init__(self):
-        require_ints(self, ("m", "k", "n"), 1)
+
+class ProblemSpec(CheckedTuple, _ProblemFields):
+    """GEMM problem shape: C[m, n] += A[m, k] * B[k, n]."""
+
+    __slots__ = ()
+
+    def __new__(cls, m, k, n):
+        self = tuple.__new__(cls, (m, k, n))
+        require_ints(self, cls._fields, 1)
+        return self
 
 
 MICROTILE = 8  # tile granularity: the block edge of the 8x8x8 vector MAC
 
 
-@dataclass(frozen=True)
-class TileConfig:
+class _TileFields(NamedTuple):
+    t_ma: int
+    t_mc: int
+    t_k: int
+    t_n: int
+
+
+class TileConfig(CheckedTuple, _TileFields):
     """L1 tile shape (t_ma, t_mc, t_k, t_n).
 
     ``t_ma`` rows of A are staged at a time against a ``t_mc x t_n`` output
     tile accumulated over reduction slices of depth ``t_k``. All dims must be
     positive multiples of :data:`MICROTILE`, t_ma must divide t_mc, and
     t_mc >= t_ma.
+
+    A field read costs more than a tuple unpack, so code run once per tile
+    reads the dims as ``t_ma, t_mc, t_k, t_n = tile``.
     """
 
-    t_ma: int
-    t_mc: int
-    t_k: int
-    t_n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_ints(self, ("t_ma", "t_mc", "t_k", "t_n"), 1)
-        for name in ("t_ma", "t_mc", "t_k", "t_n"):
-            dim = getattr(self, name)
+    def __new__(cls, t_ma, t_mc, t_k, t_n):
+        dims = (t_ma, t_mc, t_k, t_n)
+        for name, dim in zip(cls._fields, dims):
+            require_int(name, dim, 1)
+        for name, dim in zip(cls._fields, dims):
             if dim % MICROTILE != 0:
                 raise ConfigError(f"tile dim {name}={dim} is not a multiple of {MICROTILE}")
-        if self.t_mc < self.t_ma:
-            raise ConfigError(f"t_mc={self.t_mc} must be >= t_ma={self.t_ma}")
-        if self.t_mc % self.t_ma != 0:
-            raise ConfigError(
-                f"t_ma={self.t_ma} must divide t_mc={self.t_mc} exactly"
-            )
+        if t_mc < t_ma:
+            raise ConfigError(f"t_mc={t_mc} must be >= t_ma={t_ma}")
+        if t_mc % t_ma != 0:
+            raise ConfigError(f"t_ma={t_ma} must divide t_mc={t_mc} exactly")
+        return tuple.__new__(cls, dims)
 
     @property
     def rho(self) -> int:
         """Buffering asymmetry factor t_mc / t_ma (1 means symmetric)."""
-        return self.t_mc // self.t_ma
+        return self[1] // self[0]
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.t_ma, self.t_mc, self.t_k, self.t_n)
+        return tuple(self)
 
 
 def c_tile_buffers(
@@ -312,7 +349,8 @@ def derive_l2_tiles(tile: TileConfig, arch: ArchSpec = DEFAULT_ARCH) -> tuple[in
     """Effective (t_m, t_k, t_n) tile at the L2 boundary: each L1 dim times
     its factor in :attr:`ArchSpec.grid_scale`."""
     s_m, s_k, s_n = arch.grid_scale
-    return (s_m * tile.t_mc, s_k * tile.t_k, s_n * tile.t_n)
+    _, t_mc, t_k, t_n = tile
+    return (s_m * t_mc, s_k * t_k, s_n * t_n)
 
 
 # -- config-document loading -------------------------------------------------
@@ -321,12 +359,15 @@ def from_section(cls, data, section: str, exclude=()):
     """Build ``cls`` from the JSON object ``data`` of config section
     ``section``; missing keys keep their defaults.
 
-    The keys allowed are the dataclass field names not in ``exclude``. Field
-    values are checked by ``cls`` itself.
+    The keys allowed are the field names of ``cls`` not in ``exclude``: its
+    ``_fields`` for a NamedTuple input, its dataclass fields otherwise. Field
+    values are checked by ``cls`` itself; a missing required key or a
+    value ``cls`` cannot take is reported with the ``TypeError`` it raised.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{section!r} section must be an object")
-    allowed = {f.name for f in fields(cls)} - set(exclude)
+    names = cls._fields if issubclass(cls, CheckedTuple) else [f.name for f in fields(cls)]
+    allowed = set(names) - set(exclude)
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in section {section!r}")

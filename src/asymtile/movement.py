@@ -14,7 +14,6 @@ must agree as exact rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -131,7 +130,7 @@ def simulate_movement(
     subtiles."""
     if boundary == BOUNDARY_ARRAY:
         t_mc, t_k, t_n = derive_l2_tiles(tile, arch)
-        tile = replace(tile, t_ma=t_mc // tile.rho, t_mc=t_mc, t_k=t_k, t_n=t_n)
+        tile = tile._replace(t_ma=t_mc // tile.rho, t_mc=t_mc, t_k=t_k, t_n=t_n)
     elif boundary != BOUNDARY_CORE:
         raise ConfigError(f"unknown boundary {boundary!r}; expected one of {BOUNDARIES}")
     return walk_nest(problem, tile, prec, arch)

@@ -197,24 +197,24 @@ def compute_side(
     back with ``feasible=False`` and zeroed rates rather than a silent
     number. Ties between the two sides are classified as memory-bound."""
     ai, memory_bound = memory
-    c_tile = tiles[0]
-    a_row, n_bc, den, max_t_ma = c_tile_buffers(c_tile.t_mc, c_tile.t_k, c_tile.t_n, prec, arch)
+    _, t_mc, t_k, t_n = tiles[0]
+    a_row, n_bc, den, max_t_ma = c_tile_buffers(t_mc, t_k, t_n, prec, arch)
     peak = arch.peak_array_flops
     cores = {} if cores is None else cores
     # tuple.__new__ on the field tuple makes the same PerfEstimate as the
     # generated NamedTuple constructor, in about half the time.
     new = tuple.__new__
     out = []
-    for tile, eff in zip(tiles, effs):
-        work = 2 * tile.t_ma * tile.t_n * tile.t_k
+    for (t_ma, _, _, _), eff in zip(tiles, effs):
+        work = 2 * t_ma * t_n * t_k
         key = (eff.numerator, eff.denominator, work)
         core = cores.get(key)
         if core is None:
             ec_num, ec_den = _eff_core_terms(eff, work, arch)
             core = cores[key] = (Fraction(ec_num, ec_den), ec_num / ec_den * peak)
         ec, compute_bound = core
-        buffer_bytes = footprint_bytes(a_row, n_bc, den, tile.t_ma)
-        if tile.t_ma > max_t_ma:
+        buffer_bytes = footprint_bytes(a_row, n_bc, den, t_ma)
+        if t_ma > max_t_ma:
             fields = (ai, 0.0, 0.0, eff, ec, 0.0, BOUND_MEMORY, buffer_bytes, False)
         elif memory_bound <= compute_bound:
             fields = (ai, memory_bound, compute_bound, eff, ec, memory_bound, BOUND_MEMORY, buffer_bytes, True)

@@ -23,12 +23,19 @@ efficiency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from asymtile.arch import MICROTILE, ConfigError, TileConfig, from_section, require_bools, require_ints
+from asymtile.arch import (
+    MICROTILE,
+    CheckedTuple,
+    ConfigError,
+    TileConfig,
+    from_section,
+    require_bools,
+    require_ints,
+)
 
 # Output elements produced per chain cluster (an 8x8 register tile per chain,
 # C chains per cluster).
@@ -40,8 +47,13 @@ ACCUM_REGS = 5
 SHAPED_SPEC_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class LoadClass:
+class _LoadClassFields(NamedTuple):
+    latency: int
+    count: int
+    unaligned: bool
+
+
+class LoadClass(CheckedTuple, _LoadClassFields):
     """A group of operand loads with a common issue-to-ready latency.
 
     ``unaligned`` marks loads that need a preceding pointer-pop companion
@@ -49,28 +61,16 @@ class LoadClass:
     removes any), the DAG builder materializes it.
     """
 
-    latency: int
-    count: int
-    unaligned: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, latency, count, unaligned=False):
+        self = tuple.__new__(cls, (latency, count, unaligned))
         require_ints(self, ("latency", "count"), 1)
         require_bools(self, ("unaligned",))
+        return self
 
 
-@dataclass(frozen=True)
-class MicrokernelSpec:
-    """Microkernel shape and machine parameters.
-
-    Defaults describe the target core's block-FP kernel: a 3-deep MAC
-    pipeline, two load slots, one store slot, four interleaved accumulation
-    chains sharing operands in a 2x2 cluster (two loads per VMAC before
-    sharing), 8-cycle operand loads, and a two-instruction store path.
-    Every field except ``load_classes`` must be an int, at least 1
-    (``l_vmac_to_store`` at least 0), and ``chains`` at most ACCUM_REGS. The
-    core's one VMAC slot (the arch's peak of one 8x8x8 VMAC a cycle) has no field.
-    """
-
+class _MicrokernelFields(NamedTuple):
     pipeline_depth: int = 3
     u_ld: int = 2
     u_st: int = 1
@@ -83,8 +83,27 @@ class MicrokernelSpec:
     l_store: int = 2
     n_store: int = 2
 
-    def __post_init__(self):
-        object.__setattr__(self, "load_classes", tuple(self.load_classes))
+
+class MicrokernelSpec(CheckedTuple, _MicrokernelFields):
+    """Microkernel shape and machine parameters.
+
+    Defaults describe the target core's block-FP kernel: a 3-deep MAC
+    pipeline, two load slots, one store slot, four interleaved accumulation
+    chains sharing operands in a 2x2 cluster (two loads per VMAC before
+    sharing), 8-cycle operand loads, and a two-instruction store path.
+    Every field except ``load_classes`` must be an int, at least 1
+    (``l_vmac_to_store`` at least 0), and ``chains`` at most ACCUM_REGS. The
+    core's one VMAC slot (the arch's peak of one 8x8x8 VMAC a cycle) has no field.
+    ``load_classes`` may be given as any iterable; it is kept as a tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        load_classes = tuple(self.load_classes)
+        if load_classes is not self.load_classes:
+            self = super().__new__(cls, **{**self._asdict(), "load_classes": load_classes})
         if not self.load_classes or not all(
             isinstance(c, LoadClass) for c in self.load_classes
         ):
@@ -94,6 +113,7 @@ class MicrokernelSpec:
         require_ints(self, ("l_vmac_to_store",), 0)
         if self.chains > ACCUM_REGS:
             raise ConfigError(f"chains={self.chains} exceeds accum_regs={ACCUM_REGS}")
+        return self
 
     @property
     def prolog_load_count(self) -> int:
@@ -245,12 +265,12 @@ def shaped_spec(base: MicrokernelSpec, n_accum: int, n_clusters: int) -> Microke
     """``base`` with its ``n_accum`` and ``n_clusters`` replaced, validated
     as any spec is.
 
-    Memoised per process on its arguments: specs are frozen, so equal
+    Memoised per process on its arguments: specs are immutable, so equal
     arguments give equal specs, and each shape is validated once however
     many tiles or schedules ask for it. An invalid shape raises on every
     call; nothing is cached for it.
     """
-    return replace(base, n_accum=n_accum, n_clusters=n_clusters)
+    return base._replace(n_accum=n_accum, n_clusters=n_clusters)
 
 
 # -- config-document loading -------------------------------------------------

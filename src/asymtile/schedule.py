@@ -444,7 +444,7 @@ def kernel_run(
     """Build and schedule ``spec``'s DAG under the given options; summarise.
 
     Memoised per process on (spec, options): specs and their load classes
-    are frozen with int counts and bool flags, and the builder and the
+    are immutable, with int counts and bool flags, and the builder and the
     scheduler are deterministic, so equal keys give equal schedules. The
     options go on positionally, so every spelling of one call shares an
     entry. With at most one cluster the two sequencing modes build the same

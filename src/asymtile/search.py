@@ -182,7 +182,7 @@ def _rank_key(item: tuple[TileConfig, PerfEstimate]):
     tile, est = item
     # Best performance first; among exact ties prefer fewer kernel switches
     # (smaller rho), then the smaller buffer, then lexicographic dims.
-    return (-est.perf_array, tile.rho, est.buffer_bytes, tile.as_tuple())
+    return (-est.perf_array, tile.rho, est.buffer_bytes, tile)
 
 
 def rank(
@@ -217,7 +217,7 @@ def rank(
             eff = scorer(tile, kernel)
         except KernelShapeError:
             continue
-        c_tile = (tile.t_mc, tile.t_k, tile.t_n)
+        c_tile = tile[1:]
         group = groups.get(c_tile)
         if group is None:
             group = groups[c_tile] = (memory_side(tile, problem, prec, arch, sides), [], [])
@@ -315,8 +315,9 @@ def estimate_csv_row(tile: TileConfig, est: PerfEstimate, floats: dict[int, str]
     memory = _cached(est.memory_bound, floats, ".3g", 1e12)
     compute = _cached(est.compute_bound, floats, ".3g", 1e12)
     perf = memory if est.bound_kind == BOUND_MEMORY else compute
+    t_ma, t_mc, t_k, t_n = tile
     return (
-        f"{tile.t_ma},{tile.t_mc},{tile.t_k},{tile.t_n},{tile.rho},"
+        f"{t_ma},{t_mc},{t_k},{t_n},{t_mc // t_ma},"
         f"{est.buffer_bytes},{est.feasible},{_cached(est.ai_array, floats, '.4f')},"
         f"{_cached(est.eff_micro, floats, '.4f')},{_cached(est.eff_core, floats, '.4f')},"
         f"{memory},{compute},{perf},{est.bound_kind}"

@@ -1,5 +1,5 @@
-from dataclasses import fields
 from fractions import Fraction
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given
@@ -87,11 +87,13 @@ FLOOR_BASES = (
     (Matrix, {"rows": 1, "cols": 1, "data": (1.0,)}),
 )
 FLOORS = {"switch_overhead_delta": 0, "l_vmac_to_store": 0}
+# The int fields of each type: its type hints cover a NamedTuple's fields
+# and a dataclass's alike.
 COUNT_FIELDS = [
-    (cls, base, f.name, 8 if cls is SearchSpace else FLOORS.get(f.name, 1))
+    (cls, base, name, 8 if cls is SearchSpace else FLOORS.get(name, 1))
     for cls, base in FLOOR_BASES
-    for f in fields(cls)
-    if f.type == "int"
+    for name, hint in get_type_hints(cls).items()
+    if hint is int
 ]
 
 
@@ -200,6 +202,26 @@ def test_problem_parsing():
         problem_from_value("1024x4096")
     with pytest.raises(ConfigError):
         problem_from_value({"m": 8, "k": 16, "n": 8, "batch": 2})
+
+
+@pytest.mark.parametrize(
+    "parse, section, want",
+    [
+        (problem_from_value, {"m": 64}, "bad 'problem' section: ProblemSpec.__new__() "
+         "missing 2 required positional arguments: 'k' and 'n'"),
+        (tile_from_value, {"t_ma": 8, "t_mc": 8}, "bad 'tile' section: TileConfig.__new__() "
+         "missing 2 required positional arguments: 't_k' and 't_n'"),
+        (precision_from_value, {"byte_cost_a": 2}, "bad 'precision' section: PrecisionSpec.__new__() "
+         "missing 2 required positional arguments: 'byte_cost_b' and 'byte_cost_c'"),
+    ],
+    ids=["problem", "tile", "precision"],
+)
+def test_missing_keys_are_named_with_the_public_type(parse, section, want):
+    # The message names the type a config section builds, not the NamedTuple
+    # of its fields.
+    with pytest.raises(ConfigError) as exc:
+        parse(section)
+    assert str(exc.value) == want
 
 
 def test_tile_parsing():

@@ -722,10 +722,19 @@ def test_repeated_main_calls_match_single_runs(tmp_path):
 
 def test_cli_import_does_not_load_numpy():
     # The CLI loads only the modules it runs (not the numeric GEMM), and the
-    # package root, which re-exports nothing, loads no submodule at all.
+    # package root, which re-exports nothing, loads no submodule at all. Of
+    # the classes the CLI loads, only SearchSpace is a dataclass, whose
+    # generated methods are built at import; every other input is a
+    # NamedTuple.
+    dataclasses_loaded = (
+        "import dataclasses, sys, asymtile.cli; print(sorted(c.__name__ for n, m in sys.modules.items()"
+        " if n.startswith('asymtile.') for c in vars(m).values()"
+        " if isinstance(c, type) and c.__module__ == n and dataclasses.is_dataclass(c)))"
+    )
     probes = {
         "import sys, asymtile.cli; print('numpy' in sys.modules, 'asymtile.gemm' in sys.modules)": "False False",
         "import sys, asymtile; print(sorted(m for m in sys.modules if m.startswith('asymtile.')))": "[]",
+        dataclasses_loaded: "['SearchSpace']",
     }
     for probe, want in probes.items():
         proc = subprocess.run(
@@ -760,7 +769,9 @@ SECTION_TYPES = {
 }
 # Every field of every section, then every top-level key as a whole value.
 FUZZED_KEYS = [
-    (section, f.name) for section, cls in SECTION_TYPES.items() for f in fields(cls)
+    (section, name)
+    for section, cls in SECTION_TYPES.items()
+    for name in (cls._fields if cls is not SearchSpace else [f.name for f in fields(cls)])
 ] + [(section, None) for section in sorted({*cli.RunConfig._fields, "bogus"})]
 # Values that size a loop (search ranges, the L1 capacity, the core grid and
 # the kernel shape) are drawn small, so that one run takes milliseconds. The

@@ -11,7 +11,6 @@ composes them into the whole estimate.
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 from conftest import reference_buffer_terms
@@ -171,7 +170,7 @@ def test_capacity_boundary_pinned(tile, a, b, extra, offset, arch):
     # (one byte over).
     a_b = sum(reference_buffer_terms(tile, PrecisionSpec(a, b, 1), arch)[:2])
     capacity = math.ceil(a_b) + extra
-    arch = replace(arch, l1_capacity=capacity)
+    arch = arch._replace(l1_capacity=capacity)
     c_term = capacity + offset - a_b
     prec = PrecisionSpec(a, b, c_term / (arch.buffer_multiplier_c * tile.t_mc * tile.t_n))
     assert sum(reference_buffer_terms(tile, prec, arch)) == capacity + offset

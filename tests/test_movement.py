@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -103,7 +102,7 @@ def test_one_footprint_decides_feasibility(seed, multipliers, slack):
         buffer_multiplier_b=mult_b,
         buffer_multiplier_c=mult_c,
     )
-    arch = replace(arch, l1_capacity=max(1, buffer_footprint(tile, prec, arch) + slack))
+    arch = arch._replace(l1_capacity=max(1, buffer_footprint(tile, prec, arch) + slack))
     est = perf_array(tile, problem, prec, arch)
     try:
         trace = walk_nest(problem, tile, prec, arch, capacity=arch.l1_capacity)

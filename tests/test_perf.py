@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -39,7 +38,7 @@ def test_t_asym_reference_value():
     total = _slab_cycles(REF_TILE, 4096, 0.63)
     assert float(total) == pytest.approx(220_851, abs=1)
     # switch side alone: 50 cycles x 4 launches x 64 contraction steps
-    arch0 = replace(DEFAULT_ARCH, switch_overhead_delta=0)
+    arch0 = DEFAULT_ARCH._replace(switch_overhead_delta=0)
     assert total - _slab_cycles(REF_TILE, 4096, 0.63, arch0) == 12_800
 
 
@@ -49,7 +48,7 @@ def test_t_asym_exact_rational():
 
 
 def test_t_asym_switch_term_linear_in_rho():
-    arch0 = replace(DEFAULT_ARCH, switch_overhead_delta=0)
+    arch0 = DEFAULT_ARCH._replace(switch_overhead_delta=0)
     flat = TileConfig(128, 128, 64, 128)
     split = TileConfig(32, 128, 64, 128)
     base = _slab_cycles(flat, 4096, 0.5, arch0)
@@ -72,7 +71,7 @@ def test_eff_core_reference_value():
 
 
 def test_eff_core_no_overhead_is_identity():
-    arch0 = replace(DEFAULT_ARCH, switch_overhead_delta=0)
+    arch0 = DEFAULT_ARCH._replace(switch_overhead_delta=0)
     assert eff_core(REF_TILE, Fraction(63, 100), arch0) == Fraction(63, 100)
 
 
@@ -120,7 +119,7 @@ def test_eff_core_is_one_launch_form_free_of_t_mc(t_ma, rhos, t_k, t_n, eff, del
     # s = delta·peak flops. Per step (rho launches): rho·w flops and rho·s
     # flops of switching. Both give the same rational, so t_mc = rho·t_ma
     # may change with t_ma, t_k and t_n fixed and eff_core must not.
-    arch = replace(DEFAULT_ARCH, switch_overhead_delta=delta, peak_macs_per_cycle=peak_macs)
+    arch = DEFAULT_ARCH._replace(switch_overhead_delta=delta, peak_macs_per_cycle=peak_macs)
     p, q = eff.numerator, eff.denominator
     w = 2 * t_ma * t_n * t_k
     s = delta * arch.peak_flops_per_cycle
@@ -212,7 +211,7 @@ def test_perf_infeasible_tile_is_flagged():
 
 
 def test_perf_unbounded_bandwidth_is_compute_bound():
-    arch = replace(DEFAULT_ARCH, offchip_bw=1e30)
+    arch = DEFAULT_ARCH._replace(offchip_bw=1e30)
     est = perf_array(
         REF_TILE,
         ProblemSpec(4096, 4096, 2048),

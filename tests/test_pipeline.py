@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -166,7 +165,7 @@ def test_total_latency_reference():
 def test_total_latency_zero_clusters():
     # A kernel has at least one cluster, so total_latency never sees zero:
     # the spec rejects it, also when copied from a valid one.
-    for build in (lambda: mk(n_clusters=0), lambda: replace(mk(), n_clusters=0)):
+    for build in (lambda: mk(n_clusters=0), lambda: mk()._replace(n_clusters=0)):
         with pytest.raises(ConfigError, match=r"^n_clusters must be >= 1, got 0$"):
             total_latency(build())
     b = total_latency(mk(n_clusters=1))
@@ -387,7 +386,7 @@ def test_microkernel_for_tile_memoises_the_shaped_spec(base, t_ma, rho, t_k, t_n
         assert shaped_spec.cache_info() == before
     else:
         spec = microkernel_for_tile(tile, base)
-        want = replace(base, n_accum=t_k // 8, n_clusters=t_ma * t_n // per_cluster)
+        want = base._replace(n_accum=t_k // 8, n_clusters=t_ma * t_n // per_cluster)
         assert spec == want
         assert microkernel_for_tile(tile, base) is spec
 

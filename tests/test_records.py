@@ -1,9 +1,11 @@
-"""The package's rule for its types: a dataclass only where construction
-validates, a NamedTuple for every record a function returns.
+"""The package's rule for its types: a NamedTuple for every record a
+function returns and for every input, which checks its fields in
+``__new__``; a dataclass only where construction validates.
 
 The walk covers every module of ``asymtile``, so a new dataclass without a
-``__post_init__`` fails here, as does a record that is turned back into a
-class that assignment can change.
+``__post_init__`` fails here, as does a record or an input that is turned
+back into a class that assignment can change, or an input whose copies
+skip its checks.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import pkgutil
 import pytest
 
 import asymtile
+from asymtile.arch import ArchSpec, ConfigError, PrecisionSpec, ProblemSpec, TileConfig
+from asymtile.pipeline import LoadClass, MicrokernelSpec
 
 RECORDS = {
     "asymtile.intensity": "AiResult",
@@ -51,3 +55,37 @@ def test_record_is_an_immutable_tuple(module, name):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     assert record == tuple(range(len(cls._fields)))
+
+
+# Each input: valid fields, then one bad field and the ConfigError it raises.
+INPUTS = [
+    (PrecisionSpec, {"byte_cost_a": 2, "byte_cost_b": "5/4", "byte_cost_c": 2}, "byte_cost_b", 0,
+     "byte cost must be positive, got 0"),
+    (ArchSpec, {}, "n_cols", 0, "n_cols must be >= 1, got 0"),
+    (ProblemSpec, {"m": 64, "k": 64, "n": 64}, "k", 0, "k must be >= 1, got 0"),
+    (TileConfig, {"t_ma": 32, "t_mc": 128, "t_k": 64, "t_n": 128}, "t_mc", 112,
+     "t_ma=32 must divide t_mc=112 exactly"),
+    (LoadClass, {"latency": 8, "count": 4}, "unaligned", "no", "unaligned must be true or false, got 'no'"),
+    (MicrokernelSpec, {}, "chains", 6, "chains=6 exceeds accum_regs=5"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name, bad, message", INPUTS, ids=[case[0].__name__ for case in INPUTS]
+)
+def test_input_is_an_immutable_tuple_checked_on_every_build(cls, fields, name, bad, message):
+    assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls)
+    value = cls(**fields)
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    copy = value._replace(**{name: getattr(value, name)})
+    assert type(copy) is cls and copy == value
+    with pytest.raises(ConfigError) as built:
+        cls(**{**fields, name: bad})
+    with pytest.raises(ConfigError) as replaced:
+        value._replace(**{name: bad})
+    assert str(built.value) == str(replaced.value) == message
+    # An argument error names the type, not the NamedTuple of its fields.
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__new__\(\) got an unexpected keyword argument 'bogus'$"):
+        cls(**fields, bogus=1)

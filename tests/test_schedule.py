@@ -3,7 +3,6 @@ import importlib
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -725,9 +724,9 @@ def test_sequential_clusters_repeat_one_cluster_schedule(seed, draw):
     # often has a MAC pipeline deeper than a chain's store drain.
     spec, options = draw(random.Random(seed))
     n = max(spec.n_clusters, 2)
-    spec = replace(spec, n_clusters=n)
+    spec = spec._replace(n_clusters=n)
     slots = slots_for(spec)
-    one_dag = build_microkernel_dag(replace(spec, n_clusters=1), **options)
+    one_dag = build_microkernel_dag(spec._replace(n_clusters=1), **options)
     one = schedule(one_dag, slots)
     dag = build_microkernel_dag(spec, **options)
     full = schedule(dag, slots)
@@ -755,7 +754,7 @@ def test_zero_cluster_kernel_has_no_phase_violations():
     # A zero-cluster kernel cannot be built, so the bounds are checked from
     # one cluster up, and one cluster has none.
     with pytest.raises(ConfigError, match=r"^n_clusters must be >= 1, got 0$"):
-        kernel_run(replace(MicrokernelSpec(), n_clusters=0))
+        kernel_run(MicrokernelSpec()._replace(n_clusters=0))
     assert check_bounds_hold(MicrokernelSpec(n_clusters=1), {}) == []
 
 
@@ -764,7 +763,7 @@ def test_kernel_run_does_not_cache_builder_errors():
     for n_clusters in (1, 3):
         for _ in range(2):
             with pytest.raises(ConfigError, match="share_inputs needs r_load >= 2"):
-                kernel_run(replace(spec, n_clusters=n_clusters))
+                kernel_run(spec._replace(n_clusters=n_clusters))
 
 
 def test_search_schedules_each_distinct_kernel_once(monkeypatch):
@@ -857,10 +856,10 @@ def test_overlapped_period_need_not_settle_at_two_clusters():
     ]
     for spec, options, index, totals in cases:
         drawn, drawn_options = draws[index]
-        assert (replace(drawn, n_clusters=1), drawn_options) == (spec, options)
+        assert (drawn._replace(n_clusters=1), drawn_options) == (spec, options)
         got = []
         for n in range(1, 7):
-            spec_n = replace(spec, n_clusters=n)
+            spec_n = spec._replace(n_clusters=n)
             dag = build_microkernel_dag(spec_n, overlap_clusters=True, **options)
             got.append(schedule(dag, slots_for(spec_n)).total_cycles)
         assert got == totals

@@ -142,7 +142,7 @@ def search_cases(draw):
     # that the capacity boundary cuts through the grid.
     pivot = TileConfig(pivot["t_mc"], pivot["t_mc"], pivot["t_k"], pivot["t_n"])
     capacity = buffer_footprint(pivot, prec, arch) // draw(st.integers(1, 4))
-    arch = replace(arch, l1_capacity=max(1, capacity + draw(st.integers(-16, 16))))
+    arch = arch._replace(l1_capacity=max(1, capacity + draw(st.integers(-16, 16))))
     rhos = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
     # Dims with many small factors, so that some tiles divide them.
     dims = st.sampled_from([2**11 * 3**3, 2**12 * 3**3, 2**12 * 3**2 * 5])
@@ -200,7 +200,7 @@ def test_kernel_sources_keep_the_buildable_full_grid_tiles(case, chains, source)
     space, prec, arch = case
     problem = space.divisibility_problem
     assume(problem is not None)
-    kernel = replace(DEFAULT_MICROKERNEL, chains=chains)
+    kernel = DEFAULT_MICROKERNEL._replace(chains=chains)
     # Buildable: whole clusters of 64 outputs per chain. Every tile dim is a
     # multiple of 8, so every t_k makes whole 8-element updates. The
     # simulated source also builds the DAG: a kernel of more than one round
@@ -236,7 +236,7 @@ def test_the_smallest_rho_that_fits_ranks_first_in_each_c_tile(case, source, del
     # the closed-form bound max_t_ma must agree with it.
     space, prec, arch = case
     problem = space.divisibility_problem or ProblemSpec(*[2**12 * 3**3] * 3)
-    arch = replace(arch, switch_overhead_delta=delta, offchip_bw=bandwidth)
+    arch = arch._replace(switch_overhead_delta=delta, offchip_bw=bandwidth)
     try:
         result = explore(space, problem, prec, arch, eff_source=source)
     except EmptySearchSpace:
@@ -274,7 +274,7 @@ def test_capacity_equal_to_the_footprint_keeps_the_tile(prec):
         rho_candidates=(4,),
     )
     for capacity, kept in ((exact, True), (exact - 1, False)):
-        arch = replace(DEFAULT_ARCH, l1_capacity=capacity)
+        arch = DEFAULT_ARCH._replace(l1_capacity=capacity)
         assert check_feasible(tile, prec, arch) is kept
         assert (c_tile_buffers(128, 64, 128, prec, arch)[3] >= tile.t_ma) is kept
         assert enumerate_feasible(space, prec, arch) == ([tile] if kept else [])
@@ -285,13 +285,13 @@ def test_enumerate_builds_only_the_tiles_it_returns(monkeypatch):
     # The closed-form bound decides every tile before one is built, so the
     # reference space constructs one TileConfig per tile it returns.
     built = []
-    validate = TileConfig.__post_init__
+    validate = TileConfig.__new__
 
-    def counting(tile):
-        built.append(tile.as_tuple())
-        validate(tile)
+    def counting(cls, *dims):
+        built.append(dims)
+        return validate(cls, *dims)
 
-    monkeypatch.setattr(TileConfig, "__post_init__", counting)
+    monkeypatch.setattr(TileConfig, "__new__", staticmethod(counting))
     tiles = enumerate_feasible(replace(SearchSpace(), divisibility_problem=PROBLEM), CONFIG1)
     assert len(tiles) == 215
     assert built == [tile.as_tuple() for tile in tiles]
@@ -345,7 +345,7 @@ def test_explore_empty_space_names_its_filters(source, space, problem, filters):
 
 
 def test_enumerate_tiny_capacity_is_empty():
-    arch = replace(DEFAULT_ARCH, l1_capacity=1)
+    arch = DEFAULT_ARCH._replace(l1_capacity=1)
     assert enumerate_feasible(small_space(), CONFIG1, arch) == []
 
 
@@ -359,7 +359,7 @@ def test_capacity_monotonicity():
     space = small_space()
     small = set(enumerate_feasible(space, CONFIG1))
     bigger = set(
-        enumerate_feasible(space, CONFIG1, replace(DEFAULT_ARCH, l1_capacity=128 * 1024))
+        enumerate_feasible(space, CONFIG1, DEFAULT_ARCH._replace(l1_capacity=128 * 1024))
     )
     assert small <= bigger
     assert len(bigger) > len(small)
