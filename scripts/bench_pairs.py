@@ -25,11 +25,13 @@ fingerprint, whether it was ``correct`` (exit 0, no failed operation) and
 whether it was ``pinned`` to one CPU. Besides the parent's short commit,
 the change's ``tree`` digest (sha256 over the sorted paths and bytes of the
 exported copy, taken before any run, leaving out the ``BENCH_*.json``
-reports at its root) and the machine, the report is one function of those
-runs, ``report``: per side the median and quartiles (inclusive method) of
-each gated metric and of ``peak_rss_mb``, the verdicts, whether both sides
-have the same fingerprint on every seed and whether every run was correct.
-So ``report`` on the stored runs gives the stored report back. The script
+reports and the ``*.md`` documents at its root, which no benchmark reads,
+so runs on either side of a document edit still pool) and the machine,
+the report is one function of those runs, ``report``: per side the median
+and quartiles (inclusive method) of each gated metric and of
+``peak_rss_mb``, the verdicts, whether both sides have the same
+fingerprint on every seed and whether every run was correct. So
+``report`` on the stored runs gives the stored report back. The script
 prints each seed's gated pairs as it goes, then one line per gated metric
 with both sides' medians, the change's wins and the metric's verdict. A
 SIGTERM stops the running benchmark and removes both copies.
@@ -314,11 +316,12 @@ def export_tree(rev: str, dest: Path) -> None:
 
 def tree_digest(tree: Path) -> str:
     """sha256 over the sorted relative paths and bytes of every file under
-    ``tree`` except the ``BENCH_*.json`` reports at its root, which this
-    script rewrites between the runs it may pool."""
+    ``tree`` except, at its root, the ``BENCH_*.json`` reports, which this
+    script rewrites between the runs it may pool, and the ``*.md``
+    documents, which no benchmark reads."""
     digest = hashlib.sha256()
-    reports = set(tree.glob("BENCH_*.json"))
-    for path in sorted(p for p in tree.rglob("*") if p.is_file() and p not in reports):
+    left_out = {*tree.glob("BENCH_*.json"), *tree.glob("*.md")}
+    for path in sorted(p for p in tree.rglob("*") if p.is_file() and p not in left_out):
         name = path.relative_to(tree).as_posix()
         data = path.read_bytes()
         digest.update(f"{name}\0{len(data)}\0".encode())

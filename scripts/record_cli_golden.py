@@ -171,6 +171,9 @@ CASES = (
     ["eval", *REFERENCE, "--eff-micro", "0.5", "--eff-source", "simulated"],
     # Nor beside a config document's eff_micro.
     with_config({"eff_micro": 0.5}, "eval", *REFERENCE, "--eff-source", "simulated"),
+    # A multi-cluster kernel the builder rejects: the sequential run scaled
+    # from one cluster raises the full build's error.
+    with_config({"microkernel": {"r_load": 1, "n_clusters": 3}}, "simulate", "schedule"),
 )
 
 

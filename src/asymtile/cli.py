@@ -63,10 +63,9 @@ from asymtile.pipeline import (
     total_latency,
 )
 from asymtile.schedule import (
-    build_microkernel_dag,
+    _build_and_schedule,
     dump_schedule_csv,
-    schedule,
-    slots_for,
+    kernel_run,
     verify_random_specs,
 )
 from asymtile.search import (
@@ -352,24 +351,24 @@ def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
     spec = cfg.microkernel
     if cfg.tile is not None:
         spec = microkernel_for_tile(cfg.tile, spec)
-    dag = build_microkernel_dag(spec)
-    result = schedule(dag, slots_for(spec))
+    # The simulated source's memoised run; only --dump schedules in full.
+    run = kernel_run(spec)
     bounds = total_latency(spec)
-    ii = result.ii_observed
+    ii = run.ii_observed
     ii_line = f"ii_observed: {float(ii):.3f}\n" if ii is not None else "ii_observed: n/a\n"
     out.write(
-        f"instructions: {len(dag)}\n"
-        f"first_vmac_cycle: {result.phase_times[0]}\n"
-        f"total_cycles: {result.total_cycles}\n"
+        f"instructions: {run.instructions}\n"
+        f"first_vmac_cycle: {run.first_vmac_cycle}\n"
+        f"total_cycles: {run.total_cycles}\n"
         f"bound_sequential: {bounds.l_total_sequential}\n"
         f"bound_overlapped: {bounds.l_total_overlapped}\n"
-        f"eff_micro_sim: {float(result.vmac_issue_rate):.4f}\n"
+        f"eff_micro_sim: {float(run.vmac_issue_rate):.4f}\n"
         + ii_line
     )
     if args.dump:
         try:
             with open(args.dump, "w", encoding="utf-8") as handle:
-                handle.write(dump_schedule_csv(dag, result))
+                handle.write(dump_schedule_csv(*_build_and_schedule(spec)))
         except OSError as exc:
             raise ConfigError(f"cannot write schedule to {args.dump}: {exc}") from exc
         out.write(f"schedule written to {args.dump}\n")

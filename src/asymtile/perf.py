@@ -86,10 +86,11 @@ def _coerce_eff(value) -> Fraction:
 # Each efficiency source's scorer (tile, base kernel) -> eff_micro: the
 # calibration table by t_k, or the tile's own kernel, shaped by
 # microkernel_for_tile (else a KernelShapeError) and scored by the closed-form
-# phase model or by its scheduled VMAC issue rate (kernel_run schedules each
-# kernel once). Neither kernel source reaches 1, the one-VMAC-per-cycle peak:
-# the closed form is below 1 (pipeline.eff_micro), and a schedule issues at
-# most one VMAC per cycle, its last VMAC's stores adding at least one cycle.
+# phase model or by its scheduled VMAC issue rate: kernel_run schedules each
+# kernel once, and `simulate schedule` prints that same run. Neither kernel
+# source reaches 1, the one-VMAC-per-cycle peak: the closed form is below 1
+# (pipeline.eff_micro), and a schedule issues at most one VMAC per cycle,
+# its last VMAC's stores adding at least one cycle.
 EFF_SOURCES = MappingProxyType({
     EFF_SOURCE_CALIBRATION: lambda tile, base: calibrated_eff_micro(tile.t_k),
     "closed_form": lambda tile, base: closed_form_eff_micro(microkernel_for_tile(tile, base)),

@@ -21,11 +21,14 @@ so its pool heaps hold plain int keys, (top − priority)·n + id, ties
 breaking by ascending id, and instructions not yet ready wait in a dict of
 due cycle -> ids.
 
-:func:`kernel_run`, which the efficiency model and the soundness check
-read, schedules each distinct (spec, build options) kernel once per process:
-a design-space search scores many tiles that share a few kernel shapes. It
-also schedules back-to-back (sequential) clusters only once: they run in
-disjoint windows, so n of them take n times one cluster's cycles.
+:func:`kernel_run`, which the efficiency model, the soundness check and
+``simulate schedule`` read, schedules each distinct (spec, build options)
+kernel once per process: a design-space search scores many tiles that
+share a few kernel shapes. It also schedules back-to-back (sequential)
+clusters only once: they run in disjoint windows, so n of them take n
+times one cluster's cycles and instructions. In the package, only
+``simulate schedule --dump``, which writes every cycle, schedules a kernel
+outside it.
 """
 
 from __future__ import annotations
@@ -426,12 +429,16 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
 
 
 class KernelRun(NamedTuple):
-    """Summary of one scheduled kernel: what callers that do not need the
-    per-instruction cycles read. Immutable, so a cached one can be shared."""
+    """Summary of one scheduled kernel, as ``simulate schedule`` prints it:
+    what callers that do not need the per-instruction cycles read.
+    ``instructions`` is the DAG's length; ``ii_observed`` is as in
+    :class:`ScheduleResult`. Immutable, so a cached one can be shared."""
 
     total_cycles: int
     first_vmac_cycle: int
     vmac_issue_rate: Fraction
+    instructions: int
+    ii_observed: Fraction | None
 
 
 def kernel_run(
@@ -442,6 +449,11 @@ def kernel_run(
     double_buffer: bool = True,
 ) -> KernelRun:
     """Build and schedule ``spec``'s DAG under the given options; summarise.
+
+    The one run of a kernel that is scored and reported: the ``simulated``
+    efficiency source reads ``kernel_run(spec).vmac_issue_rate``, and
+    ``simulate schedule`` prints ``kernel_run(spec)`` whole. Its defaults
+    are :func:`build_microkernel_dag`'s.
 
     Memoised per process on (spec, options): specs and their load classes
     are immutable, with int counts and bool flags, and the builder and the
@@ -454,11 +466,11 @@ def kernel_run(
 
     Sequential clusters (``overlap_clusters`` false, n > 1 of them) are not
     built: the result is the one-cluster run, itself memoised, with n times
-    its cycles. This is exact. Every instruction of cluster c + 1 waits,
-    directly or through another instruction, on the cluster gate: all
-    chains' final stores of cluster c, with delay ``l_store``. Every
-    instruction of cluster c reaches a final store, so it issues, and ends,
-    by then. The clusters therefore run in disjoint windows, and the
+    its cycles and instructions. This is exact. Every instruction of cluster
+    c + 1 waits, directly or through another instruction, on the cluster
+    gate: all chains' final stores of cluster c, with delay ``l_store``.
+    Every instruction of cluster c reaches a final store, so it issues, and
+    ends, by then. The clusters therefore run in disjoint windows, and the
     scheduler only ever compares instructions of one cluster and one slot
     class. Cluster c's ids are cluster 0's plus c times the cluster size.
     Its priorities shift by one constant per slot class. Only final stores
@@ -470,11 +482,21 @@ def kernel_run(
     longest: a non-terminal last VMAC also feeds a load of a later round.
     So loads and VMACs shift by one constant too. Each window is then the
     one-cluster schedule shifted in time, with the same first VMAC cycle
-    and VMAC issue rate.
+    and VMAC issue rate, and each cluster emits the same instructions.
+    ``ii_observed``, the clusters' summed VMAC spans over their summed
+    gaps, is then one cluster's span over its gaps.
     """
     return _kernel_run(
         spec, overlap_clusters and spec.n_clusters > 1, share_inputs, double_buffer
     )
+
+
+def _build_and_schedule(spec: MicrokernelSpec, **options) -> tuple[list[Instruction], ScheduleResult]:
+    """``spec``'s DAG, built with :func:`build_microkernel_dag`'s
+    ``options``, and its full schedule: for :func:`kernel_run` and for
+    ``simulate schedule --dump``."""
+    dag = build_microkernel_dag(spec, **options)
+    return dag, schedule(dag, slots_for(spec))
 
 
 @lru_cache(maxsize=KERNEL_RUN_CACHE_SIZE)
@@ -484,15 +506,16 @@ def _kernel_run(
     n = spec.n_clusters
     if not overlap_clusters and n > 1:
         one = _kernel_run(shaped_spec(spec, spec.n_accum, 1), False, share_inputs, double_buffer)
-        return KernelRun(one.total_cycles * n, one.first_vmac_cycle, one.vmac_issue_rate)
-    dag = build_microkernel_dag(
+        return KernelRun(one.total_cycles * n, one.first_vmac_cycle, one.vmac_issue_rate,
+                         one.instructions * n, one.ii_observed)
+    dag, result = _build_and_schedule(
         spec,
         share_inputs=share_inputs,
         double_buffer=double_buffer,
         overlap_clusters=overlap_clusters,
     )
-    result = schedule(dag, slots_for(spec))
-    return KernelRun(result.total_cycles, result.phase_times[0], result.vmac_issue_rate)
+    return KernelRun(result.total_cycles, result.phase_times[0], result.vmac_issue_rate,
+                     len(dag), result.ii_observed)
 
 
 kernel_run.cache_info = _kernel_run.cache_info

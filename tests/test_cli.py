@@ -27,7 +27,16 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from asymtile import cli
-from asymtile.arch import DEFAULT_ARCH, ArchSpec, ConfigError, PrecisionSpec, ProblemSpec, TileConfig
+from asymtile.arch import (
+    DEFAULT_ARCH,
+    PRECISION_PRESETS,
+    ArchSpec,
+    ConfigError,
+    PrecisionSpec,
+    ProblemSpec,
+    TileConfig,
+    derive_l2_tiles,
+)
 from asymtile.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INFEASIBLE,
@@ -35,7 +44,9 @@ from asymtile.cli import (
     EXIT_VERIFY_FAILURE,
     main,
 )
-from asymtile.pipeline import MicrokernelSpec
+from asymtile.perf import perf_array
+from asymtile.pipeline import MicrokernelSpec, microkernel_for_tile
+from asymtile.schedule import build_microkernel_dag, kernel_run
 from asymtile.search import RANK_CSV_COLUMNS, SearchSpace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -420,6 +431,34 @@ def test_simulate_schedule_dump(reference_kernel_config, tmp_path):
     assert lines[0] == "cycle,slot,id,kind"
     assert len(lines) == 1 + 7
     assert f"schedule written to {dump}" in text
+
+
+@st.composite
+def buildable_config1_tile(draw) -> TileConfig:
+    """A tile the default kernel shapes to: ``t_ma·t_n`` a multiple of 256
+    (64 outputs per chain, four chains), one to 64 clusters."""
+    t_ma = 8 * draw(st.integers(1, 8))
+    t_n = draw(st.integers(1, 32).map(lambda q: 8 * q).filter(lambda t_n: t_ma * t_n % 256 == 0))
+    return TileConfig(t_ma, t_ma * draw(st.sampled_from([1, 2, 4])), 8 * draw(st.integers(1, 16)), t_n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tile=buildable_config1_tile())
+def test_simulate_schedule_prints_the_simulated_sources_kernel_run(tile):
+    # The report, the scorer and the simulated source read one run: its
+    # efficiency is the source's, its cycles kernel_run's, and its
+    # instruction count that of the kernel built in full.
+    code, text = run_cli("simulate", "schedule", "--tile", ",".join(map(str, tile)))
+    assert code == EXIT_OK
+    lines = dict(line.split(": ", 1) for line in text.splitlines())
+    spec = microkernel_for_tile(tile)
+    est = perf_array(
+        tile, ProblemSpec(*derive_l2_tiles(tile)), PRECISION_PRESETS["config1"],
+        eff_source="simulated",
+    )
+    assert lines["eff_micro_sim"] == f"{float(est.eff_micro):.4f}"
+    assert lines["total_cycles"] == str(kernel_run(spec).total_cycles)
+    assert lines["instructions"] == str(len(build_microkernel_dag(spec)))
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "/dev/full"])

@@ -705,10 +705,11 @@ def test_kernel_scores_lie_strictly_between_zero_and_one(drawn):
 @given(seed=st.integers(0, 10**9), overlap=st.booleans(), draw=st.sampled_from(SPEC_DRAWS))
 def test_kernel_run_equals_fresh_schedule(seed, overlap, draw):
     spec, options = draw(random.Random(seed))
-    res = schedule(
-        build_microkernel_dag(spec, overlap_clusters=overlap, **options), slots_for(spec)
+    dag = build_microkernel_dag(spec, overlap_clusters=overlap, **options)
+    res = schedule(dag, slots_for(spec))
+    want = KernelRun(
+        res.total_cycles, res.phase_times[0], res.vmac_issue_rate, len(dag), res.ii_observed
     )
-    want = KernelRun(res.total_cycles, res.phase_times[0], res.vmac_issue_rate)
     first = kernel_run(spec, overlap, **options)
     hits = kernel_run.cache_info().hits
     assert first == want

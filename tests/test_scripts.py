@@ -483,6 +483,14 @@ def test_bench_pairs_tree_digest_covers_paths_and_bytes(tmp_path):
     (tmp_path / "src" / "BENCH_oracles.json").write_text("{}")
     assert tree_digest(tmp_path) != before
     (tmp_path / "src" / "BENCH_oracles.json").unlink()
+    # The documents at the root, which no benchmark reads, are left out
+    # too; a .md file elsewhere is a file.
+    for text in ("# roadmap\n", "# roadmap, edited\n"):
+        (tmp_path / "ROADMAP.md").write_text(text)
+        assert tree_digest(tmp_path) == before
+    (tmp_path / "src" / "notes.md").write_text("# notes\n")
+    assert tree_digest(tmp_path) != before
+    (tmp_path / "src" / "notes.md").unlink()
     (tmp_path / "src" / "a.py").write_bytes(b"x = 2\n")
     assert tree_digest(tmp_path) != before
     (tmp_path / "src" / "a.py").write_bytes(b"x = 1\n")
