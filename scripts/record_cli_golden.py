@@ -174,6 +174,12 @@ CASES = (
     # A multi-cluster kernel the builder rejects: the sequential run scaled
     # from one cluster raises the full build's error.
     with_config({"microkernel": {"r_load": 1, "n_clusters": 3}}, "simulate", "schedule"),
+    # Every command checks a search section it is given, though only search
+    # reads one: a bad one exits 3, and a valid one leaves eval's report as
+    # it is without the section.
+    with_config({"search": {"step": 0}}, "eval", *REFERENCE),
+    with_config({"search": {"t_mc_max": 128, "rho_candidates": [1, 2]}}, "eval", *REFERENCE),
+    with_config({"search": {"rho_candidates": []}}, "simulate", "movement", *REFERENCE),
 )
 
 

@@ -26,6 +26,6 @@ fields under a :class:`~asymtile.arch.CheckedTuple` subclass whose
 ``value._replace(field=...)``; an input's copy is checked like a new one.
 Both compare equal to a plain tuple of the same values. The dataclasses
 left also check on construction: ``search.SearchSpace``, which callers copy
-with ``dataclasses.replace``, and ``gemm``'s ``Matrix`` and ``Bfp16Block``,
-which the CLI never imports.
+with ``dataclasses.replace`` and only the CLI's search path imports, and
+``gemm``'s ``Matrix`` and ``Bfp16Block``, which the CLI never imports.
 """

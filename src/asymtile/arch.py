@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, NamedTuple
@@ -248,6 +247,11 @@ class ProblemSpec(CheckedTuple, _ProblemFields):
 
 MICROTILE = 8  # tile granularity: the block edge of the 8x8x8 vector MAC
 
+# The memory boundaries the loop-nest walker counts traffic across.
+BOUNDARY_CORE = "core"  # traffic into one core's scratchpad
+BOUNDARY_ARRAY = "array"  # traffic from off-chip into the shared cache
+BOUNDARIES = (BOUNDARY_CORE, BOUNDARY_ARRAY)
+
 
 class _TileFields(NamedTuple):
     t_ma: int
@@ -360,13 +364,20 @@ def from_section(cls, data, section: str, exclude=()):
     ``section``; missing keys keep their defaults.
 
     The keys allowed are the field names of ``cls`` not in ``exclude``: its
-    ``_fields`` for a NamedTuple input, its dataclass fields otherwise. Field
-    values are checked by ``cls`` itself; a missing required key or a
-    value ``cls`` cannot take is reported with the ``TypeError`` it raised.
+    ``_fields`` for a NamedTuple input, its dataclass fields otherwise.
+    Only a dataclass (``search.SearchSpace``) imports ``dataclasses``, so
+    a command that reads no search section never loads it. Field values
+    are checked by ``cls`` itself; a missing required key or a value
+    ``cls`` cannot take is reported with the ``TypeError`` it raised.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{section!r} section must be an object")
-    names = cls._fields if issubclass(cls, CheckedTuple) else [f.name for f in fields(cls)]
+    if issubclass(cls, CheckedTuple):
+        names = cls._fields
+    else:
+        from dataclasses import fields
+
+        names = [f.name for f in fields(cls)]
     allowed = set(names) - set(exclude)
     unknown = sorted(set(data) - allowed)
     if unknown:

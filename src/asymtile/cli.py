@@ -28,11 +28,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
+# The top imports only the modules eval runs; search, the movement walker
+# and the scheduler are imported by the subcommand that runs them.
 from asymtile.arch import (
+    BOUNDARIES,
     DEFAULT_ARCH,
     PRECISION_PRESETS,
     ArchSpec,
@@ -47,14 +49,16 @@ from asymtile.arch import (
     problem_from_value,
     tile_from_value,
 )
-from asymtile.movement import (
-    BOUNDARIES,
-    measured_ai,
-    simulate_movement,
-    trace_to_csv,
-    verify_movement_equivalence,
+from asymtile.perf import (
+    EFF_SOURCE_CALIBRATION,
+    RANK_CSV_COLUMNS,
+    _coerce_eff,
+    _kb1,
+    _sig3,
+    eff_scorer,
+    estimate_csv_row,
+    perf_array,
 )
-from asymtile.perf import EFF_SOURCE_CALIBRATION, _coerce_eff, eff_scorer, perf_array
 from asymtile.pipeline import (
     DEFAULT_MICROKERNEL,
     MicrokernelSpec,
@@ -62,24 +66,9 @@ from asymtile.pipeline import (
     microkernel_from_dict,
     total_latency,
 )
-from asymtile.schedule import (
-    _build_and_schedule,
-    dump_schedule_csv,
-    kernel_run,
-    verify_random_specs,
-)
-from asymtile.search import (
-    RANK_CSV_COLUMNS,
-    EmptySearchSpace,
-    SearchSpace,
-    _kb1,
-    _sig3,
-    estimate_csv_row,
-    explore,
-    ranked_to_csv,
-    ranked_to_markdown,
-    search_space_from_dict,
-)
+
+if TYPE_CHECKING:
+    from asymtile.search import SearchSpace
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -104,13 +93,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 class RunConfig(NamedTuple):
-    """Resolved inputs of one command; the fields are the config's top-level keys."""
+    """Resolved inputs of one command; the fields are the config's top-level
+    keys. ``search`` is a ``search.SearchSpace`` for the ``search`` command
+    and for a document with a ``search`` section, else None."""
 
     arch: ArchSpec
     precision: PrecisionSpec
     problem: ProblemSpec | None
     tile: TileConfig | None
-    search: SearchSpace
+    search: SearchSpace | None
     microkernel: MicrokernelSpec
     eff_source: str
     eff_micro: Fraction | None
@@ -162,14 +153,22 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         return value if flag is None else parse(flag)
 
-    space = resolve("search", search_space_from_dict, SearchSpace())
-    overrides = {
-        name: getattr(args, name, None)
-        for name in ("t_mc_max", "t_k_min", "t_k_max", "t_n_max", "step")
-    }
-    rho = getattr(args, "rho", None)
-    overrides["rho_candidates"] = None if rho is None else _parse_rho(rho)
-    space = replace(space, **{k: v for k, v in overrides.items() if v is not None})
+    # Every command checks a search section it is given, first, but only a
+    # search or such a section loads the search module (and dataclasses).
+    space = None
+    if args.command == "search" or "search" in raw:
+        from dataclasses import replace
+
+        from asymtile.search import SearchSpace, search_space_from_dict
+
+        space = resolve("search", search_space_from_dict, SearchSpace())
+        overrides = {
+            name: getattr(args, name, None)
+            for name in ("t_mc_max", "t_k_min", "t_k_max", "t_n_max", "step")
+        }
+        rho = getattr(args, "rho", None)
+        overrides["rho_candidates"] = None if rho is None else _parse_rho(rho)
+        space = replace(space, **{k: v for k, v in overrides.items() if v is not None})
 
     return RunConfig(
         arch=resolve("arch", arch_from_dict, DEFAULT_ARCH),
@@ -256,6 +255,8 @@ def _report_infeasible(buffer_bytes: int, arch: ArchSpec, out) -> int:
 
 
 def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
+    from asymtile.search import EmptySearchSpace, explore, ranked_to_csv, ranked_to_markdown
+
     problem = _require(cfg.problem, "a problem size (--problem or config)")
     try:
         result = explore(
@@ -296,6 +297,8 @@ def cmd_search(cfg: RunConfig, emit: str, limit: int, out) -> int:
 
 
 def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
+    from asymtile.movement import measured_ai, simulate_movement, trace_to_csv, verify_movement_equivalence
+
     if args.verify is not None:
         failures = verify_movement_equivalence(args.verify, seed=args.seed or 0, arch=cfg.arch)
         if failures:
@@ -334,6 +337,8 @@ def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
 
 
 def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
+    from asymtile.schedule import _build_and_schedule, dump_schedule_csv, kernel_run, verify_random_specs
+
     if args.verify is not None:
         failures = verify_random_specs(args.verify, seed=args.seed or 0)
         if failures:

@@ -18,6 +18,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from asymtile.arch import (
+    BOUNDARIES,
+    BOUNDARY_ARRAY,
+    BOUNDARY_CORE,
     DEFAULT_ARCH,
     MICROTILE,
     ArchSpec,
@@ -30,10 +33,6 @@ from asymtile.arch import (
     require_divides,
 )
 from asymtile.intensity import ai_array, ai_tile
-
-BOUNDARY_CORE = "core"  # traffic into one core's scratchpad
-BOUNDARY_ARRAY = "array"  # traffic from off-chip into the shared cache
-BOUNDARIES = (BOUNDARY_CORE, BOUNDARY_ARRAY)
 
 
 class BufferOverflowError(ConfigError):

@@ -8,6 +8,9 @@ plain function of the tile and the base kernel: the calibration table by
 ``t_k``, or the tile's own kernel scored by the closed form or by its
 schedule. All internal arithmetic is exact (flops per cycle as rationals);
 the clock rate is applied exactly once when converting to flops per second.
+The CSV row of an estimate (:func:`estimate_csv_row`) and the report number
+formats are defined here, so ``eval`` prints without the search module, and
+the scheduler is imported only when the ``simulated`` source scores a tile.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from asymtile.pipeline import (
     eff_micro as closed_form_eff_micro,
     microkernel_for_tile,
 )
-from asymtile.schedule import kernel_run
 
 BOUND_MEMORY = "memory"
 BOUND_COMPUTE = "compute"
@@ -83,6 +85,13 @@ def _coerce_eff(value) -> Fraction:
     return eff
 
 
+def _simulated_eff_micro(tile: TileConfig, base: MicrokernelSpec) -> Fraction:
+    # Imported here: a run that schedules no kernel does not load the scheduler.
+    from asymtile.schedule import kernel_run
+
+    return kernel_run(microkernel_for_tile(tile, base)).vmac_issue_rate
+
+
 # Each efficiency source's scorer (tile, base kernel) -> eff_micro: the
 # calibration table by t_k, or the tile's own kernel, shaped by
 # microkernel_for_tile (else a KernelShapeError) and scored by the closed-form
@@ -94,7 +103,7 @@ def _coerce_eff(value) -> Fraction:
 EFF_SOURCES = MappingProxyType({
     EFF_SOURCE_CALIBRATION: lambda tile, base: calibrated_eff_micro(tile.t_k),
     "closed_form": lambda tile, base: closed_form_eff_micro(microkernel_for_tile(tile, base)),
-    "simulated": lambda tile, base: kernel_run(microkernel_for_tile(tile, base)).vmac_issue_rate,
+    "simulated": _simulated_eff_micro,
 })
 
 
@@ -245,3 +254,56 @@ def perf_array(
     """
     eff = eff_scorer(eff_source)(tile, kernel) if eff_micro is None else _coerce_eff(eff_micro)
     return compute_side([tile], [eff], memory_side(tile, problem, prec, arch), prec, arch)[0]
+
+
+# -- report formats --------------------------------------------------------------
+
+RANK_CSV_COLUMNS = (
+    "t_ma,t_mc,t_k,t_n,rho,buffer_bytes,feasible,ai_array,eff_micro,eff_core,"
+    "memory_bound_tflops,compute_bound_tflops,perf_tflops,bound_kind"
+)
+
+
+def _sig3(value: float) -> str:
+    return f"{value:.3g}"
+
+
+def _kb1(value) -> str:
+    return f"{float(value) / 1024:.1f}"
+
+
+def _cached(value, floats: dict[int, str], spec: str, scale: float = 1.0) -> str:
+    """``float(value) / scale`` in the format ``spec``, converted once per
+    distinct object. ``floats`` maps the id of each value seen to its text,
+    so it must not outlive those values (a dead object's id can be reused),
+    and each object must always be given the same ``spec`` and ``scale``.
+    :func:`estimate_csv_row` gives it the exact values ``ai_array``,
+    ``eff_micro`` and ``eff_core`` at ``.4f`` and scale 1, and the floats
+    ``memory_bound`` and ``compute_bound`` at ``.3g`` and scale 1e12; the
+    ``0.0`` an infeasible row shares between its two bounds is one object
+    that gets the same spec and scale both times."""
+    text = floats.get(id(value))
+    if text is None:
+        text = floats[id(value)] = format(float(value) / scale, spec)
+    return text
+
+
+def estimate_csv_row(tile: TileConfig, est: PerfEstimate, floats: dict[int, str] | None = None) -> str:
+    """One CSV row of ``RANK_CSV_COLUMNS``. Rows built with one ``floats``
+    dict (:func:`_cached`) format a shared value once: ``search.rank`` works
+    out each distinct intensity and memory bound, and each distinct
+    ``eff_core`` and compute bound, once and shares the object, and the
+    tiles of one ``t_k`` share the cached calibration ``eff_micro``.
+    ``perf_array`` is the bound ``bound_kind`` names, so it reuses that
+    bound's text."""
+    floats = {} if floats is None else floats
+    memory = _cached(est.memory_bound, floats, ".3g", 1e12)
+    compute = _cached(est.compute_bound, floats, ".3g", 1e12)
+    perf = memory if est.bound_kind == BOUND_MEMORY else compute
+    t_ma, t_mc, t_k, t_n = tile
+    return (
+        f"{t_ma},{t_mc},{t_k},{t_n},{t_mc // t_ma},"
+        f"{est.buffer_bytes},{est.feasible},{_cached(est.ai_array, floats, '.4f')},"
+        f"{_cached(est.eff_micro, floats, '.4f')},{_cached(est.eff_core, floats, '.4f')},"
+        f"{memory},{compute},{perf},{est.bound_kind}"
+    )

@@ -18,7 +18,8 @@ shape, and prices each C tile's rho group in one
 intensity, and each distinct ``eff_core`` (one switch ``delta`` per kernel
 launch, so ``rho`` cancels), is worked out once, and the CSV emitter
 formats each distinct value once. :func:`explore` is enumeration followed
-by ranking.
+by ranking. The CSV row and the number formats are ``asymtile.perf``'s
+(:func:`~asymtile.perf.estimate_csv_row`), which ``eval`` prints with.
 """
 
 from __future__ import annotations
@@ -44,11 +45,14 @@ from asymtile.arch import (
     require_ints,
 )
 from asymtile.perf import (
-    BOUND_MEMORY,
     EFF_SOURCE_CALIBRATION,
+    RANK_CSV_COLUMNS,
     PerfEstimate,
+    _kb1,
+    _sig3,
     compute_side,
     eff_scorer,
+    estimate_csv_row,
     memory_side,
 )
 from asymtile.pipeline import DEFAULT_MICROKERNEL, KernelShapeError, MicrokernelSpec
@@ -272,57 +276,6 @@ def explore(
 
 
 # -- emitters ------------------------------------------------------------------
-
-RANK_CSV_COLUMNS = (
-    "t_ma,t_mc,t_k,t_n,rho,buffer_bytes,feasible,ai_array,eff_micro,eff_core,"
-    "memory_bound_tflops,compute_bound_tflops,perf_tflops,bound_kind"
-)
-
-
-def _sig3(value: float) -> str:
-    return f"{value:.3g}"
-
-
-def _kb1(value) -> str:
-    return f"{float(value) / 1024:.1f}"
-
-
-def _cached(value, floats: dict[int, str], spec: str, scale: float = 1.0) -> str:
-    """``float(value) / scale`` in the format ``spec``, converted once per
-    distinct object. ``floats`` maps the id of each value seen to its text,
-    so it must not outlive those values (a dead object's id can be reused),
-    and each object must always be given the same ``spec`` and ``scale``.
-    :func:`estimate_csv_row` gives it the exact values ``ai_array``,
-    ``eff_micro`` and ``eff_core`` at ``.4f`` and scale 1, and the floats
-    ``memory_bound`` and ``compute_bound`` at ``.3g`` and scale 1e12; the
-    ``0.0`` an infeasible row shares between its two bounds is one object
-    that gets the same spec and scale both times."""
-    text = floats.get(id(value))
-    if text is None:
-        text = floats[id(value)] = format(float(value) / scale, spec)
-    return text
-
-
-def estimate_csv_row(tile: TileConfig, est: PerfEstimate, floats: dict[int, str] | None = None) -> str:
-    """One CSV row of ``RANK_CSV_COLUMNS``. Rows built with one ``floats``
-    dict (:func:`_cached`) format a shared value once: :func:`rank` works
-    out each distinct intensity and memory bound, and each distinct
-    ``eff_core`` and compute bound, once and shares the object, and the
-    tiles of one ``t_k`` share the cached calibration ``eff_micro``.
-    ``perf_array`` is the bound ``bound_kind`` names, so it reuses that
-    bound's text."""
-    floats = {} if floats is None else floats
-    memory = _cached(est.memory_bound, floats, ".3g", 1e12)
-    compute = _cached(est.compute_bound, floats, ".3g", 1e12)
-    perf = memory if est.bound_kind == BOUND_MEMORY else compute
-    t_ma, t_mc, t_k, t_n = tile
-    return (
-        f"{t_ma},{t_mc},{t_k},{t_n},{t_mc // t_ma},"
-        f"{est.buffer_bytes},{est.feasible},{_cached(est.ai_array, floats, '.4f')},"
-        f"{_cached(est.eff_micro, floats, '.4f')},{_cached(est.eff_core, floats, '.4f')},"
-        f"{memory},{compute},{perf},{est.bound_kind}"
-    )
-
 
 def ranked_to_csv(result: RankedResult) -> str:
     floats: dict[int, str] = {}

@@ -272,7 +272,7 @@ def test_simulate_movement_verify_uses_config_arch(tmp_path, monkeypatch):
         seen.append(arch)
         return []
 
-    monkeypatch.setattr(cli, "verify_movement_equivalence", spy)
+    monkeypatch.setattr("asymtile.movement.verify_movement_equivalence", spy)
     cfg = tmp_path / "arch.json"
     cfg.write_text(json.dumps({"arch": {"l1_capacity": 32768, "buffer_multiplier_a": 1}}))
     code, _ = run_cli("simulate", "movement", "--config", str(cfg), "--verify", "3")
@@ -319,7 +319,7 @@ def test_simulate_verify_failure_exits_4(monkeypatch, target, sweep, record, lin
         calls.append((n, seed))
         return [record]
 
-    monkeypatch.setattr(cli, sweep, failing_sweep)
+    monkeypatch.setattr(f"asymtile.{target}.{sweep}", failing_sweep)
     assert run_cli("simulate", target, "--verify", "3", "--seed", "7") == (EXIT_VERIFY_FAILURE, line)
     assert calls == [(3, 7)]
 
@@ -761,19 +761,22 @@ def test_repeated_main_calls_match_single_runs(tmp_path):
 
 def test_cli_import_does_not_load_numpy():
     # The CLI loads only the modules it runs (not the numeric GEMM), and the
-    # package root, which re-exports nothing, loads no submodule at all. Of
-    # the classes the CLI loads, only SearchSpace is a dataclass, whose
-    # generated methods are built at import; every other input is a
-    # NamedTuple.
-    dataclasses_loaded = (
-        "import dataclasses, sys, asymtile.cli; print(sorted(c.__name__ for n, m in sys.modules.items()"
-        " if n.startswith('asymtile.') for c in vars(m).values()"
-        " if isinstance(c, type) and c.__module__ == n and dataclasses.is_dataclass(c)))"
+    # package root, which re-exports nothing, loads no submodule at all. An
+    # eval of one tile loads neither the search (whose SearchSpace is the
+    # one dataclass the CLI can reach), nor dataclasses and the inspect
+    # module it pulls in, nor the movement walker or the scheduler; a
+    # search loads its module when it runs.
+    loaded = (
+        "import io, sys; from asymtile.cli import main; "
+        "main([{}], out=io.StringIO()); "
+        "print([m for m in ('dataclasses', 'inspect', 'asymtile.search', 'asymtile.movement',"
+        " 'asymtile.schedule') if m in sys.modules])"
     )
     probes = {
         "import sys, asymtile.cli; print('numpy' in sys.modules, 'asymtile.gemm' in sys.modules)": "False False",
         "import sys, asymtile; print(sorted(m for m in sys.modules if m.startswith('asymtile.')))": "[]",
-        dataclasses_loaded: "['SearchSpace']",
+        loaded.format('"eval", "--problem", "4096x4096x2048", "--tile", "32,128,64,128"'): "[]",
+        loaded.format('"search", "--problem", "4096x4096x2048"'): "['dataclasses', 'inspect', 'asymtile.search']",
     }
     for probe, want in probes.items():
         proc = subprocess.run(
