@@ -33,8 +33,10 @@ and quartiles (inclusive method) of each gated metric and of
 fingerprint on every seed and whether every run was correct. So
 ``report`` on the stored runs gives the stored report back. The script
 prints each seed's gated pairs as it goes, then one line per gated metric
-with both sides' medians, the change's wins and the metric's verdict. A
-SIGTERM stops the running benchmark and removes both copies.
+with both sides' medians, the change's wins and the metric's verdict, and,
+for a report that has them, one line with both sides' ``peak_rss_mb``
+medians, which is no verdict and no gate. A SIGTERM stops the running
+benchmark and removes both copies.
 
 ``--pool`` runs nothing. It reads several ``BENCH_<W>.json`` files of one
 parent commit and one change tree, each with its own seeds. Files of one
@@ -380,6 +382,11 @@ def main(argv: list[str] | None = None) -> int:
             f"{result['change'][name]['median']:.4g} (change wins {v['wins']}, loses "
             f"{v['losses']} of {v['pairs']}; gap {v['gap']:.4g} against parent IQR "
             f"{v['parent_iqr']:.4g}; sign test p {v['sign_p']:.3g}): {v['verdict']}"
+        )
+    if "peak_rss_mb" in result["parent"]:
+        print(
+            f"  peak_rss_mb median {result['parent']['peak_rss_mb']['median']:.4g} -> "
+            f"{result['change']['peak_rss_mb']['median']:.4g} (not gated)"
         )
     return 0
 

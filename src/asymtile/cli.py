@@ -337,7 +337,7 @@ def cmd_simulate_movement(cfg: RunConfig, args, out) -> int:
 
 
 def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
-    from asymtile.schedule import _build_and_schedule, dump_schedule_csv, kernel_run, verify_random_specs
+    from asymtile.schedule import dump_schedule_csv, kernel_run, verify_random_specs
 
     if args.verify is not None:
         failures = verify_random_specs(args.verify, seed=args.seed or 0)
@@ -363,7 +363,7 @@ def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
     ii_line = f"ii_observed: {float(ii):.3f}\n" if ii is not None else "ii_observed: n/a\n"
     out.write(
         f"instructions: {run.instructions}\n"
-        f"first_vmac_cycle: {run.first_vmac_cycle}\n"
+        f"first_vmac_cycle: {run.phase_times[0]}\n"
         f"total_cycles: {run.total_cycles}\n"
         f"bound_sequential: {bounds.l_total_sequential}\n"
         f"bound_overlapped: {bounds.l_total_overlapped}\n"
@@ -373,7 +373,7 @@ def cmd_simulate_schedule(cfg: RunConfig, args, out) -> int:
     if args.dump:
         try:
             with open(args.dump, "w", encoding="utf-8") as handle:
-                handle.write(dump_schedule_csv(*_build_and_schedule(spec)))
+                handle.write(dump_schedule_csv(spec))
         except OSError as exc:
             raise ConfigError(f"cannot write schedule to {args.dump}: {exc}") from exc
         out.write(f"schedule written to {args.dump}\n")

@@ -12,23 +12,22 @@ kernel has thousands of instructions. A DAG is a list of ``Instruction``
 NamedTuples, and an instruction's id is its position in that list: each of
 its preds names an earlier position. The scheduler takes the DAG on exactly
 that contract, checked once: ids index its priority, pool and cycle lists
-directly, and the list order is the topological order. It reads the DAG
-once into columns (kinds, slots, latencies, preds, clusters) and sets up
-from those. Its per-edge work is done once per distinct pred tuple, not per
-instruction: instructions with equal preds (a round's steady loads, say)
-form a group with one ready cycle. Latencies and delays are whole cycles,
-so its pool heaps hold plain int keys, (top − priority)·n + id, ties
-breaking by ascending id, and instructions not yet ready wait in a dict of
-due cycle -> ids.
+directly, and the list order is the topological order. It reads the DAG once
+into columns (slots, latencies, preds) and sets up from those. Its per-edge
+work is done once per distinct pred tuple, not per instruction: instructions
+with equal preds (a round's steady loads, say) form a group with one ready
+cycle. Latencies and delays are whole cycles, so its pool heaps hold plain
+int keys, (top − priority)·n + id, ties breaking by ascending id, and
+instructions not yet ready wait in a dict of due cycle -> ids.
 
+:func:`schedule` summarises :func:`issue_cycles` as a :class:`ScheduleResult`.
 :func:`kernel_run`, which the efficiency model, the soundness check and
-``simulate schedule`` read, schedules each distinct (spec, build options)
-kernel once per process: a design-space search scores many tiles that
-share a few kernel shapes. It also schedules back-to-back (sequential)
-clusters only once: they run in disjoint windows, so n of them take n
-times one cluster's cycles and instructions. In the package, only
-``simulate schedule --dump``, which writes every cycle, schedules a kernel
-outside it.
+``simulate schedule`` read, gives that record for each distinct (spec, build
+options) kernel, scheduled once per process: a design-space search scores
+many tiles that share a few kernel shapes. Back-to-back (sequential)
+clusters run in disjoint windows, so it schedules one and scales its record
+exactly. In the package, only ``simulate schedule --dump``, which writes
+every cycle, schedules a kernel outside it.
 """
 
 from __future__ import annotations
@@ -55,10 +54,10 @@ SLOT_LOAD = "ld"
 SLOT_STORE = "st"
 SLOT_VMAC = "vmac"
 
-# Distinct (spec, build options) summaries kept by kernel_run. The simulated
-# reference search (config1, 4096x4096x2048) needs 15: four one-cluster
-# schedules and 11 multi-cluster entries scaled from them. Random soundness
-# specs never repeat.
+# Distinct (spec, build options) ScheduleResults, five numbers each, kept by
+# kernel_run. The simulated reference search (config1, 4096x4096x2048) needs
+# 15: four one-cluster schedules and 11 multi-cluster entries scaled from
+# them. Random soundness specs never repeat.
 KERNEL_RUN_CACHE_SIZE = 1024
 
 
@@ -86,19 +85,22 @@ class Instruction(NamedTuple):
 
 
 class ScheduleResult(NamedTuple):
-    """Issue cycles and summary metrics of one scheduled DAG.
+    """Summary of one scheduled DAG, without its :func:`issue_cycles`.
 
-    ``cycle_of[i]`` is the issue cycle of instruction i. ``vmac_issue_rate``
-    is VMACs per cycle against a one-per-cycle peak. ``ii_observed`` is the
-    mean gap between consecutive VMAC issues within each cluster (gaps
-    across clusters excluded), or None when no cluster has two VMACs.
+    ``total_cycles`` is the last end: a store's issue cycle plus its
+    latency, anything else's plus one. ``vmac_issue_rate`` is VMACs per
+    cycle against a one-per-cycle peak. ``phase_times`` is (first VMAC
+    cycle, last minus first, total minus last), or (total, 0, 0) with no
+    VMAC. ``ii_observed`` is the mean gap between consecutive VMAC issues
+    within each cluster (gaps across clusters excluded), or None when no
+    cluster has two VMACs. ``instructions`` is the DAG's length.
     """
 
-    cycle_of: list[int]
     total_cycles: int
     vmac_issue_rate: Fraction
     phase_times: tuple[int, int, int]
     ii_observed: Fraction | None
+    instructions: int
 
 
 def slots_for(spec: MicrokernelSpec) -> dict[str, int]:
@@ -266,8 +268,9 @@ def build_microkernel_dag(
     return instrs
 
 
-def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
-    """Greedy cycle-by-cycle list schedule of ``dag`` onto ``slots``.
+def issue_cycles(dag: list[Instruction], slots: dict[str, int]) -> list[int]:
+    """Greedy cycle-by-cycle list schedule of ``dag`` onto ``slots``: the
+    issue cycle of each instruction, by position.
 
     Each cycle, ready instructions issue in priority order (longest
     delay-weighted path to any sink, ties by ascending id) up to the slot
@@ -283,9 +286,8 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
 
     The setup reads the DAG once, into columns (``zip(*dag)``), and works
     on those: one comprehension over ``dict.setdefault`` numbers the
-    distinct pred tuples in the order they first appear, each group's
-    successor edges are added once, in that order, and the summary reads
-    the kind, cycle, latency and cluster columns.
+    distinct pred tuples in the order they first appear, and each group's
+    successor edges are added once, in that order.
 
     Per-edge work is done once per group, the instructions with equal pred
     tuples (a round's steady loads share one): a group keeps one
@@ -302,11 +304,8 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
     """
     n = len(dag)
     if not n:
-        return ScheduleResult(
-            cycle_of=[], total_cycles=0, vmac_issue_rate=Fraction(0),
-            phase_times=(0, 0, 0), ii_observed=None,
-        )
-    kinds, slot_names, latencies, pred_col, cluster_of = zip(*dag)
+        return []
+    _, slot_names, latencies, pred_col, _ = zip(*dag)
     classes = sorted(slots)
     pools: list[list[int]] = [[] for _ in classes]
     pool_for = {name: pool for name, pool in zip(classes, pools) if slots[name] >= 1}
@@ -389,16 +388,24 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
         else:
             break
 
+    return cycle_of
+
+
+def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
+    """:func:`issue_cycles` of ``dag`` on ``slots`` (raising its ConfigError),
+    summarised in one pass as a :class:`ScheduleResult`."""
     total = 0
     vmac_cycles: dict[int, list[int]] = {}  # cluster -> [first, last, count]
-    for kind, c, latency, cluster in zip(kinds, cycle_of, latencies, cluster_of):
-        end = c + latency if kind == "vstore" else c + 1
+    # Field reads, not unpacking: a NamedTuple unpacks on the slow generic path.
+    for ins, c in zip(dag, issue_cycles(dag, slots)):
+        kind = ins.kind
+        end = c + ins.latency if kind == "vstore" else c + 1
         if end > total:
             total = end
         if kind == "vmac":
-            seen = vmac_cycles.get(cluster)
+            seen = vmac_cycles.get(ins.group)
             if seen is None:
-                vmac_cycles[cluster] = [c, c, 1]
+                vmac_cycles[ins.group] = [c, c, 1]
             else:
                 if c < seen[0]:
                     seen[0] = c
@@ -419,26 +426,7 @@ def schedule(dag: list[Instruction], slots: dict[str, int]) -> ScheduleResult:
         phases = (total, 0, 0)
         rate = Fraction(0)
         ii_observed = None
-    return ScheduleResult(
-        cycle_of=cycle_of,
-        total_cycles=total,
-        vmac_issue_rate=rate,
-        phase_times=phases,
-        ii_observed=ii_observed,
-    )
-
-
-class KernelRun(NamedTuple):
-    """Summary of one scheduled kernel, as ``simulate schedule`` prints it:
-    what callers that do not need the per-instruction cycles read.
-    ``instructions`` is the DAG's length; ``ii_observed`` is as in
-    :class:`ScheduleResult`. Immutable, so a cached one can be shared."""
-
-    total_cycles: int
-    first_vmac_cycle: int
-    vmac_issue_rate: Fraction
-    instructions: int
-    ii_observed: Fraction | None
+    return ScheduleResult(total, rate, phases, ii_observed, len(dag))
 
 
 def kernel_run(
@@ -447,88 +435,87 @@ def kernel_run(
     *,
     share_inputs: bool = True,
     double_buffer: bool = True,
-) -> KernelRun:
-    """Build and schedule ``spec``'s DAG under the given options; summarise.
+) -> ScheduleResult:
+    """:func:`schedule` of ``spec``'s DAG, built under the given options.
 
     The one run of a kernel that is scored and reported: the ``simulated``
     efficiency source reads ``kernel_run(spec).vmac_issue_rate``, and
-    ``simulate schedule`` prints ``kernel_run(spec)`` whole. Its defaults
-    are :func:`build_microkernel_dag`'s.
+    ``simulate schedule`` prints ``kernel_run(spec)``. Its defaults are
+    :func:`build_microkernel_dag`'s.
 
     Memoised per process on (spec, options): specs and their load classes
     are immutable, with int counts and bool flags, and the builder and the
-    scheduler are deterministic, so equal keys give equal schedules. The
-    options go on positionally, so every spelling of one call shares an
-    entry. With at most one cluster the two sequencing modes build the same
-    DAG, so they share an entry too. A builder error is not cached; it
-    raises on every call. ``kernel_run.cache_info()`` and ``cache_clear()``
-    reach the cache.
+    scheduler are deterministic, so equal keys give equal (immutable,
+    shared) records. The options go on positionally, so every spelling of
+    one call shares an entry. With at most one cluster the two sequencing
+    modes build the same DAG, so they share an entry too. A builder error
+    is not cached; it raises on every call. ``kernel_run.cache_info()`` and
+    ``cache_clear()`` reach the cache.
 
     Sequential clusters (``overlap_clusters`` false, n > 1 of them) are not
-    built: the result is the one-cluster run, itself memoised, with n times
-    its cycles and instructions. This is exact. Every instruction of cluster
-    c + 1 waits, directly or through another instruction, on the cluster
-    gate: all chains' final stores of cluster c, with delay ``l_store``.
-    Every instruction of cluster c reaches a final store, so it issues, and
-    ends, by then. The clusters therefore run in disjoint windows, and the
-    scheduler only ever compares instructions of one cluster and one slot
-    class. Cluster c's ids are cluster 0's plus c times the cluster size.
-    Its priorities shift by one constant per slot class. Only final stores
-    have edges out of the cluster, all to the same gated instructions, so
-    the stores shift by one constant. Every load or VMAC path ends at a
-    terminal VMAC, a chain's last VMAC with no successor but its stores.
-    Within one build they all have one priority, max(``pipeline_depth``,
-    their store path). No other instruction's own latency or store path is its
-    longest: a non-terminal last VMAC also feeds a load of a later round.
-    So loads and VMACs shift by one constant too. Each window is then the
-    one-cluster schedule shifted in time, with the same first VMAC cycle
-    and VMAC issue rate, and each cluster emits the same instructions.
-    ``ii_observed``, the clusters' summed VMAC spans over their summed
-    gaps, is then one cluster's span over its gaps.
+    built: the result is the one-cluster run, itself memoised, scaled. This
+    is exact. Every instruction of cluster c + 1 waits, directly or through
+    another instruction, on the cluster gate: all chains' final stores of
+    cluster c, with delay ``l_store``. Every instruction of cluster c
+    reaches a final store, so it issues, and ends, by then. The clusters
+    therefore run in disjoint windows, and the scheduler only ever compares
+    instructions of one cluster and one slot class. Cluster c's ids are
+    cluster 0's plus c times the cluster size. Its priorities shift by one
+    constant per slot class. Only final stores have edges out of the
+    cluster, all to the same gated instructions, so the stores shift by one
+    constant. Every load or VMAC path ends at a terminal VMAC, a chain's
+    last VMAC with no successor but its stores. Within one build they all
+    have one priority, max(``pipeline_depth``, their store path). No other
+    instruction's own latency or store path is its longest: a non-terminal
+    last VMAC also feeds a load of a later round. So loads and VMACs shift
+    by one constant too. Window c is then the one-cluster schedule shifted
+    by c·T, T one cluster's cycles, and each cluster emits the same
+    instructions: n·T cycles and n times the instructions, at one cluster's
+    VMAC issue rate. The first VMAC is cluster 0's and the last is in the
+    last cluster, so ``phase_times`` (p0, p1, p2) becomes
+    (p0, p1 + (n − 1)·T, p2). ``ii_observed``, the summed VMAC spans over
+    the summed gaps, is one cluster's span over its gaps.
     """
     return _kernel_run(
         spec, overlap_clusters and spec.n_clusters > 1, share_inputs, double_buffer
     )
 
 
-def _build_and_schedule(spec: MicrokernelSpec, **options) -> tuple[list[Instruction], ScheduleResult]:
-    """``spec``'s DAG, built with :func:`build_microkernel_dag`'s
-    ``options``, and its full schedule: for :func:`kernel_run` and for
-    ``simulate schedule --dump``."""
-    dag = build_microkernel_dag(spec, **options)
-    return dag, schedule(dag, slots_for(spec))
-
-
 @lru_cache(maxsize=KERNEL_RUN_CACHE_SIZE)
 def _kernel_run(
     spec: MicrokernelSpec, overlap_clusters: bool, share_inputs: bool, double_buffer: bool
-) -> KernelRun:
+) -> ScheduleResult:
     n = spec.n_clusters
     if not overlap_clusters and n > 1:
         one = _kernel_run(shaped_spec(spec, spec.n_accum, 1), False, share_inputs, double_buffer)
-        return KernelRun(one.total_cycles * n, one.first_vmac_cycle, one.vmac_issue_rate,
-                         one.instructions * n, one.ii_observed)
-    dag, result = _build_and_schedule(
+        period = one.total_cycles
+        first, steady, epilog = one.phase_times
+        return ScheduleResult(period * n, one.vmac_issue_rate,
+                              (first, steady + (n - 1) * period, epilog),
+                              one.ii_observed, one.instructions * n)
+    dag = build_microkernel_dag(
         spec,
         share_inputs=share_inputs,
         double_buffer=double_buffer,
         overlap_clusters=overlap_clusters,
     )
-    return KernelRun(result.total_cycles, result.phase_times[0], result.vmac_issue_rate,
-                     len(dag), result.ii_observed)
+    return schedule(dag, slots_for(spec))
 
 
 kernel_run.cache_info = _kernel_run.cache_info
 kernel_run.cache_clear = _kernel_run.cache_clear
 
 
-def dump_schedule_csv(dag: list[Instruction], result: ScheduleResult) -> str:
-    """Render a schedule as CSV rows (cycle, slot, instruction id, kind)."""
+def dump_schedule_csv(spec: MicrokernelSpec) -> str:
+    """CSV rows (cycle, slot, instruction id, kind) of the :func:`issue_cycles`
+    of ``spec``'s whole DAG, built under :func:`kernel_run`'s defaults, so
+    they describe the run ``kernel_run(spec)`` summarises."""
+    dag = build_microkernel_dag(spec)
     out = io.StringIO()
     out.write("cycle,slot,id,kind\n")
     rows = sorted(
         (cycle, ins.slot, i, ins.kind)
-        for i, (cycle, ins) in enumerate(zip(result.cycle_of, dag))
+        for i, (cycle, ins) in enumerate(zip(issue_cycles(dag, slots_for(spec)), dag))
     )
     for cycle, slot, vid, kind in rows:
         out.write(f"{cycle},{slot},{vid},{kind}\n")
@@ -590,17 +577,18 @@ def check_bounds_hold(
     Returns (bound name, bound value, simulated value) triples for any bound
     the simulation beats; empty means sound. Both cluster sequencing modes
     are checked, through :func:`kernel_run`, which schedules a one-cluster
-    kernel once for both. Each total bound is at least ``t_prolog + t_steady
-    + t_epilog``, the prolog and epilog at least one cycle each, so the
-    ``t_steady`` and ``t_epilog`` comparisons of a whole schedule fire only
-    when a total comparison fires too, until phases are compared with
-    phases (ROADMAP item 2).
+    kernel once for both. ``t_prolog`` is compared with the first VMAC
+    cycle, ``t_steady`` and ``t_epilog`` with ``total_cycles``: not yet with
+    the measured phases, which a partial last round can put below
+    ``t_epilog`` (ROADMAP item 2). Each total bound is at least ``t_prolog
+    + t_steady + t_epilog``, the prolog and epilog at least one cycle each,
+    so those two comparisons fire only when a total comparison fires too.
     """
     bounds = total_latency(spec)
     violations: list[tuple[str, int, int]] = []
     for overlap, total in ((False, "l_total_sequential"), (True, "l_total_overlapped")):
         res = kernel_run(spec, overlap, **options)
-        for name, simulated in ((total, res.total_cycles), ("t_prolog", res.first_vmac_cycle),
+        for name, simulated in ((total, res.total_cycles), ("t_prolog", res.phase_times[0]),
                                 ("t_steady", res.total_cycles), ("t_epilog", res.total_cycles)):
             bound = getattr(bounds, name)
             if simulated < bound:

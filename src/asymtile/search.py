@@ -118,36 +118,50 @@ def enumerate_feasible(
     ``t_n``, then ascending ``rho``.
 
     The grid is pruned before any tile is built. Divisibility separates by
-    axis, so the ``t_mc``, ``t_k`` and ``t_n`` ranges are filtered on their
-    own, each only up to ``dim // scale`` (a larger value cannot divide
-    ``dim``), and the valid ``t_ma = t_mc / rho`` values (multiples of 8)
-    are listed once per ``t_mc``, ascending. Capacity is decided once per
-    C tile: :func:`~asymtile.arch.c_tile_buffers` gives the largest
-    ``t_ma`` that fits, in closed form, and a bisection keeps the valid
-    ``t_ma`` up to it, so a ``TileConfig`` is built only for a tile that is
-    returned. The footprint strictly increases in ``t_ma``, ``t_mc``,
+    axis, so each of the ``t_mc``, ``t_k`` and ``t_n`` ranges is filtered
+    on its own, after two cuts: at ``dim // scale`` (a larger value cannot
+    divide ``dim``), and, found by bisection, past its last value whose
+    smallest tile fits (``t_ma`` = ``MICROTILE``, the other dims at the
+    space's minimum, or for the ``t_mc`` cut at the first kept ``t_k`` and
+    ``t_n``). The footprint strictly increases in ``t_ma``, ``t_mc``,
     ``t_k`` and ``t_n`` (byte costs are positive and multipliers at least
-    1), so the walk over ``t_n`` stops at the first ``t_n`` that keeps
-    nothing, the walk over ``t_k`` at the first ``t_k`` that keeps nothing
-    at the first ``t_n``, and the walk over ``t_mc`` after a ``t_mc`` that
-    kept nothing if even ``t_ma`` = ``MICROTILE`` does not fit at the
-    smallest ``t_k`` and ``t_n``: no later ``t_mc`` has a smaller tile, so
-    no range has to be walked to its end.
+    1), so no tile past a cut fits, and no range is walked to a far end.
+    The valid ``t_ma = t_mc / rho`` values (multiples of 8) are listed once
+    per ``t_mc``, ascending. Capacity is decided once per C tile:
+    :func:`~asymtile.arch.c_tile_buffers` gives the largest ``t_ma`` that
+    fits, in closed form, and a bisection keeps the valid ``t_ma`` up to
+    it, so a ``TileConfig`` is built only for a tile that is returned. The
+    walks over ``t_n`` and ``t_k`` stop at the first value that keeps
+    nothing (for ``t_k``, at the first ``t_n``).
     """
     problem = space.divisibility_problem
 
-    def axis_values(axis: int, lo: int, hi: int) -> range | list[int]:
+    def axis_values(axis: int, hi: int, smallest: tuple[int, int, int]) -> range | list[int]:
+        dims, lo = list(smallest), smallest[axis]
+        if problem is not None:
+            dim, scale = (problem.m, problem.k, problem.n)[axis], arch.grid_scale[axis]
+            hi = min(hi, dim // scale)
+        # Bisect for how many values have a smallest tile that fits; the largest often does.
+        n_fit, n_over = 0, max(0, (hi - lo) // space.step + 1)
+        probe = n_over - 1
+        while n_fit < n_over:
+            dims[axis] = lo + probe * space.step
+            if c_tile_buffers(*dims, prec, arch)[3] < MICROTILE:
+                n_over = probe
+            else:
+                n_fit = probe + 1
+            probe = (n_fit + n_over) // 2
+        values = range(lo, lo + n_fit * space.step, space.step)
         if problem is None:
-            return range(lo, hi + 1, space.step)
-        dim, scale = (problem.m, problem.k, problem.n)[axis], arch.grid_scale[axis]
-        values = range(lo, min(hi, dim // scale) + 1, space.step)
+            return values
         return [v for v in values if dim % (scale * v) == 0]
 
-    t_mcs = axis_values(0, space.t_mc_min, space.t_mc_max)
-    t_ks = axis_values(1, space.t_k_min, space.t_k_max)
-    t_ns = axis_values(2, space.t_n_min, space.t_n_max)
+    lows = (space.t_mc_min, space.t_k_min, space.t_n_min)
+    t_ks = axis_values(1, space.t_k_max, lows)
+    t_ns = axis_values(2, space.t_n_max, lows)
     if not t_ks or not t_ns:
         return []
+    t_mcs = axis_values(0, space.t_mc_max, (space.t_mc_min, t_ks[0], t_ns[0]))
     rhos = sorted(set(space.rho_candidates))
     out: list[TileConfig] = []
     for t_mc in t_mcs:
@@ -157,7 +171,6 @@ def enumerate_feasible(
             for rho in reversed(rhos)
             if t_mc % rho == 0 and (t_mc // rho) % MICROTILE == 0
         ]
-        kept_before = len(out)
         for t_k in t_ks:
             kept_any = False
             for t_n in t_ns:
@@ -168,8 +181,6 @@ def enumerate_feasible(
                 out.extend(TileConfig(t_ma, t_mc, t_k, t_n) for t_ma in reversed(t_mas[:fits]))
             if not kept_any:
                 break
-        if len(out) == kept_before and c_tile_buffers(t_mc, t_ks[0], t_ns[0], prec, arch)[3] < MICROTILE:
-            break
     return out
 
 

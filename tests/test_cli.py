@@ -461,6 +461,29 @@ def test_simulate_schedule_prints_the_simulated_sources_kernel_run(tile):
     assert lines["instructions"] == str(len(build_microkernel_dag(spec)))
 
 
+@pytest.mark.parametrize("tile, n_clusters", [((32, 128, 64, 128), 16), ((8, 8, 64, 32), 1)])
+def test_simulate_schedule_dump_describes_the_run_it_prints(tile, n_clusters, tmp_path):
+    # The summary is kernel_run's record, scaled from one cluster when the
+    # kernel's clusters are sequential; the dump is a full schedule beside
+    # it, and must describe the same run.
+    spec = microkernel_for_tile(TileConfig(*tile))
+    assert spec.n_clusters == n_clusters
+    dump = tmp_path / "sched.csv"
+    code, text = run_cli("simulate", "schedule", "--tile", ",".join(map(str, tile)),
+                         "--dump", str(dump))
+    assert code == EXIT_OK
+    *summary, written = text.splitlines()
+    assert written == f"schedule written to {dump}"
+    lines = dict(line.split(": ", 1) for line in summary)
+    header, *rows = dump.read_text().splitlines()
+    assert header == "cycle,slot,id,kind"
+    rows = [(int(cycle), kind) for cycle, _, _, kind in (row.split(",") for row in rows)]
+    assert len(rows) == int(lines["instructions"])
+    assert min(cycle for cycle, kind in rows if kind == "vmac") == int(lines["first_vmac_cycle"])
+    ends = [cycle + (spec.l_store if kind == "vstore" else 1) for cycle, kind in rows]
+    assert max(ends) == int(lines["total_cycles"])
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "/dev/full"])
 def test_simulate_schedule_unwritable_dump_exits_3(tmp_path, capsys, target):
     if target == "/dev/full" and not os.path.exists(target):

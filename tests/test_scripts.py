@@ -270,7 +270,7 @@ def test_bench_pairs_gives_no_verdict_from_fewer_than_ten_pairs():
     )
 
 
-def test_bench_pairs_pools_reports_of_one_parent_and_tree(tmp_path):
+def test_bench_pairs_pools_reports_of_one_parent_and_tree(tmp_path, capsys):
     module = load_script("bench_pairs.py")
     # Two five-pair runs: each alone is too few pairs; pooled they are ten,
     # and the change wins nine by about 0.1, far outside the parent's IQR.
@@ -280,6 +280,8 @@ def test_bench_pairs_pools_reports_of_one_parent_and_tree(tmp_path):
         seed: {"parent": run_record(p, 0.06 + p / 100), "change": run_record(c)}
         for seed, p, c in zip(range(41, 51), parents, changes)
     }
+    for pair in runs.values():
+        pair["change"]["peak_rss_mb"] = 36.2
     first = build_report(module, {s: runs[s] for s in range(41, 46)})
     second = build_report(module, {s: runs[s] for s in range(46, 51)})
     assert first["verdicts"]["pass_norm_s"]["verdict"] == "too few pairs"
@@ -308,6 +310,14 @@ def test_bench_pairs_pools_reports_of_one_parent_and_tree(tmp_path):
     assert module.main(["--pool", *map(str, paths)]) == 0
     written = json.loads((tmp_path / "BENCH_oracles.json").read_text())
     assert written["verdicts"] == pooled["verdicts"]
+    # One line per gated metric, then both sides' peak RSS medians, which
+    # no verdict reads.
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "BENCH_oracles.json:"
+    assert [line.split(" median ")[0] for line in printed[1:]] == [
+        *(f"  {name}" for name in module.GATED), "  peak_rss_mb"
+    ]
+    assert printed[-1] == "  peak_rss_mb median 33.46 -> 36.2 (not gated)"
 
 
 @pytest.mark.parametrize(

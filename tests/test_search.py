@@ -168,8 +168,16 @@ def test_divisibility_scales_each_axis_by_the_grid():
     assert tiles == reference_enumerate(space, CONFIG1, DEFAULT_ARCH)
 
 
+# Capped: a 2 KB L1 cuts every range below its upper end (no kept t_mc
+# above 64, t_k above 32 or t_n above 48).
 @settings(max_examples=150)
 @given(case=search_cases())
+@example(case=(
+    SearchSpace(t_mc_max=160, t_k_min=8, t_k_max=160, t_n_max=160,
+                divisibility_problem=ProblemSpec(*[2**12 * 3**3] * 3)),
+    CONFIG1,
+    DEFAULT_ARCH._replace(l1_capacity=2048),
+))
 def test_pruned_enumeration_equals_full_grid(case):
     space, prec, arch = case
     assert enumerate_feasible(space, prec, arch) == reference_enumerate(space, prec, arch)
@@ -308,6 +316,19 @@ def test_ranges_past_the_problem_add_nothing():
     }
     huge = small_space(t_mc_max=10**12, t_k_max=10**12, t_n_max=10**12)
     assert enumerate_feasible(huge, CONFIG1) == enumerate_feasible(small_space(**bound), CONFIG1)
+
+
+def test_a_range_past_capacity_is_cut_without_a_walk():
+    # m = 2**62 divides by every power-of-two t_mc, so only capacity ends
+    # the t_mc range; listing it up to m // 4 would take about 2**57 steps.
+    problem = ProblemSpec(2**62, 4096, 2048)
+
+    def space(hi):
+        return SearchSpace(t_mc_max=hi, divisibility_problem=problem)
+
+    tiles = enumerate_feasible(space(4096), CONFIG1)
+    assert len(tiles) == 216
+    assert enumerate_feasible(space(2**62), CONFIG1) == tiles
 
 
 def test_enumeration_without_a_problem_stops_at_capacity():
